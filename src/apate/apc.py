@@ -33,7 +33,10 @@ def _params_json(params) -> str:
 
 
 def _params_load(text):
-    return tuple(json.loads(text))
+    params = json.loads(text)
+    if not isinstance(params, list):
+        raise ValueError(f"params must be a JSON list, got {text!r}")
+    return tuple(params)
 
 
 def serialize(prog: RuleProgram) -> bytes:
@@ -125,7 +128,11 @@ def _parse_guard(expr: str, conds: dict, line_no: int):
 
 
 def deserialize(data: bytes) -> RuleProgram:
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise CorruptRecord(line_no, f"not UTF-8: {exc.reason}") from None
     lines = text.splitlines()
     if not lines:
         raise BadMagic("empty file")

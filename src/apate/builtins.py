@@ -1,28 +1,21 @@
 """Standard library of conditions and actions, plus the builtin registry.
 
-Conditions return exactly 0 or 1.  Actions return an integer status:
-0 for success, nonzero to disrupt the chain.  The registry exposes each
-builtin's kind and parameter signature so the compiler can check arity
-and types.
+Conditions return exactly 0 or 1; each is defined once, as an emitter
+of the leaf expression the engine compiles into a guard function.
+Actions return an integer status: 0 for success, nonzero to disrupt the
+chain.  The registry exposes each builtin's kind and parameter signature
+so the compiler can check arity and types.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .errors import UnknownBuiltin
+from .errors import ApateError, UnknownBuiltin
 from .logsink import LogRecord, format_record
 from .sandbox import exec_syscall, errno_default, normalize_path
 
-COMPARISONS = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    ">": operator.gt,
-    "<": operator.lt,
-    ">=": operator.ge,
-    "<=": operator.le,
-}
+COMPARISONS = ("==", "!=", ">", "<", ">=", "<=")
 
 CTX_FIELDS = ("pid", "uid", "ssid")
 
@@ -59,148 +52,165 @@ def _as_str(value) -> str:
     return str(value)
 
 
-# --- condition implementations -----------------------------------------
-# Signature: fn(ev, sandbox, params) -> 0 | 1
+# --- condition definitions ---------------------------------------------
+# One emitter per condition: fn(src, params) -> the text of one leaf
+# expression in a generated guard function (see GuardSource).  The
+# expression is truthy exactly when the condition holds; `1 if x else 0`
+# around it gives the condition's 0 | 1.  Params reach the text only as
+# names bound by src.const, operator text only from COMPARISONS, and
+# context field names only from CTX_FIELDS.
 
-def _c_always_true(ev, sandbox, params):
-    return 1
+def _wildcard(src, pattern, subject):
+    p = WildcardPattern(pattern)
+    if p.has_tail_star:
+        return f"{subject}.startswith({src.const(p.prefix)})"
+    return f"({subject} == {src.const(p.prefix)})"
 
 
-def _c_testforpname(ev, sandbox, params):
-    return 1 if WildcardPattern(params[0]).matches(ev.ctx.parent_pname) else 0
+def _compare(src, lhs, op, value):
+    if op not in COMPARISONS:
+        raise ApateError(f"bad comparison {op!r}")
+    return f"({lhs} {op} {src.const(value)})"
 
 
-def _c_testforselfpname(ev, sandbox, params):
-    return 1 if WildcardPattern(params[0]).matches(ev.ctx.pname) else 0
+def _arg_leaf(src, name, index, read, test):
+    """Leaf over args[index]; out of range it is 0 with a diagnostic."""
+    miss = (f"_miss(sb, {src.const('ArgIndexOutOfRange')}, "
+            f"{src.const(f'{name} index {index} on ')} + ev.syscall)")
+    if index < 0:
+        return miss
+    value = read(index)
+    return f"({test(value)} if nargs > {src.const(index)} else {miss})"
 
 
-def _c_testforparam(ev, sandbox, params):
+def _e_always_true(src, params):
+    return "1"
+
+
+def _e_testforpname(src, params):
+    return _wildcard(src, params[0], src.ctx("parent_pname"))
+
+
+def _e_testforselfpname(src, params):
+    return _wildcard(src, params[0], src.ctx("pname"))
+
+
+def _e_testforparam(src, params):
     index, pattern = params
-    if index < 0 or index >= len(ev.args):
-        sandbox.diag("ArgIndexOutOfRange",
-                     f"testforparam index {index} on {ev.syscall}")
-        return 0
-    return 1 if WildcardPattern(pattern).matches(_as_str(ev.args[index])) else 0
+    return _arg_leaf(src, "testforparam", index, src.arg_str,
+                     lambda s: _wildcard(src, pattern, s))
 
 
-def _c_testforuid(ev, sandbox, params):
+def _e_testforuid(src, params):
     op, value = params
-    return 1 if COMPARISONS[op](ev.ctx.uid, value) else 0
+    return _compare(src, src.ctx("uid"), op, value)
 
 
-def _c_ctxfield_cmp(ev, sandbox, params):
+def _e_ctxfield_cmp(src, params):
     fieldname, op, value = params
-    return 1 if COMPARISONS[op](getattr(ev.ctx, fieldname), value) else 0
+    if fieldname not in CTX_FIELDS:
+        raise ApateError(f"bad context field {fieldname!r}")
+    return _compare(src, src.ctx(fieldname), op, value)
 
 
-def _c_file_keyword(ev, sandbox, params):
+def _e_file_keyword(src, params):
     path, keyword = params
-    content = sandbox.vfs.read_file(path)
-    if content is None:
-        sandbox.diag("MissingFile", f"file_keyword: {path}")
-        return 0
-    return 1 if keyword.encode("utf-8") in content else 0
+    return (f"(({src.const(keyword.encode('utf-8'))} in content) "
+            f"if (content := sb.vfs.read_file({src.const(path)})) is not None "
+            f"else _miss(sb, {src.const('MissingFile')}, "
+            f"{src.const(f'file_keyword: {path}')}))")
 
 
-def _c_store_cmp(ev, sandbox, params):
+def _e_store_cmp(src, params):
     key, op, value = params
-    return 1 if COMPARISONS[op](sandbox.store.get(key), value) else 0
+    return _compare(src, f"{src.store_get()}({src.const(key)})", op, value)
 
 
-def _c_testforfdpath(ev, sandbox, params):
+def _e_testforfdpath(src, params):
     index, pattern = params
-    if index < 0 or index >= len(ev.args):
-        sandbox.diag("ArgIndexOutOfRange",
-                     f"testforfdpath index {index} on {ev.syscall}")
-        return 0
-    path = sandbox.fds.path_of(ev.args[index])
-    if path is None:
-        return 0
-    return 1 if WildcardPattern(pattern).matches(path) else 0
+    return _arg_leaf(
+        src, "testforfdpath", index, src.fd_path,
+        lambda p: f"({p} is not None and {_wildcard(src, pattern, p)})")
 
 
-# --- condition specializers ----------------------------------------------
-# Guard compilation binds parameters once; these return (ev, sandbox)
-# closures with patterns pre-parsed and comparison operators resolved, so
-# the per-event hot path is a single call.  Behavior is identical to the
-# generic fn above, diagnostics included.
-
-def _s_always_true(params):
-    return lambda ev, sandbox: 1
+def _miss(sandbox, kind, detail):
+    sandbox.diag(kind, detail)
+    return 0
 
 
-def _s_testforpname(params):
-    matches = WildcardPattern(params[0]).matches
-    return lambda ev, sandbox: 1 if matches(ev.ctx.parent_pname) else 0
+class GuardSource:
+    """Source and namespace of one generated guard function.
+
+    ``guard(ev, sb)`` reads each per-event value it needs once, at the
+    top, whatever number of leaves use it: the task context and its
+    fields, ``args`` and ``len(args)``, ``_as_str(args[i])`` and
+    ``sb.fds.path_of(args[i])`` per index, ``sb.store.get``.  Reads of an
+    index are guarded by ``nargs`` and hold None when it is out of range.
+    """
+
+    _CTX_READS = CTX_FIELDS + ("pname", "parent_pname")
+
+    def __init__(self):
+        self.ns = {"_as_str": _as_str, "_miss": _miss}
+        self.reads = {}      # local name -> expression, in first-use order
+        self._consts = 0
+        self._args = {}      # (reader, index) -> local name
+
+    def const(self, value) -> str:
+        """Bind value in the namespace; returns the name to emit."""
+        name = f"k{self._consts}"
+        self._consts += 1
+        self.ns[name] = value
+        return name
+
+    def _read(self, name, expr) -> str:
+        self.reads.setdefault(name, expr)
+        return name
+
+    def ctx(self, field) -> str:
+        if field not in self._CTX_READS:
+            raise ApateError(f"bad context field {field!r}")
+        self._read("ctx", "ev.ctx")
+        return self._read(f"ctx_{field}", f"ctx.{field}")
+
+    def _arg(self, reader, index) -> str:
+        name = self._args.get((reader, index))
+        if name is None:
+            name = self._args[reader, index] = f"a{len(self._args)}"
+            self._read("args", "ev.args")
+            self._read("nargs", "len(args)")
+            k = self.const(index)
+            self._read(name, f"{reader}(args[{k}]) if nargs > {k} else None")
+        return name
+
+    def arg_str(self, index) -> str:
+        return self._arg("_as_str", index)
+
+    def fd_path(self, index) -> str:
+        return self._arg("sb.fds.path_of", index)
+
+    def store_get(self) -> str:
+        return self._read("store_get", "sb.store.get")
+
+    def leaf(self, name, params) -> str:
+        spec = lookup(name)
+        if spec.kind != "condition":
+            raise UnknownBuiltin(f"{name} is not a condition")
+        return spec.fn(self, params)
+
+    def function(self, body):
+        """Compile ``guard(ev, sb)`` from the hoisted reads and body lines."""
+        lines = ["def guard(ev, sb):"]
+        lines += [f"    {name} = {expr}" for name, expr in self.reads.items()]
+        lines += [f"    {line}" for line in body]
+        exec(compile("\n".join(lines), "<guard>", "exec"), self.ns)
+        return self.ns.pop("guard")
 
 
-def _s_testforselfpname(params):
-    matches = WildcardPattern(params[0]).matches
-    return lambda ev, sandbox: 1 if matches(ev.ctx.pname) else 0
-
-
-def _s_testforparam(params):
-    index, pattern = params
-    matches = WildcardPattern(pattern).matches
-
-    def run(ev, sandbox):
-        if index < 0 or index >= len(ev.args):
-            sandbox.diag("ArgIndexOutOfRange",
-                         f"testforparam index {index} on {ev.syscall}")
-            return 0
-        return 1 if matches(_as_str(ev.args[index])) else 0
-    return run
-
-
-def _s_testforuid(params):
-    cmp, value = COMPARISONS[params[0]], params[1]
-    return lambda ev, sandbox: 1 if cmp(ev.ctx.uid, value) else 0
-
-
-def _s_ctxfield_cmp(params):
-    fieldname, op, value = params
-    cmp = COMPARISONS[op]
-    return lambda ev, sandbox: 1 if cmp(getattr(ev.ctx, fieldname), value) else 0
-
-
-def _s_store_cmp(params):
-    key, op, value = params
-    cmp = COMPARISONS[op]
-    return lambda ev, sandbox: 1 if cmp(sandbox.store.get(key), value) else 0
-
-
-def _s_testforfdpath(params):
-    index, pattern = params
-    matches = WildcardPattern(pattern).matches
-
-    def run(ev, sandbox):
-        if index < 0 or index >= len(ev.args):
-            sandbox.diag("ArgIndexOutOfRange",
-                         f"testforfdpath index {index} on {ev.syscall}")
-            return 0
-        path = sandbox.fds.path_of(ev.args[index])
-        if path is None:
-            return 0
-        return 1 if matches(path) else 0
-    return run
-
-
-_SPECIALIZERS = {
-    "always_true": _s_always_true,
-    "testforpname": _s_testforpname,
-    "testforselfpname": _s_testforselfpname,
-    "testforparam": _s_testforparam,
-    "testforuid": _s_testforuid,
-    "ctxfield_cmp": _s_ctxfield_cmp,
-    "store_cmp": _s_store_cmp,
-    "testforfdpath": _s_testforfdpath,
-}
-
-
-def specialize(name: str, params) -> "object | None":
-    """Parameter-bound closure for a condition, or None to use fn."""
-    maker = _SPECIALIZERS.get(name)
-    return maker(params) if maker else None
+def specialize(name: str, params):
+    """fn(ev, sandbox) -> 0 | 1 for one condition: a one-leaf guard."""
+    src = GuardSource()
+    return src.function([f"return 1 if {src.leaf(name, params)} else 0"])
 
 
 # --- action implementations --------------------------------------------
@@ -290,7 +300,7 @@ class BuiltinSpec:
     name: str
     kind: str          # "condition" | "action"
     sig: tuple         # param kinds; a trailing kind ending in '?' is optional
-    fn: "object"
+    fn: "object"       # condition: emitter fn(src, params); action: fn(ev, sandbox, ctx, params)
 
 
 def _spec(name, kind, sig, fn):
@@ -298,15 +308,15 @@ def _spec(name, kind, sig, fn):
 
 
 REGISTRY = dict([
-    _spec("always_true", "condition", (), _c_always_true),
-    _spec("testforpname", "condition", ("pattern",), _c_testforpname),
-    _spec("testforselfpname", "condition", ("pattern",), _c_testforselfpname),
-    _spec("testforparam", "condition", ("int", "pattern"), _c_testforparam),
-    _spec("testforuid", "condition", ("cmp", "int"), _c_testforuid),
-    _spec("ctxfield_cmp", "condition", ("field", "cmp", "int"), _c_ctxfield_cmp),
-    _spec("file_keyword", "condition", ("str", "str"), _c_file_keyword),
-    _spec("store_cmp", "condition", ("str", "cmp", "int"), _c_store_cmp),
-    _spec("testforfdpath", "condition", ("int", "pattern"), _c_testforfdpath),
+    _spec("always_true", "condition", (), _e_always_true),
+    _spec("testforpname", "condition", ("pattern",), _e_testforpname),
+    _spec("testforselfpname", "condition", ("pattern",), _e_testforselfpname),
+    _spec("testforparam", "condition", ("int", "pattern"), _e_testforparam),
+    _spec("testforuid", "condition", ("cmp", "int"), _e_testforuid),
+    _spec("ctxfield_cmp", "condition", ("field", "cmp", "int"), _e_ctxfield_cmp),
+    _spec("file_keyword", "condition", ("str", "str"), _e_file_keyword),
+    _spec("store_cmp", "condition", ("str", "cmp", "int"), _e_store_cmp),
+    _spec("testforfdpath", "condition", ("int", "pattern"), _e_testforfdpath),
     _spec("manipulateparam", "action", ("int", "pattern", "str"), _a_manipulateparam),
     _spec("log", "action", (), _a_log),
     _spec("call_orig", "action", (), _a_call_orig),

@@ -1,18 +1,24 @@
 """Rule evaluation: condition blocks, action chains, chain traversal.
 
-Condition blocks are evaluated in full (no short-circuit) so the number
-of condition evaluations for a fixed (program, event) pair is exact and
-deterministic.  Guards are precompiled to closures once per object; the
-compiled form performs the same evaluations, just without re-walking the
-dataclass tree on every event.
+Each guard (a ConditionBlock tree) runs as one Python function,
+``guard(ev, sb) -> 0 | 1``, generated on first use by compiled_guard and
+cached by object id.  The function reads each per-event value it needs
+once, at its top, then evaluates every leaf left to right as an inline
+expression: nothing short-circuits, so diagnostics come out in leaf
+order and the number of conditions evaluated is the block's static
+``leaf_count``.  A run of same-operator blocks is one flat sum of its
+children compared against a count (all of them for AND, one for OR),
+which is what ``(d + e) * f >= 4`` gives when applied pairwise.  Each
+leaf's text comes from its builtin's emitter (builtins.py), with params
+bound as namespace constants, never written into the source.
 """
 
 from __future__ import annotations
 
-from .builtins import check_params, lookup, specialize
-from .errors import ApateError, UnknownBuiltin
+from .builtins import GuardSource, check_params, lookup, specialize
+from .errors import ApateError
 from .model import (ActionChain, Condition, ConditionBlock, Disposition,
-                    RuleChain, RuleProgram, SyscallEvent)
+                    OP_AND, RuleChain, RuleProgram, SyscallEvent)
 from .sandbox import SandboxState, errno_default, exec_syscall
 
 DEFAULT_JUMP_BUDGET = 10_000
@@ -38,66 +44,87 @@ class EvalContext:
 _compiled = {}
 
 
-def _compile_node(node):
-    if isinstance(node, Condition):
-        special = specialize(node.builtin_name, node.params)
-        if special is not None:
-            return special
-        fn = lookup(node.builtin_name).fn
-        params = node.params
-        return lambda ev, sb: fn(ev, sb, params)
-    # Same-operator subtrees flatten into one k-ary closure: the nested
-    # arithmetic is associative boolean AND/OR, and summing still
-    # evaluates every child (no short-circuit, counts stay exact).
-    children = []
-    _flatten(node, node.op_code, children)
-    fns = tuple(_compile_node(c) for c in children)
-    if len(fns) == 2:
-        lf, rf = fns
-        f = node.op_code
-        return lambda ev, sb: 1 if (lf(ev, sb) + rf(ev, sb)) * f >= 4 else 0
-    need = len(fns) if node.op_code == 2 else 1
-    return lambda ev, sb: 1 if sum(fn(ev, sb) for fn in fns) >= need else 0
+def _flatten(node):
+    """Children of the same-operator run rooted at node, left to right."""
+    out, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, ConditionBlock) and n.op_code == node.op_code:
+            stack += (n.right, n.left)
+        else:
+            out.append(n)
+    return out
 
 
-def _flatten(node, op_code, out):
-    if isinstance(node, ConditionBlock) and node.op_code == op_code:
-        _flatten(node.left, op_code, out)
-        _flatten(node.right, op_code, out)
-    else:
-        out.append(node)
+def _flush(body, run):
+    var, _, pending = run
+    if pending:
+        body.append(f"{var} += sum(({', '.join(pending)},))")
+        pending.clear()
+
+
+def _generate(block: ConditionBlock):
+    """Build guard(ev, sb) for a block; iterative, so depth is unbounded.
+
+    Each same-operator run counts its true children in a local: its
+    leaves are summed as a tuple, and a nested run adds its own 0/1 after
+    the leaves before it are added, so every leaf evaluates in
+    left-to-right order.
+    """
+    src = GuardSource()
+    body, runs = [], []           # open runs: (local, count needed, leaves)
+    todo = [block]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Condition):
+            runs[-1][2].append(src.leaf(node.builtin_name, node.params))
+            continue
+        if runs:
+            _flush(body, runs[-1])
+        if node is None:          # end of the innermost open run
+            var, need, _ = runs.pop()
+            test = f"({var} >= {need})"
+            body.append(f"{runs[-1][0]} += {test}" if runs
+                        else f"return 1 if {test} else 0")
+        else:
+            children = _flatten(node)
+            need = len(children) if node.op_code == OP_AND else 1
+            var = f"g{len(body)}"
+            runs.append((var, need, []))
+            body.append(f"{var} = 0")
+            todo.append(None)
+            todo += reversed(children)
+    return src.function(body)
 
 
 def compiled_guard(block: ConditionBlock):
-    """Return (closure, leaf_count) for a condition block."""
+    """Return (guard function, leaf_count) for a condition block."""
     entry = _compiled.get(id(block))
     if entry is not None and entry[2] is block:
         return entry[0], entry[1]
-    closure = _compile_node(block)
+    fn = _generate(block)
     count = block.leaf_count()
-    _compiled[id(block)] = (closure, count, block)
-    return closure, count
+    _compiled[id(block)] = (fn, count, block)
+    return fn, count
 
 
 def eval_condition(cond: Condition, ev: SyscallEvent, sandbox: SandboxState,
                    ctx: "EvalContext | None" = None) -> int:
     """Evaluate one condition; increments the condition counter by 1."""
-    spec = lookup(cond.builtin_name)
-    if spec.kind != "condition":
-        raise UnknownBuiltin(f"{cond.builtin_name} is not a condition")
+    fn = specialize(cond.builtin_name, cond.params)
     if ctx is not None:
         ctx.conditions += 1
-    return spec.fn(ev, sandbox, cond.params)
+    return fn(ev, sandbox)
 
 
 def eval_condition_block(block: ConditionBlock, ev: SyscallEvent,
                          sandbox: SandboxState,
                          ctx: "EvalContext | None" = None) -> int:
     """Evaluate a block: 1 iff (d + e) * op_code >= 4, children in full."""
-    closure, count = compiled_guard(block)
+    guard, count = compiled_guard(block)
     if ctx is not None:
         ctx.conditions += count
-    return closure(ev, sandbox)
+    return guard(ev, sandbox)
 
 
 def run_action_chain(chain: ActionChain, ev: SyscallEvent,
@@ -213,14 +240,16 @@ def validate_program(prog: RuleProgram) -> None:
                         f"rule {rule.name!r}: call_orig after block is contradictory")
 
 
-def _validate_guard(node) -> None:
-    if isinstance(node, Condition):
+def _validate_guard(block) -> None:
+    stack = [block]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ConditionBlock):
+            stack += (node.right, node.left)
+            continue
         spec = lookup(node.builtin_name)
         if spec.kind != "condition":
             raise ApateError(f"{node.builtin_name} is a {spec.kind}, not a condition")
         err = check_params(node.builtin_name, node.params)
         if err:
             raise ApateError(err)
-        return
-    _validate_guard(node.left)
-    _validate_guard(node.right)

@@ -9,10 +9,6 @@ class UnknownBuiltin(ApateError):
     """A program references a condition or action that is not registered."""
 
 
-class JumpOutOfRange(ApateError):
-    """A jump action targeted a rule index outside the current chain."""
-
-
 class SourceError(ApateError):
     """An error with a source location (file:line:col)."""
 

@@ -105,10 +105,11 @@ class ConditionBlock:
             raise ValueError("op_code must be 2 (AND) or 4 (OR)")
 
     def leaf_count(self) -> int:
-        total = 0
-        for child in (self.left, self.right):
-            if isinstance(child, ConditionBlock):
-                total += child.leaf_count()
+        total, stack = 0, [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ConditionBlock):
+                stack += (node.left, node.right)
             else:
                 total += 1
         return total

@@ -28,8 +28,13 @@ def parse_trace_line(line: str, line_no: int = 0) -> SyscallEvent:
         raise TraceError(line_no, f"bad JSON: {exc}") from None
     try:
         ctx = TaskContext(**obj["ctx"])
-        args = [a["len"] if isinstance(a, dict) else a for a in obj["args"]]
-        return SyscallEvent(seq=obj["seq"], syscall=obj["syscall"],
+        seq, args = obj["seq"], obj["args"]
+        if type(seq) is not int:
+            raise TypeError(f"seq must be an integer, got {seq!r}")
+        if not isinstance(args, list):
+            raise TypeError(f"args must be a list, got {args!r}")
+        args = [a["len"] if isinstance(a, dict) else a for a in args]
+        return SyscallEvent(seq=seq, syscall=obj["syscall"],
                             args=args, ctx=ctx)
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(line_no, str(exc)) from None

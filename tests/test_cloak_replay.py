@@ -127,6 +127,10 @@ class TestTraceParsing:
         '"ssid":0,"pname":"a","parent_pname":"b"}}',  # wrong arity
         '{"seq":1,"syscall":"open","args":["/x","r"],"ctx":{"pid":0,"uid":0,'
         '"ssid":0,"pname":"a","parent_pname":"b"}}',  # pid < 1
+        '{"seq":"x","syscall":"open","args":["/x","r"],"ctx":{"pid":1,"uid":0,'
+        '"ssid":0,"pname":"a","parent_pname":"b"}}',  # non-integer seq
+        '{"seq":1,"syscall":"unlink","args":"a","ctx":{"pid":1,"uid":0,'
+        '"ssid":0,"pname":"a","parent_pname":"b"}}',  # args not a list
     ])
     def test_trace_errors_carry_line_numbers(self, bad):
         good = self.line()

@@ -322,6 +322,8 @@ class TestApcFormat:
         "WHAT\tx",
         "COND\tc0\ttestforuid",                      # missing params field
         "COND\tc0\ttestforuid\tnot-json",
+        'COND\tc0\ttestforuid\t{">":0}',              # params not a list
+        'COND\tc0\ttestforuid\t">0"',
         "RULE\tr\tc9\ta0\ts",                        # unknown condition id
         "RULE\tr\t(& c0)\ta0\ts",                    # malformed guard
         "CHAIN\tch\tnope",                           # unknown rule
@@ -341,3 +343,9 @@ class TestApcFormat:
         with pytest.raises(CorruptRecord) as exc:
             apc.deserialize(b"APATE-RP 1\nWHAT\tx\n")
         assert "line 2" in str(exc.value)
+
+    def test_non_utf8_is_corrupt_record(self):
+        with pytest.raises(CorruptRecord) as exc:
+            apc.deserialize(b"APATE-RP 1\nACTION\ta0\tlog\t[]\n"
+                            b"COND\tc0\ttestforpname\t[\"\xff\"]\n")
+        assert "line 3" in str(exc.value)

@@ -1,4 +1,6 @@
+import operator
 import random
+import sys
 
 import pytest
 
@@ -304,3 +306,183 @@ class TestValidateProgram:
                            bindings=[("open", "rc")])
         with pytest.raises(ApateError, match="jump"):
             validate_program(prog)
+
+
+# --- generated guards ---------------------------------------------------------
+
+_CMP = {"==": operator.eq, "!=": operator.ne, ">": operator.gt,
+        "<": operator.lt, ">=": operator.ge, "<=": operator.le}
+
+
+def _wild(pattern, s):
+    return s.startswith(pattern[:-1]) if pattern.endswith("*") else s == pattern
+
+
+def _ref_leaf(cond, ev, sb):
+    """Each condition builtin's semantics, written out independently."""
+    name, p = cond.builtin_name, cond.params
+    if name == "always_true":
+        return 1
+    if name == "testforpname":
+        return int(_wild(p[0], ev.ctx.parent_pname))
+    if name == "testforselfpname":
+        return int(_wild(p[0], ev.ctx.pname))
+    if name == "testforuid":
+        return int(_CMP[p[0]](ev.ctx.uid, p[1]))
+    if name == "ctxfield_cmp":
+        return int(_CMP[p[1]](getattr(ev.ctx, p[0]), p[2]))
+    if name == "store_cmp":
+        return int(_CMP[p[1]](sb.store.get(p[0]), p[2]))
+    if name == "file_keyword":
+        content = sb.vfs.read_file(p[0])
+        if content is None:
+            sb.diag("MissingFile", f"file_keyword: {p[0]}")
+            return 0
+        return int(p[1].encode("utf-8") in content)
+    index, pattern = p
+    if not 0 <= index < len(ev.args):
+        sb.diag("ArgIndexOutOfRange", f"{name} index {index} on {ev.syscall}")
+        return 0
+    value = ev.args[index]
+    if name == "testforparam":
+        if isinstance(value, bytes):
+            value = value.decode("utf-8", errors="replace")
+        return int(_wild(pattern, str(value)))
+    assert name == "testforfdpath"
+    path = sb.fds.path_of(value)
+    return 0 if path is None else int(_wild(pattern, path))
+
+
+def _ref_block(node, ev, sb, counter):
+    """(d + e) * f >= 4 at every node, both children always evaluated."""
+    if isinstance(node, Condition):
+        counter[0] += 1
+        return _ref_leaf(node, ev, sb)
+    d = _ref_block(node.left, ev, sb, counter)
+    e = _ref_block(node.right, ev, sb, counter)
+    return 1 if (d + e) * node.op_code >= 4 else 0
+
+
+_NAMES = ("sshd", "ssh*", "bash", "mysql*", "*", "")
+_PATHS = ("/etc/*", "/etc/motd", "*", "/var/lib/mysql/*", "r", "4*", "/x*")
+
+
+def _random_leaf(rng):
+    kind = rng.choice(("always_true", "testforpname", "testforselfpname",
+                       "testforparam", "testforuid", "ctxfield_cmp",
+                       "file_keyword", "store_cmp", "testforfdpath"))
+    op = rng.choice(tuple(_CMP))
+    if kind == "always_true":
+        return ALWAYS_TRUE
+    if kind in ("testforpname", "testforselfpname"):
+        return Condition(kind, (rng.choice(_NAMES),))
+    if kind in ("testforparam", "testforfdpath"):
+        return Condition(kind, (rng.randint(-1, 2), rng.choice(_PATHS)))
+    if kind == "testforuid":
+        return Condition(kind, (op, rng.choice((0, 999, 1000, 1001))))
+    if kind == "ctxfield_cmp":
+        return Condition(kind, (rng.choice(("pid", "uid", "ssid")), op,
+                                rng.choice((0, 1, 100, 1000))))
+    if kind == "file_keyword":
+        return Condition(kind, (rng.choice(("/etc/motd", "/missing")),
+                                rng.choice(("apate", "nope", ""))))
+    return Condition(kind, (rng.choice(("n", "unset")), op,
+                            rng.choice((0, 3, 5))))
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return _random_leaf(rng)
+    return ConditionBlock(_random_tree(rng, depth - 1),
+                          _random_tree(rng, depth - 1),
+                          rng.choice((OP_AND, OP_OR)))
+
+
+class TestGeneratedGuards:
+    def test_matches_reference_evaluator(self):
+        rng = random.Random(20)
+        sb = SandboxState()
+        sb.vfs.put_file("/etc/motd", b"welcome to apate")
+        held = sb.fds.alloc("/etc/motd", "r")
+        sb.store.set("n", 3)
+        ctxs = [make_ctx(uid=u, pid=p, ssid=s, pname=n, parent_pname=pn)
+                for u, p, s, n, pn in ((1000, 100, 1, "bash", "sshd"),
+                                       (0, 1, 0, "mysqld", "mysql"),
+                                       (1001, 42, 7, "sh", "ssh-agent"))]
+        events = [("open", "/etc/motd", "r"), ("open", b"/etc/\xffx", "w"),
+                  ("read", held, 4096), ("read", 99, 10),  # 99: no path
+                  ("close", held), ("getpid",), ("write", 4, 17),
+                  ("execve", "/bin/sh", "sh -c id"), ("getdents", "/etc")]
+        for _ in range(400):
+            block = _random_tree(rng, 6)
+            if isinstance(block, Condition):
+                block = ConditionBlock(block, _random_leaf(rng), OP_OR)
+            for syscall, *args in events:
+                ev = make_event(syscall, *args, ctx=rng.choice(ctxs))
+                mark = len(sb.diagnostics)
+                counter = [0]
+                want = _ref_block(block, ev, sb, counter)
+                want_diags = sb.diagnostics[mark:]
+                del sb.diagnostics[mark:]
+                ctx = EvalContext()
+                assert eval_condition_block(block, ev, sb, ctx) == want
+                assert ctx.conditions == counter[0]
+                assert sb.diagnostics[mark:] == want_diags
+
+    def test_deep_guards(self, sandbox):
+        ev = make_event("getpid", ctx=make_ctx(uid=1000))
+        block = ConditionBlock(TRUE_LEAF, TRUE_LEAF, OP_AND)
+        for _ in range(4_998):                  # 5,000 leaves, left-deep
+            block = ConditionBlock(block, TRUE_LEAF, OP_AND)
+        ctx = EvalContext()
+        assert eval_condition_block(block, ev, sandbox, ctx) == 1
+        assert ctx.conditions == 5_000
+        flipped = ConditionBlock(block, FALSE_LEAF, OP_AND)
+        assert eval_condition_block(flipped, ev, sandbox) == 0
+
+        # alternating operators: no run flattens, 2,001 leaves deep
+        alt = FALSE_LEAF
+        for i in range(2_000):
+            op = OP_OR if i % 2 else OP_AND
+            alt = ConditionBlock(TRUE_LEAF if op == OP_AND else FALSE_LEAF,
+                                 alt, op)
+        ctx = EvalContext()
+        assert eval_condition_block(alt, ev, sandbox, ctx) == 0
+        assert ctx.conditions == 2_001
+
+    @pytest.mark.parametrize("text", [
+        '"', "'", "a\nb", ")", "__import__('os')",
+        "') or __import__('sys').modules.setdefault('pwned', 1) or ('",
+        '" + str(__import__("sys").modules.setdefault("pwned", 1)) + "',
+    ])
+    def test_param_text_is_never_code(self, sandbox, text):
+        sandbox.vfs.put_file("/f", text.encode())
+        sandbox.store.set(text, 1)
+        hit = make_event("open", text, "r",
+                         ctx=make_ctx(pname=text, parent_pname=text))
+        miss = make_event("open", text + "x", "r")
+        conds = [Condition("testforparam", (0, text)),
+                 Condition("testforpname", (text,)),
+                 Condition("testforselfpname", (text,)),
+                 Condition("store_cmp", (text, "==", 1)),
+                 Condition("file_keyword", ("/f", text))]
+        for cond in conds:
+            assert eval_condition(cond, hit, sandbox) == 1
+        assert eval_condition(conds[0], miss, sandbox) == 0
+        assert eval_condition(Condition("testforparam", (0, text + "*")),
+                              miss, sandbox) == 1
+        assert eval_condition(Condition("file_keyword", (text, "x")),
+                              hit, sandbox) == 0
+        assert sandbox.diagnostics[-1]["detail"] == f"file_keyword: {text}"
+        assert "pwned" not in sys.modules
+
+    @pytest.mark.parametrize("cond", [
+        Condition("testforuid", (">= 0 or 1 or 0 <", 5)),
+        Condition("ctxfield_cmp", ("uid.__class__", "==", 1)),
+        Condition("ctxfield_cmp", ("uid", "is not", 1)),
+        Condition("store_cmp", ("k", "in", 1)),
+    ])
+    def test_bad_operator_or_field_rejected(self, sandbox, cond):
+        block = ConditionBlock(cond, ALWAYS_TRUE, OP_AND)
+        with pytest.raises(ApateError):
+            eval_condition_block(block, make_event("getpid"), sandbox)
