@@ -167,7 +167,10 @@ class VfsSink:
         self.dropped = 0
 
     def emit(self, line: str) -> None:
-        self._append(self.vfs, self.path, line.encode("utf-8") + b"\n")
+        try:
+            self._append(self.vfs, self.path, line.encode("utf-8") + b"\n")
+        except ValueError:  # a traced event put a directory or file in the way
+            self.dropped += 1
 
     def close(self) -> None:
         pass

@@ -47,6 +47,9 @@ def errno_default(ev: SyscallEvent) -> int:
 
 def normalize_path(path: str) -> str:
     """Collapse duplicate separators and resolve '.'/'..'; absolute only."""
+    if (path.startswith("/") and "//" not in path and "/." not in path
+            and (path == "/" or not path.endswith("/"))):
+        return path  # no empty, "." or ".." part: already normal
     if not path.startswith("/"):
         path = "/" + path
     parts = []
@@ -71,12 +74,20 @@ class VirtualFS:
     """In-memory tree of directories and regular files.
 
     Invariants: "/" always exists and is a directory; no path is both a
-    file and a directory; every entry's parent directory exists.
+    file and a directory; every entry's parent directory exists; and
+    ``children`` maps each directory to the names of exactly the entries
+    directly inside it.  Paths are added and removed only through the
+    methods below, which keep that index current.
     """
 
     def __init__(self):
-        self.dirs = {"/"}
-        self.files = {}  # path -> bytes
+        self.children = {"/": set()}  # dir path -> names of its entries
+        self.files = {}  # path -> bytes, or bytearray once written to
+
+    @property
+    def dirs(self):
+        """Every directory path (a live, read-only view of the index)."""
+        return self.children.keys()
 
     def is_dir(self, path: str) -> bool:
         return normalize_path(path) in self.dirs
@@ -87,21 +98,52 @@ class VirtualFS:
     def exists(self, path: str) -> bool:
         return self.is_dir(path) or self.is_file(path)
 
+    def _link(self, path: str) -> None:
+        parent, _, name = path.rpartition("/")
+        self.children[parent or "/"].add(name)
+
+    def _unlink(self, path: str) -> None:
+        parent, _, name = path.rpartition("/")
+        self.children[parent or "/"].remove(name)
+
     def mkdirs(self, path: str) -> None:
-        """Create a directory and any missing parents."""
+        """Create a directory and any missing parents.
+
+        Raises ValueError if the path or any ancestor is a file.
+        """
         path = normalize_path(path)
-        if path in self.files:
-            raise ValueError(f"{path} exists as a file")
-        while path not in self.dirs:
-            self.dirs.add(path)
+        missing = []
+        while path not in self.children:
+            if path in self.files:
+                raise ValueError(f"{path} exists as a file")
+            missing.append(path)
             path = parent_of(path)
+        for d in reversed(missing):
+            self._link(d)
+            self.children[d] = set()
 
     def put_file(self, path: str, content: bytes) -> None:
+        """Create or overwrite a file, creating missing parents."""
         path = normalize_path(path)
-        if path in self.dirs:
+        if path in self.children:
             raise ValueError(f"{path} exists as a directory")
-        self.mkdirs(parent_of(path))
+        if path not in self.files:
+            self.mkdirs(parent_of(path))
+            self._link(path)
         self.files[path] = bytes(content)
+
+    def remove_file(self, path: str) -> None:
+        path = normalize_path(path)
+        del self.files[path]
+        self._unlink(path)
+
+    def remove_dir(self, path: str) -> None:
+        """Remove an empty directory other than "/"."""
+        path = normalize_path(path)
+        if path == "/" or self.children[path]:
+            raise ValueError(f"{path} is the root or not empty")
+        del self.children[path]
+        self._unlink(path)
 
     def read_file(self, path: str) -> "bytes | None":
         content = self.files.get(normalize_path(path))
@@ -109,13 +151,7 @@ class VirtualFS:
 
     def listdir(self, path: str) -> list:
         """Immediate children of a directory, sorted for determinism."""
-        path = normalize_path(path)
-        prefix = path if path.endswith("/") else path + "/"
-        names = set()
-        for p in list(self.dirs) + list(self.files):
-            if p != path and p.startswith(prefix):
-                names.add(p[len(prefix):].split("/", 1)[0])
-        return sorted(names)
+        return sorted(self.children.get(normalize_path(path), ()))
 
     def digest(self) -> str:
         """Stable hash over the whole tree (paths, kinds, contents)."""
@@ -135,6 +171,11 @@ class VirtualFS:
             assert parent_of(p) in self.dirs, f"orphan file {p}"
         for d in self.dirs:
             assert parent_of(d) in self.dirs, f"orphan dir {d}"
+        derived = {d: set() for d in self.dirs}
+        for p in list(self.files) + list(self.dirs):
+            if p != "/":
+                derived[parent_of(p)].add(p.rsplit("/", 1)[1])
+        assert self.children == derived, "child index differs from the tree"
 
 
 def vfs_from_manifest(manifest: bytes) -> VirtualFS:
@@ -144,7 +185,14 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
     Missing parents are created as directories.
     """
     vfs = VirtualFS()
-    text = manifest.decode("utf-8") if isinstance(manifest, (bytes, bytearray)) else manifest
+    if isinstance(manifest, (bytes, bytearray)):
+        try:
+            text = manifest.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no = manifest.count(b"\n", 0, exc.start) + 1
+            raise MalformedManifestLine(line_no, f"not UTF-8: {exc.reason}") from None
+    else:
+        text = manifest
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -153,7 +201,10 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
         if fields[0] == "D":
             if len(fields) != 2:
                 raise MalformedManifestLine(n, f"bad directory line: {raw!r}")
-            vfs.mkdirs(fields[1])
+            try:
+                vfs.mkdirs(fields[1])
+            except ValueError as exc:
+                raise MalformedManifestLine(n, str(exc)) from None
         elif fields[0] == "F":
             if len(fields) != 4:
                 raise MalformedManifestLine(n, f"bad file line: {raw!r}")
@@ -162,6 +213,8 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
                 length = int(length_s)
             except ValueError:
                 raise MalformedManifestLine(n, f"bad length {length_s!r}") from None
+            if length < 0:
+                raise MalformedManifestLine(n, f"negative length {length}")
             if spec.startswith("@"):
                 content = spec[1:].encode("utf-8")
                 if len(content) != length:
@@ -173,7 +226,10 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
                 except ValueError:
                     raise MalformedManifestLine(n, f"bad fill byte {spec!r}") from None
                 content = fill * length
-            vfs.put_file(path, content)
+            try:
+                vfs.put_file(path, content)
+            except ValueError as exc:
+                raise MalformedManifestLine(n, str(exc)) from None
         else:
             raise MalformedManifestLine(n, f"unknown record type {fields[0]!r}")
     return vfs
@@ -260,12 +316,9 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
                 return ENOENT
             return fds.alloc(path, "r")
         if mode in ("w", "creat"):
-            if vfs.is_dir(path) or not vfs.is_dir(parent_of(path)):
+            if path in vfs.dirs or parent_of(path) not in vfs.dirs:
                 return ENOENT
-            if path not in vfs.files:
-                vfs.files[path] = b""
-            else:
-                vfs.files[path] = b""  # truncate
+            vfs.put_file(path, b"")  # creates or truncates
             return fds.alloc(path, "w")
         return ENOENT
 
@@ -291,7 +344,10 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
             return EBADF
         length = int(payload)
         path, offset, _ = entry
-        content = vfs.files.get(path, b"")
+        entry[1] = offset + length
+        content = vfs.files.get(path)
+        if content is None:
+            return length  # unlinked while open: the data is unreachable
         if not isinstance(content, bytearray):
             content = bytearray(content)
             vfs.files[path] = content
@@ -299,32 +355,31 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
             content.extend(b"\x00" * (offset - len(content) + length))
         else:
             content[offset:offset + length] = b"\x00" * length
-        entry[1] = offset + length
         return length
 
     if name == "unlink":
         path = normalize_path(str(args[0]))
         if path in vfs.files:
-            del vfs.files[path]
+            vfs.remove_file(path)
             return 0
         return ENOENT
 
     if name == "mkdir":
         path = normalize_path(str(args[0]))
-        if vfs.exists(path):
+        if path in vfs.dirs or path in vfs.files:
             return EEXIST
-        if not vfs.is_dir(parent_of(path)):
+        if parent_of(path) not in vfs.dirs:
             return ENOENT
-        vfs.dirs.add(path)
+        vfs.mkdirs(path)
         return 0
 
     if name == "rmdir":
         path = normalize_path(str(args[0]))
         if path not in vfs.dirs or path == "/":
             return ENOENT
-        if vfs.listdir(path):
+        if vfs.children[path]:
             return ENOTEMPTY
-        vfs.dirs.discard(path)
+        vfs.remove_dir(path)
         return 0
 
     if name == "getdents":
@@ -350,7 +405,15 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
 
 
 def append_to_vfs_file(vfs: VirtualFS, path: str, data: bytes) -> None:
-    """Direct append used by the VFS log sink (bypasses the hook layer)."""
-    path = normalize_path(path)
-    vfs.mkdirs(parent_of(path))
-    vfs.files[path] = vfs.files.get(path, b"") + data
+    """Direct append used by the VFS log sink (bypasses the hook layer).
+
+    ``path`` must be normalized.  The file and its parents are created
+    when missing (ValueError if a directory or a file is in the way);
+    otherwise the file's bytearray grows in place.
+    """
+    content = vfs.files.get(path)
+    if not isinstance(content, bytearray):
+        if content is None:
+            vfs.put_file(path, b"")
+        content = vfs.files[path] = bytearray(content or b"")
+    content += data

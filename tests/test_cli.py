@@ -99,6 +99,16 @@ class TestRun:
                      "--trace", str(trace)]) == 1
         assert "cannot load program" in capsys.readouterr().err
 
+    def test_bad_manifest_exit_one(self, compiled, tmp_path, capsys):
+        fs = tmp_path / "fs.manifest"
+        fs.write_bytes(b"F /a 1 00\nD /a/b\n")
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "getpid", []) + "\n")
+        assert main(["run", "--program", str(compiled), "--trace", str(trace),
+                     "--fs", str(fs)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("apate: bad manifest: line 2: /a exists as a file")
+
     def test_bad_trace_exit_one(self, compiled, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         trace.write_text("not json\n")

@@ -2,13 +2,16 @@ import random
 import socket
 import string
 import threading
+import time
 
 import pytest
 
 from apate.logsink import (LINE_MAX, FileSink, LogRecord, MemorySink,
                            TRUNCATION_MARK, UdpSink, VfsSink, format_record,
                            parse_record, parse_udp_addr)
-from apate.sandbox import VirtualFS
+from apate.sandbox import SandboxState, VirtualFS, exec_syscall
+
+from conftest import make_event
 
 
 def rec(**kw):
@@ -84,6 +87,47 @@ class TestSinks:
         sink.emit("one")
         sink.emit("two")
         assert vfs.read_file("/var/log/apate.log") == b"one\ntwo\n"
+        vfs.check_invariants()
+
+    def test_vfs_sink_append_leaves_earlier_reads_alone(self):
+        sb = SandboxState()
+        sink = VfsSink(sb.vfs, "/var//log/./apate.log")
+        sink.emit("one")
+        before = sb.vfs.read_file("/var/log/apate.log")
+        fd = exec_syscall(sb, make_event("open", "/var/log/apate.log", "r"))
+        assert exec_syscall(sb, make_event("read", fd, 100)) == 4
+        sink.emit("two")
+        assert before == b"one\n" and sb.last_read == b"one\n"
+        assert sb.vfs.read_file("/var/log/apate.log") == b"one\ntwo\n"
+
+    def test_vfs_sink_counts_blocked_appends_as_dropped(self):
+        vfs = VirtualFS()
+        vfs.mkdirs("/var/log/apate.log")  # a directory where the log goes
+        sink = VfsSink(vfs, "/var/log/apate.log")
+        sink.emit("one")
+        assert sink.dropped == 1
+        assert vfs.is_dir("/var/log/apate.log")
+        vfs.check_invariants()
+
+    @staticmethod
+    def emit_seconds(records, repeats=5):
+        line = format_record(rec())
+        best = float("inf")
+        for _ in range(repeats):
+            sink = VfsSink(VirtualFS(), "/var/log/apate.log")
+            t0 = time.perf_counter()
+            for _ in range(records):
+                sink.emit(line)
+            best = min(best, time.perf_counter() - t0)
+        size = len(sink.vfs.read_file("/var/log/apate.log"))
+        assert size == records * (len(line) + 1)
+        return best
+
+    def test_vfs_sink_cost_is_linear(self):
+        # ROADMAP item 4: 4x the records must cost well under 8x the time.
+        small = self.emit_seconds(2_000)
+        large = self.emit_seconds(8_000)
+        assert large < 8 * small, (small, large)
 
     def test_udp_sink_delivers(self):
         recv = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

@@ -1,9 +1,13 @@
+import random
+import time
+
 import pytest
 
 from apate.errors import MalformedManifestLine
 from apate.sandbox import (EACCES, EBADF, EEXIST, ENOENT, ENOTEMPTY,
-                           SandboxState, VirtualFS, errno_default,
-                           exec_syscall, normalize_path, vfs_from_manifest)
+                           SandboxState, VirtualFS, append_to_vfs_file,
+                           errno_default, exec_syscall, normalize_path,
+                           vfs_from_manifest)
 
 from conftest import make_ctx, make_event
 
@@ -15,6 +19,23 @@ class TestPaths:
         assert normalize_path("relative") == "/relative"
         assert normalize_path("/..") == "/"
         assert normalize_path("/") == "/"
+        assert normalize_path("/a/.hidden/b/") == "/a/.hidden/b"
+
+    def test_normalize_matches_segment_walk(self):
+        def walk(path):
+            parts = []
+            for part in path.split("/"):
+                if part == "..":
+                    if parts:
+                        parts.pop()
+                elif part not in ("", "."):
+                    parts.append(part)
+            return "/" + "/".join(parts)
+
+        rng = random.Random(3)
+        for _ in range(5000):
+            path = "".join(rng.choice("/.ab") for _ in range(rng.randrange(10)))
+            assert normalize_path(path) == walk(path), path
 
 
 class TestVirtualFS:
@@ -31,6 +52,23 @@ class TestVirtualFS:
             vfs.mkdirs("/a/f")
         with pytest.raises(ValueError):
             vfs.put_file("/a", b"x")
+
+    def test_file_ancestor_conflicts(self):
+        vfs = VirtualFS()
+        vfs.put_file("/a", b"x")
+        with pytest.raises(ValueError, match="/a exists as a file"):
+            vfs.mkdirs("/a/b/c")
+        with pytest.raises(ValueError, match="/a exists as a file"):
+            vfs.put_file("/a/b", b"y")
+        assert not vfs.is_dir("/a/b") and vfs.listdir("/") == ["a"]
+        vfs.check_invariants()
+
+    def test_check_invariants_catches_stale_index(self):
+        vfs = VirtualFS()
+        vfs.put_file("/d/f", b"")
+        vfs.files["/d/g"] = b""  # bypasses the index
+        with pytest.raises(AssertionError, match="child index"):
+            vfs.check_invariants()
 
     def test_listdir_immediate_children_sorted(self):
         vfs = VirtualFS()
@@ -72,12 +110,19 @@ class TestManifest:
         (b"F /f 3 @toolong", "declared 3"),
         (b"F /f zz 00", "bad length"),
         (b"F /f 3 not-hex", "bad fill"),
+        (b"F /f -3 00", "negative length"),
+        (b"D /\xff", "not UTF-8"),
+        (b"D /a\nF /a/f 2 @\xc3\xa9\nD /\xc3", "not UTF-8"),
+        (b"F / 1 00", "/ exists as a directory"),
+        (b"D /a/b\nF /a 1 00", "/a exists as a directory"),
+        (b"F /a 1 00\nD /a/b", "/a exists as a file"),
+        (b"F /a 1 00\nF /a/b/c 1 00", "/a exists as a file"),
     ])
     def test_malformed_lines(self, line, fragment):
         with pytest.raises(MalformedManifestLine) as exc:
             vfs_from_manifest(line)
         assert fragment in str(exc.value)
-        assert exc.value.line_no == 1
+        assert exc.value.line_no == line.count(b"\n") + 1  # the last line
 
 
 class TestSyscalls:
@@ -135,6 +180,15 @@ class TestSyscalls:
         assert exec_syscall(sandbox, make_event("unlink", "/f")) == 0
         assert exec_syscall(sandbox, make_event("unlink", "/f")) == ENOENT
 
+    def test_write_after_unlink_does_not_recreate(self, sandbox):
+        sandbox.vfs.mkdirs("/d")
+        fd = exec_syscall(sandbox, make_event("open", "/d/f", "w"))
+        assert exec_syscall(sandbox, make_event("unlink", "/d/f")) == 0
+        assert exec_syscall(sandbox, make_event("rmdir", "/d")) == 0
+        assert exec_syscall(sandbox, make_event("write", fd, 7)) == 7
+        assert not sandbox.vfs.exists("/d/f") and not sandbox.vfs.exists("/d")
+        sandbox.vfs.check_invariants()
+
     def test_mkdir_rmdir(self, sandbox):
         assert exec_syscall(sandbox, make_event("mkdir", "/d")) == 0
         assert exec_syscall(sandbox, make_event("mkdir", "/d")) == EEXIST
@@ -185,3 +239,101 @@ class TestSandboxState:
 
     def test_default_timestamp_iso(self, sandbox):
         assert "T" in sandbox.timestamp()
+
+
+def scan_listdir(vfs, path):
+    """Children of ``path`` found by scanning every path in the tree."""
+    prefix = path if path.endswith("/") else path + "/"
+    names = set()
+    for p in list(vfs.dirs) + list(vfs.files):
+        if p != path and p.startswith(prefix):
+            names.add(p[len(prefix):].split("/", 1)[0])
+    return sorted(names)
+
+
+class TestChildIndex:
+    NAMES = ("a", "b", "c", ".", "x.log")
+
+    def random_path(self, rng, vfs):
+        if rng.random() < 0.5:  # an existing path, so removals succeed
+            return rng.choice(sorted(set(vfs.dirs) | set(vfs.files)))
+        parts = [rng.choice(self.NAMES) for _ in range(rng.randrange(1, 5))]
+        return "/" + "/".join(parts)
+
+    def step(self, rng, sb, fds):
+        """One random operation; checks each syscall result against a scan."""
+        vfs = sb.vfs
+        path = self.random_path(rng, vfs)
+        norm = normalize_path(path)
+        op = rng.randrange(9)
+        if op == 0:
+            try:
+                vfs.mkdirs(path)
+            except ValueError:
+                pass
+        elif op == 1:
+            try:
+                vfs.put_file(path, bytes(rng.randrange(4)))
+            except ValueError:
+                pass
+        elif op == 2:
+            fd = exec_syscall(sb, make_event("open", path, rng.choice(("w", "creat"))))
+            if fd >= 0:
+                fds.append(fd)
+        elif op == 3 and fds:
+            exec_syscall(sb, make_event("write", rng.choice(fds), rng.randrange(1, 9)))
+        elif op == 4:
+            expect = 0 if norm in vfs.files else ENOENT
+            assert exec_syscall(sb, make_event("unlink", path)) == expect
+        elif op == 5:
+            exec_syscall(sb, make_event("mkdir", path))
+        elif op == 6:
+            if norm not in vfs.dirs or norm == "/":
+                expect = ENOENT
+            else:
+                expect = ENOTEMPTY if scan_listdir(vfs, norm) else 0
+            assert exec_syscall(sb, make_event("rmdir", path)) == expect
+        elif op == 7:
+            result = exec_syscall(sb, make_event("getdents", path))
+            if norm in vfs.dirs:
+                assert sb.last_getdents == scan_listdir(vfs, norm)
+                assert result == len(sb.last_getdents)
+            else:
+                assert result == ENOENT
+        elif op == 8:
+            try:
+                append_to_vfs_file(vfs, norm, b"rec\n")
+            except ValueError:
+                pass
+
+    def test_differential_against_tree_scan(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            sb = SandboxState()
+            fds = []
+            for _ in range(rng.randrange(10, 40)):
+                self.step(rng, sb, fds)
+                sb.vfs.check_invariants()
+                for d in list(sb.vfs.dirs) + list(sb.vfs.files) + ["/none"]:
+                    assert sb.vfs.listdir(d) == scan_listdir(sb.vfs, d)
+
+    @staticmethod
+    def getdents_seconds(n_files, per_dir=50, calls=500, repeats=7):
+        sb = SandboxState()
+        for i in range(n_files):
+            sb.vfs.put_file(f"/d{i // per_dir}/f{i}", b"")
+        ev = make_event("getdents", "/d0")
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for _ in range(calls):
+                exec_syscall(sb, ev)
+            best = min(best, time.perf_counter() - t0)
+        assert sb.last_getdents == sorted(f"f{i}" for i in range(per_dir))
+        return best
+
+    def test_getdents_cost_does_not_grow_with_tree(self):
+        # ROADMAP item 4: 4x the files, same entries per directory.
+        small = self.getdents_seconds(5_000)
+        large = self.getdents_seconds(20_000)
+        assert large < 2 * small, (small, large)
