@@ -56,10 +56,19 @@ def serialize(prog: RuleProgram) -> bytes:
         return conds[key]
 
     def guard_expr(node) -> str:
-        if isinstance(node, Condition):
-            return cond_id(node)
-        op = "&" if node.op_code == OP_AND else "|"
-        return f"({op} {guard_expr(node.left)} {guard_expr(node.right)})"
+        # Iterative, so any depth serializes; leaves get ids left to right.
+        parts, stack = [], [node]
+        emit, push = parts.append, stack.append
+        while stack:
+            node = stack.pop()
+            while isinstance(node, ConditionBlock):  # down the left spine
+                emit("(& " if node.op_code == OP_AND else "(| ")
+                push(")")
+                push(node.right)
+                push(" ")
+                node = node.left
+            emit(node if type(node) is str else cond_id(node))
+        return "".join(parts)
 
     def action_id(a: Action) -> str:
         key = (a.builtin_name, a.params)
@@ -96,31 +105,33 @@ def serialize(prog: RuleProgram) -> bytes:
 
 def _parse_guard(expr: str, conds: dict, line_no: int):
     tokens = expr.replace("(", " ( ").replace(")", " ) ").split()
+    n = len(tokens)
     pos = 0
-
-    def parse():
-        nonlocal pos
-        if pos >= len(tokens):
+    frames = []  # one per open "(": [op] or [op, left operand]
+    while True:
+        if pos >= n:
             raise CorruptRecord(line_no, "truncated guard expression")
         tok = tokens[pos]
         pos += 1
         if tok == "(":
-            if pos >= len(tokens) or tokens[pos] not in ("&", "|"):
+            if pos >= n or tokens[pos] not in ("&", "|"):
                 raise CorruptRecord(line_no, "expected & or | in guard")
-            op = OP_AND if tokens[pos] == "&" else OP_OR
+            frames.append([OP_AND if tokens[pos] == "&" else OP_OR])
             pos += 1
-            left = parse()
-            right = parse()
-            if pos >= len(tokens) or tokens[pos] != ")":
+            continue
+        if tok not in conds:
+            raise CorruptRecord(line_no, f"unknown condition id {tok!r}")
+        node = conds[tok]
+        while frames and len(frames[-1]) == 2:  # node is a right operand
+            op, left = frames.pop()
+            if pos >= n or tokens[pos] != ")":
                 raise CorruptRecord(line_no, "missing ')' in guard")
             pos += 1
-            return ConditionBlock(left, right, op)
-        if tok in conds:
-            return conds[tok]
-        raise CorruptRecord(line_no, f"unknown condition id {tok!r}")
-
-    node = parse()
-    if pos != len(tokens):
+            node = ConditionBlock(left, node, op)
+        if not frames:
+            break
+        frames[-1].append(node)
+    if pos != n:
         raise CorruptRecord(line_no, "trailing tokens in guard expression")
     if isinstance(node, Condition):
         raise CorruptRecord(line_no, "guard must be a condition block")

@@ -40,8 +40,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--cloak", metavar="LOGPATH",
                        help="log into the sandbox VFS at LOGPATH and "
                        "prepend the cloaking ruleset")
-    p_run.add_argument("--report", help="write the report JSON here "
-                       "(default stdout)")
+    p_run.add_argument("--report", help="write the report, one JSON "
+                       "object on one line, here (default stdout)")
 
     p_bench = sub.add_parser("bench", help="run the m1-m4 copy benchmark")
     p_bench.add_argument("--setting", default="all",
@@ -130,7 +130,7 @@ def cmd_run(args) -> int:
     report = replay_trace(prog, events, sandbox)
     for sink in sinks:
         sink.close()
-    payload = json.dumps(report.to_dict(), indent=2)
+    payload = json.dumps(report.to_dict())  # compact: the C encoder
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")

@@ -572,13 +572,16 @@ class Analyzer:
         return builtin, params
 
     def check_condexpr(self, node):
-        if isinstance(node, BinOp):
-            self.check_condexpr(node.left)
-            self.check_condexpr(node.right)
-        elif isinstance(node, Call):
-            self.resolve_invocation(node, "condition")
-        else:
-            raise AssertionError(f"bad condexpr node {node!r}")
+        """Resolve every leaf, left to right (iterative: any depth)."""
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, BinOp):
+                stack += (node.right, node.left)
+            elif isinstance(node, Call):
+                self.resolve_invocation(node, "condition")
+            else:
+                raise AssertionError(f"bad condexpr node {node!r}")
 
     def check_ruleexpr(self, rx: RuleExpr, line):
         if isinstance(rx.guard, NameRef):
@@ -632,12 +635,23 @@ def analyze(ast: Ast, registry=None) -> TypedProgram:
 # --- lowering ---------------------------------------------------------------
 
 def _lower_condexpr(node, typed: TypedProgram):
-    if isinstance(node, BinOp):
-        return ConditionBlock(_lower_condexpr(node.left, typed),
-                              _lower_condexpr(node.right, typed),
-                              OP_AND if node.op == "&&" else OP_OR)
-    builtin, params = _resolved(node, typed, "condition")
-    return Condition(builtin, params)
+    """Post-order walk with an explicit stack, so any depth lowers."""
+    done = []       # lowered operands, left to right
+    stack = [node]  # nodes still to lower; an op code joins the last two
+    push, pop = stack.append, stack.pop
+    while stack:
+        node = pop()
+        if type(node) is int:
+            right = done.pop()
+            done[-1] = ConditionBlock(done[-1], right, node)
+            continue
+        while type(node) is BinOp:  # down the left spine
+            push(OP_AND if node.op == "&&" else OP_OR)
+            push(node.right)
+            node = node.left
+        builtin, params = _resolved(node, typed, "condition")
+        done.append(Condition(builtin, params))
+    return done[0]
 
 
 def _resolved(call: Call, typed: TypedProgram, kind: str):

@@ -32,9 +32,12 @@ SYSCALL_ARITY = {
 SYSCALLS = tuple(SYSCALL_ARITY)
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskContext:
-    """Identity of the task issuing a syscall."""
+    """Identity of the task issuing a syscall.
+
+    Nothing mutates a TaskContext, so events of one task may share one.
+    """
 
     pid: int
     uid: int
@@ -43,13 +46,19 @@ class TaskContext:
     parent_pname: str
 
     def __post_init__(self):
+        if not type(self.pid) is type(self.uid) is type(self.ssid) is int:
+            raise TypeError("pid, uid and ssid must be integers, got "
+                            f"{self.pid!r}, {self.uid!r}, {self.ssid!r}")
+        if not type(self.pname) is type(self.parent_pname) is str:
+            raise TypeError("pname and parent_pname must be strings, got "
+                            f"{self.pname!r}, {self.parent_pname!r}")
         if self.pid < 1 or self.uid < 0 or self.ssid < 0:
             raise ValueError("pid >= 1, uid >= 0, ssid >= 0 required")
         if not self.pname or not self.parent_pname:
             raise ValueError("pname and parent_pname must be non-empty")
 
 
-@dataclass
+@dataclass(slots=True)
 class SyscallEvent:
     """One intercepted syscall invocation.
 
@@ -181,7 +190,7 @@ class RuleProgram:
 EMPTY_PROGRAM = RuleProgram()
 
 
-@dataclass
+@dataclass(slots=True)
 class Disposition:
     """Observable outcome of dispatching one event."""
 
@@ -194,12 +203,13 @@ class Disposition:
     conditions_evaluated: int = 0
 
     def to_dict(self) -> dict:
+        """Report form; it shares this disposition's lists, not copies."""
         return {
             "seq": self.seq,
             "syscall": self.syscall,
-            "matched_rules": list(self.matched_rules),
+            "matched_rules": self.matched_rules,
             "result": self.result,
             "blocked": self.blocked,
-            "args": list(self.manipulated_args),
+            "args": self.manipulated_args,
             "conditions": self.conditions_evaluated,
         }

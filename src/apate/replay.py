@@ -13,6 +13,7 @@ totals, and a stable digest of the final filesystem state.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .engine import DEFAULT_JUMP_BUDGET, dispatch
@@ -21,14 +22,43 @@ from .model import Disposition, RuleProgram, SyscallEvent, TaskContext
 from .sandbox import SandboxState
 
 
-def parse_trace_line(line: str, line_no: int = 0) -> SyscallEvent:
+_decode = json.JSONDecoder().raw_decode
+_skip_space = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
+
+
+def parse_trace_line(line: str, line_no: int = 0,
+                     contexts: "dict | None" = None) -> SyscallEvent:
+    """Parse one trace line.
+
+    ``contexts`` maps each ``ctx`` object seen so far (as a tuple of its
+    items) to its validated TaskContext, so that events of one task share
+    one; ``parse_trace`` passes one per call.
+    """
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+        obj, end = _decode(line, _skip_space(line).end())
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise TraceError(line_no, f"bad JSON: {exc}") from None
+    if end != len(line):
+        end = _skip_space(line, end).end()
+        if end != len(line):
+            raise TraceError(line_no, f"trailing data at column {end + 1}")
+    if type(obj) is not dict:
+        raise TraceError(line_no, "expected a JSON object, got "
+                         f"{type(obj).__name__}")
     try:
-        ctx = TaskContext(**obj["ctx"])
-        seq, args = obj["seq"], obj["args"]
+        raw, seq, args = obj["ctx"], obj["seq"], obj["args"]
+        if type(raw) is not dict:
+            raise TypeError(f"ctx must be an object, got {raw!r}")
+        if contexts is None:
+            ctx = TaskContext(**raw)
+        else:
+            key = tuple(raw.items())
+            ctx = contexts.get(key)
+            # An equal key may hold a float or bool equal to a cached int;
+            # the type test sends it to TaskContext, which rejects it.
+            if ctx is None or not (type(raw["pid"]) is type(raw["uid"])
+                                   is type(raw["ssid"]) is int):
+                ctx = contexts[key] = TaskContext(**raw)
         if type(seq) is not int:
             raise TypeError(f"seq must be an integer, got {seq!r}")
         if not isinstance(args, list):
@@ -42,9 +72,10 @@ def parse_trace_line(line: str, line_no: int = 0) -> SyscallEvent:
 
 def parse_trace(text: str):
     events = []
+    contexts = {}
     for n, line in enumerate(text.splitlines(), start=1):
         if line.strip():
-            events.append(parse_trace_line(line, n))
+            events.append(parse_trace_line(line, n, contexts))
     return events
 
 

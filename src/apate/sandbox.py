@@ -82,7 +82,7 @@ class VirtualFS:
 
     def __init__(self):
         self.children = {"/": set()}  # dir path -> names of its entries
-        self.files = {}  # path -> bytes, or bytearray once written to
+        self.files = {}  # path -> bytearray, shared with open descriptors
 
     @property
     def dirs(self):
@@ -123,14 +123,22 @@ class VirtualFS:
             self.children[d] = set()
 
     def put_file(self, path: str, content: bytes) -> None:
-        """Create or overwrite a file, creating missing parents."""
+        """Create a file, creating missing parents, or overwrite one in
+        place, so descriptors open on it see the new content.
+
+        A new file takes a bytearray ``content`` over as its storage
+        instead of copying it.
+        """
         path = normalize_path(path)
         if path in self.children:
             raise ValueError(f"{path} exists as a directory")
-        if path not in self.files:
+        if path in self.files:
+            self.files[path][:] = content
+        else:
             self.mkdirs(parent_of(path))
             self._link(path)
-        self.files[path] = bytes(content)
+            self.files[path] = (content if type(content) is bytearray
+                                else bytearray(content))
 
     def remove_file(self, path: str) -> None:
         path = normalize_path(path)
@@ -222,10 +230,10 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
                         n, f"inline content is {len(content)} bytes, declared {length}")
             else:
                 try:
-                    fill = bytes([int(spec, 16)])
+                    fill = bytearray([int(spec, 16)])
                 except ValueError:
                     raise MalformedManifestLine(n, f"bad fill byte {spec!r}") from None
-                content = fill * length
+                content = fill * length  # a bytearray: put_file keeps it
             try:
                 vfs.put_file(path, content)
             except ValueError as exc:
@@ -236,16 +244,21 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
 
 
 class FdTable:
-    """Open-descriptor table; fds allocated from 3 upward, never reused."""
+    """Open-descriptor table; fds allocated from 3 upward, never reused.
+
+    Each entry holds the open file's bytearray, so a descriptor keeps
+    acting on the file it opened after that file is unlinked or another
+    file is created at its path.
+    """
 
     def __init__(self):
-        self.entries = {}  # fd -> [path, offset, mode]
+        self.entries = {}  # fd -> [path, offset, mode, file bytearray]
         self.next_fd = 3
 
-    def alloc(self, path: str, mode: str) -> int:
+    def alloc(self, path: str, mode: str, content: bytearray) -> int:
         fd = self.next_fd
         self.next_fd += 1
-        self.entries[fd] = [path, 0, mode]
+        self.entries[fd] = [path, 0, mode, content]
         return fd
 
     def get(self, fd):
@@ -285,7 +298,7 @@ class SandboxState:
     sinks: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     log_count: int = 0
-    last_read: bytes = b""
+    last_read: "bytes | bytearray" = b""  # a copy of the last data read
     last_getdents: list = field(default_factory=list)
     clock: "object" = None  # callable -> ISO-8601 str; defaults to UTC now
 
@@ -312,14 +325,14 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
     if name == "open":
         path, mode = normalize_path(str(args[0])), str(args[1])
         if mode == "r":
-            if not vfs.is_file(path):
+            if path not in vfs.files:
                 return ENOENT
-            return fds.alloc(path, "r")
+            return fds.alloc(path, "r", vfs.files[path])
         if mode in ("w", "creat"):
             if path in vfs.dirs or parent_of(path) not in vfs.dirs:
                 return ENOENT
-            vfs.put_file(path, b"")  # creates or truncates
-            return fds.alloc(path, "w")
+            vfs.put_file(path, b"")  # creates, or truncates in place
+            return fds.alloc(path, "w", vfs.files[path])
         return ENOENT
 
     if name == "close":
@@ -330,9 +343,8 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
         entry = fds.get(fd)
         if entry is None or entry[2] != "r":
             return EBADF
-        path, offset, _ = entry
-        content = vfs.files.get(path, b"")
-        data = bytes(content[offset:offset + int(count)])
+        _, offset, _, content = entry
+        data = content[offset:offset + int(count)]  # a copy
         entry[1] = offset + len(data)
         sandbox.last_read = data
         return len(data)
@@ -343,14 +355,8 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
         if entry is None or entry[2] != "w":
             return EBADF
         length = int(payload)
-        path, offset, _ = entry
+        _, offset, _, content = entry
         entry[1] = offset + length
-        content = vfs.files.get(path)
-        if content is None:
-            return length  # unlinked while open: the data is unreachable
-        if not isinstance(content, bytearray):
-            content = bytearray(content)
-            vfs.files[path] = content
         if offset >= len(content):
             content.extend(b"\x00" * (offset - len(content) + length))
         else:
@@ -412,8 +418,7 @@ def append_to_vfs_file(vfs: VirtualFS, path: str, data: bytes) -> None:
     otherwise the file's bytearray grows in place.
     """
     content = vfs.files.get(path)
-    if not isinstance(content, bytearray):
-        if content is None:
-            vfs.put_file(path, b"")
-        content = vfs.files[path] = bytearray(content or b"")
+    if content is None:
+        vfs.put_file(path, b"")
+        content = vfs.files[path]
     content += data

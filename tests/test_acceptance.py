@@ -283,8 +283,9 @@ def test_criterion_07c_rule_vs_logging_overhead(capsys, bench_medians):
 
     The criterion requires (m3 - m1) < (m2 - m1): 2,500 interpreted
     condition evaluations per syscall would have to cost less than one
-    log-record format-and-emit.  A condition evaluation here is a Python
-    closure call (~100 ns), so m3's per-syscall overhead is ~250 us
+    log-record format-and-emit.  A condition here is one leaf expression
+    in a generated Python guard function (~130 ns), so m3's per-syscall
+    overhead is ~320 us
     while m2's logging overhead is ~10 us.  The inequality reflects the
     original in-kernel implementation, where a condition is a handful of
     machine instructions; it is not attainable in this medium.  Measured

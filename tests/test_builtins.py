@@ -117,7 +117,8 @@ class TestConditions:
 
     def test_testforfdpath(self, sandbox):
         sandbox.vfs.put_file("/var/log/app.log", b"x")
-        fd = sandbox.fds.alloc("/var/log/app.log", "r")
+        fd = sandbox.fds.alloc("/var/log/app.log", "r",
+                               sandbox.vfs.files["/var/log/app.log"])
         cond = Condition("testforfdpath", (0, "/var/log/app.log"))
         assert eval_condition(cond, make_event("read", fd, 100), sandbox) == 1
         assert eval_condition(cond, make_event("read", fd + 1, 100),

@@ -2,9 +2,14 @@ import json
 
 import pytest
 
+from apate import apc
 from apate.cli import main
+from apate.dsl import compile_source
+from apate.engine import dispatch
+from apate.replay import parse_trace, replay_trace
+from apate.sandbox import SandboxState, vfs_from_manifest
 
-from conftest import MYSQL_EXAMPLE
+from conftest import MYSQL_EXAMPLE, make_ctx, make_event
 
 TRACE_CTX = {"pid": 42, "uid": 1000, "ssid": 1, "pname": "bash",
              "parent_pname": "mysql"}
@@ -132,6 +137,56 @@ class TestRun:
         results = [e["result"] for e in report["events"]]
         assert results[1] == -2   # log invisible
         assert results[2] == 0    # directory listing shows nothing
+
+
+class TestReport:
+    FS = "D /var/lib/mysql\nF /honey/mysql/ibdata1 5 @honey\nF /etc/hosts 3 @abc\n"
+    EVENTS = [("open", ["/var/lib/mysql/ibdata1", "r"]), ("read", [3, 4]),
+              ("open", ["/etc/hosts", "r"]), ("getdents", ["/honey/mysql"]),
+              ("mkdir", ["/tmp"]), ("open", ["/tmp/x", "w"]),
+              ("write", [5, {"len": 9}]), ("unlink", ["/nope"]),
+              ("execve", ["/bin/sh", "sh"]), ("getuid", []), ("close", [4])]
+
+    def inputs(self, tmp_path):
+        fs = tmp_path / "fs.manifest"
+        fs.write_text(self.FS)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join(trace_line(i, sc, args) for i, (sc, args)
+                                   in enumerate(self.EVENTS, start=1)) + "\n")
+        return fs, trace
+
+    def expected(self, compiled, fs, trace):
+        prog = apc.deserialize(compiled.read_bytes())
+        sandbox = SandboxState(vfs=vfs_from_manifest(fs.read_bytes()))
+        report = replay_trace(prog, parse_trace(trace.read_text()), sandbox)
+        return report.to_dict()
+
+    def test_file_and_stdout_match_replay(self, compiled, tmp_path, capsys):
+        fs, trace = self.inputs(tmp_path)
+        want = self.expected(compiled, fs, trace)
+        assert want["log_records"] > 0 and want["diagnostics"]["notes"]
+        out = tmp_path / "report.json"
+        argv = ["run", "--program", str(compiled), "--trace", str(trace),
+                "--fs", str(fs)]
+        assert main(argv + ["--report", str(out)]) == 0
+        text = out.read_text()
+        assert json.loads(text) == want
+        assert text.endswith("\n") and text.count("\n") == 1
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == want
+
+    def test_to_dict_is_not_changed_by_a_later_args_rewrite(self):
+        prog, _ = compile_source(MYSQL_EXAMPLE)
+        sandbox = SandboxState()
+        ev = make_event("open", "/var/lib/mysql/ibdata1", "r",
+                        ctx=make_ctx(parent_pname="mysql"))
+        d = dispatch(prog, ev, sandbox).to_dict()
+        assert d["args"] == ["/honey/mysql/ibdata1", "r"]
+        assert d["matched_rules"] == [0, 1]
+        ev.args[0] = "/elsewhere"
+        ev.args.append("extra")
+        assert d["args"] == ["/honey/mysql/ibdata1", "r"]
 
 
 class TestBench:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -6,7 +7,7 @@ from apate.cloak import apply_cloak, cloak_ruleset
 from apate.engine import dispatch
 from apate.errors import TraceError
 from apate.logsink import VfsSink
-from apate.model import RuleProgram
+from apate.model import SYSCALLS, RuleProgram, SyscallEvent, TaskContext
 from apate.replay import (EventSource, parse_trace, parse_trace_line,
                           replay_trace, scan_for_substring)
 from apate.sandbox import ENOENT, SandboxState
@@ -49,9 +50,9 @@ class TestCloak:
 
     def test_read_write_blocked_by_fd(self, cloak):
         sb = cloaked_sandbox()
-        fd = sb.fds.alloc(LOG, "r")   # fd acquired around the hook layer
+        fd = sb.fds.alloc(LOG, "r", sb.vfs.files[LOG])  # around the hook layer
         assert dispatch(cloak, make_event("read", fd, 100), sb).result == ENOENT
-        wfd = sb.fds.alloc(LOG, "w")
+        wfd = sb.fds.alloc(LOG, "w", sb.vfs.files[LOG])
         assert dispatch(cloak, make_event("write", wfd, 10), sb).result == ENOENT
 
     def test_getdents_omits_log_entry(self, cloak):
@@ -131,12 +132,102 @@ class TestTraceParsing:
         '"ssid":0,"pname":"a","parent_pname":"b"}}',  # non-integer seq
         '{"seq":1,"syscall":"unlink","args":"a","ctx":{"pid":1,"uid":0,'
         '"ssid":0,"pname":"a","parent_pname":"b"}}',  # args not a list
+        '{"seq":1,"syscall":"getpid","args":[],"ctx":{"pid":1,"uid":0,'
+        '"ssid":0,"pname":"a","parent_pname":"b"}} x',  # trailing data
+        '{"seq":1,"syscall":"getpid","args":[],"ctx":{"pid":1,"uid":0,'
+        '"ssid":0,"pname":"a","parent_pname":"b"}}{"seq":2,"syscall":'
+        '"getpid","args":[],"ctx":{"pid":1,"uid":0,"ssid":0,"pname":"a",'
+        '"parent_pname":"b"}}',  # two objects on one line
+        '[1]',
+        '3',
+        '{"seq":1,"syscall":"getpid","args":[],"ctx":5}',
+        '{"seq":1,"syscall":"getpid","args":[],"ctx":[1]}',
+        '{"seq":1,"syscall":"getpid","args":[],"ctx":{"pid":[1],"uid":0,'
+        '"ssid":0,"pname":"a","parent_pname":"b"}}',  # unhashable value
+        '{"seq":1,"syscall":"getpid","args":[],"ctx":{"pid":1,"uid":0,'
+        '"ssid":0,"pname":"a","parent_pname":"b","tty":1}}',  # unknown key
+        '{"seq":1,"syscall":"getpid","args":[],"ctx":{"pid":42.0,"uid":1000,'
+        '"ssid":1,"pname":"bash","parent_pname":"sshd"}}',  # == line 1's ctx
+        '{"seq":1,"syscall":"getpid","args":[],"ctx":{"pid":1,"uid":0,'
+        '"ssid":0,"pname":7,"parent_pname":"b"}}',  # pname not a string
+        pytest.param("[" * 100_000, id="deep nesting"),
     ])
     def test_trace_errors_carry_line_numbers(self, bad):
         good = self.line()
         with pytest.raises(TraceError) as exc:
             parse_trace(good + "\n" + bad + "\n")
         assert "line 2" in str(exc.value)
+
+
+    def test_padding_and_crlf(self):
+        text = "  " + self.line() + " \t\r\n\t" + self.line(seq=2) + "\r\n"
+        assert [e.seq for e in parse_trace(text)] == [1, 2]
+        assert parse_trace_line(" " + self.line() + "\r\n").seq == 1
+
+    def test_equal_ctx_shares_one_task_context(self):
+        other = {"pid": 7, "uid": 0, "ssid": 0, "pname": "sh",
+                 "parent_pname": "init"}
+        a, b, c, d = parse_trace("\n".join(
+            [self.line(), self.line(seq=2), self.line(seq=3, ctx=other),
+             self.line(seq=4, ctx=dict(other))]))
+        assert a.ctx is b.ctx and c.ctx is d.ctx
+        assert a.ctx is not c.ctx and a.ctx != c.ctx
+        # parse_trace_line alone shares nothing
+        assert parse_trace_line(self.line()).ctx is not a.ctx
+
+    def test_differential_against_json_loads(self):
+        rng = random.Random(5)
+        ctxs = [{"pid": rng.randrange(1, 500), "uid": rng.choice((0, 1000)),
+                 "ssid": rng.randrange(3), "pname": rng.choice(("sh", "é")),
+                 "parent_pname": rng.choice(("sshd", "cron"))}
+                for _ in range(6)]
+        paths = ["/etc/passwd", "/var/log/x", "/tmp/ü", "/a b"]
+        args_for = {
+            "open": lambda: [rng.choice(paths), rng.choice(("r", "w"))],
+            "close": lambda: [rng.randrange(3, 40)],
+            "read": lambda: [rng.randrange(3, 40), rng.randrange(0, 70_000)],
+            "write": lambda: [rng.randrange(3, 40),
+                              {"len": rng.randrange(0, 70_000)}],
+            "unlink": lambda: [rng.choice(paths)],
+            "execve": lambda: [rng.choice(paths), "sh -c 'id'"],
+            "getpid": list,
+            "getuid": list,
+            "mkdir": lambda: [rng.choice(paths)],
+            "rmdir": lambda: [rng.choice(paths)],
+            "getdents": lambda: [rng.choice(paths)],
+        }
+        lines = []
+        for seq in range(1, 2001):
+            syscall = rng.choice(SYSCALLS)
+            line = json.dumps({"seq": seq, "syscall": syscall,
+                               "args": args_for[syscall](),
+                               "ctx": rng.choice(ctxs)},
+                              ensure_ascii=rng.random() < 0.5)
+            lines.append(rng.choice(("", " ", "\t")) + line
+                         + rng.choice(("", "  ", "\r")))
+            if rng.random() < 0.05:
+                lines.append(rng.choice(("", "   ")))
+        events = parse_trace("\n".join(lines))
+        expected = []
+        for line in lines:
+            if line.strip():
+                obj = json.loads(line)
+                expected.append(SyscallEvent(
+                    seq=obj["seq"], syscall=obj["syscall"],
+                    args=[a["len"] if isinstance(a, dict) else a
+                          for a in obj["args"]],
+                    ctx=TaskContext(**obj["ctx"])))
+        assert len(events) == len(expected) == 2000
+        assert {e.syscall for e in events} == set(SYSCALLS)
+        for got, want in zip(events, expected):
+            assert (got.seq, got.syscall, got.args) == (want.seq, want.syscall,
+                                                        want.args)
+            assert type(got.args) is list
+            assert got.ctx == want.ctx
+        # one TaskContext per distinct ctx object in the trace
+        distinct = {json.dumps(json.loads(line)["ctx"])
+                    for line in lines if line.strip()}
+        assert len({id(e.ctx) for e in events}) == len(distinct)
 
 
 class TestReplay:

@@ -13,7 +13,10 @@ from apate.errors import (ApateSyntaxError, ArityError, BadMagic,
 from apate.model import (ALWAYS_TRUE, Condition, ConditionBlock, OP_AND,
                          OP_OR, RuleProgram)
 
-from conftest import MYSQL_EXAMPLE
+from apate.engine import dispatch
+from apate.sandbox import SandboxState
+
+from conftest import MYSQL_EXAMPLE, make_ctx, make_event
 
 
 def toks(text):
@@ -349,3 +352,31 @@ class TestApcFormat:
             apc.deserialize(b"APATE-RP 1\nACTION\ta0\tlog\t[]\n"
                             b"COND\tc0\ttestforpname\t[\"\xff\"]\n")
         assert "line 3" in str(exc.value)
+
+
+class TestDeepGuards:
+    @staticmethod
+    def source(leaves):
+        return ("define r1 as rule\ndefine rc1 as rulechain\n"
+                f"let r1 be {{{{{' && '.join(leaves)}}}->log()}}\n"
+                "let rc1 be {r1}\nbind rc1 to sys_getuid\n")
+
+    def test_5000_leaf_guard_through_compiler_apc_and_engine(self):
+        leaves = [f'testforuid(">=";{-i})' for i in range(5_000)]
+        for last, fires in ((leaves[-1], 1), ('testforuid("<";0)', 0)):
+            prog, _ = compile_source(self.source(leaves[:-1] + [last]))
+            blob = apc.serialize(prog)
+            again = apc.deserialize(blob)
+            assert apc.serialize(again) == blob
+            assert blob.count(b"COND\t") == 5_000
+            disp = dispatch(again, make_event("getuid", ctx=make_ctx(uid=1000)),
+                            SandboxState())
+            assert disp.conditions_evaluated == 5_000
+            assert disp.matched_rules == [0] * fires
+            assert disp.result == 1000
+
+    def test_deep_guard_reports_its_first_bad_leaf(self):
+        leaves = ['testforuid(">=";0)'] * 5_000
+        leaves[10], leaves[4_000] = "nosuch1()", "nosuch2()"
+        with pytest.raises(UndefinedName, match="nosuch1"):
+            compile_source(self.source(leaves))

@@ -403,7 +403,7 @@ class TestGeneratedGuards:
         rng = random.Random(20)
         sb = SandboxState()
         sb.vfs.put_file("/etc/motd", b"welcome to apate")
-        held = sb.fds.alloc("/etc/motd", "r")
+        held = sb.fds.alloc("/etc/motd", "r", sb.vfs.files["/etc/motd"])
         sb.store.set("n", 3)
         ctxs = [make_ctx(uid=u, pid=p, ssid=s, pname=n, parent_pname=pn)
                 for u, p, s, n, pn in ((1000, 100, 1, "bash", "sshd"),

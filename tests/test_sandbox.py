@@ -70,6 +70,16 @@ class TestVirtualFS:
         with pytest.raises(AssertionError, match="child index"):
             vfs.check_invariants()
 
+    def test_put_file_keeps_a_new_bytearray_and_overwrites_in_place(self):
+        vfs = VirtualFS()
+        data = bytearray(b"abc")
+        vfs.put_file("/f", data)
+        assert vfs.files["/f"] is data
+        vfs.put_file("/f", b"xy")
+        assert vfs.files["/f"] is data and data == b"xy"
+        vfs.put_file("/g", b"bytes")
+        assert type(vfs.files["/g"]) is bytearray
+
     def test_listdir_immediate_children_sorted(self):
         vfs = VirtualFS()
         vfs.put_file("/d/b", b"")
@@ -189,6 +199,35 @@ class TestSyscalls:
         assert not sandbox.vfs.exists("/d/f") and not sandbox.vfs.exists("/d")
         sandbox.vfs.check_invariants()
 
+    def test_descriptor_keeps_its_file_when_path_is_recreated(self, sandbox):
+        old = exec_syscall(sandbox, make_event("open", "/f", "w"))
+        assert exec_syscall(sandbox, make_event("unlink", "/f")) == 0
+        new = exec_syscall(sandbox, make_event("open", "/f", "w"))
+        assert (old, new) == (3, 4)
+        assert exec_syscall(sandbox, make_event("write", old, 10)) == 10
+        assert sandbox.vfs.read_file("/f") == b""
+        assert exec_syscall(sandbox, make_event("write", new, 4)) == 4
+        assert sandbox.vfs.read_file("/f") == b"\x00" * 4
+        sandbox.vfs.check_invariants()
+
+    def test_read_after_unlink_returns_the_open_file(self, sandbox):
+        sandbox.vfs.put_file("/g", b"secret")
+        fd = exec_syscall(sandbox, make_event("open", "/g", "r"))
+        assert exec_syscall(sandbox, make_event("unlink", "/g")) == 0
+        sandbox.vfs.put_file("/g", b"other file")
+        assert exec_syscall(sandbox, make_event("read", fd, 100)) == 6
+        assert sandbox.last_read == b"secret"
+
+    def test_truncation_is_seen_by_open_descriptors(self, sandbox):
+        sandbox.vfs.put_file("/h", b"abcdef")
+        rfd = exec_syscall(sandbox, make_event("open", "/h", "r"))
+        assert exec_syscall(sandbox, make_event("read", rfd, 2)) == 2
+        wfd = exec_syscall(sandbox, make_event("open", "/h", "w"))
+        assert exec_syscall(sandbox, make_event("read", rfd, 10)) == 0
+        assert exec_syscall(sandbox, make_event("write", wfd, 3)) == 3
+        assert exec_syscall(sandbox, make_event("read", rfd, 10)) == 1
+        assert sandbox.last_read == b"\x00"
+
     def test_mkdir_rmdir(self, sandbox):
         assert exec_syscall(sandbox, make_event("mkdir", "/d")) == 0
         assert exec_syscall(sandbox, make_event("mkdir", "/d")) == EEXIST
@@ -260,31 +299,75 @@ class TestChildIndex:
         parts = [rng.choice(self.NAMES) for _ in range(rng.randrange(1, 5))]
         return "/" + "/".join(parts)
 
-    def step(self, rng, sb, fds):
-        """One random operation; checks each syscall result against a scan."""
+    def step(self, rng, sb, fds, model):
+        """One random operation; checks each syscall result against a scan.
+
+        ``model`` maps each file path to its content, one bytearray per
+        file, and ``fds`` maps each descriptor to [model file, offset,
+        mode, path]: a descriptor keeps its file when that file is unlinked or
+        another file is created at its path.  Returns True for a read or
+        write through a descriptor whose file no longer has its path.
+        """
         vfs = sb.vfs
-        path = self.random_path(rng, vfs)
+        if fds and rng.random() < 0.3:  # an open file's path
+            path = fds[rng.choice(sorted(fds))][3]
+        else:
+            path = self.random_path(rng, vfs)
         norm = normalize_path(path)
-        op = rng.randrange(9)
+        op = rng.randrange(11)
         if op == 0:
             try:
                 vfs.mkdirs(path)
             except ValueError:
                 pass
         elif op == 1:
+            content = bytes([rng.randrange(256) for _ in range(rng.randrange(4))])
             try:
-                vfs.put_file(path, bytes(rng.randrange(4)))
+                vfs.put_file(path, content)
             except ValueError:
-                pass
-        elif op == 2:
-            fd = exec_syscall(sb, make_event("open", path, rng.choice(("w", "creat"))))
-            if fd >= 0:
-                fds.append(fd)
-        elif op == 3 and fds:
-            exec_syscall(sb, make_event("write", rng.choice(fds), rng.randrange(1, 9)))
+                return False
+            if norm in model:
+                model[norm][:] = content  # in place: open descriptors see it
+            else:
+                model[norm] = bytearray(content)
+        elif op in (2, 9):
+            mode = "r" if op == 9 else rng.choice(("w", "creat"))
+            fd = exec_syscall(sb, make_event("open", path, mode))
+            if fd < 0:
+                return False
+            if mode != "r":
+                if norm in model:
+                    model[norm].clear()  # truncated in place
+                else:
+                    model[norm] = bytearray()
+            fds[fd] = [model[norm], 0, "r" if mode == "r" else "w", norm]
+        elif op in (3, 10) and fds:
+            fd = rng.choice(sorted(fds))
+            entry = fds[fd]
+            f, offset, mode, _ = entry
+            count = rng.randrange(1, 9)
+            if op == 3:
+                result = exec_syscall(sb, make_event("write", fd, count))
+                if mode != "w":
+                    assert result == EBADF
+                    return False
+                assert result == count
+                f.extend(bytes(max(0, offset - len(f))))
+                f[offset:offset + count] = bytes(count)
+                entry[1] = offset + count
+            else:
+                result = exec_syscall(sb, make_event("read", fd, count))
+                if mode != "r":
+                    assert result == EBADF
+                    return False
+                data = f[offset:offset + count]
+                assert result == len(data) and sb.last_read == data
+                entry[1] = offset + len(data)
+            return not any(model.get(p) is f for p in model)
         elif op == 4:
             expect = 0 if norm in vfs.files else ENOENT
             assert exec_syscall(sb, make_event("unlink", path)) == expect
+            model.pop(norm, None)
         elif op == 5:
             exec_syscall(sb, make_event("mkdir", path))
         elif op == 6:
@@ -304,18 +387,23 @@ class TestChildIndex:
             try:
                 append_to_vfs_file(vfs, norm, b"rec\n")
             except ValueError:
-                pass
+                return False
+            model.setdefault(norm, bytearray()).extend(b"rec\n")
+        return False
 
     def test_differential_against_tree_scan(self):
         rng = random.Random(11)
+        orphan_io = 0
         for _ in range(300):
             sb = SandboxState()
-            fds = []
+            fds, model = {}, {}
             for _ in range(rng.randrange(10, 40)):
-                self.step(rng, sb, fds)
+                orphan_io += self.step(rng, sb, fds, model)
                 sb.vfs.check_invariants()
                 for d in list(sb.vfs.dirs) + list(sb.vfs.files) + ["/none"]:
                     assert sb.vfs.listdir(d) == scan_listdir(sb.vfs, d)
+                assert sb.vfs.files == model
+        assert orphan_io >= 20, orphan_io  # the sequences reach that case
 
     @staticmethod
     def getdents_seconds(n_files, per_dir=50, calls=500, repeats=7):
