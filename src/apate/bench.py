@@ -35,17 +35,6 @@ RULES_PER_SETTING = 50
 CONDITIONS_PER_RULE = 50
 SETTING_IDS = ("m1", "m2", "m3", "m4")
 
-# Full-scale reference metadata from the original measurement campaign;
-# absolute values are hardware-bound and are not asserted at desk scale.
-REFERENCE_FULL_SCALE = {
-    "measurements": 110_800,
-    "unique_filesizes": 1_108,
-    "sd_runtime_sec": {"m1": 0.1066, "m2": 0.2421, "m4": 0.2452},
-    "var_runtime_sec": {"m1": 0.0114, "m2": 0.0586, "m4": 0.0601},
-    "iqr_runtime_sec": {"m1": 0.0010, "m2": 0.0026, "m4": 0.0023},
-}
-
-
 @dataclass
 class BenchSetting:
     id: str

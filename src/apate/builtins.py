@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ApateError, UnknownBuiltin
-from .logsink import LogRecord, format_record
+from .logsink import format_record
 from .sandbox import exec_syscall, errno_default, normalize_path
 
 COMPARISONS = ("==", "!=", ">", "<", ">=", "<=")
@@ -237,10 +237,9 @@ def _a_manipulateparam(ev, sandbox, ctx, params):
 
 
 def _a_log(ev, sandbox, ctx, params):
-    rec = LogRecord(ts=sandbox.timestamp(), seq=ev.seq, pid=ev.ctx.pid,
-                    uid=ev.ctx.uid, syscall=ev.syscall, args=list(ev.args),
-                    result=ctx.result)
-    line = format_record(rec)
+    task = ev.ctx
+    line = format_record(sandbox.timestamp(), ev.seq, task.pid, task.uid,
+                         ev.syscall, ev.args, ctx.result)
     for sink in sandbox.sinks:
         try:
             sink.emit(line)

@@ -4,6 +4,12 @@ A record renders as one pipe-delimited line:
 
     apate|1|<ts>|<seq>|<pid>|<uid>|<syscall>|<args-json>|<result>
 
+``<ts>`` is the sandbox's ``timestamp()``: UTC ISO-8601 with
+microseconds and a ``+00:00`` offset (``2024-05-01T12:00:00.000000+00:00``),
+unless ``SandboxState.clock`` supplies another string.  ``<args-json>``
+is the argument list as compact JSON with non-ASCII text kept as is;
+bytes-like arguments appear as ``{"len": n}``.
+
 Lines are capped at 60,000 bytes so a record always fits a UDP
 datagram; oversized args are truncated with a trailing ellipsis marker.
 """
@@ -22,6 +28,8 @@ TRUNCATION_MARK = "…"
 
 @dataclass
 class LogRecord:
+    """A record as parse_record reads it back."""
+
     ts: str
     seq: int
     pid: int
@@ -31,26 +39,46 @@ class LogRecord:
     result: int
 
 
+def _bytes_json(v) -> str:
+    return f'{{"len":{len(v)}}}'
+
+
+_dumps = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
+def _other_json(v) -> str:
+    if isinstance(v, (bytes, bytearray)):
+        return _bytes_json(v)
+    return _dumps(v)
+
+
+# Exact types only: subclasses (bool among them) take _other_json, which
+# renders them as json.dumps does.
+_ENCODERS = {int: int.__repr__, str: json.encoder.encode_basestring,
+             bytes: _bytes_json, bytearray: _bytes_json}
+
+
 def _args_json(args) -> str:
-    def enc(v):
-        if isinstance(v, (bytes, bytearray)):
-            return {"len": len(v)}
-        return v
-    return json.dumps([enc(a) for a in args], separators=(",", ":"), ensure_ascii=False)
+    """``json.dumps(args, separators=(",", ":"), ensure_ascii=False)``
+    with each bytes-like argument replaced by ``{"len": n}``."""
+    get = _ENCODERS.get
+    return "[" + ",".join([get(type(a), _other_json)(a) for a in args]) + "]"
 
 
-def format_record(rec: LogRecord) -> str:
-    args_json = _args_json(rec.args)
-    line = (f"apate|1|{rec.ts}|{rec.seq}|{rec.pid}|{rec.uid}|"
-            f"{rec.syscall}|{args_json}|{rec.result}")
-    if len(line.encode("utf-8")) <= LINE_MAX:
+def format_record(ts, seq, pid, uid, syscall, args, result) -> str:
+    args_json = _args_json(args)
+    line = f"apate|1|{ts}|{seq}|{pid}|{uid}|{syscall}|{args_json}|{result}"
+    # A code point is at most 4 UTF-8 bytes, so short lines skip the encode.
+    # A lone surrogate (from a trace's JSON) is measured, not an error; it
+    # is the sinks that cannot encode it.
+    if (len(line) * 4 <= LINE_MAX
+            or len(line.encode("utf-8", "surrogatepass")) <= LINE_MAX):
         return line
-    fixed = (f"apate|1|{rec.ts}|{rec.seq}|{rec.pid}|{rec.uid}|"
-             f"{rec.syscall}||{rec.result}")
+    fixed = f"apate|1|{ts}|{seq}|{pid}|{uid}|{syscall}||{result}"
     budget = LINE_MAX - len(fixed.encode("utf-8")) - len(TRUNCATION_MARK.encode("utf-8"))
-    cut = args_json.encode("utf-8")[:max(budget, 0)].decode("utf-8", errors="ignore")
-    return (f"apate|1|{rec.ts}|{rec.seq}|{rec.pid}|{rec.uid}|"
-            f"{rec.syscall}|{cut}{TRUNCATION_MARK}|{rec.result}")
+    cut = args_json.encode("utf-8", "surrogatepass")[:max(budget, 0)].decode(
+        "utf-8", errors="ignore")
+    return f"apate|1|{ts}|{seq}|{pid}|{uid}|{syscall}|{cut}{TRUNCATION_MARK}|{result}"
 
 
 def parse_record(line: str) -> LogRecord:

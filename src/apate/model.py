@@ -183,9 +183,6 @@ class RuleProgram:
                 return self.chains[name]
         return None
 
-    def bound_syscalls(self):
-        return [sc for sc, _ in self.bindings]
-
 
 EMPTY_PROGRAM = RuleProgram()
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from time import time_ns
 
 from .errors import MalformedManifestLine
 from .model import SyscallEvent
@@ -19,6 +20,7 @@ ENOENT = -2
 EBADF = -9
 EACCES = -13
 EEXIST = -17
+EINVAL = -22
 ENOTEMPTY = -39
 
 # Default error per syscall when a chain is disrupted or a call is
@@ -288,6 +290,22 @@ class ScratchStore:
         self.cells[key] = value
 
 
+_second = (None, "")  # (epoch second, its "YYYY-MM-DDTHH:MM:SS")
+
+
+def utc_timestamp() -> str:
+    """Wall clock now as ``datetime.isoformat(timespec="microseconds")``
+    gives it in UTC, microseconds truncated, from one clock read; the
+    date and time of day are rebuilt only when the second changes."""
+    global _second
+    sec, ns = divmod(time_ns(), 1_000_000_000)
+    cached, prefix = _second
+    if sec != cached:
+        prefix = datetime.fromtimestamp(sec, timezone.utc).isoformat()[:19]
+        _second = (sec, prefix)
+    return f"{prefix}.{ns // 1000:06d}+00:00"
+
+
 @dataclass
 class SandboxState:
     """One evaluation stream's world: VFS, fds, store, sinks, diagnostics."""
@@ -305,10 +323,18 @@ class SandboxState:
     def timestamp(self) -> str:
         if self.clock is not None:
             return self.clock()
-        return datetime.now(timezone.utc).isoformat(timespec="microseconds")
+        return utc_timestamp()
 
     def diag(self, kind: str, detail: str) -> None:
         self.diagnostics.append({"kind": kind, "detail": detail})
+
+
+def _byte_count(value) -> int:
+    """``int(value)``, or -1 when int() rejects it."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        return -1
 
 
 def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
@@ -343,8 +369,11 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
         entry = fds.get(fd)
         if entry is None or entry[2] != "r":
             return EBADF
+        count = _byte_count(count)
+        if count < 0:
+            return EINVAL
         _, offset, _, content = entry
-        data = content[offset:offset + int(count)]  # a copy
+        data = content[offset:offset + count]  # a copy
         entry[1] = offset + len(data)
         sandbox.last_read = data
         return len(data)
@@ -354,7 +383,9 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
         entry = fds.get(fd)
         if entry is None or entry[2] != "w":
             return EBADF
-        length = int(payload)
+        length = _byte_count(payload)
+        if length < 0:
+            return EINVAL
         _, offset, _, content = entry
         entry[1] = offset + length
         if offset >= len(content):

@@ -286,7 +286,8 @@ def test_criterion_07c_rule_vs_logging_overhead(capsys, bench_medians):
     log-record format-and-emit.  A condition here is one leaf expression
     in a generated Python guard function (~130 ns), so m3's per-syscall
     overhead is ~320 us
-    while m2's logging overhead is ~10 us.  The inequality reflects the
+    while m2's logging overhead is ~6-10 us (m2 - m1 per syscall, copying a
+    2 MB file).  The inequality reflects the
     original in-kernel implementation, where a condition is a handful of
     machine instructions; it is not attainable in this medium.  Measured
     numbers are printed for the ledger.

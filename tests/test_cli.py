@@ -138,6 +138,55 @@ class TestRun:
         assert results[1] == -2   # log invisible
         assert results[2] == 0    # directory listing shows nothing
 
+    def test_lone_surrogate_in_a_logged_path_is_a_sink_failure(self, tmp_path):
+        src = tmp_path / "log.apate"
+        src.write_text('define r as rule\ndefine rc as rulechain\n'
+                       'let r be {{always_true()}->log(),call_orig()}\n'
+                       'let rc be {r}\nbind rc to sys_open\n')
+        prog = tmp_path / "log.apc"
+        assert main(["compile", str(src), "-o", str(prog)]) == 0
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "open", ["/a\ud800", "r"]) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["run", "--program", str(prog), "--trace", str(trace),
+                     "--log-file", str(tmp_path / "records.log"),
+                     "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["log_records"] == 1
+        assert [n["kind"] for n in report["diagnostics"]["notes"]] == ["SinkFailure"]
+
+    def run_read(self, tmp_path, source, count):
+        src = tmp_path / "read.apate"
+        src.write_text(source)
+        prog = tmp_path / "read.apc"
+        assert main(["compile", str(src), "-o", str(prog)]) == 0
+        fs = tmp_path / "fs.manifest"
+        fs.write_text("F /f 10 @0123456789\n")
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join([
+            trace_line(1, "open", ["/f", "r"]),
+            trace_line(2, "read", [3, count]),
+            trace_line(3, "read", [3, 4]),
+        ]) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["run", "--program", str(prog), "--trace", str(trace),
+                     "--fs", str(fs), "--report", str(report_path)]) == 0
+        return [e["result"] for e in json.loads(report_path.read_text())["events"]]
+
+    def test_read_count_rewritten_to_text_is_einval(self, tmp_path):
+        source = ('define r as rule\ndefine rc as rulechain\n'
+                  'let r be {{testforparam(1;"4096")}->'
+                  'manipulateparam(1;"*";"lots"),call_orig()}\n'
+                  'let rc be {r}\nbind rc to sys_read\n')
+        assert self.run_read(tmp_path, source, 4096) == [3, -22, 4]
+
+    def test_read_count_that_is_not_a_number_is_einval(self, tmp_path):
+        source = ('define r as rule\ndefine rc as rulechain\n'
+                  'let r be {{always_true()}->call_orig()}\n'
+                  'let rc be {r}\nbind rc to sys_read\n')
+        assert self.run_read(tmp_path, source, "x") == [3, -22, 4]
+        assert self.run_read(tmp_path, source, "4096") == [3, 10, 0]
+
 
 class TestReport:
     FS = "D /var/lib/mysql\nF /honey/mysql/ibdata1 5 @honey\nF /etc/hosts 3 @abc\n"

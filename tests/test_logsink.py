@@ -1,3 +1,6 @@
+import enum
+import json
+import math
 import random
 import socket
 import string
@@ -21,15 +24,106 @@ def rec(**kw):
     return LogRecord(**base)
 
 
+def fmt(r):
+    return format_record(r.ts, r.seq, r.pid, r.uid, r.syscall, r.args, r.result)
+
+
+# Frozen copy of the formatter as it was when every record went through a
+# LogRecord and json.dumps: the reference for the differential tests.
+def ref_args_json(args) -> str:
+    def enc(v):
+        if isinstance(v, (bytes, bytearray)):
+            return {"len": len(v)}
+        return v
+    return json.dumps([enc(a) for a in args], separators=(",", ":"), ensure_ascii=False)
+
+
+def ref_format_record(rec: LogRecord) -> str:
+    args_json = ref_args_json(rec.args)
+    line = (f"apate|1|{rec.ts}|{rec.seq}|{rec.pid}|{rec.uid}|"
+            f"{rec.syscall}|{args_json}|{rec.result}")
+    if len(line.encode("utf-8")) <= LINE_MAX:
+        return line
+    fixed = (f"apate|1|{rec.ts}|{rec.seq}|{rec.pid}|{rec.uid}|"
+             f"{rec.syscall}||{rec.result}")
+    budget = LINE_MAX - len(fixed.encode("utf-8")) - len(TRUNCATION_MARK.encode("utf-8"))
+    cut = args_json.encode("utf-8")[:max(budget, 0)].decode("utf-8", errors="ignore")
+    return (f"apate|1|{rec.ts}|{rec.seq}|{rec.pid}|{rec.uid}|"
+            f"{rec.syscall}|{cut}{TRUNCATION_MARK}|{rec.result}")
+
+
+def outcome(format_line, r):
+    """The line, or the type of the exception formatting raised."""
+    try:
+        return format_line(r)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+class Mode(enum.IntEnum):
+    RDONLY = 0
+
+
+class Path(str):
+    pass
+
+
+class Blob(bytes):
+    pass
+
+
+# Characters that JSON escapes, that take 2, 3 and 4 UTF-8 bytes, and the
+# line and paragraph separators json.dumps leaves raw with ensure_ascii off.
+WIDE = ('"\\|\x00\x1f\x7f\u00e9\u00ff\u0394\u20ac'
+        "\u2028\u2029\ufeff\uffff\U0001f600\U0001d11e\U0010ffff")
+ALPHABET = string.printable + WIDE
+
+
+def random_text(rng, n, alphabet=ALPHABET):
+    return "".join(rng.choices(alphabet, k=n))
+
+
+def random_value(rng, depth=0):
+    kind = rng.randrange(14 if depth < 2 else 12)
+    if kind == 0:
+        return rng.randint(-100, 10**6)
+    if kind == 1:
+        return rng.choice([0, -1, 2**63, -(2**64) - 1, 10**40])
+    if kind == 2:
+        return random_text(rng, rng.randint(0, 40))
+    if kind == 3:
+        return random_text(rng, rng.randint(5_000, 30_000),
+                           rng.choice([ALPHABET, WIDE]))
+    if kind == 4:
+        return bytes(rng.randrange(256) for _ in range(rng.randint(0, 20)))
+    if kind == 5:
+        return bytearray(rng.randint(0, 70_000))
+    if kind == 6:
+        return rng.choice([True, False, None])
+    if kind == 7:
+        return rng.choice([0.0, -0.0, 1.5, 1e300, -2.5e-8, math.nan,
+                           math.inf, -math.inf, rng.random()])
+    if kind == 8:
+        return {"len": rng.randint(-5, 10**7)}
+    if kind == 9:
+        return rng.choice([Mode.RDONLY, Path("/p\u00e9|q"), Blob(b"abc")])
+    if kind == 10:
+        return rng.choice(["", "r", "w", "creat", "/etc/passwd"])
+    if kind == 11:
+        return rng.randint(3, 40)
+    if kind == 12:
+        return [random_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {random_text(rng, 3): random_value(rng, depth + 1)}
+
 class TestFormat:
     def test_format_shape(self):
-        line = format_record(rec())
+        line = fmt(rec())
         assert line == ('apate|1|2024-05-01T12:00:00+00:00|7|100|1000|open|'
                         '["/etc/passwd","r"]|3')
 
     def test_round_trip(self):
         r = rec(result=-13)
-        assert parse_record(format_record(r)) == r
+        assert parse_record(fmt(r)) == r
 
     def test_round_trip_randomized(self):
         rng = random.Random(5)
@@ -40,23 +134,79 @@ class TestFormat:
                     args=["".join(rng.choices(string.printable, k=rng.randint(0, 30))),
                           rng.randint(-100, 100)],
                     result=rng.randint(-40, 10**6))
-            assert parse_record(format_record(r)) == r
+            assert parse_record(fmt(r)) == r
 
     def test_pipe_in_args_survives(self):
         r = rec(args=["/weird|path", "r"])
-        assert parse_record(format_record(r)) == r
+        assert parse_record(fmt(r)) == r
 
     def test_bytes_args_logged_as_length(self):
-        line = format_record(rec(args=[b"\x00" * 12, 3]))
+        line = fmt(rec(args=[b"\x00" * 12, 3]))
         assert parse_record(line).args == [{"len": 12}, 3]
 
     def test_truncation_cap(self):
         r = rec(args=["x" * 100_000])
-        line = format_record(r)
+        line = fmt(r)
         assert len(line.encode("utf-8")) <= LINE_MAX
         assert TRUNCATION_MARK in line
         parsed = parse_record(line)
         assert parsed.seq == r.seq and parsed.result == r.result
+
+    def test_differential_against_frozen_formatter(self):
+        rng = random.Random(2024)
+        truncated = failed = 0
+        for _ in range(3_000):
+            r = rec(seq=rng.randint(0, 10**9), pid=rng.randint(1, 99999),
+                    uid=rng.randint(0, 99999),
+                    syscall=rng.choice(["open", "read", "write", "execve"]),
+                    args=[random_value(rng) for _ in range(rng.randint(0, 4))],
+                    result=rng.randint(-40, 10**6))
+            line = outcome(fmt, r)
+            assert line == outcome(ref_format_record, r), r
+            if isinstance(line, str):
+                assert len(line.encode("utf-8")) <= LINE_MAX
+                truncated += line.endswith(TRUNCATION_MARK + f"|{r.result}")
+            else:
+                failed += 1  # bytes inside a list or dict, as before
+        assert truncated > 50 and 0 < failed < 300
+
+    def test_lines_around_the_cap_match_frozen_formatter(self):
+        # Lines from 9 bytes under to 9 over the cap; in the all-emoji texts
+        # the cut falls at each byte offset inside a 4-byte code point.
+        base = len(fmt(rec(args=[""])).encode("utf-8"))
+        for tail in ("", "\u00e9", "\u20ac", "\U0001f600", "\U0001f600" * 3):
+            for slack in range(-9, 10):
+                pad = LINE_MAX - base - len(tail.encode("utf-8")) + slack
+                for text in ("x" * pad + tail, "\U0001f600" * (pad // 4)
+                             + "x" * (pad % 4) + tail):
+                    r = rec(args=[text])
+                    line = fmt(r)
+                    assert line == ref_format_record(r)
+                    assert len(line.encode("utf-8")) <= LINE_MAX
+                    whole = base + len(text.encode("utf-8"))
+                    assert line.endswith(f"{TRUNCATION_MARK}|3") == (whole > LINE_MAX)
+
+    def test_parse_round_trip_of_new_formatter(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            args = [rng.choice([rng.randint(-10, 10**9),
+                                random_text(rng, rng.randint(0, 30)),
+                                {"len": rng.randint(0, 10**6)}, None, True])
+                    for _ in range(rng.randint(0, 3))]
+            ts = f"2024-05-01T12:00:{rng.randint(0, 59):02d}.{rng.randrange(10**6):06d}"
+            r = rec(seq=rng.randint(0, 10**9), args=args, ts=ts + "+00:00")
+            assert parse_record(fmt(r)) == r
+        r = rec(args=[b"\x01" * 5, bytearray(3), "\U0001f600"])
+        assert parse_record(fmt(r)).args == [{"len": 5}, {"len": 3}, "\U0001f600"]
+
+    def test_lone_surrogate_is_formatted_not_raised(self):
+        # A trace may carry "\ud800"; the line keeps it (the sinks report
+        # what they cannot encode) and a cut line drops it.
+        line = fmt(rec(args=["/a\ud800", "r"]))
+        assert line.endswith('["/a\ud800","r"]|3')
+        line = fmt(rec(args=["\ud800" * 30_000]))
+        assert line.endswith(f"{TRUNCATION_MARK}|3")
+        assert len(line.encode("utf-8")) <= LINE_MAX
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -75,7 +225,7 @@ class TestSinks:
     def test_file_sink_byte_exact(self, tmp_path):
         path = tmp_path / "log"
         sink = FileSink(str(path))
-        lines = [format_record(rec(seq=i)) for i in range(3)]
+        lines = [fmt(rec(seq=i)) for i in range(3)]
         for line in lines:
             sink.emit(line)
         sink.close()
@@ -111,7 +261,7 @@ class TestSinks:
 
     @staticmethod
     def emit_seconds(records, repeats=5):
-        line = format_record(rec())
+        line = fmt(rec())
         best = float("inf")
         for _ in range(repeats):
             sink = VfsSink(VirtualFS(), "/var/log/apate.log")
@@ -135,7 +285,7 @@ class TestSinks:
         recv.settimeout(5)
         port = recv.getsockname()[1]
         sink = UdpSink("127.0.0.1", port)
-        line = format_record(rec())
+        line = fmt(rec())
         sink.emit(line)
         data, _ = recv.recvfrom(LINE_MAX + 10)
         assert data.decode() == line

@@ -1,10 +1,12 @@
 import random
 import time
+from datetime import datetime, timezone
 
 import pytest
 
+from apate import sandbox as sandbox_mod
 from apate.errors import MalformedManifestLine
-from apate.sandbox import (EACCES, EBADF, EEXIST, ENOENT, ENOTEMPTY,
+from apate.sandbox import (EACCES, EBADF, EEXIST, EINVAL, ENOENT, ENOTEMPTY,
                            SandboxState, VirtualFS, append_to_vfs_file,
                            errno_default, exec_syscall, normalize_path,
                            vfs_from_manifest)
@@ -228,6 +230,29 @@ class TestSyscalls:
         assert exec_syscall(sandbox, make_event("read", rfd, 10)) == 1
         assert sandbox.last_read == b"\x00"
 
+    def test_bad_read_count_is_einval_and_keeps_the_offset(self, sandbox):
+        sandbox.vfs.put_file("/f", b"0123456789")
+        fd = exec_syscall(sandbox, make_event("open", "/f", "r"))
+        for count in (-4, "x", "lots4", None, float("inf"), [4]):
+            assert exec_syscall(sandbox, make_event("read", fd, count)) == EINVAL
+            assert sandbox.fds.get(fd)[1] == 0
+        assert exec_syscall(sandbox, make_event("read", fd, "4")) == 4
+        assert exec_syscall(sandbox, make_event("read", fd, 4096)) == 6
+        assert sandbox.last_read == b"456789"
+
+    def test_bad_write_length_is_einval_and_keeps_the_offset(self, sandbox):
+        fd = exec_syscall(sandbox, make_event("open", "/f", "w"))
+        assert exec_syscall(sandbox, make_event("write", fd, 10)) == 10
+        for length in (-5, "x", None):
+            assert exec_syscall(sandbox, make_event("write", fd, length)) == EINVAL
+            assert sandbox.fds.get(fd)[1] == 10
+        assert exec_syscall(sandbox, make_event("write", fd, "3")) == 3
+        assert sandbox.vfs.read_file("/f") == b"\x00" * 13
+
+    def test_bad_count_on_a_bad_descriptor_is_ebadf(self, sandbox):
+        assert exec_syscall(sandbox, make_event("read", 99, -4)) == EBADF
+        assert exec_syscall(sandbox, make_event("write", 99, "x")) == EBADF
+
     def test_mkdir_rmdir(self, sandbox):
         assert exec_syscall(sandbox, make_event("mkdir", "/d")) == 0
         assert exec_syscall(sandbox, make_event("mkdir", "/d")) == EEXIST
@@ -278,6 +303,23 @@ class TestSandboxState:
 
     def test_default_timestamp_iso(self, sandbox):
         assert "T" in sandbox.timestamp()
+
+    def test_default_timestamp_across_second_boundaries(self, sandbox, monkeypatch):
+        # Each stamp must be the isoformat of its own truncated microsecond,
+        # also right after the cached second changes (and changes back).
+        second = 1_714_564_799 * 10**9  # 2024-05-01T11:59:59Z
+        times = [second + 999_999_999, second + 10**9, second + 10**9 + 999,
+                 second + 999_998_000, 0, 86_399 * 10**9 + 123_456_789,
+                 second + 2 * 10**9 + 1_000, second + 10**9]
+        rng = random.Random(11)
+        times += [rng.randrange(0, 4 * 10**18) for _ in range(500)]
+        clock = iter(times)
+        monkeypatch.setattr(sandbox_mod, "time_ns", lambda: next(clock))
+        for ns in times:
+            want = datetime.fromtimestamp(ns // 10**9, timezone.utc).replace(
+                microsecond=ns // 1000 % 10**6).isoformat(timespec="microseconds")
+            assert sandbox.timestamp() == want
+        assert want.endswith("+00:00")
 
 
 def scan_listdir(vfs, path):
