@@ -69,8 +69,9 @@ def format_record(ts, seq, pid, uid, syscall, args, result) -> str:
     args_json = _args_json(args)
     line = f"apate|1|{ts}|{seq}|{pid}|{uid}|{syscall}|{args_json}|{result}"
     # A code point is at most 4 UTF-8 bytes, so short lines skip the encode.
-    # A lone surrogate (from a trace's JSON) is measured, not an error; it
-    # is the sinks that cannot encode it.
+    # A lone surrogate (from a trace's JSON) is measured, not an error; the
+    # sinks cannot encode it: FileSink.emit raises (a SinkFailure note),
+    # VfsSink and UdpSink count the record as dropped.
     if (len(line) * 4 <= LINE_MAX
             or len(line.encode("utf-8", "surrogatepass")) <= LINE_MAX):
         return line
@@ -158,24 +159,27 @@ class UdpSink:
 
     def emit(self, line: str) -> None:
         try:
-            self._queue.put_nowait(line)
-        except queue.Full:
+            self._queue.put_nowait(line.encode("utf-8"))
+        except (queue.Full, UnicodeEncodeError):  # or a lone surrogate
             self.dropped += 1
 
     def _drain(self) -> None:
         while True:
-            line = self._queue.get()
-            if line is None:
+            data = self._queue.get()
+            if data is None:
                 return
             try:
-                self._sock.sendto(line.encode("utf-8"), self.addr)
+                self._sock.sendto(data, self.addr)
             except OSError:
                 self.dropped += 1
 
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            self._queue.put(None)
+            try:
+                self._queue.put(None, timeout=5)
+            except queue.Full:  # the flush thread is stuck; let join time out
+                pass
             self._thread.join(timeout=5)
             self._sock.close()
 
@@ -197,7 +201,7 @@ class VfsSink:
     def emit(self, line: str) -> None:
         try:
             self._append(self.vfs, self.path, line.encode("utf-8") + b"\n")
-        except ValueError:  # a traced event put a directory or file in the way
+        except ValueError:  # a directory or file in the way, or a lone surrogate
             self.dropped += 1
 
     def close(self) -> None:

@@ -1,4 +1,5 @@
 import json
+import socket
 
 import pytest
 
@@ -6,6 +7,7 @@ from apate import apc
 from apate.cli import main
 from apate.dsl import compile_source
 from apate.engine import dispatch
+from apate.logsink import parse_record
 from apate.replay import parse_trace, replay_trace
 from apate.sandbox import SandboxState, vfs_from_manifest
 
@@ -154,6 +156,32 @@ class TestRun:
         report = json.loads(report_path.read_text())
         assert report["log_records"] == 1
         assert [n["kind"] for n in report["diagnostics"]["notes"]] == ["SinkFailure"]
+
+    def test_lone_surrogate_is_dropped_by_the_udp_sink(self, tmp_path):
+        src = tmp_path / "log.apate"
+        src.write_text('define r as rule\ndefine rc as rulechain\n'
+                       'let r be {{always_true()}->log(),call_orig()}\n'
+                       'let rc be {r}\nbind rc to sys_open\n')
+        prog = tmp_path / "log.apc"
+        assert main(["compile", str(src), "-o", str(prog)]) == 0
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "open", ["/a\ud800", "r"]) + "\n"
+                         + trace_line(2, "open", ["/b", "r"]) + "\n")
+        recv = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        recv.bind(("127.0.0.1", 0))
+        recv.settimeout(5)
+        report_path = tmp_path / "report.json"
+        try:
+            assert main(["run", "--program", str(prog), "--trace", str(trace),
+                         "--log-udp", f"127.0.0.1:{recv.getsockname()[1]}",
+                         "--report", str(report_path)]) == 0
+            data, _ = recv.recvfrom(65536)
+        finally:
+            recv.close()
+        assert parse_record(data.decode()).args == ["/b", "r"]
+        report = json.loads(report_path.read_text())
+        assert report["diagnostics"]["dropped"] == 1
+        assert report["diagnostics"]["notes"] == []
 
     def run_read(self, tmp_path, source, count):
         src = tmp_path / "read.apate"

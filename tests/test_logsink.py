@@ -239,6 +239,14 @@ class TestSinks:
         assert vfs.read_file("/var/log/apate.log") == b"one\ntwo\n"
         vfs.check_invariants()
 
+    def test_vfs_sink_drops_a_lone_surrogate(self):
+        vfs = VirtualFS()
+        sink = VfsSink(vfs, "/var/log/apate.log")
+        sink.emit(fmt(rec(args=["/a\ud800", "r"])))
+        sink.emit("two")
+        assert sink.dropped == 1
+        assert vfs.read_file("/var/log/apate.log") == b"two\n"
+
     def test_vfs_sink_append_leaves_earlier_reads_alone(self):
         sb = SandboxState()
         sink = VfsSink(sb.vfs, "/var//log/./apate.log")
@@ -290,6 +298,21 @@ class TestSinks:
         data, _ = recv.recvfrom(LINE_MAX + 10)
         assert data.decode() == line
         sink.close()
+        recv.close()
+
+    def test_udp_sink_drops_a_lone_surrogate_and_keeps_sending(self):
+        recv = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        recv.bind(("127.0.0.1", 0))
+        recv.settimeout(5)
+        sink = UdpSink("127.0.0.1", recv.getsockname()[1])
+        line = fmt(rec())
+        sink.emit(fmt(rec(args=["/a\ud800", "r"])))
+        sink.emit(line)
+        data, _ = recv.recvfrom(LINE_MAX + 10)
+        assert data.decode() == line
+        sink.close()
+        assert not sink._thread.is_alive()
+        assert sink.dropped == 1
         recv.close()
 
     def test_udp_sink_drops_instead_of_blocking(self):
