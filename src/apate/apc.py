@@ -204,4 +204,4 @@ def deserialize(data: bytes) -> RuleProgram:
         except ValueError as exc:
             raise CorruptRecord(line_no, str(exc)) from None
 
-    return RuleProgram(chains=chains, bindings=bindings, version=VERSION)
+    return RuleProgram(chains=chains, bindings=bindings)

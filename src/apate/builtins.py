@@ -193,9 +193,13 @@ class GuardSource:
         return self._read("store_get", "sb.store.get")
 
     def leaf(self, name, params) -> str:
+        """Emit one condition; a bad name, kind or params raises."""
         spec = lookup(name)
         if spec.kind != "condition":
-            raise UnknownBuiltin(f"{name} is not a condition")
+            raise UnknownBuiltin(f"{name} is a {spec.kind}, not a condition")
+        err = check_params(name, params)
+        if err:
+            raise ApateError(err)
         return spec.fn(self, params)
 
     def function(self, body):
@@ -244,6 +248,7 @@ def _a_log(ev, sandbox, ctx, params):
         try:
             sink.emit(line)
         except Exception as exc:  # sink failure must not alter behavior
+            sink.dropped += 1
             sandbox.diag("SinkFailure", repr(exc))
     sandbox.log_count += 1
     return 0

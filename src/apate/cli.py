@@ -65,12 +65,8 @@ def cmd_compile(args) -> int:
         return 2
     try:
         prog, warnings = compile_source(text, filename=args.source)
-        validate_program(prog)
     except SourceError as exc:
         print(str(exc), file=sys.stderr)
-        return 1
-    except ApateError as exc:
-        print(f"{args.source}: {exc}", file=sys.stderr)
         return 1
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -87,6 +83,8 @@ def cmd_run(args) -> int:
     try:
         with open(args.program, "rb") as fh:
             prog = apc.deserialize(fh.read())
+        if args.cloak:
+            prog = apply_cloak(prog, cloak_ruleset(args.cloak))
         validate_program(prog)
     except (OSError, ApateError) as exc:
         print(f"apate: cannot load program: {exc}", file=sys.stderr)
@@ -110,7 +108,6 @@ def cmd_run(args) -> int:
             sinks.append(UdpSink(host, port))
         if args.cloak:
             sinks.append(VfsSink(sandbox.vfs, args.cloak))
-            prog = apply_cloak(prog, cloak_ruleset(args.cloak))
     except (OSError, ValueError) as exc:
         print(f"apate: bad sink: {exc}", file=sys.stderr)
         return 1
@@ -130,6 +127,8 @@ def cmd_run(args) -> int:
     report = replay_trace(prog, events, sandbox)
     for sink in sinks:
         sink.close()
+    # closing a sink can drop records too (the UDP flush thread)
+    report.diagnostics["dropped"] = sum(sink.dropped for sink in sinks)
     payload = json.dumps(report.to_dict())  # compact: the C encoder
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:

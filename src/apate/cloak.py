@@ -23,12 +23,11 @@ def _rule(name, cond, actions) -> Rule:
                 span="cloak")
 
 
-def cloak_ruleset(log_path: str, admin_uid: int = 0) -> RuleProgram:
+def cloak_ruleset(log_path: str) -> RuleProgram:
     """Build the cloak bindings for open, read, write, unlink, getdents.
 
-    The logfile is hidden from every uid, admin included (``admin_uid``
-    is accepted for interface stability but grants no exemption; reading
-    the log requires going around the hooked layer entirely).
+    The logfile is hidden from every uid, admin included: reading the log
+    requires going around the hooked layer entirely.
     """
     log_path = normalize_path(log_path)
     log_dir = parent_of(log_path)
@@ -60,8 +59,23 @@ def cloak_ruleset(log_path: str, admin_uid: int = 0) -> RuleProgram:
     return RuleProgram(chains=chains, bindings=bindings)
 
 
+def _shift_jumps(rule: Rule, offset: int) -> Rule:
+    """The rule with each non-negative jump target moved by offset."""
+    actions = tuple(
+        Action("jump", (a.params[0] + offset,))
+        if a.builtin_name == "jump" and len(a.params) == 1
+        and isinstance(a.params[0], int) and a.params[0] >= 0 else a
+        for a in rule.actions.actions)
+    return Rule(rule.name, rule.guard, ActionChain(actions), rule.exit_flag,
+                rule.span)
+
+
 def apply_cloak(user_prog: RuleProgram, cloak_prog: RuleProgram) -> RuleProgram:
-    """Merge: cloak rules run before any user rules on the same syscall."""
+    """Merge: cloak rules run before any user rules on the same syscall.
+
+    Each non-negative user jump target moves past the cloak rules; a
+    negative one stays out of range.
+    """
     chains = dict(user_prog.chains)
     bindings = []
     user_bound = dict(user_prog.bindings)
@@ -70,8 +84,10 @@ def apply_cloak(user_prog: RuleProgram, cloak_prog: RuleProgram) -> RuleProgram:
         if syscall in user_bound:
             user_chain = chains[user_bound[syscall]]
             merged_name = f"{cloak_chain_name}+{user_chain.name}"
+            offset = len(cloak_chain.rules)
             chains[merged_name] = RuleChain(
-                merged_name, cloak_chain.rules + user_chain.rules)
+                merged_name, cloak_chain.rules
+                + tuple(_shift_jumps(r, offset) for r in user_chain.rules))
             bindings.append((syscall, merged_name))
         else:
             chains[cloak_chain_name] = cloak_chain

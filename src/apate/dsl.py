@@ -434,9 +434,8 @@ def _normalize_syscall(name: str) -> "str | None":
 
 
 class Analyzer:
-    def __init__(self, ast: Ast, registry=None):
+    def __init__(self, ast: Ast):
         self.ast = ast
-        self.registry = registry if registry is not None else bi.REGISTRY
         self.declared = {}   # name -> typekw
         self.used = set()
         self.out = TypedProgram(ast.filename)
@@ -511,46 +510,38 @@ class Analyzer:
 
     def let_builtin_alias(self, name, typekw, rhs, line):
         table = self.out.conditions if typekw == "condition" else self.out.actions
-        if isinstance(rhs, NameRef):
-            spec = self.registry.get(rhs.name)
-            if spec is None:
-                self.err(UndefinedName, f"unknown builtin {rhs.name!r}", line)
-            if spec.kind != typekw:
-                self.err(TypeMismatch,
-                         f"{rhs.name!r} is a {spec.kind} builtin, but {name!r} "
-                         f"is declared as {typekw}", line)
-            table[name] = (rhs.name, None)
-        elif isinstance(rhs, Call):
-            spec = self.registry.get(rhs.name)
-            if spec is None:
-                self.err(UndefinedName, f"unknown builtin {rhs.name!r}", line)
-            if spec.kind != typekw:
-                self.err(TypeMismatch,
-                         f"{rhs.name!r} is a {spec.kind} builtin, but {name!r} "
-                         f"is declared as {typekw}", line)
-            err = bi.check_params(rhs.name, tuple(rhs.args))
-            if err:
-                self.err(ArityError, err, line)
-            table[name] = (rhs.name, tuple(rhs.args))
-        else:
+        if not isinstance(rhs, (NameRef, Call)):
             self.err(TypeMismatch,
                      f"{name!r} is a {typekw}; expected a builtin name", line)
+        spec = bi.REGISTRY.get(rhs.name)
+        if spec is None:
+            self.err(UndefinedName, f"unknown builtin {rhs.name!r}", line)
+        if spec.kind != typekw:
+            self.err(TypeMismatch,
+                     f"{rhs.name!r} is a {spec.kind} builtin, but {name!r} "
+                     f"is declared as {typekw}", line)
+        params = None   # a bare name: the call site gives the params
+        if isinstance(rhs, Call):
+            params = tuple(rhs.args)
+            err = bi.check_params(rhs.name, params)
+            if err:
+                self.err(ArityError, err, line)
+        table[name] = (rhs.name, params)
 
     def resolve_invocation(self, call: Call, want_kind: str):
         """Resolve a call to (builtin_name, params); checks kind and params."""
         frozen = None
-        if call.name in (self.out.conditions if want_kind == "condition"
-                         else self.out.actions):
-            table = (self.out.conditions if want_kind == "condition"
-                     else self.out.actions)
+        table = (self.out.conditions if want_kind == "condition"
+                 else self.out.actions)
+        if call.name in table:
             builtin, frozen = table[call.name]
             self.used.add(call.name)
         elif call.name in self.declared:
             self.err(TypeMismatch,
                      f"{call.name!r} is a {self.declared[call.name]}, "
                      f"not a {want_kind}", call.line)
-        elif call.name in self.registry:
-            spec = self.registry[call.name]
+        elif call.name in bi.REGISTRY:
+            spec = bi.REGISTRY[call.name]
             if spec.kind != want_kind:
                 self.err(TypeMismatch,
                          f"{call.name!r} is a {spec.kind}, not a {want_kind}",
@@ -628,8 +619,8 @@ class Analyzer:
         self.out.binds.append((syscall, stmt.chain))
 
 
-def analyze(ast: Ast, registry=None) -> TypedProgram:
-    return Analyzer(ast, registry).analyze()
+def analyze(ast: Ast) -> TypedProgram:
+    return Analyzer(ast).analyze()
 
 
 # --- lowering ---------------------------------------------------------------
@@ -690,10 +681,10 @@ def compile_typed(typed: TypedProgram) -> RuleProgram:
     return RuleProgram(chains=chains, bindings=list(typed.binds))
 
 
-def compile_source(text: str, filename: str = "<input>", registry=None):
+def compile_source(text: str, filename: str = "<input>"):
     """Full pipeline; returns (RuleProgram, warnings)."""
     ast = parse(tokenize(SourceUnit(text, filename)), filename)
-    typed = analyze(ast, registry)
+    typed = analyze(ast)
     return compile_typed(typed), typed.warnings
 
 

@@ -1,8 +1,10 @@
 """Rule evaluation: condition blocks, action chains, chain traversal.
 
 Each guard (a ConditionBlock tree) runs as one Python function,
-``guard(ev, sb) -> 0 | 1``, generated on first use by compiled_guard and
-cached by object id.  The function reads each per-event value it needs
+``guard(ev, sb) -> 0 | 1``, generated by compiled_guard when its program
+is bound: at load (validate_program), or at the first dispatch of a
+program built in code.  The program's plan holds it; nothing is cached
+across programs.  The function reads each per-event value it needs
 once, at its top, then evaluates every leaf left to right as an inline
 expression: nothing short-circuits, so diagnostics come out in leaf
 order and the number of conditions evaluated is the block's static
@@ -37,11 +39,6 @@ class EvalContext:
         self.jump_target = None
         self.conditions = 0
         self.matched_rules = []
-
-
-# Compiled guard cache.  Keyed by object identity; the value keeps a
-# reference to the guard so ids are never reused while cached.
-_compiled = {}
 
 
 def _flatten(node):
@@ -99,13 +96,7 @@ def _generate(block: ConditionBlock):
 
 def compiled_guard(block: ConditionBlock):
     """Return (guard function, leaf_count) for a condition block."""
-    entry = _compiled.get(id(block))
-    if entry is not None and entry[2] is block:
-        return entry[0], entry[1]
-    fn = _generate(block)
-    count = block.leaf_count()
-    _compiled[id(block)] = (fn, count, block)
-    return fn, count
+    return _generate(block), block.leaf_count()
 
 
 def eval_condition(cond: Condition, ev: SyscallEvent, sandbox: SandboxState,
@@ -139,8 +130,7 @@ def run_action_chain(chain: ActionChain, ev: SyscallEvent,
     if ctx is None:
         ctx = EvalContext()
     for index, action in enumerate(chain.actions):
-        spec = lookup(action.builtin_name)
-        status = spec.fn(ev, sandbox, ctx, action.params)
+        status = lookup(action.builtin_name).fn(ev, sandbox, ctx, action.params)
         if status != 0:
             _chain_error(ev, sandbox, ctx,
                          f"ActionFailed index={index} builtin={action.builtin_name} "
@@ -160,8 +150,17 @@ def _chain_error(ev, sandbox, ctx, detail):
 
 def eval_chain(chain: RuleChain, ev: SyscallEvent, sandbox: SandboxState,
                budget: int = DEFAULT_JUMP_BUDGET) -> Disposition:
-    """Traverse a rule chain for one event.
+    """Bind one rule chain on its own and traverse it for one event."""
+    prog = RuleProgram({chain.name: chain}, [(ev.syscall, chain.name)])
+    return dispatch(prog, ev, sandbox, budget)
 
+
+def dispatch(prog: RuleProgram, ev: SyscallEvent, sandbox: SandboxState,
+             budget: int = DEFAULT_JUMP_BUDGET) -> Disposition:
+    """Route one event through the chain bound to its syscall.
+
+    A program never passed to validate_program is bound here, on its
+    first dispatch.  Unbound syscalls run the original call directly.
     Rules are visited in order; a fired rule with the exit flag stops
     traversal; a successful jump action redirects traversal instead of
     falling through to the next rule (and takes precedence over the exit
@@ -170,21 +169,25 @@ def eval_chain(chain: RuleChain, ev: SyscallEvent, sandbox: SandboxState,
     invoked call_orig or block, the original syscall runs unchanged
     after traversal (pass-through default).
     """
+    if prog.plan is None:
+        validate_program(prog)
+    rules = prog.plan.get(ev.syscall)
+    if rules is None:
+        result = exec_syscall(sandbox, ev)
+        return Disposition(seq=ev.seq, syscall=ev.syscall, result=result,
+                           manipulated_args=list(ev.args))
     ctx = EvalContext()
-    rules = chain.rules
-    i = 0
-    steps = 0
+    i = steps = 0
     while 0 <= i < len(rules):
         if steps >= budget:
             _chain_error(ev, sandbox, ctx, f"BudgetExhausted budget={budget}")
             break
         steps += 1
-        rule = rules[i]
-        guard_fn, leaf_count = compiled_guard(rule.guard)
+        guard, leaf_count, actions, exit_flag = rules[i]
         ctx.conditions += leaf_count
-        if guard_fn(ev, sandbox):
+        if guard(ev, sandbox):
             ctx.matched_rules.append(i)
-            status, _ = run_action_chain(rule.actions, ev, sandbox, ctx)
+            status, _ = run_action_chain(actions, ev, sandbox, ctx)
             if status != 0:
                 break  # disruption stops traversal; exit semantics subsumed
             if ctx.jump_target is not None:
@@ -196,7 +199,7 @@ def eval_chain(chain: RuleChain, ev: SyscallEvent, sandbox: SandboxState,
                     break
                 i = target
                 continue
-            if rule.exit_flag:
+            if exit_flag:
                 break
         i += 1
     if not ctx.invoked:
@@ -207,23 +210,20 @@ def eval_chain(chain: RuleChain, ev: SyscallEvent, sandbox: SandboxState,
                        conditions_evaluated=ctx.conditions)
 
 
-def dispatch(prog: RuleProgram, ev: SyscallEvent, sandbox: SandboxState,
-             budget: int = DEFAULT_JUMP_BUDGET) -> Disposition:
-    """Route one event: unbound syscalls run the original call directly."""
-    chain = prog.chain_for(ev.syscall)
-    if chain is None:
-        result = exec_syscall(sandbox, ev)
-        return Disposition(seq=ev.seq, syscall=ev.syscall, result=result,
-                           manipulated_args=list(ev.args))
-    return eval_chain(chain, ev, sandbox, budget=budget)
-
-
 def validate_program(prog: RuleProgram) -> None:
-    """Surface compile-time bugs at load: unknown builtins, bad params,
-    call_orig after block within one action chain."""
-    for chain in prog.chains.values():
+    """Bind a program: check every rule and set ``prog.plan``.
+
+    Generating a guard checks its conditions; each action must be a known
+    action with valid params, and call_orig may not follow block.  A
+    guard that several rules share is generated once.
+    """
+    guards, bound = {}, {}
+    for name, chain in prog.chains.items():
+        rules = []
         for rule in chain.rules:
-            _validate_guard(rule.guard)
+            entry = guards.get(id(rule.guard))
+            if entry is None:
+                entry = guards[id(rule.guard)] = compiled_guard(rule.guard)
             blocked = False
             for action in rule.actions.actions:
                 spec = lookup(action.builtin_name)
@@ -238,18 +238,7 @@ def validate_program(prog: RuleProgram) -> None:
                 elif action.builtin_name == "call_orig" and blocked:
                     raise ApateError(
                         f"rule {rule.name!r}: call_orig after block is contradictory")
-
-
-def _validate_guard(block) -> None:
-    stack = [block]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ConditionBlock):
-            stack += (node.right, node.left)
-            continue
-        spec = lookup(node.builtin_name)
-        if spec.kind != "condition":
-            raise ApateError(f"{node.builtin_name} is a {spec.kind}, not a condition")
-        err = check_params(node.builtin_name, node.params)
-        if err:
-            raise ApateError(err)
+            rules.append((*entry, rule.actions, rule.exit_flag))
+        bound[name] = tuple(rules)
+    # reversed: where a syscall is bound twice, its first binding wins
+    prog.plan = {sc: bound[name] for sc, name in reversed(prog.bindings)}

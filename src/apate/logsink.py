@@ -71,7 +71,7 @@ def format_record(ts, seq, pid, uid, syscall, args, result) -> str:
     # A code point is at most 4 UTF-8 bytes, so short lines skip the encode.
     # A lone surrogate (from a trace's JSON) is measured, not an error; the
     # sinks cannot encode it: FileSink.emit raises (a SinkFailure note),
-    # VfsSink and UdpSink count the record as dropped.
+    # and every sink counts the record as dropped.
     if (len(line) * 4 <= LINE_MAX
             or len(line.encode("utf-8", "surrogatepass")) <= LINE_MAX):
         return line

@@ -171,17 +171,14 @@ class RuleProgram:
     """Compiled, immutable binding of rule chains to syscall names.
 
     ``bindings`` preserves source order; at most one chain per syscall.
+    Binding (engine.validate_program) sets ``plan``: syscall -> its
+    chain's rules as (guard, leaf_count, ActionChain, exit_flag) tuples.
     """
 
     chains: dict = field(default_factory=dict)          # name -> RuleChain
     bindings: list = field(default_factory=list)        # [(syscall, chain name)]
-    version: int = 1
-
-    def chain_for(self, syscall: str) -> "RuleChain | None":
-        for sc, name in self.bindings:
-            if sc == syscall:
-                return self.chains[name]
-        return None
+    plan: "dict | None" = field(default=None, init=False, compare=False,
+                                repr=False)
 
 
 EMPTY_PROGRAM = RuleProgram()

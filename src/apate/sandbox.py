@@ -330,9 +330,9 @@ class SandboxState:
 
 
 def _byte_count(value) -> int:
-    """``int(value)``, or -1 when int() rejects it."""
+    """``int(value)``, or -1 for a bool, a float, or what int() rejects."""
     try:
-        return int(value)
+        return -1 if isinstance(value, (bool, float)) else int(value)
     except (TypeError, ValueError, OverflowError):
         return -1
 

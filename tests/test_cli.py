@@ -3,8 +3,9 @@ import socket
 
 import pytest
 
-from apate import apc
+from apate import apc, cli, engine
 from apate.cli import main
+from apate.cloak import apply_cloak, cloak_ruleset
 from apate.dsl import compile_source
 from apate.engine import dispatch
 from apate.logsink import parse_record
@@ -156,6 +157,7 @@ class TestRun:
         report = json.loads(report_path.read_text())
         assert report["log_records"] == 1
         assert [n["kind"] for n in report["diagnostics"]["notes"]] == ["SinkFailure"]
+        assert report["diagnostics"]["dropped"] == 1
 
     def test_lone_surrogate_is_dropped_by_the_udp_sink(self, tmp_path):
         src = tmp_path / "log.apate"
@@ -213,7 +215,59 @@ class TestRun:
                   'let r be {{always_true()}->call_orig()}\n'
                   'let rc be {r}\nbind rc to sys_read\n')
         assert self.run_read(tmp_path, source, "x") == [3, -22, 4]
+        assert self.run_read(tmp_path, source, 4.7) == [3, -22, 4]
+        assert self.run_read(tmp_path, source, True) == [3, -22, 4]
         assert self.run_read(tmp_path, source, "4096") == [3, 10, 0]
+
+    def test_drops_counted_while_closing_a_sink_are_reported(
+            self, compiled, tmp_path, monkeypatch):
+        class DropsOnClose:
+            def __init__(self, host, port):
+                self.dropped = 0
+
+            def emit(self, line):
+                pass
+
+            def close(self):
+                self.dropped += 1
+
+        monkeypatch.setattr(cli, "UdpSink", DropsOnClose)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "open", ["/etc/hosts", "r"]) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["run", "--program", str(compiled), "--trace", str(trace),
+                     "--log-udp", "127.0.0.1:9",
+                     "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["diagnostics"]["dropped"] == 1
+
+    def test_cloaked_run_generates_each_guard_once(self, compiled, tmp_path,
+                                                   monkeypatch):
+        blocks = []
+        generate = engine.compiled_guard
+
+        def counting(block):
+            blocks.append(block)
+            return generate(block)
+
+        monkeypatch.setattr(engine, "compiled_guard", counting)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join([
+            trace_line(1, "open", ["/var/lib/mysql/ibdata1", "r"]),
+            trace_line(2, "open", ["/etc/hosts", "r"]),
+            trace_line(3, "open", ["/var/log/apate.log", "r"]),
+            trace_line(4, "read", [3, 10]),
+            trace_line(5, "getdents", ["/var/log"]),
+        ]) + "\n")
+        assert main(["run", "--program", str(compiled), "--trace", str(trace),
+                     "--cloak", "/var/log/apate.log",
+                     "--report", str(tmp_path / "report.json")]) == 0
+        prog = apply_cloak(apc.deserialize(compiled.read_bytes()),
+                           cloak_ruleset("/var/log/apate.log"))
+        distinct = {id(rule.guard) for chain in prog.chains.values()
+                    for rule in chain.rules}
+        assert len(distinct) == 7   # 2 mysql rules, 5 cloak rules
+        assert len(blocks) == len({id(b) for b in blocks}) == len(distinct)
 
 
 class TestReport:

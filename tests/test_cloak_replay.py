@@ -7,7 +7,9 @@ from apate.cloak import apply_cloak, cloak_ruleset
 from apate.engine import dispatch
 from apate.errors import TraceError
 from apate.logsink import VfsSink
-from apate.model import SYSCALLS, RuleProgram, SyscallEvent, TaskContext
+from apate.model import (ALWAYS_TRUE, OP_AND, SYSCALLS, Action, ActionChain,
+                         ConditionBlock, Rule, RuleChain, RuleProgram,
+                         SyscallEvent, TaskContext)
 from apate.replay import (EventSource, parse_trace, parse_trace_line,
                           replay_trace, scan_for_substring)
 from apate.sandbox import ENOENT, SandboxState
@@ -86,6 +88,29 @@ class TestCloak:
         assert sb.fds.path_of(disp.result) == "/honey/mysql/ibdata1"
         # ...and the logfile is still invisible on the same binding.
         assert dispatch(merged, make_event("open", LOG, "r"), sb).result == ENOENT
+
+    @pytest.mark.parametrize("target", [2, 7, -1])
+    def test_merge_keeps_user_jump_targets(self, cloak, target):
+        always = ConditionBlock(ALWAYS_TRUE, ALWAYS_TRUE, OP_AND)
+
+        def rule(name, action):
+            return Rule(name, always, ActionChain((action,)))
+
+        user = RuleProgram(
+            chains={"rc": RuleChain("rc", (
+                rule("r0", Action("jump", (target,))),
+                rule("r1", Action("block", (-1,))),
+                rule("r2", Action("store_add", ("r2", 1))),
+            ))},
+            bindings=[("open", "rc")])
+        outcomes = []
+        for prog in (user, apply_cloak(user, cloak)):
+            sb = cloaked_sandbox()
+            disp = dispatch(prog, make_event("open", "/x", "r"), sb)
+            outcomes.append((disp.result, disp.blocked, sb.store.get("r2")))
+        assert outcomes[0] == outcomes[1]
+        if target == 2:
+            assert outcomes[0] == (ENOENT, False, 1)
 
     def test_merge_preserves_unrelated_user_bindings(self, cloak):
         from apate.dsl import compile_source

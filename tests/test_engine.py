@@ -1,9 +1,13 @@
+import dataclasses
+import gc
 import operator
 import random
 import sys
+import weakref
 
 import pytest
 
+from apate import engine
 from apate.engine import (DEFAULT_JUMP_BUDGET, EvalContext, dispatch,
                           eval_chain, eval_condition, eval_condition_block,
                           run_action_chain, validate_program)
@@ -280,6 +284,51 @@ class TestDispatch:
             disp = dispatch(EMPTY_PROGRAM, ev2, sb_engine)
             assert disp.result == r_direct
             assert sb_direct.vfs.digest() == sb_engine.vfs.digest()
+
+
+class TestBinding:
+    def test_first_dispatch_binds_an_unvalidated_program(self, sandbox):
+        prog = RuleProgram(chains={"rc": chain_of(simple_rule("r", True))},
+                           bindings=[("getpid", "rc")])
+        assert prog.plan is None
+        dispatch(prog, make_event("getpid"), sandbox)
+        assert set(prog.plan) == {"getpid"}
+        assert dataclasses.replace(prog).plan is None
+
+    def test_shared_guard_is_generated_once(self, monkeypatch):
+        blocks = []
+        generate = engine.compiled_guard
+
+        def counting(block):
+            blocks.append(block)
+            return generate(block)
+
+        monkeypatch.setattr(engine, "compiled_guard", counting)
+        shared = simple_rule("r", True)
+        prog = RuleProgram(chains={"a": chain_of(shared, shared),
+                                   "b": chain_of(shared)},
+                           bindings=[("open", "a"), ("getpid", "b")])
+        validate_program(prog)
+        assert blocks == [shared.guard]
+        assert prog.plan["open"][0] == prog.plan["getpid"][0]
+
+    def test_guards_die_with_their_program(self, sandbox, monkeypatch):
+        made = []
+        generate = engine.compiled_guard
+
+        def recording(block):
+            fn, count = generate(block)
+            made.append(weakref.ref(fn))
+            return fn, count
+
+        monkeypatch.setattr(engine, "compiled_guard", recording)
+        prog = RuleProgram(chains={"rc": chain_of(simple_rule("r", True))},
+                           bindings=[("getpid", "rc")])
+        assert dispatch(prog, make_event("getpid"), sandbox).matched_rules == [0]
+        assert made and all(ref() is not None for ref in made)
+        del prog
+        gc.collect()
+        assert all(ref() is None for ref in made)
 
 
 class TestValidateProgram:

@@ -233,7 +233,7 @@ class TestSyscalls:
     def test_bad_read_count_is_einval_and_keeps_the_offset(self, sandbox):
         sandbox.vfs.put_file("/f", b"0123456789")
         fd = exec_syscall(sandbox, make_event("open", "/f", "r"))
-        for count in (-4, "x", "lots4", None, float("inf"), [4]):
+        for count in (-4, "x", "lots4", None, float("inf"), [4], 4.7, 4.0, True):
             assert exec_syscall(sandbox, make_event("read", fd, count)) == EINVAL
             assert sandbox.fds.get(fd)[1] == 0
         assert exec_syscall(sandbox, make_event("read", fd, "4")) == 4
@@ -243,7 +243,7 @@ class TestSyscalls:
     def test_bad_write_length_is_einval_and_keeps_the_offset(self, sandbox):
         fd = exec_syscall(sandbox, make_event("open", "/f", "w"))
         assert exec_syscall(sandbox, make_event("write", fd, 10)) == 10
-        for length in (-5, "x", None):
+        for length in (-5, "x", None, 4.7, True, False):
             assert exec_syscall(sandbox, make_event("write", fd, length)) == EINVAL
             assert sandbox.fds.get(fd)[1] == 10
         assert exec_syscall(sandbox, make_event("write", fd, "3")) == 3
