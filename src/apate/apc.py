@@ -198,6 +198,9 @@ def deserialize(data: bytes) -> RuleProgram:
                     raise CorruptRecord(line_no, f"unknown syscall {syscall!r}")
                 if chain_name not in chains:
                     raise CorruptRecord(line_no, f"unknown chain {chain_name!r}")
+                if any(sc == syscall for sc, _ in bindings):
+                    raise CorruptRecord(line_no, f"syscall {syscall!r} "
+                                        "already has a bound rulechain")
                 bindings.append((syscall, chain_name))
             else:
                 raise CorruptRecord(line_no, f"unknown record type {tag!r}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -10,11 +11,13 @@ import sys
 from . import apc, bench
 from .cloak import apply_cloak, cloak_ruleset
 from .engine import validate_program
-from .errors import ApateError, SourceError
+from .errors import ApateError, SourceError, TraceError
 from .dsl import compile_source
 from .logsink import FileSink, UdpSink, VfsSink, parse_udp_addr
-from .replay import parse_trace, replay_trace
+from .replay import iter_trace, replay_trace
 from .sandbox import SandboxState, vfs_from_manifest
+
+REPORT_BATCH = 1024  # dispositions encoded per json.dumps call
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,33 +112,97 @@ def cmd_run(args) -> int:
         if args.cloak:
             sinks.append(VfsSink(sandbox.vfs, args.cloak))
     except (OSError, ValueError) as exc:
+        _close_sinks(sinks)
         print(f"apate: bad sink: {exc}", file=sys.stderr)
         return 1
     sandbox.sinks = sinks
 
     try:
-        if args.trace == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.trace, encoding="utf-8") as fh:
-                text = fh.read()
-        events = parse_trace(text)
-    except (OSError, ApateError) as exc:
+        trace = (contextlib.nullcontext(sys.stdin.buffer) if args.trace == "-"
+                 else open(args.trace, "rb"))
+    except OSError as exc:
+        _close_sinks(sinks)
         print(f"apate: bad trace: {exc}", file=sys.stderr)
         return 1
 
-    report = replay_trace(prog, events, sandbox)
-    for sink in sinks:
-        sink.close()
-    # closing a sink can drop records too (the UDP flush thread)
-    report.diagnostics["dropped"] = sum(sink.dropped for sink in sinks)
-    payload = json.dumps(report.to_dict())  # compact: the C encoder
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    try:
+        with trace as fh, _report_out(args.report) as out:
+            stream = _ReportStream(out)
+            report = replay_trace(prog, iter_trace(fh), sandbox, stream.emit)
+            # closing a sink can drop records too (the UDP flush thread)
+            report.diagnostics["dropped"] = _close_sinks(sinks)
+            stream.finish(report)
+    except TraceError as exc:
+        print(f"apate: bad trace: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"apate: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        _close_sinks(sinks)
     return 0
+
+
+def _close_sinks(sinks) -> int:
+    """Close each sink in ``sinks`` once, emptying the list; returns the
+    records they dropped."""
+    dropped = 0
+    while sinks:
+        sink = sinks.pop(0)
+        sink.close()
+        dropped += sink.dropped
+    return dropped
+
+
+@contextlib.contextmanager
+def _report_out(path):
+    """Where the report goes: stdout, or a temporary file beside ``path``
+    that replaces ``path`` only if the block ends without an error."""
+    if not path:
+        yield sys.stdout
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+class _ReportStream:
+    """Writes the report while the replay runs, holding at most
+    REPORT_BATCH dispositions.
+
+    The bytes are those of ``json.dumps`` of the whole report dict:
+    ``{"events": [``, each batch's JSON list without its brackets (joined
+    by ``", "``), then ``"], "`` and the other keys.
+    """
+
+    def __init__(self, out):
+        self.out = out
+        self.batch = []
+        self.sep = ""
+        out.write('{"events": [')
+
+    def emit(self, disp) -> None:
+        batch = self.batch
+        batch.append(disp)
+        if len(batch) == REPORT_BATCH:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.batch:
+            self.out.write(self.sep + json.dumps(
+                [d.to_dict() for d in self.batch])[1:-1])
+            self.sep = ", "
+            self.batch.clear()
+
+    def finish(self, report) -> None:
+        self.flush()
+        self.out.write("], " + json.dumps(report.to_dict())[1:] + "\n")
 
 
 def cmd_bench(args) -> int:

@@ -5,13 +5,19 @@ A trace is UTF-8, one JSON object per line:
     {"seq":1,"syscall":"open","args":["/etc/passwd","r"],
      "ctx":{"pid":42,"uid":1000,"ssid":1,"pname":"bash","parent_pname":"sshd"}}
 
-Write payloads appear as ``{"len":n}`` and are carried internally as the
-byte length.  The Report summarizes per-event dispositions, counter
-totals, and a stable digest of the final filesystem state.
+Lines end at ``\n``, ``\r\n`` or ``\r`` only, so U+0085, U+2028 and
+U+2029 may stand raw inside a JSON string.  Write payloads appear as
+``{"len":n}`` and are carried internally as the byte length.
+
+A trace streams: ``iter_trace`` reads it in blocks and yields each event
+as its line is parsed, and ``replay_trace`` dispatches each event as it
+arrives and hands its Disposition to a callback.  The Report keeps only
+the counter totals and a stable digest of the final filesystem state.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -24,6 +30,8 @@ from .sandbox import SandboxState
 
 _decode = json.JSONDecoder().raw_decode
 _skip_space = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
+
+TRACE_BLOCK = 1 << 20  # bytes read from a trace at a time
 
 
 def parse_trace_line(line: str, line_no: int = 0,
@@ -70,26 +78,67 @@ def parse_trace_line(line: str, line_no: int = 0,
         raise TraceError(line_no, str(exc)) from None
 
 
-def parse_trace(text: str):
-    events = []
+def _whole_lines(fh):
+    """Read the binary file ``fh`` in TRACE_BLOCK-byte blocks and yield
+    them regrouped so that no line spans two pieces.
+
+    Each block is cut after its last line end: a ``\\n``, or a ``\\r``
+    that is not the block's last byte (it may begin a ``\\r\\n``).  A line
+    longer than a block is gathered until its end arrives.
+    """
+    parts = []
+    while block := fh.read(TRACE_BLOCK):
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            parts.append(block[:cut])
+            yield b"".join(parts)
+            parts = [block[cut:]]
+        else:
+            parts.append(block)
+    yield b"".join(parts)
+
+
+def iter_trace(fh):
+    """Yield the event of each non-blank line of the trace read from the
+    binary file ``fh``, as soon as that line is parsed.
+
+    ``bytes.splitlines`` ends a line at ``\\n``, ``\\r\\n`` or ``\\r`` and
+    nowhere else; each line is then decoded as UTF-8 on its own.
+    """
     contexts = {}
-    for n, line in enumerate(text.splitlines(), start=1):
-        if line.strip():
-            events.append(parse_trace_line(line, n, contexts))
-    return events
+    line_no = 0
+    for piece in _whole_lines(fh):
+        for raw in piece.splitlines():
+            line_no += 1
+            if not raw.strip():
+                continue
+            try:
+                line = raw.decode()
+            except UnicodeDecodeError as exc:
+                raise TraceError(line_no, f"not UTF-8: {exc.reason} at byte "
+                                 f"{exc.start + 1}") from None
+            yield parse_trace_line(line, line_no, contexts)
+
+
+def parse_trace(text: str) -> list:
+    """Parse a whole trace held in memory: the lines ``iter_trace`` sees
+    in its UTF-8 encoding (a lone surrogate fails as not UTF-8)."""
+    return list(iter_trace(io.BytesIO(text.encode("utf-8", "surrogatepass"))))
 
 
 @dataclass
 class Report:
-    dispositions: list = field(default_factory=list)
+    """The report's totals; the per-event dispositions go to the callback
+    of ``replay_trace`` as they are made."""
+
     total_conditions: int = 0
     log_records: int = 0
     vfs_digest: str = ""
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """The report's keys after ``events``, in report order."""
         return {
-            "events": [d.to_dict() for d in self.dispositions],
             "total_conditions": self.total_conditions,
             "log_records": self.log_records,
             "vfs_digest": self.vfs_digest,
@@ -97,21 +146,27 @@ class Report:
         }
 
 
-def replay_trace(prog: RuleProgram, events, sandbox: SandboxState,
+def replay_trace(prog: RuleProgram, events, sandbox: SandboxState, emit,
                  budget: int = DEFAULT_JUMP_BUDGET) -> Report:
-    """Dispatch each event in order and summarize the outcome."""
-    report = Report()
+    """Dispatch each event as ``events`` yields it, pass its Disposition
+    to ``emit``, and summarize the outcome.
+
+    An error raised while ``events`` yields (a bad trace line) ends the
+    replay there; the events before it have already been dispatched.
+    """
+    total = 0
     for ev in events:
         disp = dispatch(prog, ev, sandbox, budget=budget)
-        report.dispositions.append(disp)
-        report.total_conditions += disp.conditions_evaluated
-    report.log_records = sandbox.log_count
-    report.vfs_digest = sandbox.vfs.digest()
-    report.diagnostics = {
-        "dropped": sum(getattr(s, "dropped", 0) for s in sandbox.sinks),
-        "notes": list(sandbox.diagnostics),
-    }
-    return report
+        total += disp.conditions_evaluated
+        emit(disp)
+    return Report(
+        total_conditions=total,
+        log_records=sandbox.log_count,
+        vfs_digest=sandbox.vfs.digest(),
+        diagnostics={
+            "dropped": sum(getattr(s, "dropped", 0) for s in sandbox.sinks),
+            "notes": list(sandbox.diagnostics),
+        })
 
 
 class EventSource:

@@ -289,8 +289,11 @@ class TestReport:
     def expected(self, compiled, fs, trace):
         prog = apc.deserialize(compiled.read_bytes())
         sandbox = SandboxState(vfs=vfs_from_manifest(fs.read_bytes()))
-        report = replay_trace(prog, parse_trace(trace.read_text()), sandbox)
-        return report.to_dict()
+        dispositions = []
+        report = replay_trace(prog, parse_trace(trace.read_text()), sandbox,
+                              dispositions.append)
+        return {"events": [d.to_dict() for d in dispositions],
+                **report.to_dict()}
 
     def test_file_and_stdout_match_replay(self, compiled, tmp_path, capsys):
         fs, trace = self.inputs(tmp_path)

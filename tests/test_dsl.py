@@ -342,6 +342,23 @@ class TestApcFormat:
         with pytest.raises(CorruptRecord):
             apc.deserialize((prefix + line + "\n").encode())
 
+    def test_second_bind_of_a_syscall_is_corrupt(self):
+        # The DSL rejects this as DuplicateBind; a loader that kept both
+        # would let plain and cloaked runs pick different chains.
+        blob = ("APATE-RP 1\n"
+                "ACTION\ta0\tlog\t[]\n"
+                'COND\tc0\ttestforuid\t[">",0]\n'
+                "RULE\tr0\t(& c0 c0)\ta0\tx:1\n"
+                "CHAIN\ta\t:r0\n"
+                "CHAIN\tb\t:r0\n"
+                "BIND\tsys_open\ta\n"
+                "BIND\tsys_open\tb\n")
+        with pytest.raises(CorruptRecord, match="line 8: syscall 'open' "
+                           "already has a bound rulechain"):
+            apc.deserialize(blob.encode())
+        one = apc.deserialize(blob.encode().rsplit(b"BIND", 1)[0])
+        assert one.bindings == [("open", "a")]
+
     def test_corrupt_record_reports_line(self):
         with pytest.raises(CorruptRecord) as exc:
             apc.deserialize(b"APATE-RP 1\nWHAT\tx\n")
