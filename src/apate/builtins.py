@@ -57,13 +57,19 @@ def _as_str(value) -> str:
 # expression in a generated guard function (see GuardSource).  The
 # expression is truthy exactly when the condition holds; `1 if x else 0`
 # around it gives the condition's 0 | 1.  Params reach the text only as
-# names bound by src.const, operator text only from COMPARISONS, and
-# context field names only from CTX_FIELDS.
+# names bound by src.const, operator text only from COMPARISONS, context
+# field names only from CTX_FIELDS, and a wildcard prefix's length only
+# as the int len() gives for a pattern check_params accepted.
 
 def _wildcard(src, pattern, subject):
+    """Leaf text: subject matches pattern; a None subject never does.
+
+    ``P*`` compares a hoisted ``subject[:len(P)]`` with P, which for a
+    str is the test ``subject.startswith(P)`` makes, without a call.
+    """
     p = WildcardPattern(pattern)
     if p.has_tail_star:
-        return f"{subject}.startswith({src.const(p.prefix)})"
+        subject = src.prefix(subject, len(p.prefix))
     return f"({subject} == {src.const(p.prefix)})"
 
 
@@ -130,7 +136,7 @@ def _e_testforfdpath(src, params):
     index, pattern = params
     return _arg_leaf(
         src, "testforfdpath", index, src.fd_path,
-        lambda p: f"({p} is not None and {_wildcard(src, pattern, p)})")
+        lambda p: _wildcard(src, pattern, p))
 
 
 def _miss(sandbox, kind, detail):
@@ -144,8 +150,10 @@ class GuardSource:
     ``guard(ev, sb)`` reads each per-event value it needs once, at the
     top, whatever number of leaves use it: the task context and its
     fields, ``args`` and ``len(args)``, ``_as_str(args[i])`` and
-    ``sb.fds.path_of(args[i])`` per index, ``sb.store.get``.  Reads of an
-    index are guarded by ``nargs`` and hold None when it is out of range.
+    ``sb.fds.path_of(args[i])`` per index, ``sb.store.get``, and one
+    ``subject[:n]`` per subject and distinct wildcard prefix length n.
+    Reads of an index are guarded by ``nargs`` and hold None when it is
+    out of range; so do their prefixes.
     """
 
     _CTX_READS = CTX_FIELDS + ("pname", "parent_pname")
@@ -188,6 +196,11 @@ class GuardSource:
 
     def fd_path(self, index) -> str:
         return self._arg("sb.fds.path_of", index)
+
+    def prefix(self, subject, n: int) -> str:
+        """Local holding subject[:n], or None where subject is None."""
+        return self._read(f"{subject}_p{n:d}",
+                          f"{subject}[:{n:d}] if {subject} is not None else None")
 
     def store_get(self) -> str:
         return self._read("store_get", "sb.store.get")

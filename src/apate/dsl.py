@@ -701,9 +701,17 @@ def _call_src(call: Call) -> str:
 
 
 def _condexpr_src(node) -> str:
-    if isinstance(node, BinOp):
-        return f"({_condexpr_src(node.left)} {node.op} {_condexpr_src(node.right)})"
-    return _call_src(node)
+    """``(left op right)`` per BinOp; iterative, so depth is unbounded."""
+    out, todo = [], [node]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, BinOp):
+            todo += (")", item.right, f" {item.op} ", item.left, "(")
+        else:
+            out.append(_call_src(item))
+    return "".join(out)
 
 
 def _rhs_src(rhs) -> str:

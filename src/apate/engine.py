@@ -5,14 +5,16 @@ Each guard (a ConditionBlock tree) runs as one Python function,
 is bound: at load (validate_program), or at the first dispatch of a
 program built in code.  The program's plan holds it; nothing is cached
 across programs.  The function reads each per-event value it needs
-once, at its top, then evaluates every leaf left to right as an inline
+once, at its top (a wildcard prefix once per subject and prefix
+length), then evaluates every leaf left to right as an inline
 expression: nothing short-circuits, so diagnostics come out in leaf
 order and the number of conditions evaluated is the block's static
-``leaf_count``.  A run of same-operator blocks is one flat sum of its
-children compared against a count (all of them for AND, one for OR),
-which is what ``(d + e) * f >= 4`` gives when applied pairwise.  Each
-leaf's text comes from its builtin's emitter (builtins.py), with params
-bound as namespace constants, never written into the source.
+``leaf_count``.  A run of same-operator blocks is one boolean local,
+all() (AND) or any() (OR) of a tuple of its children, built in full
+before the fold; that is what ``(d + e) * f >= 4`` gives when applied
+pairwise.  Each leaf's text comes from its builtin's emitter
+(builtins.py), with params bound as namespace constants, never written
+into the source.
 """
 
 from __future__ import annotations
@@ -54,22 +56,23 @@ def _flatten(node):
 
 
 def _flush(body, run):
-    var, _, pending = run
+    """Fold a run's pending items into its local, which then leads them."""
+    var, fold, pending = run
     if pending:
-        body.append(f"{var} += sum(({', '.join(pending)},))")
-        pending.clear()
+        body.append(f"{var} = {fold}(({', '.join(pending)},))")
+        pending[:] = [var]
 
 
 def _generate(block: ConditionBlock):
     """Build guard(ev, sb) for a block; iterative, so depth is unbounded.
 
-    Each same-operator run counts its true children in a local: its
-    leaves are summed as a tuple, and a nested run adds its own 0/1 after
-    the leaves before it are added, so every leaf evaluates in
+    Each same-operator run folds its children with all() (AND) or any()
+    (OR); a nested run folds after the parent's items before it and joins
+    the parent's next tuple as one item, so every leaf evaluates in
     left-to-right order.
     """
     src = GuardSource()
-    body, runs = [], []           # open runs: (local, count needed, leaves)
+    body, runs = [], []           # open runs: (local, fold, pending items)
     todo = [block]
     while todo:
         node = todo.pop()
@@ -79,18 +82,16 @@ def _generate(block: ConditionBlock):
         if runs:
             _flush(body, runs[-1])
         if node is None:          # end of the innermost open run
-            var, need, _ = runs.pop()
-            test = f"({var} >= {need})"
-            body.append(f"{runs[-1][0]} += {test}" if runs
-                        else f"return 1 if {test} else 0")
+            var = runs.pop()[0]
+            if runs:
+                runs[-1][2].append(var)
+            else:
+                body.append(f"return 1 if {var} else 0")
         else:
-            children = _flatten(node)
-            need = len(children) if node.op_code == OP_AND else 1
-            var = f"g{len(body)}"
-            runs.append((var, need, []))
-            body.append(f"{var} = 0")
+            fold = "all" if node.op_code == OP_AND else "any"
+            runs.append((f"g{len(runs)}", fold, []))
             todo.append(None)
-            todo += reversed(children)
+            todo += reversed(_flatten(node))
     return src.function(body)
 
 

@@ -264,13 +264,25 @@ class FdTable:
         return fd
 
     def get(self, fd):
-        return self.entries.get(fd)
+        """fd's entry, or None; an unhashable fd (a JSON array in a
+        trace) names no descriptor."""
+        try:
+            return self.entries.get(fd)
+        except TypeError:
+            return None
 
     def close(self, fd) -> bool:
-        return self.entries.pop(fd, None) is not None
+        if self.get(fd) is None:
+            return False
+        del self.entries[fd]
+        return True
 
     def path_of(self, fd) -> "str | None":
-        e = self.entries.get(fd)
+        # get()'s test inline: generated guards call this once per guard
+        try:
+            e = self.entries.get(fd)
+        except TypeError:
+            return None
         return e[0] if e else None
 
 

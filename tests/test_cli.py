@@ -219,6 +219,29 @@ class TestRun:
         assert self.run_read(tmp_path, source, True) == [3, -22, 4]
         assert self.run_read(tmp_path, source, "4096") == [3, 10, 0]
 
+    def test_unhashable_fd_is_ebadf(self, tmp_path):
+        src = tmp_path / "fd.apate"
+        src.write_text('define r as rule\ndefine rc as rulechain\n'
+                       'let r be {{testforfdpath(0;"*")}->block(-7)}\n'
+                       'let rc be {r}\nbind rc to sys_read\n')
+        prog = tmp_path / "fd.apc"
+        assert main(["compile", str(src), "-o", str(prog)]) == 0
+        fs = tmp_path / "fs.manifest"
+        fs.write_text("F /f 10 @0123456789\n")
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join([
+            trace_line(1, "open", ["/f", "r"]),
+            trace_line(2, "read", [[3], 4]),    # no path: the rule misses
+            trace_line(3, "write", [[3], 4]),
+            trace_line(4, "close", [[3]]),
+            trace_line(5, "read", [3, 4]),      # a path: the rule fires
+        ]) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["run", "--program", str(prog), "--trace", str(trace),
+                     "--fs", str(fs), "--report", str(report_path)]) == 0
+        events = json.loads(report_path.read_text())["events"]
+        assert [e["result"] for e in events] == [3, -9, -9, -9, -7]
+
     def test_drops_counted_while_closing_a_sink_are_reported(
             self, compiled, tmp_path, monkeypatch):
         class DropsOnClose:

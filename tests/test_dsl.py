@@ -282,6 +282,15 @@ class TestPrettyPrint:
         assert strip_spans(prog1) == strip_spans(prog2)
         assert apc.serialize(strip_spans(prog1)) == apc.serialize(strip_spans(prog2))
 
+    def test_3000_leaf_guard(self):
+        leaves = [f'testforparam(0;"/p{i}/*")' for i in range(3_000)]
+        source = ("define r1 as rule\ndefine rc1 as rulechain\n"
+                  f"let r1 be {{{{{' && '.join(leaves)}}}->log()}}\n"
+                  "let rc1 be {r1}\nbind rc1 to sys_open\n")
+        nested = "(" * 2_999 + leaves[0] + "".join(f" && {x})" for x in leaves[1:])
+        assert pretty_print(parse(toks(source))) == source.replace(
+            " && ".join(leaves), nested)
+
 
 class TestApcFormat:
     def test_round_trip_byte_identical(self):

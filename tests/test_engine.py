@@ -412,8 +412,14 @@ def _ref_block(node, ev, sb, counter):
     return 1 if (d + e) * node.op_code >= 4 else 0
 
 
-_NAMES = ("sshd", "ssh*", "bash", "mysql*", "*", "")
-_PATHS = ("/etc/*", "/etc/motd", "*", "/var/lib/mysql/*", "r", "4*", "/x*")
+# Prefixes of several lengths on one subject, two of one length ("ssh-*",
+# "bash*"; "/etc/*", "/var/*"), one longer than every value, ones equal to
+# a whole value ("mysql*", "/etc/motd*"), "*", and non-ASCII ones.
+_NAMES = ("sshd", "s*", "ssh*", "ssh-*", "bash*", "bash", "mysql*",
+          "mysqld-and-a-much-longer-name*", "dæ*", "dæmon", "*", "")
+_PATHS = ("/etc/*", "/var/*", "/e*", "/etc/m*", "/etc/motd*", "/etc/motd",
+          "*", "/var/lib/mysql/*", "/etc/motd/and/a/much/longer/tail*",
+          "/ét*", "/étc/ñ", "r", "4*", "/x*")
 
 
 def _random_leaf(rng):
@@ -452,13 +458,17 @@ class TestGeneratedGuards:
         rng = random.Random(20)
         sb = SandboxState()
         sb.vfs.put_file("/etc/motd", b"welcome to apate")
+        sb.vfs.put_file("/étc/ñ", b"")
         held = sb.fds.alloc("/etc/motd", "r", sb.vfs.files["/etc/motd"])
+        wide = sb.fds.alloc("/étc/ñ", "r", sb.vfs.files["/étc/ñ"])
         sb.store.set("n", 3)
         ctxs = [make_ctx(uid=u, pid=p, ssid=s, pname=n, parent_pname=pn)
                 for u, p, s, n, pn in ((1000, 100, 1, "bash", "sshd"),
                                        (0, 1, 0, "mysqld", "mysql"),
-                                       (1001, 42, 7, "sh", "ssh-agent"))]
+                                       (1001, 42, 7, "sh", "ssh-agent"),
+                                       (33, 7, 2, "dæmon", "bash"))]
         events = [("open", "/etc/motd", "r"), ("open", b"/etc/\xffx", "w"),
+                  ("open", "/étc/ñ", "r"), ("read", wide, 1),
                   ("read", held, 4096), ("read", 99, 10),  # 99: no path
                   ("close", held), ("getpid",), ("write", 4, 17),
                   ("execve", "/bin/sh", "sh -c id"), ("getdents", "/etc")]
