@@ -28,8 +28,12 @@ MAGIC = "APATE-RP"
 VERSION = 1
 
 
+# json.dumps with any non-default option builds a new encoder per call
+_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+
+
 def _params_json(params) -> str:
-    return json.dumps(list(params), separators=(",", ":"), ensure_ascii=False)
+    return _encode(list(params))
 
 
 def _params_load(text):

@@ -128,8 +128,15 @@ def _e_file_keyword(src, params):
 
 
 def _e_store_cmp(src, params):
+    """An ordering on a cell that is not an int is 0 with a diagnostic."""
     key, op, value = params
-    return _compare(src, f"{src.store_get()}({src.const(key)})", op, value)
+    cell = f"{src.store_get()}({src.const(key)})"
+    if op in ("==", "!="):
+        return _compare(src, cell, op, value)
+    miss = (f"_miss(sb, {src.const('StoreTypeMismatch')}, "
+            f"{src.const(f'store_cmp: {key!r} {op} {value} on a non-int cell')})")
+    return (f"({_compare(src, 'cell', op, value)} "
+            f"if isinstance(cell := {cell}, int) else {miss})")
 
 
 def _e_testforfdpath(src, params):

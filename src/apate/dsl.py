@@ -17,6 +17,7 @@ Invocation arguments are separated by ';' as in the original sources;
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from . import builtins as bi
@@ -32,7 +33,7 @@ TYPE_KEYWORDS = ("condition", "rule", "action", "conditionblock",
                  "rulechain", "syscall")
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     type: str       # KW IDENT STRING INT PUNCT EOF
     value: object
@@ -47,123 +48,106 @@ class SourceUnit:
 
 
 # --- lexer ---------------------------------------------------------------
+# One regex scan.  Spaces, tabs, CRs and a '//' comment (it runs to the
+# newline) are skipped in front of each match; then exactly one named
+# group matches.  NL is a newline, bare or after a '\\' continuation:
+# only '\n' starts a line.  The empty ``other`` group matches where
+# nothing else does, so the scan never skips a character.  INT digits
+# are ASCII only.  Identifiers start with a character for which
+# isalpha() holds or '_' and go on while isalnum() holds or '_', which
+# is what \w matches.  A STRING with no backslash is its text; one with
+# a backslash goes through _string, which applies its escapes or raises.
 
+_TOKEN = re.compile(r"""
+    [ \t\r]*(?://[^\n]*)?
+    (?: (?P<PUNCT>[(),;{}:]|&&|\|\||->)
+      | (?P<STRING>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*")
+      | (?P<INT>-?[0-9]+)
+      | (?P<WORD>\w+)
+      | (?P<NL>\\?\n)
+      | (?P<EOF>\Z)
+      | (?P<other>) )""", re.VERBOSE)
+
+_PLAIN = re.compile(r'[^"\\\n]*')
+# '\\' then: a continuation (the newline and the next line's indentation
+# are spliced out), four ASCII hex digits naming no surrogate (D800-DFFF),
+# or a one-character escape
+_ESCAPE = re.compile(
+    r'\\(?:\n[ \t]*|u(?![Dd][89A-Fa-f])([0-9A-Fa-f]{4})|(["\\/ntrbf]))')
 _STRING_ESCAPES = {'"': '"', "\\": "\\", "/": "/", "n": "\n", "t": "\t",
                    "r": "\r", "b": "\b", "f": "\f"}
+
+
+def _where(text, i):
+    """(line, col) of offset i."""
+    return text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
+
+
+def _string(text, i, filename) -> str:
+    """The value of the string literal whose '"' is at offset i."""
+    parts, j = [], i + 1
+    while True:
+        k = _PLAIN.match(text, j).end()
+        parts.append(text[j:k])
+        if k == len(text) or text[k] == "\n":
+            raise UnterminatedString("unterminated string literal", filename,
+                                     *_where(text, i))
+        if text[k] == '"':
+            return "".join(parts)
+        m = _ESCAPE.match(text, k)
+        if m is None:
+            c = text[k + 1:k + 2]
+            raise IllegalCharacter("bad \\u escape" if c == "u"
+                                   else f"bad escape \\{c}", filename,
+                                   *_where(text, k))
+        if m[1]:
+            parts.append(chr(int(m[1], 16)))
+        elif m[2]:
+            parts.append(_STRING_ESCAPES[m[2]])
+        j = m.end()
 
 
 def tokenize(src: SourceUnit) -> list:
     text, filename = src.text, src.filename
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def advance(k=1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance()
-            continue
-        if ch == "\\" and i + 1 < n and text[i + 1] == "\n":
-            # physical-line continuation: acts as whitespace here
-            advance(2)
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            advance()
-            buf = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    raise UnterminatedString("unterminated string literal",
-                                             filename, start_line, start_col)
-                c = text[i]
-                if c == '"':
-                    advance()
-                    break
-                if c == "\\":
-                    if i + 1 < n and text[i + 1] == "\n":
-                        # continuation inside a string splices out the
-                        # newline and the next line's indentation
-                        advance(2)
-                        while i < n and text[i] in " \t":
-                            advance()
-                        continue
-                    if i + 1 < n and text[i + 1] in _STRING_ESCAPES:
-                        buf.append(_STRING_ESCAPES[text[i + 1]])
-                        advance(2)
-                        continue
-                    if i + 1 < n and text[i + 1] == "u":
-                        if i + 6 <= n:
-                            try:
-                                buf.append(chr(int(text[i + 2:i + 6], 16)))
-                                advance(6)
-                                continue
-                            except ValueError:
-                                pass
-                        raise IllegalCharacter("bad \\u escape", filename, line, col)
-                    raise IllegalCharacter(f"bad escape \\{text[i + 1:i + 2]}",
-                                           filename, line, col)
-                buf.append(c)
-                advance()
-            tokens.append(Token("STRING", "".join(buf), start_line, start_col))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", int(text[i:j]), start_line, start_col))
-            advance(j - i)
-            continue
-        if ch == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append(Token("PUNCT", "->", start_line, start_col))
-                advance(2)
+    append = tokens.append
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        col = start - line_start + 1
+        if kind == "PUNCT":
+            append(Token("PUNCT", text[start:end], line, col))
+        elif kind == "STRING":
+            value = text[start:end]
+            if "\\" not in value:
+                append(Token("STRING", value[1:-1], line, col))
                 continue
-            if i + 1 < n and text[i + 1].isdigit():
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                tokens.append(Token("INT", int(text[i:j]), start_line, start_col))
-                advance(j - i)
-                continue
-            raise IllegalCharacter("stray '-'", filename, start_line, start_col)
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            tokens.append(Token("KW" if word in KEYWORDS else "IDENT",
-                                word, start_line, start_col))
-            advance(j - i)
-            continue
-        if ch in "{}(),;:":
-            tokens.append(Token("PUNCT", ch, start_line, start_col))
-            advance()
-            continue
-        if ch == "&" and i + 1 < n and text[i + 1] == "&":
-            tokens.append(Token("PUNCT", "&&", start_line, start_col))
-            advance(2)
-            continue
-        if ch == "|" and i + 1 < n and text[i + 1] == "|":
-            tokens.append(Token("PUNCT", "||", start_line, start_col))
-            advance(2)
-            continue
-        raise IllegalCharacter(f"illegal character {ch!r}",
-                               filename, start_line, start_col)
-    tokens.append(Token("EOF", None, line, col))
+            append(Token("STRING", _string(text, start, filename), line, col))
+            if nl := text.count("\n", start, end):  # continuations
+                line += nl
+                line_start = text.rfind("\n", start, end) + 1
+        elif kind == "WORD":
+            word = text[start:end]
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise IllegalCharacter(f"illegal character {word[0]!r}",
+                                       filename, line, col)
+            append(Token("KW" if word in KEYWORDS else "IDENT", word, line, col))
+        elif kind == "INT":
+            append(Token("INT", int(text[start:end]), line, col))
+        elif kind == "NL":
+            line += 1
+            line_start = end
+        elif kind == "EOF":
+            break
+        else:
+            ch = text[start]
+            if ch == '"':  # unterminated: _string says where it stops
+                _string(text, start, filename)
+            raise IllegalCharacter("stray '-'" if ch == "-" else
+                                   f"illegal character {ch!r}",
+                                   filename, line, col)
+    append(Token("EOF", None, line, col))
     return tokens
 
 
@@ -231,14 +215,19 @@ class Ast:
     filename: str = "<input>"
 
 
+_BINDS = {"||": 1, "&&": 2}    # how tight each operator binds
+_OPS = {1: "||", 2: "&&"}
+
+
 class Parser:
     def __init__(self, tokens, filename="<input>"):
         self.tokens = tokens
         self.filename = filename
         self.pos = 0
 
-    def peek(self, offset=0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    # The last token is always EOF, and next() never moves past it.
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -253,10 +242,11 @@ class Parser:
                                self.filename, tok.line, tok.col)
 
     def expect(self, type_, value=None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.type != type_ or (value is not None and tok.value != value):
             self.error(value if value is not None else type_.lower())
-        return self.next()
+        self.pos += 1   # a token that matches is not EOF
+        return tok
 
     def parse(self) -> Ast:
         statements = []
@@ -308,7 +298,7 @@ class Parser:
         if tok.value == "{" and tok.type == "PUNCT":
             return self.block()
         if tok.type == "IDENT":
-            if self.peek(1).value == "(":
+            if self.tokens[self.pos + 1].value == "(":
                 return self.invocation()
             return NameRef(self.next().value)
         self.error("identifier, builtin call, or block")
@@ -328,7 +318,7 @@ class Parser:
         if tok.value == "(":
             return CondBlockExpr(self.condexpr())
         if tok.type == "IDENT":
-            nxt = self.peek(1).value
+            nxt = self.tokens[self.pos + 1].value
             if nxt == "->":
                 return self.ruleexpr()
             if nxt == "(":
@@ -337,47 +327,55 @@ class Parser:
         self.error("condition expression, rule, or chain")
 
     def condexpr(self):
-        node = self.condand()
-        while self.peek().value == "||":
-            self.next()
-            node = BinOp("||", node, self.condand())
-        return node
+        """condexpr := condand ('||' condand)*, condand := condterm ('&&'
+        condterm)*, condterm := '(' condexpr ')' | invocation.
 
-    def condand(self):
-        node = self.condterm()
-        while self.peek().value == "&&":
-            self.next()
-            node = BinOp("&&", node, self.condterm())
-        return node
-
-    def condterm(self):
-        tok = self.peek()
-        if tok.value == "(":
-            self.next()
-            node = self.condexpr()
-            self.expect("PUNCT", ")")
-            return node
-        if tok.type == "IDENT":
-            return self.invocation()
-        self.error("'(' or condition invocation")
+        Precedence climbing (Clarke 1986) over explicit operand and
+        operator stacks, so parentheses nest to any depth: '&&' binds
+        tighter than '||', and both associate to the left.
+        """
+        operands, ops = [], []    # ops: binding levels, 0 for an open '('
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            while tok.value == "(":
+                ops.append(0)
+                self.pos += 1
+                tok = tokens[self.pos]
+            if tok.type != "IDENT":
+                self.error("'(' or condition invocation")
+            operands.append(self.invocation())
+            while True:
+                level = _BINDS.get(tokens[self.pos].value, 0)
+                floor = level or 1   # no operator: close down to the '('
+                while ops and ops[-1] >= floor:
+                    right = operands.pop()
+                    operands[-1] = BinOp(_OPS[ops.pop()], operands[-1], right)
+                if level:
+                    ops.append(level)
+                    self.pos += 1
+                    break
+                if not ops:
+                    return operands[0]
+                self.expect("PUNCT", ")")
+                ops.pop()
 
     def invocation(self) -> Call:
         name_tok = self.expect("IDENT")
         self.expect("PUNCT", "(")
-        args = []
-        if self.peek().value != ")":
-            args.append(self.arg())
-            while self.peek().value in (";", ","):
-                self.next()
-                args.append(self.arg())
+        tokens, args = self.tokens, []
+        if tokens[self.pos].value != ")":
+            while True:   # arg (';' | ',') arg ...
+                tok = tokens[self.pos]
+                if tok.type != "STRING" and tok.type != "INT":
+                    self.error("string or integer literal")
+                args.append(tok.value)
+                self.pos += 1
+                if tokens[self.pos].value not in (";", ","):
+                    break
+                self.pos += 1
         self.expect("PUNCT", ")")
         return Call(name_tok.value, args, name_tok.line)
-
-    def arg(self):
-        tok = self.peek()
-        if tok.type in ("STRING", "INT"):
-            return self.next().value
-        self.error("string or integer literal")
 
     def ruleexpr(self) -> RuleExpr:
         tok = self.peek()

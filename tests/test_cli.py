@@ -1,5 +1,8 @@
 import json
+import os
 import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -50,6 +53,23 @@ class TestCompile:
         assert main(["compile", str(src), "-o", str(tmp_path / "x.apc")]) == 1
         assert capsys.readouterr().err.startswith(f"{src}:")
 
+    @pytest.mark.parametrize("text, where", [
+        ('let x be f(5\u00b2)', "1:13"),      # '5' then a superscript two
+        ('define c as condition\nlet c be f(\u0663)', "2:12"),  # Arabic-Indic 3
+        ('define r as rule\ndefine rc as rulechain\n'   # a lone surrogate
+         'let r be {{testforpname("\\ud800")}->log()}\n'
+         'let rc be {r}\nbind rc to sys_open\n', "3:26"),
+        ('let x be f("ok", "\\u0x41")', "1:19"),
+    ])
+    def test_lexical_error_exits_1_with_location(self, tmp_path, capsys,
+                                                 text, where):
+        src = tmp_path / "bad.apate"
+        src.write_text(text, encoding="utf-8")
+        assert main(["compile", str(src), "-o", str(tmp_path / "x.apc")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{src}:{where}: ")
+        assert "Traceback" not in err
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["compile", str(tmp_path / "none.apate"),
                      "-o", str(tmp_path / "x.apc")]) == 2
@@ -62,6 +82,17 @@ class TestCompile:
                        "let rc be {r}\nbind rc to sys_open\n")
         assert main(["compile", str(src), "-o", str(tmp_path / "x.apc")]) == 0
         assert "warning:" in capsys.readouterr().err
+
+
+def test_python_m_apate_help():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(__file__), "..", "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "apate", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: apate ")
+    assert "compile" in done.stdout
 
 
 class TestRun:
@@ -241,6 +272,32 @@ class TestRun:
                      "--fs", str(fs), "--report", str(report_path)]) == 0
         events = json.loads(report_path.read_text())["events"]
         assert [e["result"] for e in events] == [3, -9, -9, -9, -7]
+
+    def test_store_cmp_ordering_on_a_string_cell(self, tmp_path):
+        src = tmp_path / "store.apate"
+        src.write_text(
+            'define set,gt,eq,ne as rule\ndefine rc as rulechain\n'
+            'let set be {{always_true()}->store_set("k";"abc")}\n'
+            'let gt be {{store_cmp("k";">";3) || store_cmp("k";"<=";3)}'
+            '->block(-1)}\n'
+            'let eq be {{store_cmp("k";"==";3)}->block(-2)}\n'
+            'let ne be {{store_cmp("k";"!=";3)}->block(-3)}\n'
+            'let rc be {set,gt,eq,ne}\nbind rc to sys_getpid\n')
+        prog = tmp_path / "store.apc"
+        assert main(["compile", str(src), "-o", str(prog)]) == 0
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "getpid", []) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["run", "--program", str(prog), "--trace", str(trace),
+                     "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        # neither ordering holds; == and != compare as before
+        assert [e["result"] for e in report["events"]] == [-3]
+        assert report["diagnostics"]["notes"] == [
+            {"kind": "StoreTypeMismatch",
+             "detail": "store_cmp: 'k' > 3 on a non-int cell"},
+            {"kind": "StoreTypeMismatch",
+             "detail": "store_cmp: 'k' <= 3 on a non-int cell"}]
 
     def test_drops_counted_while_closing_a_sink_are_reported(
             self, compiled, tmp_path, monkeypatch):

@@ -63,6 +63,34 @@ class TestLexer:
         (tok,) = [t for t in toks(r'"a\"b\\c\nA"') if t.type == "STRING"]
         assert tok.value == 'a"b\\c\nA'
 
+    @pytest.mark.parametrize("escape", [
+        r"\u 041", r"\u0x41", r"\u+041", r"\u1_23", r"\ud800", r"\uDFFF",
+        r"\u12", "\\u\u0661\u0662\u0663\u0664",
+    ])
+    def test_u_escape_takes_four_ascii_hex_digits_and_no_surrogate(self, escape):
+        with pytest.raises(IllegalCharacter) as exc:
+            toks(f'f(\n  "ab{escape}")')
+        assert exc.value.message == "bad \\u escape"
+        assert (exc.value.line, exc.value.col) == (2, 6)
+
+    def test_u_escape_edges(self):
+        (tok,) = [t for t in toks(r'"\u0041\ud7ff\uE000\uFFFF\u00e9"')
+                  if t.type == "STRING"]
+        assert tok.value == "A\ud7ff\ue000\uffff\u00e9"
+
+    @pytest.mark.parametrize("text, col", [
+        ("f(5\u00b2)", 4), ("f(\u00b2)", 3), ("f(\u0663)", 3),
+        ("f(12\u0663)", 5), ("f(\u00bd)", 3),
+    ])
+    def test_int_digits_are_ascii(self, text, col):
+        with pytest.raises(IllegalCharacter, match="illegal character") as exc:
+            toks(text)
+        assert (exc.value.line, exc.value.col) == (1, col)
+
+    def test_non_ascii_digits_continue_identifiers(self):
+        assert [t.value for t in toks("x\u00b2 y\u0663")][:2] == ["x\u00b2",
+                                                                  "y\u0663"]
+
     def test_unterminated_string(self):
         with pytest.raises(UnterminatedString) as exc:
             toks('let x be f("oops)')
@@ -400,6 +428,29 @@ class TestDeepGuards:
             assert disp.conditions_evaluated == 5_000
             assert disp.matched_rules == [0] * fires
             assert disp.result == 1000
+
+    @pytest.mark.parametrize("nest", ["left", "right"])
+    def test_3000_deep_parentheses_alternating_ops(self, nest):
+        depth = 3_000
+        leaves = [f'testforuid(">=";{-i})' for i in range(depth + 1)]
+        ops = ["&&" if i % 2 else "||" for i in range(depth)]
+        if nest == "left":   # (((c0 || c1) && c2) || c3) ...
+            expr = "(" * depth + leaves[0] + "".join(
+                f" {op} {leaf})" for op, leaf in zip(ops, leaves[1:]))
+        else:                # (c0 || (c1 && (c2 || c3 ...)))
+            expr = "".join(f"({leaf} {op} " for leaf, op in zip(leaves, ops)
+                           ) + leaves[-1] + ")" * depth
+        source = self.source([expr])
+        prog, _ = compile_source(source)
+        blob = apc.serialize(prog)
+        assert apc.serialize(apc.deserialize(blob)) == blob
+        printed = pretty_print(parse(toks(source)))
+        assert pretty_print(parse(toks(printed))) == printed
+        disp = dispatch(apc.deserialize(blob),
+                        make_event("getuid", ctx=make_ctx(uid=1000)),
+                        SandboxState())
+        assert disp.conditions_evaluated == depth + 1
+        assert disp.matched_rules == [0]
 
     def test_deep_guard_reports_its_first_bad_leaf(self):
         leaves = ['testforuid(">=";0)'] * 5_000
