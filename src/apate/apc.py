@@ -21,19 +21,12 @@ import dataclasses
 import json
 
 from .errors import BadMagic, CorruptRecord, UnsupportedVersion
+from .logsink import args_json
 from .model import (Action, ActionChain, Condition, ConditionBlock, Rule,
                     RuleChain, RuleProgram, SYSCALL_ARITY, OP_AND, OP_OR)
 
 MAGIC = "APATE-RP"
 VERSION = 1
-
-
-# json.dumps with any non-default option builds a new encoder per call
-_encode = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
-
-
-def _params_json(params) -> str:
-    return _encode(list(params))
 
 
 def _params_load(text):
@@ -56,7 +49,7 @@ def serialize(prog: RuleProgram) -> bytes:
         if key not in conds:
             cid = f"c{len(conds)}"
             conds[key] = cid
-            cond_lines.append(f"COND\t{cid}\t{c.builtin_name}\t{_params_json(c.params)}")
+            cond_lines.append(f"COND\t{cid}\t{c.builtin_name}\t{args_json(c.params)}")
         return conds[key]
 
     def guard_expr(node) -> str:
@@ -79,7 +72,7 @@ def serialize(prog: RuleProgram) -> bytes:
         if key not in acts:
             aid = f"a{len(acts)}"
             acts[key] = aid
-            act_lines.append(f"ACTION\t{aid}\t{a.builtin_name}\t{_params_json(a.params)}")
+            act_lines.append(f"ACTION\t{aid}\t{a.builtin_name}\t{args_json(a.params)}")
         return acts[key]
 
     def emit_rule(rule: Rule) -> None:

@@ -1,62 +1,53 @@
-"""Predefined log-cloaking rules.
+"""Predefined log-cloaking rules, written in .apate (CLOAK_SOURCE).
 
 These rules make the honeypot's own logfile invisible to every syscall
 issued through the hooked layer: opening, reading, writing, or unlinking
-the logfile fails with ENOENT (a missing file is stealthier than a
-permission error), and directory listings omit its entry.  The rules are
-prepended with exit flags so user rules can never run first.
+the logfile fails with ENOENT, and directory listings omit its entry.
+The rules are prepended with exit flags so user rules can never run
+first.
 """
 
 from __future__ import annotations
 
-from .model import (Action, ActionChain, ALWAYS_TRUE, Condition,
-                    ConditionBlock, OP_AND, Rule, RuleChain, RuleProgram)
-from .sandbox import ENOENT, normalize_path, parent_of
+from string import Template
 
+from .dsl import _arg_src, compile_source
+from .model import Action, ActionChain, Rule, RuleChain, RuleProgram
+from .sandbox import normalize_path, parent_of
 
-def _guard(cond: Condition) -> ConditionBlock:
-    return ConditionBlock(cond, ALWAYS_TRUE, OP_AND)
-
-
-def _rule(name, cond, actions) -> Rule:
-    return Rule(name, _guard(cond), ActionChain(tuple(actions)), exit_flag=1,
-                span="cloak")
+# $log, $dir and $name are the logfile's path, directory and basename,
+# each as a string literal; .apate has no '$'.
+CLOAK_SOURCE = Template("""\
+// Touching the logfile fails with ENOENT (-2): a missing file is
+// stealthier than a permission error.
+define by_path,by_fd,listing as rule
+define cloak_path,cloak_fd,cloak_dir as rulechain
+let by_path be {{testforparam(0;$log)}->block(-2)}
+let by_fd be {{testforfdpath(0;$log)}->block(-2)}
+let listing be {{testforparam(0;$dir)}->call_orig(),filter_dirents($name)}
+let cloak_path be {:by_path}
+let cloak_fd be {:by_fd}
+let cloak_dir be {:listing}
+bind cloak_path to open
+bind cloak_fd to read
+bind cloak_fd to write
+bind cloak_path to unlink
+bind cloak_dir to getdents
+""")
 
 
 def cloak_ruleset(log_path: str) -> RuleProgram:
-    """Build the cloak bindings for open, read, write, unlink, getdents.
+    """Compile the cloak bindings for open, read, write, unlink, getdents.
 
     The logfile is hidden from every uid, admin included: reading the log
-    requires going around the hooked layer entirely.
+    requires going around the hooked layer entirely.  Rule spans are
+    ``<cloak>:N``, N a line of CLOAK_SOURCE.
     """
     log_path = normalize_path(log_path)
-    log_dir = parent_of(log_path)
-    basename = log_path.rsplit("/", 1)[1]
-    block = Action("block", (ENOENT,))
-
-    by_path = Condition("testforparam", (0, log_path))
-    by_fd = Condition("testforfdpath", (0, log_path))
-
-    chains = {
-        "_cloak_open": RuleChain("_cloak_open",
-                                 (_rule("_cloak_open_0", by_path, [block]),)),
-        "_cloak_read": RuleChain("_cloak_read",
-                                 (_rule("_cloak_read_0", by_fd, [block]),)),
-        "_cloak_write": RuleChain("_cloak_write",
-                                  (_rule("_cloak_write_0", by_fd, [block]),)),
-        "_cloak_unlink": RuleChain("_cloak_unlink",
-                                   (_rule("_cloak_unlink_0", by_path, [block]),)),
-        "_cloak_getdents": RuleChain(
-            "_cloak_getdents",
-            (_rule("_cloak_getdents_0",
-                   Condition("testforparam", (0, log_dir)),
-                   [Action("call_orig", ()),
-                    Action("filter_dirents", (basename,))]),)),
-    }
-    bindings = [("open", "_cloak_open"), ("read", "_cloak_read"),
-                ("write", "_cloak_write"), ("unlink", "_cloak_unlink"),
-                ("getdents", "_cloak_getdents")]
-    return RuleProgram(chains=chains, bindings=bindings)
+    source = CLOAK_SOURCE.substitute(
+        log=_arg_src(log_path), dir=_arg_src(parent_of(log_path)),
+        name=_arg_src(log_path.rsplit("/", 1)[1]))
+    return compile_source(source, "<cloak>")[0]
 
 
 def _shift_jumps(rule: Rule, offset: int) -> Rule:
@@ -74,24 +65,30 @@ def apply_cloak(user_prog: RuleProgram, cloak_prog: RuleProgram) -> RuleProgram:
     """Merge: cloak rules run before any user rules on the same syscall.
 
     Each non-negative user jump target moves past the cloak rules; a
-    negative one stays out of range.
+    negative one stays out of range.  An added chain never replaces a
+    user chain: where its name is taken, it gets the first free
+    ``<name>#<n>``.
     """
     chains = dict(user_prog.chains)
     bindings = []
     user_bound = dict(user_prog.bindings)
-    for syscall, cloak_chain_name in cloak_prog.bindings:
-        cloak_chain = cloak_prog.chains[cloak_chain_name]
-        if syscall in user_bound:
-            user_chain = chains[user_bound[syscall]]
-            merged_name = f"{cloak_chain_name}+{user_chain.name}"
-            offset = len(cloak_chain.rules)
-            chains[merged_name] = RuleChain(
-                merged_name, cloak_chain.rules
-                + tuple(_shift_jumps(r, offset) for r in user_chain.rules))
-            bindings.append((syscall, merged_name))
-        else:
-            chains[cloak_chain_name] = cloak_chain
-            bindings.append((syscall, cloak_chain_name))
+    added = {}   # (cloak chain, user chain or None) -> added chain's name
+    for syscall, cloak_name in cloak_prog.bindings:
+        user_name = user_bound.get(syscall)
+        if (cloak_name, user_name) not in added:
+            rules = cloak_prog.chains[cloak_name].rules
+            name = cloak_name
+            if user_name is not None:
+                name = f"{cloak_name}+{user_name}"
+                rules += tuple(_shift_jumps(r, len(rules))
+                               for r in chains[user_name].rules)
+            fresh, n = name, 0
+            while fresh in chains:
+                n += 1
+                fresh = f"{name}#{n}"
+            chains[fresh] = RuleChain(fresh, rules)
+            added[cloak_name, user_name] = fresh
+        bindings.append((syscall, added[cloak_name, user_name]))
     for syscall, chain_name in user_prog.bindings:
         if not any(sc == syscall for sc, _ in bindings):
             bindings.append((syscall, chain_name))

@@ -237,9 +237,17 @@ class Parser:
 
     def error(self, expected, tok=None):
         tok = tok or self.peek()
-        got = "end of input" if tok.type == "EOF" else repr(tok.value)
+        got = ("end of input" if tok.type == "EOF"
+               else f"string {_arg_src(tok.value)}" if tok.type == "STRING"
+               else repr(tok.value))
         raise ApateSyntaxError(f"expected {expected}, got {got}",
                                self.filename, tok.line, tok.col)
+
+    def at(self, punct, ahead=0) -> bool:
+        """Whether the token ``ahead`` places on is the punctuation
+        ``punct``: a string literal never stands in for one."""
+        tok = self.tokens[self.pos + ahead]
+        return tok.type == "PUNCT" and tok.value == punct
 
     def expect(self, type_, value=None) -> Token:
         tok = self.tokens[self.pos]
@@ -269,7 +277,7 @@ class Parser:
     def define(self) -> Define:
         kw = self.expect("KW", "define")
         names = [self.expect("IDENT").value]
-        while self.peek().value == ",":
+        while self.at(","):
             self.next()
             names.append(self.expect("IDENT").value)
         self.expect("KW", "as")
@@ -294,11 +302,10 @@ class Parser:
         return BindStmt(chain, syscall, kw.line)
 
     def rhs(self):
-        tok = self.peek()
-        if tok.value == "{" and tok.type == "PUNCT":
+        if self.at("{"):
             return self.block()
-        if tok.type == "IDENT":
-            if self.tokens[self.pos + 1].value == "(":
+        if self.peek().type == "IDENT":
+            if self.at("(", 1):
                 return self.invocation()
             return NameRef(self.next().value)
         self.error("identifier, builtin call, or block")
@@ -310,18 +317,16 @@ class Parser:
         return body
 
     def block_body(self):
-        tok = self.peek()
-        if tok.value == ":":
+        if self.at(":"):
             return self.chainexpr()
-        if tok.value == "{":
+        if self.at("{"):
             return self.ruleexpr()
-        if tok.value == "(":
+        if self.at("("):
             return CondBlockExpr(self.condexpr())
-        if tok.type == "IDENT":
-            nxt = self.tokens[self.pos + 1].value
-            if nxt == "->":
+        if self.peek().type == "IDENT":
+            if self.at("->", 1):
                 return self.ruleexpr()
-            if nxt == "(":
+            if self.at("(", 1):
                 return CondBlockExpr(self.condexpr())
             return self.chainexpr()
         self.error("condition expression, rule, or chain")
@@ -338,7 +343,7 @@ class Parser:
         tokens = self.tokens
         while True:
             tok = tokens[self.pos]
-            while tok.value == "(":
+            while tok.type == "PUNCT" and tok.value == "(":
                 ops.append(0)
                 self.pos += 1
                 tok = tokens[self.pos]
@@ -346,7 +351,8 @@ class Parser:
                 self.error("'(' or condition invocation")
             operands.append(self.invocation())
             while True:
-                level = _BINDS.get(tokens[self.pos].value, 0)
+                tok = tokens[self.pos]
+                level = _BINDS.get(tok.value, 0) if tok.type == "PUNCT" else 0
                 floor = level or 1   # no operator: close down to the '('
                 while ops and ops[-1] >= floor:
                     right = operands.pop()
@@ -364,22 +370,21 @@ class Parser:
         name_tok = self.expect("IDENT")
         self.expect("PUNCT", "(")
         tokens, args = self.tokens, []
-        if tokens[self.pos].value != ")":
+        if not self.at(")"):
             while True:   # arg (';' | ',') arg ...
                 tok = tokens[self.pos]
                 if tok.type != "STRING" and tok.type != "INT":
                     self.error("string or integer literal")
                 args.append(tok.value)
                 self.pos += 1
-                if tokens[self.pos].value not in (";", ","):
+                if not (self.at(";") or self.at(",")):
                     break
                 self.pos += 1
         self.expect("PUNCT", ")")
         return Call(name_tok.value, args, name_tok.line)
 
     def ruleexpr(self) -> RuleExpr:
-        tok = self.peek()
-        if tok.value == "{":
+        if self.at("{"):
             self.next()
             guard = CondBlockExpr(self.condexpr())
             self.expect("PUNCT", "}")
@@ -387,23 +392,22 @@ class Parser:
             guard = NameRef(self.expect("IDENT").value)
         self.expect("PUNCT", "->")
         actions = [self.invocation()]
-        while self.peek().value == ",":
+        while self.at(","):
             self.next()
             actions.append(self.invocation())
         return RuleExpr(guard, actions)
 
     def chainexpr(self) -> ChainExpr:
         items = [self.chainitem()]
-        while self.peek().value == ",":
+        while self.at(","):
             self.next()
             items.append(self.chainitem())
         return ChainExpr(items)
 
     def chainitem(self):
-        exit_flag = False
-        if self.peek().value == ":":
+        exit_flag = self.at(":")
+        if exit_flag:
             self.next()
-            exit_flag = True
         return (exit_flag, self.expect("IDENT").value)
 
 

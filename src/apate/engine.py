@@ -149,15 +149,15 @@ def _chain_error(ev, sandbox, ctx, detail):
     ctx.jump_target = None
 
 
-def eval_chain(chain: RuleChain, ev: SyscallEvent, sandbox: SandboxState,
-               budget: int = DEFAULT_JUMP_BUDGET) -> Disposition:
+def eval_chain(chain: RuleChain, ev: SyscallEvent,
+               sandbox: SandboxState) -> Disposition:
     """Bind one rule chain on its own and traverse it for one event."""
     prog = RuleProgram({chain.name: chain}, [(ev.syscall, chain.name)])
-    return dispatch(prog, ev, sandbox, budget)
+    return dispatch(prog, ev, sandbox)
 
 
-def dispatch(prog: RuleProgram, ev: SyscallEvent, sandbox: SandboxState,
-             budget: int = DEFAULT_JUMP_BUDGET) -> Disposition:
+def dispatch(prog: RuleProgram, ev: SyscallEvent,
+             sandbox: SandboxState) -> Disposition:
     """Route one event through the chain bound to its syscall.
 
     A program never passed to validate_program is bound here, on its
@@ -165,10 +165,10 @@ def dispatch(prog: RuleProgram, ev: SyscallEvent, sandbox: SandboxState,
     Rules are visited in order; a fired rule with the exit flag stops
     traversal; a successful jump action redirects traversal instead of
     falling through to the next rule (and takes precedence over the exit
-    flag).  A traversal-step budget bounds jump loops; exhausting it
-    blocks the event with the errno-table value.  If no executed chain
-    invoked call_orig or block, the original syscall runs unchanged
-    after traversal (pass-through default).
+    flag).  DEFAULT_JUMP_BUDGET traversal steps bound jump loops;
+    exhausting them blocks the event with the errno-table value.  If no
+    executed chain invoked call_orig or block, the original syscall runs
+    unchanged after traversal (pass-through default).
     """
     if prog.plan is None:
         validate_program(prog)
@@ -180,8 +180,9 @@ def dispatch(prog: RuleProgram, ev: SyscallEvent, sandbox: SandboxState,
     ctx = EvalContext()
     i = steps = 0
     while 0 <= i < len(rules):
-        if steps >= budget:
-            _chain_error(ev, sandbox, ctx, f"BudgetExhausted budget={budget}")
+        if steps >= DEFAULT_JUMP_BUDGET:
+            _chain_error(ev, sandbox, ctx,
+                         f"BudgetExhausted budget={DEFAULT_JUMP_BUDGET}")
             break
         steps += 1
         guard, leaf_count, actions, exit_flag = rules[i]

@@ -58,16 +58,17 @@ _ENCODERS = {int: int.__repr__, str: json.encoder.encode_basestring,
              bytes: _bytes_json, bytearray: _bytes_json}
 
 
-def _args_json(args) -> str:
-    """``json.dumps(args, separators=(",", ":"), ensure_ascii=False)``
-    with each bytes-like argument replaced by ``{"len": n}``."""
+def args_json(args) -> str:
+    """``json.dumps(list(args), separators=(",", ":"), ensure_ascii=False)``
+    with each bytes-like item replaced by ``{"len": n}``: the compact JSON
+    list of log records and of .apc params."""
     get = _ENCODERS.get
     return "[" + ",".join([get(type(a), _other_json)(a) for a in args]) + "]"
 
 
 def format_record(ts, seq, pid, uid, syscall, args, result) -> str:
-    args_json = _args_json(args)
-    line = f"apate|1|{ts}|{seq}|{pid}|{uid}|{syscall}|{args_json}|{result}"
+    payload = args_json(args)
+    line = f"apate|1|{ts}|{seq}|{pid}|{uid}|{syscall}|{payload}|{result}"
     # A code point is at most 4 UTF-8 bytes, so short lines skip the encode.
     # A lone surrogate (from a trace's JSON) is measured, not an error; the
     # sinks cannot encode it: FileSink.emit raises (a SinkFailure note),
@@ -77,7 +78,7 @@ def format_record(ts, seq, pid, uid, syscall, args, result) -> str:
         return line
     fixed = f"apate|1|{ts}|{seq}|{pid}|{uid}|{syscall}||{result}"
     budget = LINE_MAX - len(fixed.encode("utf-8")) - len(TRUNCATION_MARK.encode("utf-8"))
-    cut = args_json.encode("utf-8", "surrogatepass")[:max(budget, 0)].decode(
+    cut = payload.encode("utf-8", "surrogatepass")[:max(budget, 0)].decode(
         "utf-8", errors="ignore")
     return f"apate|1|{ts}|{seq}|{pid}|{uid}|{syscall}|{cut}{TRUNCATION_MARK}|{result}"
 

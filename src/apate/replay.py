@@ -22,7 +22,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .engine import DEFAULT_JUMP_BUDGET, dispatch
+from .engine import dispatch
 from .errors import TraceError
 from .model import Disposition, RuleProgram, SyscallEvent, TaskContext
 from .sandbox import SandboxState
@@ -40,8 +40,11 @@ def parse_trace_line(line: str, line_no: int = 0,
 
     ``contexts`` maps each ``ctx`` object seen so far (as a tuple of its
     items) to its validated TaskContext, so that events of one task share
-    one; ``parse_trace`` passes one per call.
+    one; ``iter_trace`` passes one per trace, and a fresh one is used
+    when none is given.
     """
+    if contexts is None:
+        contexts = {}
     try:
         obj, end = _decode(line, _skip_space(line).end())
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -57,16 +60,16 @@ def parse_trace_line(line: str, line_no: int = 0,
         raw, seq, args = obj["ctx"], obj["seq"], obj["args"]
         if type(raw) is not dict:
             raise TypeError(f"ctx must be an object, got {raw!r}")
-        if contexts is None:
-            ctx = TaskContext(**raw)
-        else:
-            key = tuple(raw.items())
+        key = tuple(raw.items())
+        try:
             ctx = contexts.get(key)
-            # An equal key may hold a float or bool equal to a cached int;
-            # the type test sends it to TaskContext, which rejects it.
-            if ctx is None or not (type(raw["pid"]) is type(raw["uid"])
-                                   is type(raw["ssid"]) is int):
-                ctx = contexts[key] = TaskContext(**raw)
+        except TypeError:   # an unhashable value: TaskContext names it
+            ctx = None
+        # An equal key may hold a float or bool equal to a cached int;
+        # the type test sends it to TaskContext, which rejects it.
+        if ctx is None or not (type(raw["pid"]) is type(raw["uid"])
+                               is type(raw["ssid"]) is int):
+            ctx = contexts[key] = TaskContext(**raw)
         if type(seq) is not int:
             raise TypeError(f"seq must be an integer, got {seq!r}")
         if not isinstance(args, list):
@@ -146,8 +149,8 @@ class Report:
         }
 
 
-def replay_trace(prog: RuleProgram, events, sandbox: SandboxState, emit,
-                 budget: int = DEFAULT_JUMP_BUDGET) -> Report:
+def replay_trace(prog: RuleProgram, events, sandbox: SandboxState,
+                 emit) -> Report:
     """Dispatch each event as ``events`` yields it, pass its Disposition
     to ``emit``, and summarize the outcome.
 
@@ -156,7 +159,7 @@ def replay_trace(prog: RuleProgram, events, sandbox: SandboxState, emit,
     """
     total = 0
     for ev in events:
-        disp = dispatch(prog, ev, sandbox, budget=budget)
+        disp = dispatch(prog, ev, sandbox)
         total += disp.conditions_evaluated
         emit(disp)
     return Report(

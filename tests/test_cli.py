@@ -346,8 +346,51 @@ class TestRun:
                            cloak_ruleset("/var/log/apate.log"))
         distinct = {id(rule.guard) for chain in prog.chains.values()
                     for rule in chain.rules}
-        assert len(distinct) == 7   # 2 mysql rules, 5 cloak rules
+        assert len(distinct) == 5   # 2 mysql rules, 3 cloak rules
         assert len(blocks) == len({id(b) for b in blocks}) == len(distinct)
+
+    @pytest.mark.parametrize("name", [
+        "cloak_path", "cloak_fd", "cloak_dir",
+        "cloak_path+rc1", "cloak_fd+rc1", "cloak_dir+rc1"])
+    def test_cloak_never_replaces_a_user_chain(self, tmp_path, name):
+        # rc1 is bound where the cloak merges, so that the cloak adds the
+        # chains cloak_path+rc1 (open), cloak_fd+rc1 (read) and
+        # cloak_dir+rc1 (getdents) next to cloak_path (unlink) and
+        # cloak_fd (write); the chain called `name` blocks getpid.
+        assert name.split("+")[0] in cloak_ruleset("/var/log/apate.log").chains
+        prog = tmp_path / "prog.apc"
+        prog.write_text(
+            'APATE-RP 1\nCOND\tc0\ttestforuid\t[">=",0]\n'
+            "COND\tc1\talways_true\t[]\nACTION\ta0\tblock\t[-1]\n"
+            "ACTION\ta1\tstore_add\t[\"n\",1]\n"
+            "RULE\tr0\t(& c0 c1)\ta0\tp:1\nRULE\tr1\t(& c1 c1)\ta1\tp:2\n"
+            f"CHAIN\t{name}\tr0\nCHAIN\trc1\tr1\nBIND\tsys_getpid\t{name}\n"
+            + "".join(f"BIND\tsys_{sc}\trc1\n" * ("+" in name)
+                      for sc in ("open", "read", "getdents")))
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join([
+            trace_line(1, "getpid", []),
+            trace_line(2, "open", ["/var/log/apate.log", "r"]),
+            trace_line(3, "unlink", ["/var/log/apate.log"])]) + "\n")
+        reports = []
+        for flags in ([], ["--cloak", "/var/log/apate.log"]):
+            out = tmp_path / "report.json"
+            assert main(["run", "--program", str(prog), "--trace", str(trace),
+                         "--report", str(out), *flags]) == 0
+            reports.append(json.loads(out.read_text())["events"])
+        plain, cloaked = reports
+        assert plain[0]["result"] == cloaked[0]["result"] == -1
+        assert plain[0]["blocked"] and cloaked[0]["blocked"]
+        assert [e["result"] for e in cloaked[1:]] == [-2, -2]
+
+    def test_unhashable_ctx_value_is_named(self, compiled, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "getpid", [], pid=[1]) + "\n")
+        assert main(["run", "--program", str(compiled),
+                     "--trace", str(trace)]) == 1
+        assert capsys.readouterr().err == (
+            "apate: bad trace: line 1: pid, uid and ssid must be integers, "
+            "got [1], 1000, 1\n")
 
 
 class TestReport:

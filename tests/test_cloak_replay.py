@@ -3,16 +3,18 @@ import random
 
 import pytest
 
-from apate.cloak import apply_cloak, cloak_ruleset
+from apate import apc
+from apate.cloak import CLOAK_SOURCE, apply_cloak, cloak_ruleset
+from apate.dsl import _arg_src, compile_source
 from apate.engine import dispatch
 from apate.errors import TraceError
 from apate.logsink import VfsSink
 from apate.model import (ALWAYS_TRUE, OP_AND, SYSCALLS, Action, ActionChain,
-                         ConditionBlock, Rule, RuleChain, RuleProgram,
-                         SyscallEvent, TaskContext)
+                         Condition, ConditionBlock, Rule, RuleChain,
+                         RuleProgram, SyscallEvent, TaskContext)
 from apate.replay import (EventSource, parse_trace, parse_trace_line,
                           replay_trace, scan_for_substring)
-from apate.sandbox import ENOENT, SandboxState
+from apate.sandbox import ENOENT, SandboxState, normalize_path, parent_of
 
 from conftest import MYSQL_EXAMPLE, make_ctx, make_event
 
@@ -123,6 +125,136 @@ class TestCloak:
         assert bound["getpid"] == "rc"
         assert set(bound) == {"open", "read", "write", "unlink", "getdents",
                               "getpid"}
+
+
+# Frozen copy of the cloak as it was built from model constructors before
+# it was written in .apate: the reference for the differential test.
+def _frozen_cloak_ruleset(log_path: str) -> RuleProgram:
+    log_path = normalize_path(log_path)
+    log_dir = parent_of(log_path)
+    basename = log_path.rsplit("/", 1)[1]
+    block = Action("block", (ENOENT,))
+
+    def rule(name, cond, actions):
+        return Rule(name, ConditionBlock(cond, ALWAYS_TRUE, OP_AND),
+                    ActionChain(tuple(actions)), exit_flag=1, span="cloak")
+
+    by_path = Condition("testforparam", (0, log_path))
+    by_fd = Condition("testforfdpath", (0, log_path))
+    chains = {
+        "_cloak_open": RuleChain("_cloak_open",
+                                 (rule("_cloak_open_0", by_path, [block]),)),
+        "_cloak_read": RuleChain("_cloak_read",
+                                 (rule("_cloak_read_0", by_fd, [block]),)),
+        "_cloak_write": RuleChain("_cloak_write",
+                                  (rule("_cloak_write_0", by_fd, [block]),)),
+        "_cloak_unlink": RuleChain("_cloak_unlink",
+                                   (rule("_cloak_unlink_0", by_path, [block]),)),
+        "_cloak_getdents": RuleChain(
+            "_cloak_getdents",
+            (rule("_cloak_getdents_0",
+                  Condition("testforparam", (0, log_dir)),
+                  [Action("call_orig", ()),
+                   Action("filter_dirents", (basename,))]),)),
+    }
+    bindings = [("open", "_cloak_open"), ("read", "_cloak_read"),
+                ("write", "_cloak_write"), ("unlink", "_cloak_unlink"),
+                ("getdents", "_cloak_getdents")]
+    return RuleProgram(chains=chains, bindings=bindings)
+
+
+# Forward (r0), backward (r3) and negative (r4) jumps; cloaked, each
+# non-negative target moves past the cloak rule.  bash above uid 500
+# loops r3 -> r1 -> r2 -> r3 until the jump budget runs out.
+JUMPS = '''define r0,r1,r2,r3,r4 as rule
+define rc as rulechain
+let r0 be {{testforuid(">";500)}->jump(3)}
+let r1 be {{testforparam(0;"/var/*")}->store_add("n";1)}
+let r2 be {{testforpname("sh")}->log()}
+let r3 be {{testforpname("bash")}->jump(1)}
+let r4 be {{testforpname("cron")}->jump(-1)}
+let rc be {r0,r1,:r2,r3,r4}
+bind rc to sys_open
+bind rc to sys_read
+bind rc to sys_getdents
+bind rc to sys_getpid
+'''
+
+CLOAK_PATHS = ["/", "/apate.log", "/var/log/apate/today.log",
+               '/var/log/q"uote.log', "/var/log/back\\slash.log",
+               "/var/log/sp ace.log", "/var/log/caf\u00e9.log",
+               "/var/log/new\nline.log", "/var/log/apate*"]
+
+
+def _cloak_trace(rng, log_path, n=300):
+    log_dir = parent_of(normalize_path(log_path))
+    paths = [log_path, log_dir, "/", "/var", "/var/log", "/var/log/syslog",
+             "/srv/a", log_dir.rstrip("/") + "/other", "/var/lib/mysql/x"]
+    ctxs = [make_ctx(uid=uid, pname=pname, parent_pname=parent)
+            for uid in (0, 1000) for pname in ("sh", "bash", "cron")
+            for parent in ("sshd", "mysql")]
+    args_for = {
+        "open": lambda: [rng.choice(paths), rng.choice(("r", "w", "a"))],
+        "close": lambda: [rng.randrange(4, 9)],   # fd 3 stays open
+        "read": lambda: [rng.randrange(3, 9), rng.randrange(0, 64)],
+        "write": lambda: [rng.randrange(3, 9), rng.randrange(0, 64)],
+        "unlink": lambda: [rng.choice(paths)],
+        "execve": lambda: [rng.choice(paths), "sh -c id"],
+        "getpid": list, "getuid": list,
+        "mkdir": lambda: [rng.choice(paths)],
+        "rmdir": lambda: [rng.choice(paths)],
+        "getdents": lambda: [rng.choice(paths)],
+    }
+    return [make_event(sc, *args_for[sc](), ctx=rng.choice(ctxs), seq=seq)
+            for seq, sc in enumerate(rng.choices(SYSCALLS, k=n), start=1)]
+
+
+def _replay(prog, log_path, events):
+    sb = SandboxState(clock=lambda: "2024-05-01T12:00:00.000000+00:00")
+    for path in ("/var/log/syslog", "/srv/a", "/var/lib/mysql/x",
+                 parent_of(normalize_path(log_path)).rstrip("/") + "/other"):
+        sb.vfs.put_file(path, b"data")
+    log = normalize_path(log_path)
+    if log != "/":   # fd 3: the log, opened around the hooked layer
+        sb.vfs.put_file(log, b"")
+        sb.fds.alloc(log, "a", sb.vfs.files[log])
+    sb.sinks = [VfsSink(sb.vfs, log_path)]
+    out = []
+    report = replay_trace(prog, [SyscallEvent(e.seq, e.syscall, list(e.args),
+                                              e.ctx) for e in events],
+                          sb, out.append)
+    return ([(d.result, d.blocked, d.matched_rules, d.manipulated_args,
+              d.conditions_evaluated) for d in out], report.vfs_digest)
+
+
+@pytest.mark.parametrize("user_src", [None, MYSQL_EXAMPLE, JUMPS],
+                         ids=["empty", "mysql", "jumps"])
+@pytest.mark.parametrize("log_path", CLOAK_PATHS)
+def test_cloak_matches_frozen_model_built_cloak(user_src, log_path):
+    user = (RuleProgram() if user_src is None
+            else compile_source(user_src, "user.apate")[0])
+    for seed in (1, 2, 3):
+        events = _cloak_trace(random.Random(seed), log_path)
+        new = _replay(apply_cloak(user, cloak_ruleset(log_path)), log_path,
+                      events)
+        old = _replay(apply_cloak(user, _frozen_cloak_ruleset(log_path)),
+                      log_path, events)
+        assert new == old
+
+
+@pytest.mark.parametrize("log_path", CLOAK_PATHS)
+def test_cloak_source_compiles_cleanly_and_round_trips(log_path):
+    path = normalize_path(log_path)
+    source = CLOAK_SOURCE.substitute(
+        log=_arg_src(path), dir=_arg_src(parent_of(path)),
+        name=_arg_src(path.rsplit("/", 1)[1]))
+    prog, warnings = compile_source(source, "<cloak>")
+    assert warnings == []
+    blob = apc.serialize(prog)
+    assert blob == apc.serialize(cloak_ruleset(log_path))
+    assert apc.serialize(apc.deserialize(blob)) == blob
+    assert sorted({r.span for c in prog.chains.values() for r in c.rules}) == [
+        "<cloak>:5", "<cloak>:6", "<cloak>:7"]
 
 
 class TestTraceParsing:

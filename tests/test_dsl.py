@@ -176,6 +176,18 @@ class TestParser:
             parse(toks("define x as\nrule extra"), "prog.apate")
         assert str(exc.value).startswith("prog.apate:")
 
+    @pytest.mark.parametrize("body, where, got", [
+        ('{{testforuid(">" ";" 0) "||" always_true()}->log()}', "3:27", '";"'),
+        ('{{always_true()}->log() "," log()}', "3:34", '","'),
+        ('{":" r}', "3:11", '":"'),
+    ])
+    def test_string_literal_is_not_punctuation(self, body, where, got):
+        with pytest.raises(ApateSyntaxError) as exc:
+            compile_source("define r as rule\ndefine rc as rulechain\n"
+                           f"let r be {body}\n", "p.apate")
+        assert str(exc.value).startswith(f"p.apate:{where}: ")
+        assert str(exc.value).endswith(f"got string {got}")
+
 
 class TestAnalyzer:
     def compile_err(self, text, exc_type):
