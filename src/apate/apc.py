@@ -17,13 +17,12 @@ canonical: identical programs produce identical bytes and
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 from .errors import BadMagic, CorruptRecord, UnsupportedVersion
 from .logsink import args_json
 from .model import (Action, ActionChain, Condition, ConditionBlock, Rule,
-                    RuleChain, RuleProgram, SYSCALL_ARITY, OP_AND, OP_OR)
+                    RuleChain, RuleProgram, OP_AND, OP_OR, hooked_syscall)
 
 MAGIC = "APATE-RP"
 VERSION = 1
@@ -188,11 +187,11 @@ def deserialize(data: bytes) -> RuleProgram:
                     built.append(Rule(rname, guard, actions, exit_flag, span))
                 chains[name] = RuleChain(name, tuple(built))
             elif tag == "BIND":
-                _, syscall, chain_name = fields
-                if syscall.startswith("sys_"):
-                    syscall = syscall[4:]
-                if syscall not in SYSCALL_ARITY:
-                    raise CorruptRecord(line_no, f"unknown syscall {syscall!r}")
+                _, name, chain_name = fields
+                syscall = hooked_syscall(name)
+                if syscall is None:
+                    raise CorruptRecord(line_no, "unknown syscall "
+                                        f"{name.removeprefix('sys_')!r}")
                 if chain_name not in chains:
                     raise CorruptRecord(line_no, f"unknown chain {chain_name!r}")
                 if any(sc == syscall for sc, _ in bindings):

@@ -9,9 +9,11 @@ first.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from string import Template
 
 from .dsl import _arg_src, compile_source
+from .errors import ApateError
 from .model import Action, ActionChain, Rule, RuleChain, RuleProgram
 from .sandbox import normalize_path, parent_of
 
@@ -41,8 +43,12 @@ def cloak_ruleset(log_path: str) -> RuleProgram:
 
     The logfile is hidden from every uid, admin included: reading the log
     requires going around the hooked layer entirely.  Rule spans are
-    ``<cloak>:N``, N a line of CLOAK_SOURCE.
+    ``<cloak>:N``, N a line of CLOAK_SOURCE.  A path with a '*' is
+    rejected: a pattern would read it as a wildcard and hide other files.
     """
+    if "*" in log_path:
+        raise ApateError(f"cloak log path {log_path!r} contains '*', which "
+                         "the cloak's patterns would read as a wildcard")
     log_path = normalize_path(log_path)
     source = CLOAK_SOURCE.substitute(
         log=_arg_src(log_path), dir=_arg_src(parent_of(log_path)),
@@ -61,31 +67,39 @@ def _shift_jumps(rule: Rule, offset: int) -> Rule:
                 rule.span)
 
 
+def _free(name, taken) -> str:
+    """name, or the first ``<name>#<n>`` not in taken."""
+    fresh, n = name, 0
+    while fresh in taken:
+        n += 1
+        fresh = f"{name}#{n}"
+    return fresh
+
+
 def apply_cloak(user_prog: RuleProgram, cloak_prog: RuleProgram) -> RuleProgram:
     """Merge: cloak rules run before any user rules on the same syscall.
 
     Each non-negative user jump target moves past the cloak rules; a
     negative one stays out of range.  An added chain never replaces a
-    user chain: where its name is taken, it gets the first free
-    ``<name>#<n>``.
+    user chain, and a cloak rule never shares a user rule's name: where
+    a name is taken, it gets the first free ``<name>#<n>``.
     """
     chains = dict(user_prog.chains)
+    user_rules = {r.name for chain in chains.values() for r in chain.rules}
     bindings = []
     user_bound = dict(user_prog.bindings)
     added = {}   # (cloak chain, user chain or None) -> added chain's name
     for syscall, cloak_name in cloak_prog.bindings:
         user_name = user_bound.get(syscall)
         if (cloak_name, user_name) not in added:
-            rules = cloak_prog.chains[cloak_name].rules
+            rules = tuple(replace(r, name=_free(r.name, user_rules))
+                          for r in cloak_prog.chains[cloak_name].rules)
             name = cloak_name
             if user_name is not None:
                 name = f"{cloak_name}+{user_name}"
                 rules += tuple(_shift_jumps(r, len(rules))
                                for r in chains[user_name].rules)
-            fresh, n = name, 0
-            while fresh in chains:
-                n += 1
-                fresh = f"{name}#{n}"
+            fresh = _free(name, chains)
             chains[fresh] = RuleChain(fresh, rules)
             added[cloak_name, user_name] = fresh
         bindings.append((syscall, added[cloak_name, user_name]))

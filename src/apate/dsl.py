@@ -1,7 +1,8 @@
 """Compiler for the .apate configuration language.
 
-Pipeline: tokenize -> parse -> analyze -> lower.  The language has three
-statement forms:
+Pipeline: tokenize -> parse -> analyze -> lower.  Analysis lowers each
+invocation and guard as it checks it; lowering then only builds the rule
+chains.  The language has three statement forms:
 
     define c1,c2 as condition
     let cb1 be {(c1("mysql") && c2(0;"/var/lib/mysql/*"))}
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import builtins as bi
 from .errors import (ApateSyntaxError, ArityError, DuplicateBind,
@@ -26,7 +27,7 @@ from .errors import (ApateSyntaxError, ArityError, DuplicateBind,
                      UndefinedName, UnterminatedString)
 from .model import (Action, ActionChain, ALWAYS_TRUE, Condition,
                     ConditionBlock, OP_AND, OP_OR, Rule, RuleChain,
-                    RuleProgram, SYSCALL_ARITY)
+                    RuleProgram, hooked_syscall)
 
 KEYWORDS = ("define", "as", "let", "be", "bind", "to")
 TYPE_KEYWORDS = ("condition", "rule", "action", "conditionblock",
@@ -415,24 +416,22 @@ def parse(tokens, filename="<input>") -> Ast:
     return Parser(tokens, filename).parse()
 
 
-# --- analysis -------------------------------------------------------------
+# --- analysis and lowering --------------------------------------------------
+# One pass: each invocation becomes its Condition or Action the one time
+# it is resolved and checked, and each condition expression becomes its
+# guard in the same walk.
 
 @dataclass
 class TypedProgram:
     filename: str
-    conditions: dict = field(default_factory=dict)  # var -> (builtin, frozen|None)
-    actions: dict = field(default_factory=dict)
-    blocks: dict = field(default_factory=dict)      # var -> condexpr AST
-    rules: dict = field(default_factory=dict)       # var -> (guard AST, [(builtin, params)], line)
-    chain_defs: dict = field(default_factory=dict)  # var -> [(exit, rule var)]
-    syscalls: dict = field(default_factory=dict)    # var -> canonical name
+    # var -> what its let assigned: a condition or action alias gives
+    # (builtin, frozen params | None), a conditionblock its guard, a rule
+    # its Rule (exit flag 0), a rulechain [(exit, rule var)], a syscall
+    # its hooked name
+    values: dict = field(default_factory=dict)
+    chains: list = field(default_factory=list)      # rulechain vars, let order
     binds: list = field(default_factory=list)       # [(syscall name, chain var)]
     warnings: list = field(default_factory=list)
-
-
-def _normalize_syscall(name: str) -> "str | None":
-    bare = name[4:] if name.startswith("sys_") else name
-    return bare if bare in SYSCALL_ARITY else None
 
 
 class Analyzer:
@@ -440,6 +439,7 @@ class Analyzer:
         self.ast = ast
         self.declared = {}   # name -> typekw
         self.used = set()
+        self.later = []      # (var, line, rule var | None): may be let later
         self.out = TypedProgram(ast.filename)
 
     def err(self, cls, message, line):
@@ -458,60 +458,62 @@ class Analyzer:
         for stmt in self.ast.statements:
             if isinstance(stmt, BindStmt):
                 self.bind(stmt)
+        values = self.out.values
+        for name, line, rule in self.later:
+            if name not in values:
+                self.err(UndefinedName, f"{name!r} is used but never assigned",
+                         line)
+            if rule is not None:   # the guard named by a rule
+                values[rule] = replace(values[rule], guard=values[name])
         for name in self.declared:
-            if name not in self.used and name not in self._assigned():
+            if name not in self.used and name not in values:
                 self.out.warnings.append(f"{name!r} defined but never assigned")
             elif name not in self.used:
                 self.out.warnings.append(f"{name!r} assigned but never used")
         return self.out
 
-    def _assigned(self):
-        out = self.out
-        return (set(out.conditions) | set(out.actions) | set(out.blocks)
-                | set(out.rules) | set(out.chain_defs) | set(out.syscalls))
-
     def let(self, stmt: Let):
-        name, rhs = stmt.name, stmt.rhs
+        name, rhs, line = stmt.name, stmt.rhs, stmt.line
         if name not in self.declared:
-            self.err(UndefinedName, f"{name!r} not defined", stmt.line)
-        if name in self._assigned():
-            self.err(SemanticError, f"{name!r} assigned twice", stmt.line)
+            self.err(UndefinedName, f"{name!r} not defined", line)
+        if name in self.out.values:
+            self.err(SemanticError, f"{name!r} assigned twice", line)
         typekw = self.declared[name]
         if typekw in ("condition", "action"):
-            self.let_builtin_alias(name, typekw, rhs, stmt.line)
+            value = self.builtin_alias(name, typekw, rhs, line)
         elif typekw == "conditionblock":
             if not isinstance(rhs, CondBlockExpr):
                 self.err(TypeMismatch,
                          f"{name!r} is a conditionblock; expected a condition "
-                         f"expression block", stmt.line)
-            self.check_condexpr(rhs.expr)
-            self.out.blocks[name] = rhs.expr
+                         f"expression block", line)
+            value = self.guard(rhs.expr)
         elif typekw == "rule":
             if not isinstance(rhs, RuleExpr):
                 self.err(TypeMismatch,
-                         f"{name!r} is a rule; expected {{guard->actions}}", stmt.line)
-            self.out.rules[name] = (*self.check_ruleexpr(rhs, stmt.line), stmt.line)
+                         f"{name!r} is a rule; expected {{guard->actions}}", line)
+            value = self.rule(name, rhs, line)
         elif typekw == "rulechain":
             if not isinstance(rhs, ChainExpr):
                 self.err(TypeMismatch,
                          f"{name!r} is a rulechain; expected {{rule,rule,...}}",
-                         stmt.line)
+                         line)
             for _, rname in rhs.items:
                 if self.declared.get(rname) != "rule":
-                    self.err(TypeMismatch, f"{rname!r} is not a rule", stmt.line)
+                    self.err(TypeMismatch, f"{rname!r} is not a rule", line)
                 self.used.add(rname)
-            self.out.chain_defs[name] = rhs.items
+                self.later.append((rname, line, None))
+            value = rhs.items
+            self.out.chains.append(name)
         elif typekw == "syscall":
             if not isinstance(rhs, NameRef):
                 self.err(TypeMismatch, f"{name!r} is a syscall; expected a "
-                         f"syscall name", stmt.line)
-            canonical = _normalize_syscall(rhs.name)
-            if canonical is None:
-                self.err(UndefinedName, f"unknown syscall {rhs.name!r}", stmt.line)
-            self.out.syscalls[name] = canonical
+                         f"syscall name", line)
+            value = hooked_syscall(rhs.name)
+            if value is None:
+                self.err(UndefinedName, f"unknown syscall {rhs.name!r}", line)
+        self.out.values[name] = value
 
-    def let_builtin_alias(self, name, typekw, rhs, line):
-        table = self.out.conditions if typekw == "condition" else self.out.actions
+    def builtin_alias(self, name, typekw, rhs, line):
         if not isinstance(rhs, (NameRef, Call)):
             self.err(TypeMismatch,
                      f"{name!r} is a {typekw}; expected a builtin name", line)
@@ -528,67 +530,79 @@ class Analyzer:
             err = bi.check_params(rhs.name, params)
             if err:
                 self.err(ArityError, err, line)
-        table[name] = (rhs.name, params)
+        return rhs.name, params
 
-    def resolve_invocation(self, call: Call, want_kind: str):
+    def invocation(self, call: Call, want_kind: str):
         """Resolve a call to (builtin_name, params); checks kind and params."""
-        frozen = None
-        table = (self.out.conditions if want_kind == "condition"
-                 else self.out.actions)
-        if call.name in table:
-            builtin, frozen = table[call.name]
-            self.used.add(call.name)
-        elif call.name in self.declared:
-            self.err(TypeMismatch,
-                     f"{call.name!r} is a {self.declared[call.name]}, "
-                     f"not a {want_kind}", call.line)
-        elif call.name in bi.REGISTRY:
-            spec = bi.REGISTRY[call.name]
+        name, frozen = call.name, None
+        kind = self.declared.get(name)
+        if kind is None:
+            spec = bi.REGISTRY.get(name)
+            if spec is None:
+                self.err(UndefinedName, f"unknown name {name!r}", call.line)
             if spec.kind != want_kind:
                 self.err(TypeMismatch,
-                         f"{call.name!r} is a {spec.kind}, not a {want_kind}",
+                         f"{name!r} is a {spec.kind}, not a {want_kind}",
                          call.line)
-            builtin = call.name
+            builtin = name
+        elif kind != want_kind:
+            self.err(TypeMismatch, f"{name!r} is a {kind}, not a {want_kind}",
+                     call.line)
+        elif name not in self.out.values:
+            self.err(UndefinedName, f"{name!r} is used before it is assigned",
+                     call.line)
         else:
-            self.err(UndefinedName, f"unknown name {call.name!r}", call.line)
+            builtin, frozen = self.out.values[name]
+            self.used.add(name)
         if frozen is not None:
             if call.args:
                 self.err(ArityError,
-                         f"{call.name!r} already carries parameters; call it "
+                         f"{name!r} already carries parameters; call it "
                          f"with no arguments", call.line)
-            params = frozen
-        else:
-            params = tuple(call.args)
-            err = bi.check_params(builtin, params)
-            if err:
-                self.err(ArityError, err, call.line)
+            return builtin, frozen
+        params = tuple(call.args)
+        err = bi.check_params(builtin, params)
+        if err:
+            self.err(ArityError, err, call.line)
         return builtin, params
 
-    def check_condexpr(self, node):
-        """Resolve every leaf, left to right (iterative: any depth)."""
-        stack = [node]
+    def guard(self, node) -> ConditionBlock:
+        """Resolve and lower each leaf, left to right, in one post-order
+        walk with an explicit stack, so any depth lowers.  A lone
+        condition gets the neutral always-true partner."""
+        done = []       # lowered operands, left to right
+        stack = [node]  # nodes still to lower; an op code joins the last two
+        push, pop = stack.append, stack.pop
         while stack:
-            node = stack.pop()
-            if isinstance(node, BinOp):
-                stack += (node.right, node.left)
-            elif isinstance(node, Call):
-                self.resolve_invocation(node, "condition")
-            else:
-                raise AssertionError(f"bad condexpr node {node!r}")
+            node = pop()
+            if type(node) is int:
+                right = done.pop()
+                done[-1] = ConditionBlock(done[-1], right, node)
+                continue
+            while type(node) is BinOp:  # down the left spine
+                push(OP_AND if node.op == "&&" else OP_OR)
+                push(node.right)
+                node = node.left
+            done.append(Condition(*self.invocation(node, "condition")))
+        node = done[0]
+        if type(node) is Condition:
+            return ConditionBlock(node, ALWAYS_TRUE, OP_AND)
+        return node
 
-    def check_ruleexpr(self, rx: RuleExpr, line):
+    def rule(self, name, rx: RuleExpr, line) -> Rule:
         if isinstance(rx.guard, NameRef):
-            if self.declared.get(rx.guard.name) != "conditionblock":
+            guard = rx.guard.name   # its block may be let later
+            if self.declared.get(guard) != "conditionblock":
                 self.err(TypeMismatch,
-                         f"rule guard {rx.guard.name!r} is not a conditionblock",
-                         line)
-            self.used.add(rx.guard.name)
+                         f"rule guard {guard!r} is not a conditionblock", line)
+            self.used.add(guard)
+            self.later.append((guard, line, name))
         else:
-            self.check_condexpr(rx.guard.expr)
+            guard = self.guard(rx.guard.expr)
         actions = []
         blocked = False
         for call in rx.actions:
-            builtin, params = self.resolve_invocation(call, "action")
+            builtin, params = self.invocation(call, "action")
             if builtin == "block":
                 blocked = True
             elif builtin == "call_orig" and blocked:
@@ -598,19 +612,21 @@ class Analyzer:
                 self.out.warnings.append(
                     f"line {call.line}: manipulateparam replacement re-matches "
                     f"its own pattern (rewrite loop hazard)")
-            actions.append((builtin, params))
-        return rx.guard, actions
+            actions.append(Action(builtin, params))
+        return Rule(name, guard, ActionChain(tuple(actions)), 0,
+                    f"{self.ast.filename}:{line}")
 
     def bind(self, stmt: BindStmt):
-        if stmt.chain not in self.out.chain_defs:
+        if stmt.chain not in self.out.chains:
             self.err(UndefinedName, f"{stmt.chain!r} is not a rulechain",
                      stmt.line)
         self.used.add(stmt.chain)
-        if stmt.syscall in self.out.syscalls:
-            syscall = self.out.syscalls[stmt.syscall]
+        if self.declared.get(stmt.syscall) == "syscall" \
+                and stmt.syscall in self.out.values:
+            syscall = self.out.values[stmt.syscall]
             self.used.add(stmt.syscall)
         else:
-            syscall = _normalize_syscall(stmt.syscall)
+            syscall = hooked_syscall(stmt.syscall)
             if syscall is None:
                 self.err(UndefinedName, f"unknown syscall {stmt.syscall!r}",
                          stmt.line)
@@ -625,61 +641,13 @@ def analyze(ast: Ast) -> TypedProgram:
     return Analyzer(ast).analyze()
 
 
-# --- lowering ---------------------------------------------------------------
-
-def _lower_condexpr(node, typed: TypedProgram):
-    """Post-order walk with an explicit stack, so any depth lowers."""
-    done = []       # lowered operands, left to right
-    stack = [node]  # nodes still to lower; an op code joins the last two
-    push, pop = stack.append, stack.pop
-    while stack:
-        node = pop()
-        if type(node) is int:
-            right = done.pop()
-            done[-1] = ConditionBlock(done[-1], right, node)
-            continue
-        while type(node) is BinOp:  # down the left spine
-            push(OP_AND if node.op == "&&" else OP_OR)
-            push(node.right)
-            node = node.left
-        builtin, params = _resolved(node, typed, "condition")
-        done.append(Condition(builtin, params))
-    return done[0]
-
-
-def _resolved(call: Call, typed: TypedProgram, kind: str):
-    table = typed.conditions if kind == "condition" else typed.actions
-    if call.name in table:
-        builtin, frozen = table[call.name]
-        return builtin, frozen if frozen is not None else tuple(call.args)
-    return call.name, tuple(call.args)
-
-
-def _lower_guard(guard, typed: TypedProgram) -> ConditionBlock:
-    if isinstance(guard, NameRef):
-        node = _lower_condexpr(typed.blocks[guard.name], typed)
-    else:
-        node = _lower_condexpr(guard.expr, typed)
-    if isinstance(node, Condition):
-        # single condition embedded via the neutral always-true partner
-        node = ConditionBlock(node, ALWAYS_TRUE, OP_AND)
-    return node
-
-
 def compile_typed(typed: TypedProgram) -> RuleProgram:
-    base_rules = {}
-    for name, (guard, actions, line) in typed.rules.items():
-        chain_actions = ActionChain(tuple(Action(b, p) for b, p in actions))
-        base_rules[name] = Rule(name, _lower_guard(guard, typed), chain_actions,
-                                0, f"{typed.filename}:{line}")
-    chains = {}
-    for cname, items in typed.chain_defs.items():
-        members = []
-        for exit_flag, rname in items:
-            rule = base_rules[rname]
-            members.append(Rule(rule.name, rule.guard, rule.actions,
-                                1 if exit_flag else 0, rule.span))
-        chains[cname] = RuleChain(cname, tuple(members))
+    """Build each rule chain from the analyzed rules and their exit flags."""
+    values, chains = typed.values, {}
+    for cname in typed.chains:
+        chains[cname] = RuleChain(cname, tuple(
+            replace(values[rname], exit_flag=1) if exit_flag else values[rname]
+            for exit_flag, rname in values[cname]))
     return RuleProgram(chains=chains, bindings=list(typed.binds))
 
 

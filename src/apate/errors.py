@@ -63,22 +63,24 @@ class UnsupportedVersion(ApateError):
     pass
 
 
-class CorruptRecord(ApateError):
+class LineError(ApateError):
+    """An error at a numbered line of a line-oriented input."""
+
     def __init__(self, line_no, message):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-class MalformedManifestLine(ApateError):
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+class CorruptRecord(LineError):
+    """A bad record in a serialized program (.apc)."""
 
 
-class TraceError(ApateError):
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+class MalformedManifestLine(LineError):
+    """A bad line in a VFS manifest."""
+
+
+class TraceError(LineError):
+    """A bad line in a JSONL trace."""
 
 
 class TooFewSamples(ApateError):

@@ -32,6 +32,12 @@ SYSCALL_ARITY = {
 SYSCALLS = tuple(SYSCALL_ARITY)
 
 
+def hooked_syscall(name: str) -> "str | None":
+    """The hooked syscall that ``name`` or ``sys_<name>`` names, or None."""
+    bare = name[4:] if name.startswith("sys_") else name
+    return bare if bare in SYSCALL_ARITY else None
+
+
 @dataclass(slots=True)
 class TaskContext:
     """Identity of the task issuing a syscall.

@@ -383,6 +383,23 @@ class TestRun:
         assert plain[0]["blocked"] and cloaked[0]["blocked"]
         assert [e["result"] for e in cloaked[1:]] == [-2, -2]
 
+    @pytest.mark.parametrize("log_path", ["/var/log/apa*", "/var/log/a*b"])
+    def test_cloak_path_with_a_star_is_rejected(self, compiled, tmp_path,
+                                                capsys, log_path):
+        # '/var/log/apa*' would hide /var/log/apache2.conf too, and
+        # '/var/log/a*b' made the cloak's own source fail to compile
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "open", ["/var/log/apache2.conf", "r"])
+                         + "\n")
+        report = tmp_path / "report.json"
+        assert main(["run", "--program", str(compiled), "--trace", str(trace),
+                     "--cloak", log_path, "--report", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"apate: cannot load program: cloak log path {log_path!r} "
+            "contains '*', which the cloak's patterns would read as a "
+            "wildcard\n")
+        assert not report.exists()
+
     def test_unhashable_ctx_value_is_named(self, compiled, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         trace.write_text(trace_line(1, "getpid", [], pid=[1]) + "\n")

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -180,10 +181,11 @@ bind rc to sys_getdents
 bind rc to sys_getpid
 '''
 
+# A path with a '*' is not here: cloak_ruleset rejects it (test_cli.py).
 CLOAK_PATHS = ["/", "/apate.log", "/var/log/apate/today.log",
                '/var/log/q"uote.log', "/var/log/back\\slash.log",
                "/var/log/sp ace.log", "/var/log/caf\u00e9.log",
-               "/var/log/new\nline.log", "/var/log/apate*"]
+               "/var/log/new\nline.log"]
 
 
 def _cloak_trace(rng, log_path, n=300):
@@ -255,6 +257,39 @@ def test_cloak_source_compiles_cleanly_and_round_trips(log_path):
     assert apc.serialize(apc.deserialize(blob)) == blob
     assert sorted({r.span for c in prog.chains.values() for r in c.rules}) == [
         "<cloak>:5", "<cloak>:6", "<cloak>:7"]
+
+
+def _user_rule_named(name) -> RuleProgram:
+    """One rule called name on getpid and on each syscall the cloak binds."""
+    return compile_source(
+        f"define {name} as rule\ndefine rc as rulechain\n"
+        f'let {name} be {{{{testforpname("cron")}}->block(-13)}}\n'
+        "let rc be {" + name + "}\n"
+        + "".join(f"bind rc to {sc}\n"
+                  for sc in ("getpid", "open", "read", "getdents")),
+        "user.apate")[0]
+
+
+@pytest.mark.parametrize("name", ["by_path", "by_fd", "listing"])
+def test_cloak_rules_never_share_a_user_rule_name(name):
+    merged = apply_cloak(_user_rule_named(name), cloak_ruleset(LOG))
+    blob = apc.serialize(merged)
+    assert apc.serialize(apc.deserialize(blob)) == blob
+    rules = {r.name: r.span for c in merged.chains.values() for r in c.rules}
+    assert rules[name] == "user.apate:3" and rules[f"{name}#1"] != rules[name]
+    events = _cloak_trace(random.Random(5), LOG)
+    plain = apply_cloak(_user_rule_named("mine"), cloak_ruleset(LOG))
+    assert _replay(merged, LOG, events) == _replay(plain, LOG, events)
+
+
+def test_cloak_rule_takes_the_first_free_name():
+    user = _user_rule_named("by_path")
+    (rule,) = user.chains["rc"].rules
+    user.chains["rc"] = RuleChain("rc", (rule, replace(rule, name="by_path#1")))
+    merged = apply_cloak(user, cloak_ruleset(LOG))
+    assert [r.name for r in merged.chains["cloak_path+rc"].rules] == [
+        "by_path#2", "by_path", "by_path#1"]
+    assert [r.name for r in merged.chains["cloak_path"].rules] == ["by_path#2"]
 
 
 class TestTraceParsing:

@@ -219,6 +219,18 @@ class TestAnalyzer:
         self.compile_err('define c as condition\nlet c be testforuid(">")',
                          ArityError)
 
+    @pytest.mark.parametrize("kind, rule, builtin", [
+        ("condition", '{{c(">";0)}->log()}', "testforuid"),
+        ("action", "{{always_true()}->c()}", "log"),
+    ])
+    def test_alias_used_before_its_let(self, kind, rule, builtin):
+        with pytest.raises(UndefinedName) as exc:
+            compile_source(f"define c as {kind}\ndefine r as rule\n"
+                           f"define rc as rulechain\nlet r be {rule}\n"
+                           f"let c be {builtin}\n"
+                           "let rc be {r}\nbind rc to sys_open\n", "x.apate")
+        assert str(exc.value) == "x.apate:4:1: 'c' is used before it is assigned"
+
     def test_frozen_alias_rejects_args(self):
         self.compile_err('define c as condition\n'
                          'define cb as conditionblock\n'

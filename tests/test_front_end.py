@@ -1,27 +1,44 @@
 """Differential and fuzz tests for the .apate front end.
 
-The lexer is one regex scan and the condition-expression parser one
-precedence loop over explicit stacks.  This module keeps frozen copies
-of the character-at-a-time lexer and of the recursive
-condexpr/condand/condterm they replaced, and checks the new code against
-them on seeded random inputs.  The only allowed differences are the two
+The lexer is one regex scan, the condition-expression parser one
+precedence loop over explicit stacks, and analysis lowers each
+invocation and guard in the one walk that checks it.  This module keeps
+frozen copies of the character-at-a-time lexer, of the recursive
+condexpr/condand/condterm, and of the analyzer and the separate
+lowering pass they replaced, and checks the new code against them on
+seeded random inputs.  The only allowed differences are the two
 lexical tightenings: INT digits are ASCII [0-9], and a \\u escape takes
-exactly four ASCII hex digits naming no surrogate (D800-DFFF); and one
-in the parser: punctuation is matched by token type, so a string literal
-such as "(" or "||" where punctuation belongs is a syntax error there.
+exactly four ASCII hex digits naming no surrogate (D800-DFFF); one in
+the parser: punctuation is matched by token type, so a string literal
+such as "(" or "||" where punctuation belongs is a syntax error there;
+and two in analysis: a condition or action alias called before its
+``let`` is an UndefinedName ("used before it is assigned"), not a
+TypeMismatch, and a rule or conditionblock that is used but never
+assigned is an UndefinedName, not a KeyError.
 """
 
 import json
 import random
+import re
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
 
 from apate import apc
-from apate.dsl import (BinOp, Call, KEYWORDS, Parser, SourceUnit, Token,
-                       analyze, compile_source, compile_typed, parse,
+from apate import builtins as bi
+from apate.cli import main
+from apate.dsl import (Ast, BinOp, BindStmt, Call, ChainExpr, CondBlockExpr,
+                       Define, KEYWORDS, Let, NameRef, Parser, RuleExpr,
+                       SourceUnit, Token, analyze, compile_source, parse,
                        tokenize)
-from apate.errors import IllegalCharacter, SourceError, UnterminatedString
+from apate.errors import (ArityError, DuplicateBind, IllegalCharacter,
+                          SemanticError, SourceError, TypeMismatch,
+                          UndefinedName, UnterminatedString)
+from apate.model import (Action, ActionChain, ALWAYS_TRUE, Condition,
+                         ConditionBlock, OP_AND, OP_OR, Rule, RuleChain,
+                         RuleProgram, SYSCALL_ARITY)
 
 from conftest import MYSQL_EXAMPLE
 
@@ -178,6 +195,269 @@ class _RecursiveParser(Parser):
 
 def _frozen_params_json(params) -> str:
     return json.dumps(list(params), separators=(",", ":"), ensure_ascii=False)
+
+
+# The analyzer, and the lowering pass that walked every guard again,
+# before analysis lowered as it checked.
+
+@dataclass
+class _FrozenTyped:
+    filename: str
+    conditions: dict = field(default_factory=dict)  # var -> (builtin, frozen|None)
+    actions: dict = field(default_factory=dict)
+    blocks: dict = field(default_factory=dict)      # var -> condexpr AST
+    rules: dict = field(default_factory=dict)       # var -> (guard AST, [(builtin, params)], line)
+    chain_defs: dict = field(default_factory=dict)  # var -> [(exit, rule var)]
+    syscalls: dict = field(default_factory=dict)    # var -> canonical name
+    binds: list = field(default_factory=list)       # [(syscall name, chain var)]
+    warnings: list = field(default_factory=list)
+
+
+def _frozen_syscall(name: str) -> "str | None":
+    bare = name[4:] if name.startswith("sys_") else name
+    return bare if bare in SYSCALL_ARITY else None
+
+
+class _FrozenAnalyzer:
+    def __init__(self, ast: Ast):
+        self.ast = ast
+        self.declared = {}   # name -> typekw
+        self.used = set()
+        self.out = _FrozenTyped(ast.filename)
+
+    def err(self, cls, message, line):
+        raise cls(message, self.ast.filename, line, 1)
+
+    def analyze(self) -> _FrozenTyped:
+        for stmt in self.ast.statements:
+            if isinstance(stmt, Define):
+                for name in stmt.names:
+                    if name in self.declared:
+                        self.err(SemanticError, f"{name!r} already defined", stmt.line)
+                    self.declared[name] = stmt.typekw
+        for stmt in self.ast.statements:
+            if isinstance(stmt, Let):
+                self.let(stmt)
+        for stmt in self.ast.statements:
+            if isinstance(stmt, BindStmt):
+                self.bind(stmt)
+        for name in self.declared:
+            if name not in self.used and name not in self._assigned():
+                self.out.warnings.append(f"{name!r} defined but never assigned")
+            elif name not in self.used:
+                self.out.warnings.append(f"{name!r} assigned but never used")
+        return self.out
+
+    def _assigned(self):
+        out = self.out
+        return (set(out.conditions) | set(out.actions) | set(out.blocks)
+                | set(out.rules) | set(out.chain_defs) | set(out.syscalls))
+
+    def let(self, stmt: Let):
+        name, rhs = stmt.name, stmt.rhs
+        if name not in self.declared:
+            self.err(UndefinedName, f"{name!r} not defined", stmt.line)
+        if name in self._assigned():
+            self.err(SemanticError, f"{name!r} assigned twice", stmt.line)
+        typekw = self.declared[name]
+        if typekw in ("condition", "action"):
+            self.let_builtin_alias(name, typekw, rhs, stmt.line)
+        elif typekw == "conditionblock":
+            if not isinstance(rhs, CondBlockExpr):
+                self.err(TypeMismatch,
+                         f"{name!r} is a conditionblock; expected a condition "
+                         f"expression block", stmt.line)
+            self.check_condexpr(rhs.expr)
+            self.out.blocks[name] = rhs.expr
+        elif typekw == "rule":
+            if not isinstance(rhs, RuleExpr):
+                self.err(TypeMismatch,
+                         f"{name!r} is a rule; expected {{guard->actions}}", stmt.line)
+            self.out.rules[name] = (*self.check_ruleexpr(rhs, stmt.line), stmt.line)
+        elif typekw == "rulechain":
+            if not isinstance(rhs, ChainExpr):
+                self.err(TypeMismatch,
+                         f"{name!r} is a rulechain; expected {{rule,rule,...}}",
+                         stmt.line)
+            for _, rname in rhs.items:
+                if self.declared.get(rname) != "rule":
+                    self.err(TypeMismatch, f"{rname!r} is not a rule", stmt.line)
+                self.used.add(rname)
+            self.out.chain_defs[name] = rhs.items
+        elif typekw == "syscall":
+            if not isinstance(rhs, NameRef):
+                self.err(TypeMismatch, f"{name!r} is a syscall; expected a "
+                         f"syscall name", stmt.line)
+            canonical = _frozen_syscall(rhs.name)
+            if canonical is None:
+                self.err(UndefinedName, f"unknown syscall {rhs.name!r}", stmt.line)
+            self.out.syscalls[name] = canonical
+
+    def let_builtin_alias(self, name, typekw, rhs, line):
+        table = self.out.conditions if typekw == "condition" else self.out.actions
+        if not isinstance(rhs, (NameRef, Call)):
+            self.err(TypeMismatch,
+                     f"{name!r} is a {typekw}; expected a builtin name", line)
+        spec = bi.REGISTRY.get(rhs.name)
+        if spec is None:
+            self.err(UndefinedName, f"unknown builtin {rhs.name!r}", line)
+        if spec.kind != typekw:
+            self.err(TypeMismatch,
+                     f"{rhs.name!r} is a {spec.kind} builtin, but {name!r} "
+                     f"is declared as {typekw}", line)
+        params = None   # a bare name: the call site gives the params
+        if isinstance(rhs, Call):
+            params = tuple(rhs.args)
+            err = bi.check_params(rhs.name, params)
+            if err:
+                self.err(ArityError, err, line)
+        table[name] = (rhs.name, params)
+
+    def resolve_invocation(self, call: Call, want_kind: str):
+        """Resolve a call to (builtin_name, params); checks kind and params."""
+        frozen = None
+        table = (self.out.conditions if want_kind == "condition"
+                 else self.out.actions)
+        if call.name in table:
+            builtin, frozen = table[call.name]
+            self.used.add(call.name)
+        elif call.name in self.declared:
+            self.err(TypeMismatch,
+                     f"{call.name!r} is a {self.declared[call.name]}, "
+                     f"not a {want_kind}", call.line)
+        elif call.name in bi.REGISTRY:
+            spec = bi.REGISTRY[call.name]
+            if spec.kind != want_kind:
+                self.err(TypeMismatch,
+                         f"{call.name!r} is a {spec.kind}, not a {want_kind}",
+                         call.line)
+            builtin = call.name
+        else:
+            self.err(UndefinedName, f"unknown name {call.name!r}", call.line)
+        if frozen is not None:
+            if call.args:
+                self.err(ArityError,
+                         f"{call.name!r} already carries parameters; call it "
+                         f"with no arguments", call.line)
+            params = frozen
+        else:
+            params = tuple(call.args)
+            err = bi.check_params(builtin, params)
+            if err:
+                self.err(ArityError, err, call.line)
+        return builtin, params
+
+    def check_condexpr(self, node):
+        """Resolve every leaf, left to right (iterative: any depth)."""
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, BinOp):
+                stack += (node.right, node.left)
+            elif isinstance(node, Call):
+                self.resolve_invocation(node, "condition")
+            else:
+                raise AssertionError(f"bad condexpr node {node!r}")
+
+    def check_ruleexpr(self, rx: RuleExpr, line):
+        if isinstance(rx.guard, NameRef):
+            if self.declared.get(rx.guard.name) != "conditionblock":
+                self.err(TypeMismatch,
+                         f"rule guard {rx.guard.name!r} is not a conditionblock",
+                         line)
+            self.used.add(rx.guard.name)
+        else:
+            self.check_condexpr(rx.guard.expr)
+        actions = []
+        blocked = False
+        for call in rx.actions:
+            builtin, params = self.resolve_invocation(call, "action")
+            if builtin == "block":
+                blocked = True
+            elif builtin == "call_orig" and blocked:
+                self.err(SemanticError,
+                         "call_orig after block is contradictory", call.line)
+            if builtin == "manipulateparam" and bi.rewrite_loop_hazard(params):
+                self.out.warnings.append(
+                    f"line {call.line}: manipulateparam replacement re-matches "
+                    f"its own pattern (rewrite loop hazard)")
+            actions.append((builtin, params))
+        return rx.guard, actions
+
+    def bind(self, stmt: BindStmt):
+        if stmt.chain not in self.out.chain_defs:
+            self.err(UndefinedName, f"{stmt.chain!r} is not a rulechain",
+                     stmt.line)
+        self.used.add(stmt.chain)
+        if stmt.syscall in self.out.syscalls:
+            syscall = self.out.syscalls[stmt.syscall]
+            self.used.add(stmt.syscall)
+        else:
+            syscall = _frozen_syscall(stmt.syscall)
+            if syscall is None:
+                self.err(UndefinedName, f"unknown syscall {stmt.syscall!r}",
+                         stmt.line)
+        if any(sc == syscall for sc, _ in self.out.binds):
+            self.err(DuplicateBind,
+                     f"syscall {syscall!r} already has a bound rulechain",
+                     stmt.line)
+        self.out.binds.append((syscall, stmt.chain))
+
+
+def _frozen_condexpr(node, typed: _FrozenTyped):
+    """Post-order walk with an explicit stack, so any depth lowers."""
+    done = []       # lowered operands, left to right
+    stack = [node]  # nodes still to lower; an op code joins the last two
+    push, pop = stack.append, stack.pop
+    while stack:
+        node = pop()
+        if type(node) is int:
+            right = done.pop()
+            done[-1] = ConditionBlock(done[-1], right, node)
+            continue
+        while type(node) is BinOp:  # down the left spine
+            push(OP_AND if node.op == "&&" else OP_OR)
+            push(node.right)
+            node = node.left
+        builtin, params = _frozen_resolved(node, typed, "condition")
+        done.append(Condition(builtin, params))
+    return done[0]
+
+
+def _frozen_resolved(call: Call, typed: _FrozenTyped, kind: str):
+    table = typed.conditions if kind == "condition" else typed.actions
+    if call.name in table:
+        builtin, frozen = table[call.name]
+        return builtin, frozen if frozen is not None else tuple(call.args)
+    return call.name, tuple(call.args)
+
+
+def _frozen_guard(guard, typed: _FrozenTyped) -> ConditionBlock:
+    if isinstance(guard, NameRef):
+        node = _frozen_condexpr(typed.blocks[guard.name], typed)
+    else:
+        node = _frozen_condexpr(guard.expr, typed)
+    if isinstance(node, Condition):
+        # single condition embedded via the neutral always-true partner
+        node = ConditionBlock(node, ALWAYS_TRUE, OP_AND)
+    return node
+
+
+def _frozen_compile_typed(typed: _FrozenTyped) -> RuleProgram:
+    base_rules = {}
+    for name, (guard, actions, line) in typed.rules.items():
+        chain_actions = ActionChain(tuple(Action(b, p) for b, p in actions))
+        base_rules[name] = Rule(name, _frozen_guard(guard, typed), chain_actions,
+                                0, f"{typed.filename}:{line}")
+    chains = {}
+    for cname, items in typed.chain_defs.items():
+        members = []
+        for exit_flag, rname in items:
+            rule = base_rules[rname]
+            members.append(Rule(rule.name, rule.guard, rule.actions,
+                                1 if exit_flag else 0, rule.span))
+        chains[cname] = RuleChain(cname, tuple(members))
+    return RuleProgram(chains=chains, bindings=list(typed.binds))
 
 
 # --- generated sources ------------------------------------------------------
@@ -388,7 +668,8 @@ class TestParserAgainstRecursiveReference:
 def test_apc_bytes_match_frozen_front_end(source, monkeypatch):
     new = apc.serialize(compile_source(source, "p.apate")[0])
     tokens = _frozen_tokenize(SourceUnit(source, "p.apate"))
-    prog = compile_typed(analyze(_RecursiveParser(tokens, "p.apate").parse()))
+    prog = _frozen_compile_typed(
+        _FrozenAnalyzer(_RecursiveParser(tokens, "p.apate").parse()).analyze())
     monkeypatch.setattr(apc, "args_json", _frozen_params_json)
     assert apc.serialize(prog) == new
 
@@ -445,14 +726,42 @@ def _mutate(rng, text) -> str:
     return text
 
 
-def test_fuzz_compile_returns_or_raises_source_error():
-    """Seeded mutations of valid programs: compile_source returns or raises
-    a SourceError, never anything else; every success round-trips."""
+_FUZZ_SEEDS = (MYSQL_EXAMPLE, _m3d_source(random.Random(11), 4, 5))
+
+
+def _char_corpus():
+    """2,000 seeded character mutations of the two valid programs."""
     rng = random.Random(2015)
-    seeds = (MYSQL_EXAMPLE, _m3d_source(random.Random(11), 4, 5))
+    return [_mutate(rng, _FUZZ_SEEDS[case % 2]) for case in range(2_000)]
+
+
+def _move_lines(rng, text) -> str:
+    """Drop, duplicate or move 1-3 whole lines."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        op = rng.randrange(3)
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        else:
+            line = lines.pop(i)
+            lines.insert(rng.randrange(len(lines) + 1), line)
+    return "\n".join(lines)
+
+
+def _line_corpus():
+    """3,000 seeded statement-level mutations of the two valid programs."""
+    rng = random.Random(7)
+    return [_move_lines(rng, _FUZZ_SEEDS[case % 2]) for case in range(3_000)]
+
+
+def _compiles_or_source_error(texts) -> int:
+    """compile_source returns or raises a SourceError on each text, never
+    anything else, and every success round-trips; the successes."""
     compiled = 0
-    for case in range(2_000):
-        text = _mutate(rng, seeds[case % 2])
+    for case, text in enumerate(texts):
         try:
             prog, _ = compile_source(text, "fuzz.apate")
         except SourceError:
@@ -462,4 +771,95 @@ def test_fuzz_compile_returns_or_raises_source_error():
         blob = apc.serialize(prog)
         assert apc.serialize(apc.deserialize(blob)) == blob, text
         compiled += 1
-    assert compiled >= 200
+    return compiled
+
+
+def test_fuzz_compile_returns_or_raises_source_error():
+    """Seeded character mutations of valid programs."""
+    assert _compiles_or_source_error(_char_corpus()) >= 200
+
+
+def test_line_fuzz_compile_returns_or_raises_source_error():
+    """Seeded whole-line drops, duplicates and moves in valid programs."""
+    assert _compiles_or_source_error(_line_corpus()) >= 500
+
+
+def _frozen_compile(text, filename):
+    typed = _FrozenAnalyzer(parse(tokenize(SourceUnit(text, filename)),
+                                  filename)).analyze()
+    return _frozen_compile_typed(typed), typed.warnings
+
+
+def _outcome(compile_fn, text):
+    """.apc bytes and warnings, or the error's class and str()."""
+    try:
+        prog, warnings = compile_fn(text, "f.apate")
+    except SourceError as exc:
+        return type(exc).__name__, str(exc)
+    except KeyError as exc:   # the frozen lowering, at an unassigned name
+        return "KeyError", exc.args[0]
+    return apc.serialize(prog), warnings
+
+
+_CALLED_EARLY = re.compile(r"(.*: )'(\w+)' is a (condition|action), not a \3")
+
+
+@pytest.mark.parametrize("corpus, least", [(_char_corpus, (1_900, 0, 0, 200)),
+                                           (_line_corpus, (2_500, 100, 10, 500))],
+                         ids=["chars", "lines"])
+def test_analysis_matches_frozen_reference(corpus, least):
+    """The same .apc bytes and warnings, or the same error class and
+    message, as the frozen analyzer and lowering; except that an alias
+    called before its let, and a name used but never assigned, are each
+    an UndefinedName at the using statement."""
+    same = early = unassigned = compiled = 0
+    for text in corpus():
+        new = _outcome(compile_source, text)
+        old = _outcome(_frozen_compile, text)
+        if old[0] == "KeyError":
+            assert new[0] == "UndefinedName", (text, new)
+            assert new[1].endswith(f": {old[1]!r} is used but never assigned")
+            unassigned += 1
+        elif new != old:
+            m = old[0] == "TypeMismatch" and _CALLED_EARLY.fullmatch(old[1])
+            assert m and new == ("UndefinedName", f"{m[1]}'{m[2]}' is used "
+                                 "before it is assigned"), (text, old, new)
+            early += 1
+        else:
+            same += 1
+            compiled += type(new[0]) is bytes
+    counts = (same, early, unassigned, compiled)
+    assert all(n >= k for n, k in zip(counts, least)), counts
+
+
+@pytest.mark.parametrize("text, where, name", [
+    ("define r,r2 as rule\ndefine rc as rulechain\n"
+     "let r be {{always_true()}->log()}\n"
+     "let rc be {r,:r2}\nbind rc to sys_open\n", 4, "r2"),
+    ("define cb as conditionblock\ndefine r as rule\n"
+     "define rc as rulechain\nlet r be {cb->log()}\n"
+     "let rc be {r}\nbind rc to sys_open\n", 4, "cb"),
+], ids=["rule", "conditionblock"])
+def test_compile_names_an_unassigned_name(tmp_path, capsys, text, where,
+                                          name):
+    src, out = tmp_path / "u.apate", tmp_path / "u.apc"
+    src.write_text(text)
+    assert main(["compile", str(src), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"{src}:{where}:1: {name!r} is used but never assigned\n")
+    assert not out.exists()
+
+
+def test_8000_aliased_conditions_analyze_in_linear_time():
+    names = [f"c{i}" for i in range(8_000)]
+    leaves = " || ".join(f'{c}(">";{i})' for i, c in enumerate(names))
+    ast = parse(tokenize(SourceUnit(
+        f"define {','.join(names)} as condition\n"
+        + "".join(f"let {c} be testforuid\n" for c in names)
+        + "define r as rule\ndefine rc as rulechain\n"
+        f"let r be {{{{{leaves}}}->log()}}\nlet rc be {{r}}\n"
+        "bind rc to sys_open\n")))
+    start = time.perf_counter()
+    typed = analyze(ast)
+    assert time.perf_counter() - start < 1.0
+    assert typed.warnings == []
