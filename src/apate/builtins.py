@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ApateError, UnknownBuiltin
 from .logsink import format_record
-from .sandbox import exec_syscall, errno_default, normalize_path
+from .sandbox import exec_syscall, errno_default
 
 COMPARISONS = ("==", "!=", ">", "<", ">=", "<=")
 

@@ -56,15 +56,18 @@ def cloak_ruleset(log_path: str) -> RuleProgram:
     return compile_source(source, "<cloak>")[0]
 
 
-def _shift_jumps(rule: Rule, offset: int) -> Rule:
-    """The rule with each non-negative jump target moved by offset."""
+def _shift_jumps(rule: Rule, offset: int, taken: set) -> Rule:
+    """The rule itself if no jump target moves; else a copy with each
+    non-negative target moved by offset, under a fresh name added to taken."""
     actions = tuple(
         Action("jump", (a.params[0] + offset,))
         if a.builtin_name == "jump" and len(a.params) == 1
         and isinstance(a.params[0], int) and a.params[0] >= 0 else a
         for a in rule.actions.actions)
-    return Rule(rule.name, rule.guard, ActionChain(actions), rule.exit_flag,
-                rule.span)
+    if actions == rule.actions.actions:
+        return rule
+    taken.add(name := _free(rule.name, taken))
+    return replace(rule, name=name, actions=ActionChain(actions))
 
 
 def _free(name, taken) -> str:
@@ -80,24 +83,27 @@ def apply_cloak(user_prog: RuleProgram, cloak_prog: RuleProgram) -> RuleProgram:
     """Merge: cloak rules run before any user rules on the same syscall.
 
     Each non-negative user jump target moves past the cloak rules; a
-    negative one stays out of range.  An added chain never replaces a
-    user chain, and a cloak rule never shares a user rule's name: where
-    a name is taken, it gets the first free ``<name>#<n>``.
+    negative one stays out of range.  No name gets two bodies: where an
+    added chain, a cloak rule or a user rule whose jump moved would take
+    a name in use, it gets the first free ``<name>#<n>``.
     """
     chains = dict(user_prog.chains)
-    user_rules = {r.name for chain in chains.values() for r in chain.rules}
+    taken = {r.name for chain in chains.values() for r in chain.rules}
+    cloak = {name: tuple(replace(r, name=_free(r.name, taken))
+                         for r in chain.rules)
+             for name, chain in cloak_prog.chains.items()}
+    taken.update(r.name for rules in cloak.values() for r in rules)
     bindings = []
     user_bound = dict(user_prog.bindings)
     added = {}   # (cloak chain, user chain or None) -> added chain's name
     for syscall, cloak_name in cloak_prog.bindings:
         user_name = user_bound.get(syscall)
         if (cloak_name, user_name) not in added:
-            rules = tuple(replace(r, name=_free(r.name, user_rules))
-                          for r in cloak_prog.chains[cloak_name].rules)
+            rules = cloak[cloak_name]
             name = cloak_name
             if user_name is not None:
                 name = f"{cloak_name}+{user_name}"
-                rules += tuple(_shift_jumps(r, len(rules))
+                rules += tuple(_shift_jumps(r, len(rules), taken)
                                for r in chains[user_name].rules)
             fresh = _free(name, chains)
             chains[fresh] = RuleChain(fresh, rules)

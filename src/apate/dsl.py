@@ -617,19 +617,22 @@ class Analyzer:
                     f"{self.ast.filename}:{line}")
 
     def bind(self, stmt: BindStmt):
-        if stmt.chain not in self.out.chains:
-            self.err(UndefinedName, f"{stmt.chain!r} is not a rulechain",
-                     stmt.line)
-        self.used.add(stmt.chain)
-        if self.declared.get(stmt.syscall) == "syscall" \
-                and stmt.syscall in self.out.values:
-            syscall = self.out.values[stmt.syscall]
-            self.used.add(stmt.syscall)
-        else:
-            syscall = hooked_syscall(stmt.syscall)
-            if syscall is None:
-                self.err(UndefinedName, f"unknown syscall {stmt.syscall!r}",
+        chain, name, values = stmt.chain, stmt.syscall, self.out.values
+        if chain not in self.out.chains:
+            self.err(UndefinedName, f"{chain!r} is used but never assigned"
+                     if self.declared.get(chain) == "rulechain"
+                     else f"{chain!r} is not a rulechain", stmt.line)
+        self.used.add(chain)
+        if self.declared.get(name) == "syscall":
+            if name not in values:
+                self.err(UndefinedName, f"{name!r} is used but never assigned",
                          stmt.line)
+            syscall = values[name]
+            self.used.add(name)
+        else:
+            syscall = hooked_syscall(name)
+            if syscall is None:
+                self.err(UndefinedName, f"unknown syscall {name!r}", stmt.line)
         if any(sc == syscall for sc, _ in self.out.binds):
             self.err(DuplicateBind,
                      f"syscall {syscall!r} already has a bound rulechain",

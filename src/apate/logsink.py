@@ -22,6 +22,8 @@ import socket
 import threading
 from dataclasses import dataclass
 
+from .sandbox import append_to_vfs_file, normalize_path
+
 LINE_MAX = 60_000
 TRUNCATION_MARK = "…"
 
@@ -193,15 +195,13 @@ class VfsSink:
     """
 
     def __init__(self, vfs, path: str):
-        from .sandbox import append_to_vfs_file, normalize_path
-        self._append = append_to_vfs_file
         self.vfs = vfs
         self.path = normalize_path(path)
         self.dropped = 0
 
     def emit(self, line: str) -> None:
         try:
-            self._append(self.vfs, self.path, line.encode("utf-8") + b"\n")
+            append_to_vfs_file(self.vfs, self.path, line.encode("utf-8") + b"\n")
         except ValueError:  # a directory or file in the way, or a lone surrogate
             self.dropped += 1
 

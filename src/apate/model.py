@@ -14,28 +14,39 @@ from dataclasses import dataclass, field
 OP_AND = 2
 OP_OR = 4
 
-# The eleven hooked syscalls and their argument arities.
-SYSCALL_ARITY = {
-    "open": 2,       # (path, mode)
-    "close": 1,      # (fd)
-    "read": 2,       # (fd, count)
-    "write": 2,      # (fd, byte-length)
-    "unlink": 1,     # (path)
-    "execve": 2,     # (path, argv-string)
-    "getpid": 0,
-    "getuid": 0,
-    "mkdir": 1,      # (path)
-    "rmdir": 1,      # (path)
-    "getdents": 1,   # (dirpath)
+# Syscall return values for a refused or failing call (negated errnos).
+ENOENT = -2
+EBADF = -9
+EACCES = -13
+EEXIST = -17
+EINVAL = -22
+EFBIG = -27
+ENOTEMPTY = -39
+
+# The eleven hooked syscalls: argument slots ("path", "mode", "fd", "count"
+# or "argv"; write's count is its byte length) and the errno of a refused
+# call, None for getpid/getuid, which cannot fail and return pid or uid.
+SYSCALL_TABLE = {
+    "open": (("path", "mode"), EACCES),
+    "close": (("fd",), EBADF),
+    "read": (("fd", "count"), EBADF),
+    "write": (("fd", "count"), EBADF),
+    "unlink": (("path",), EACCES),
+    "execve": (("path", "argv"), EACCES),
+    "getpid": ((), None),
+    "getuid": ((), None),
+    "mkdir": (("path",), EACCES),
+    "rmdir": (("path",), EACCES),
+    "getdents": (("path",), EBADF),
 }
 
-SYSCALLS = tuple(SYSCALL_ARITY)
+SYSCALLS = tuple(SYSCALL_TABLE)
 
 
 def hooked_syscall(name: str) -> "str | None":
     """The hooked syscall that ``name`` or ``sys_<name>`` names, or None."""
     bare = name[4:] if name.startswith("sys_") else name
-    return bare if bare in SYSCALL_ARITY else None
+    return bare if bare in SYSCALL_TABLE else None
 
 
 @dataclass(slots=True)
@@ -78,13 +89,12 @@ class SyscallEvent:
     ctx: TaskContext
 
     def __post_init__(self):
-        if self.syscall not in SYSCALL_ARITY:
+        entry = SYSCALL_TABLE.get(self.syscall)
+        if entry is None:
             raise ValueError(f"unknown syscall {self.syscall!r}")
-        if len(self.args) != SYSCALL_ARITY[self.syscall]:
-            raise ValueError(
-                f"{self.syscall} takes {SYSCALL_ARITY[self.syscall]} args, "
-                f"got {len(self.args)}"
-            )
+        if len(self.args) != len(entry[0]):
+            raise ValueError(f"{self.syscall} takes {len(entry[0])} args, "
+                             f"got {len(self.args)}")
 
 
 @dataclass(frozen=True)

@@ -14,37 +14,25 @@ from datetime import datetime, timezone
 from time import time_ns
 
 from .errors import MalformedManifestLine
-from .model import SyscallEvent
+from .model import (EACCES, EBADF, EEXIST, EFBIG, EINVAL, ENOENT,
+                    ENOTEMPTY, SYSCALL_TABLE, SyscallEvent)
 
-ENOENT = -2
-EBADF = -9
-EACCES = -13
-EEXIST = -17
-EINVAL = -22
-ENOTEMPTY = -39
+# The largest file a manifest line or a write may make: above the paper's
+# largest copy (1e9 bytes), and a bound on what one input line allocates.
+MAX_FILE_BYTES = 1 << 30
 
-# Default error per syscall when a chain is disrupted or a call is
-# blocked without an explicit errno.  getpid/getuid cannot fail and
-# fall back to the true context value (handled in errno_default).
-ERRNO_TABLE = {
-    "open": EACCES,
-    "mkdir": EACCES,
-    "rmdir": EACCES,
-    "unlink": EACCES,
-    "execve": EACCES,
-    "read": EBADF,
-    "write": EBADF,
-    "getdents": EBADF,
-    "close": EBADF,
-}
+# The syscalls whose first argument is a path; exec_syscall normalizes it.
+_PATH_FIRST = frozenset(name for name, (slots, _) in SYSCALL_TABLE.items()
+                        if slots[:1] == ("path",))
 
 
 def errno_default(ev: SyscallEvent) -> int:
-    if ev.syscall == "getpid":
-        return ev.ctx.pid
-    if ev.syscall == "getuid":
-        return ev.ctx.uid
-    return ERRNO_TABLE[ev.syscall]
+    """The result of a refused call: its table errno, or for getpid and
+    getuid (which cannot fail) the caller's pid or uid."""
+    errno = SYSCALL_TABLE[ev.syscall][1]
+    if errno is None:
+        return ev.ctx.pid if ev.syscall == "getpid" else ev.ctx.uid
+    return errno
 
 
 def normalize_path(path: str) -> str:
@@ -191,18 +179,16 @@ class VirtualFS:
 def vfs_from_manifest(manifest: bytes) -> VirtualFS:
     """Build a VFS from a line-based manifest.
 
-    Lines are ``D <path>`` or ``F <path> <byte-length> <fill-hex|@text>``.
-    Missing parents are created as directories.
+    ``manifest`` is UTF-8 bytes.  Lines are ``D <path>`` or
+    ``F <path> <byte-length> <fill-hex|@text>``, the length at most
+    MAX_FILE_BYTES.  Missing parents are created as directories.
     """
     vfs = VirtualFS()
-    if isinstance(manifest, (bytes, bytearray)):
-        try:
-            text = manifest.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line_no = manifest.count(b"\n", 0, exc.start) + 1
-            raise MalformedManifestLine(line_no, f"not UTF-8: {exc.reason}") from None
-    else:
-        text = manifest
+    try:
+        text = manifest.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = manifest.count(b"\n", 0, exc.start) + 1
+        raise MalformedManifestLine(line_no, f"not UTF-8: {exc.reason}") from None
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -225,6 +211,9 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
                 raise MalformedManifestLine(n, f"bad length {length_s!r}") from None
             if length < 0:
                 raise MalformedManifestLine(n, f"negative length {length}")
+            if length > MAX_FILE_BYTES:
+                raise MalformedManifestLine(n, f"length {length} is over "
+                                            f"the {MAX_FILE_BYTES}-byte limit")
             if spec.startswith("@"):
                 content = spec[1:].encode("utf-8")
                 if len(content) != length:
@@ -360,89 +349,79 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
     vfs, fds = sandbox.vfs, sandbox.fds
     name, args = ev.syscall, ev.args
 
-    if name == "open":
-        path, mode = normalize_path(str(args[0])), str(args[1])
-        if mode == "r":
-            if path not in vfs.files:
+    if name in _PATH_FIRST:
+        path = normalize_path(str(args[0]))
+
+        if name == "open":
+            mode = str(args[1])
+            if mode == "r":
+                if path not in vfs.files:
+                    return ENOENT
+                return fds.alloc(path, "r", vfs.files[path])
+            if mode in ("w", "creat"):
+                if path in vfs.dirs or parent_of(path) not in vfs.dirs:
+                    return ENOENT
+                vfs.put_file(path, b"")  # creates, or truncates in place
+                return fds.alloc(path, "w", vfs.files[path])
+            return ENOENT
+
+        if name == "unlink":
+            if path in vfs.files:
+                vfs.remove_file(path)
+                return 0
+            return ENOENT
+
+        if name == "mkdir":
+            if path in vfs.dirs or path in vfs.files:
+                return EEXIST
+            if parent_of(path) not in vfs.dirs:
                 return ENOENT
-            return fds.alloc(path, "r", vfs.files[path])
-        if mode in ("w", "creat"):
-            if path in vfs.dirs or parent_of(path) not in vfs.dirs:
+            vfs.mkdirs(path)
+            return 0
+
+        if name == "rmdir":
+            if path not in vfs.dirs or path == "/":
                 return ENOENT
-            vfs.put_file(path, b"")  # creates, or truncates in place
-            return fds.alloc(path, "w", vfs.files[path])
-        return ENOENT
+            if vfs.children[path]:
+                return ENOTEMPTY
+            vfs.remove_dir(path)
+            return 0
+
+        if name == "getdents":
+            if path not in vfs.dirs:
+                return ENOENT
+            entries = vfs.listdir(path)
+            sandbox.last_getdents = entries
+            return len(entries)
+
+        if name == "execve":
+            sandbox.diag("execve", f"{path} argv={args[1]!r}")
+            return 0 if path in vfs.files else ENOENT
 
     if name == "close":
         return 0 if fds.close(args[0]) else EBADF
 
-    if name == "read":
-        fd, count = args
-        entry = fds.get(fd)
-        if entry is None or entry[2] != "r":
+    if name == "read" or name == "write":
+        entry = fds.get(args[0])
+        if entry is None or entry[2] != name[0]:  # open for "r" or "w"
             return EBADF
-        count = _byte_count(count)
+        count = _byte_count(args[1])
         if count < 0:
             return EINVAL
         _, offset, _, content = entry
-        data = content[offset:offset + count]  # a copy
-        entry[1] = offset + len(data)
-        sandbox.last_read = data
-        return len(data)
-
-    if name == "write":
-        fd, payload = args
-        entry = fds.get(fd)
-        if entry is None or entry[2] != "w":
-            return EBADF
-        length = _byte_count(payload)
-        if length < 0:
-            return EINVAL
-        _, offset, _, content = entry
-        entry[1] = offset + length
+        if name == "read":
+            data = content[offset:offset + count]  # a copy
+            entry[1] = offset + len(data)
+            sandbox.last_read = data
+            return len(data)
+        if offset + count > MAX_FILE_BYTES:
+            return EFBIG
+        entry[1] = offset + count
         if offset >= len(content):
-            content.extend(b"\x00" * (offset - len(content) + length))
+            content.extend(b"\x00" * (offset - len(content) + count))
         else:
-            content[offset:offset + length] = b"\x00" * length
-        return length
-
-    if name == "unlink":
-        path = normalize_path(str(args[0]))
-        if path in vfs.files:
-            vfs.remove_file(path)
-            return 0
-        return ENOENT
-
-    if name == "mkdir":
-        path = normalize_path(str(args[0]))
-        if path in vfs.dirs or path in vfs.files:
-            return EEXIST
-        if parent_of(path) not in vfs.dirs:
-            return ENOENT
-        vfs.mkdirs(path)
-        return 0
-
-    if name == "rmdir":
-        path = normalize_path(str(args[0]))
-        if path not in vfs.dirs or path == "/":
-            return ENOENT
-        if vfs.children[path]:
-            return ENOTEMPTY
-        vfs.remove_dir(path)
-        return 0
-
-    if name == "getdents":
-        path = normalize_path(str(args[0]))
-        if path not in vfs.dirs:
-            return ENOENT
-        entries = vfs.listdir(path)
-        sandbox.last_getdents = entries
-        return len(entries)
-
-    if name == "execve":
-        path = normalize_path(str(args[0]))
-        sandbox.diag("execve", f"{path} argv={args[1]!r}")
-        return 0 if vfs.is_file(path) else ENOENT
+            content[offset:offset + count] = b"\x00" * count
+        return count
 
     if name == "getpid":
         return ev.ctx.pid

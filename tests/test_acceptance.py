@@ -21,7 +21,7 @@ from apate.engine import (DEFAULT_JUMP_BUDGET, dispatch, eval_chain,
 from apate.logsink import MemorySink, VfsSink
 from apate.model import (ALWAYS_TRUE, Action, ActionChain, Condition,
                          ConditionBlock, OP_AND, OP_OR, Rule, RuleChain,
-                         RuleProgram, SYSCALL_ARITY, SYSCALLS, TaskContext)
+                         RuleProgram, SYSCALLS, TaskContext)
 from apate.replay import EventSource, scan_for_substring
 from apate.sandbox import SandboxState, errno_default
 

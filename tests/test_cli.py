@@ -148,6 +148,33 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("apate: bad manifest: line 2: /a exists as a file")
 
+    @pytest.mark.parametrize("length", ["9999999999999",
+                                        "99999999999999999999"])
+    def test_huge_manifest_length_exit_one(self, compiled, tmp_path, capsys,
+                                           length):
+        fs = tmp_path / "fs.manifest"
+        fs.write_text(f"D /d\nF /a {length} 00\n")
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "getpid", []) + "\n")
+        assert main(["run", "--program", str(compiled), "--trace", str(trace),
+                     "--fs", str(fs)]) == 1
+        assert capsys.readouterr().err == (
+            f"apate: bad manifest: line 2: length {length} is over the "
+            "1073741824-byte limit\n")
+
+    def test_huge_write_is_efbig(self, compiled, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join([
+            trace_line(1, "open", ["/f", "w"]),
+            trace_line(2, "write", [3, {"len": 99999999999999999999}]),
+            trace_line(3, "write", [3, {"len": 4}]),
+        ]) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["run", "--program", str(compiled), "--trace", str(trace),
+                     "--report", str(report_path)]) == 0
+        events = json.loads(report_path.read_text())["events"]
+        assert [e["result"] for e in events] == [3, -27, 4]
+
     def test_bad_trace_exit_one(self, compiled, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         trace.write_text("not json\n")

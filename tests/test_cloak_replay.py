@@ -292,6 +292,39 @@ def test_cloak_rule_takes_the_first_free_name():
     assert [r.name for r in merged.chains["cloak_path"].rules] == ["by_path#2"]
 
 
+def test_shifted_user_rule_gets_its_own_name():
+    """A rule bound both behind the cloak (its jump moves) and on its own
+    (it does not) is two bodies, so the moved one is renamed."""
+    user = compile_source(
+        "define r,s as rule\ndefine rc as rulechain\n"
+        'let r be {{testforpname("cron")}->jump(1)}\n'
+        "let s be {{always_true()}->store_add(\"s\";1)}\n"
+        "let rc be {r,s}\nbind rc to open\nbind rc to getpid\n",
+        "user.apate")[0]
+    merged = apply_cloak(user, cloak_ruleset(LOG))
+    blob = apc.serialize(merged)
+    assert apc.serialize(apc.deserialize(blob)) == blob
+    (r, s), (by_path, r1, s1) = (merged.chains[c].rules
+                                 for c in ("rc", "cloak_path+rc"))
+    assert (r.name, r1.name, by_path.name) == ("r", "r#1", "by_path")
+    assert r1.actions.actions == (Action("jump", (2,)),) and s1 is s
+    assert merged.chains["rc"] is user.chains["rc"]
+    cron = make_ctx(pname="cron")
+    events = [make_event("open", "/x", "r", ctx=cron),
+              make_event("getpid", ctx=cron),
+              make_event("open", LOG, "r", ctx=cron)]
+    for prog in (merged, apc.deserialize(blob)):
+        sb = cloaked_sandbox()
+        got = [(d.matched_rules, d.result, d.blocked) for d in
+               (dispatch(prog, ev, sb) for ev in events)]
+        assert got == [([2], ENOENT, False), ([1], 100, False),
+                       ([0], ENOENT, True)]
+        assert sb.store.get("s") == 2
+    trace = _cloak_trace(random.Random(9), LOG)
+    assert _replay(merged, LOG, trace) == _replay(apc.deserialize(blob), LOG,
+                                                   trace)
+
+
 class TestTraceParsing:
     def line(self, **kw):
         base = {"seq": 1, "syscall": "open", "args": ["/etc/passwd", "r"],

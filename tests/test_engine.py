@@ -15,7 +15,7 @@ from apate.errors import ApateError, UnknownBuiltin
 from apate.model import (Action, ActionChain, ALWAYS_TRUE, Condition,
                          ConditionBlock, EMPTY_PROGRAM, OP_AND, OP_OR, Rule,
                          RuleChain, RuleProgram, SYSCALLS)
-from apate.sandbox import ERRNO_TABLE, SandboxState, errno_default
+from apate.sandbox import EACCES, SandboxState, errno_default
 
 from conftest import FALSE_LEAF, TRUE_LEAF, make_ctx, make_event
 
@@ -113,7 +113,7 @@ class TestActionChain:
         ev = make_event("open", "/f", "r")
         status, result = run_action_chain(chain, ev, sandbox)
         assert status != 0
-        assert result == ERRNO_TABLE["open"]
+        assert result == EACCES
         assert sandbox.store.get("ok") == 1
         assert sandbox.store.get("after") == 0
         assert any(d["kind"] == "ChainDisrupted" for d in sandbox.diagnostics)
@@ -217,7 +217,7 @@ class TestEvalChain:
         ev = make_event("open", "/nope", "r")
         disp = eval_chain(chain_of(rule), ev, sandbox)
         assert disp.blocked
-        assert disp.result == ERRNO_TABLE["open"]
+        assert disp.result == EACCES
 
 
 class TestJump:
@@ -251,7 +251,7 @@ class TestJump:
         ev = make_event("open", "/x", "r")
         disp = eval_chain(chain_of(r0, r1, r2), ev, sandbox)
         assert disp.blocked
-        assert disp.result == ERRNO_TABLE["open"]
+        assert disp.result == EACCES
         assert disp.matched_rules == [0]
 
     def test_jump_to_next_is_sequential_equivalent(self, sandbox):

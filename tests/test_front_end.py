@@ -38,7 +38,7 @@ from apate.errors import (ArityError, DuplicateBind, IllegalCharacter,
                           UndefinedName, UnterminatedString)
 from apate.model import (Action, ActionChain, ALWAYS_TRUE, Condition,
                          ConditionBlock, OP_AND, OP_OR, Rule, RuleChain,
-                         RuleProgram, SYSCALL_ARITY)
+                         RuleProgram, SYSCALL_TABLE)
 
 from conftest import MYSQL_EXAMPLE
 
@@ -215,7 +215,7 @@ class _FrozenTyped:
 
 def _frozen_syscall(name: str) -> "str | None":
     bare = name[4:] if name.startswith("sys_") else name
-    return bare if bare in SYSCALL_ARITY else None
+    return bare if bare in SYSCALL_TABLE else None
 
 
 class _FrozenAnalyzer:
@@ -802,17 +802,21 @@ def _outcome(compile_fn, text):
 
 
 _CALLED_EARLY = re.compile(r"(.*: )'(\w+)' is a (condition|action), not a \3")
+_BOUND_UNASSIGNED = re.compile(
+    r"(.*: )(?:unknown syscall '(\w+)'|'(\w+)' is not a rulechain)")
 
 
-@pytest.mark.parametrize("corpus, least", [(_char_corpus, (1_900, 0, 0, 200)),
-                                           (_line_corpus, (2_500, 100, 10, 500))],
+@pytest.mark.parametrize("corpus, least",
+                         [(_char_corpus, (1_900, 0, 0, 0, 200)),
+                          (_line_corpus, (2_500, 100, 10, 20, 500))],
                          ids=["chars", "lines"])
 def test_analysis_matches_frozen_reference(corpus, least):
     """The same .apc bytes and warnings, or the same error class and
     message, as the frozen analyzer and lowering; except that an alias
-    called before its let, and a name used but never assigned, are each
-    an UndefinedName at the using statement."""
-    same = early = unassigned = compiled = 0
+    called before its let, a name used but never assigned, and a
+    declared syscall or rulechain bound but never assigned are each an
+    UndefinedName at the using statement."""
+    same = early = unassigned = bound = compiled = 0
     for text in corpus():
         new = _outcome(compile_source, text)
         old = _outcome(_frozen_compile, text)
@@ -820,6 +824,11 @@ def test_analysis_matches_frozen_reference(corpus, least):
             assert new[0] == "UndefinedName", (text, new)
             assert new[1].endswith(f": {old[1]!r} is used but never assigned")
             unassigned += 1
+        elif new != old and old[0] == "UndefinedName":
+            m = _BOUND_UNASSIGNED.fullmatch(old[1])
+            assert m and new == ("UndefinedName", f"{m[1]}'{m[2] or m[3]}' is "
+                                 "used but never assigned"), (text, old, new)
+            bound += 1
         elif new != old:
             m = old[0] == "TypeMismatch" and _CALLED_EARLY.fullmatch(old[1])
             assert m and new == ("UndefinedName", f"{m[1]}'{m[2]}' is used "
@@ -828,7 +837,7 @@ def test_analysis_matches_frozen_reference(corpus, least):
         else:
             same += 1
             compiled += type(new[0]) is bytes
-    counts = (same, early, unassigned, compiled)
+    counts = (same, early, unassigned, bound, compiled)
     assert all(n >= k for n, k in zip(counts, least)), counts
 
 
@@ -839,7 +848,12 @@ def test_analysis_matches_frozen_reference(corpus, least):
     ("define cb as conditionblock\ndefine r as rule\n"
      "define rc as rulechain\nlet r be {cb->log()}\n"
      "let rc be {r}\nbind rc to sys_open\n", 4, "cb"),
-], ids=["rule", "conditionblock"])
+    ("define r as rule\ndefine rc as rulechain\ndefine sy as syscall\n"
+     "let r be {{always_true()}->log()}\nlet rc be {r}\n"
+     "bind rc to sy\n", 6, "sy"),
+    ("define r as rule\ndefine rc as rulechain\n"
+     "let r be {{always_true()}->log()}\nbind rc to sys_open\n", 4, "rc"),
+], ids=["rule", "conditionblock", "syscall", "rulechain"])
 def test_compile_names_an_unassigned_name(tmp_path, capsys, text, where,
                                           name):
     src, out = tmp_path / "u.apate", tmp_path / "u.apc"

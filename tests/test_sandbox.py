@@ -6,10 +6,11 @@ import pytest
 
 from apate import sandbox as sandbox_mod
 from apate.errors import MalformedManifestLine
-from apate.sandbox import (EACCES, EBADF, EEXIST, EINVAL, ENOENT, ENOTEMPTY,
-                           SandboxState, VirtualFS, append_to_vfs_file,
-                           errno_default, exec_syscall, normalize_path,
-                           vfs_from_manifest)
+from apate.model import SYSCALL_TABLE, SYSCALLS
+from apate.sandbox import (EACCES, EBADF, EEXIST, EFBIG, EINVAL, ENOENT,
+                           ENOTEMPTY, MAX_FILE_BYTES, SandboxState, VirtualFS,
+                           append_to_vfs_file, errno_default, exec_syscall,
+                           normalize_path, vfs_from_manifest)
 
 from conftest import make_ctx, make_event
 
@@ -136,6 +137,17 @@ class TestManifest:
         assert fragment in str(exc.value)
         assert exc.value.line_no == line.count(b"\n") + 1  # the last line
 
+    def test_length_limit(self, monkeypatch):
+        assert MAX_FILE_BYTES == 1 << 30
+        monkeypatch.setattr(sandbox_mod, "MAX_FILE_BYTES", 16)
+        assert vfs_from_manifest(b"F /a 16 00\n").read_file("/a") == bytes(16)
+        for length in (b"17", b"9999999999999", b"99999999999999999999"):
+            with pytest.raises(MalformedManifestLine) as exc:
+                vfs_from_manifest(b"D /d\nF /a " + length + b" 00\n")
+            assert exc.value.line_no == 2
+            assert str(exc.value) == (f"line 2: length {int(length)} is over "
+                                      "the 16-byte limit")
+
 
 class TestSyscalls:
     def test_open_read_missing(self, sandbox):
@@ -181,6 +193,18 @@ class TestSyscalls:
         assert exec_syscall(sandbox, make_event("write", fd, 10)) == 10
         assert exec_syscall(sandbox, make_event("write", fd, 5)) == 5
         assert len(sandbox.vfs.read_file("/d/f")) == 15
+
+    def test_write_past_the_limit_is_efbig(self, sandbox, monkeypatch):
+        fd = exec_syscall(sandbox, make_event("open", "/f", "w"))
+        huge = make_event("write", fd, 99999999999999999999)
+        assert exec_syscall(sandbox, huge) == EFBIG
+        monkeypatch.setattr(sandbox_mod, "MAX_FILE_BYTES", 16)
+        assert exec_syscall(sandbox, make_event("write", fd, 10)) == 10
+        assert exec_syscall(sandbox, make_event("write", fd, 7)) == EFBIG
+        assert sandbox.fds.get(fd)[1] == 10     # the offset is unchanged
+        assert exec_syscall(sandbox, make_event("write", fd, 6)) == 6
+        assert exec_syscall(sandbox, huge) == EFBIG
+        assert sandbox.vfs.read_file("/f") == bytes(16)
 
     def test_write_wrong_mode(self, sandbox):
         sandbox.vfs.put_file("/f", b"x")
@@ -279,6 +303,52 @@ class TestSyscalls:
         ctx = make_ctx(pid=321, uid=77)
         assert exec_syscall(sandbox, make_event("getpid", ctx=ctx)) == 321
         assert exec_syscall(sandbox, make_event("getuid", ctx=ctx)) == 77
+
+
+class TestSyscallTable:
+    ARGS = {"path": "/d/x", "mode": "w", "fd": 3, "count": 4, "argv": "x -y"}
+
+    @staticmethod
+    def world(kind):
+        """A sandbox where /d/x is a file, a directory or missing, and fd
+        3 is /w open for writing."""
+        sb = SandboxState()
+        if kind == "dir":
+            sb.vfs.mkdirs("/d/x")
+        elif kind == "file":
+            sb.vfs.put_file("/d/x", b"data")
+        else:
+            sb.vfs.mkdirs("/d")
+        sb.vfs.put_file("/w", b"")
+        sb.fds.alloc("/w", "w", sb.vfs.files["/w"])
+        return sb
+
+    def test_syscalls_are_the_table(self):
+        assert SYSCALLS == tuple(SYSCALL_TABLE) and len(SYSCALLS) == 11
+        for slots, errno in SYSCALL_TABLE.values():
+            assert set(slots) <= set(self.ARGS)
+            assert errno in (EACCES, EBADF, None)
+
+    @pytest.mark.parametrize("name", SYSCALLS)
+    def test_every_entry_executes(self, name):
+        for kind in ("file", "dir", "missing"):
+            ev = make_event(name, *(self.ARGS[s] for s in SYSCALL_TABLE[name][0]))
+            assert type(exec_syscall(self.world(kind), ev)) is int
+
+    @pytest.mark.parametrize("name", [name for name, (slots, _) in
+                                      SYSCALL_TABLE.items()
+                                      if slots[:1] == ("path",)])
+    def test_path_argument_is_normalized(self, name):
+        rest = [self.ARGS[s] for s in SYSCALL_TABLE[name][0][1:]]
+        for kind in ("file", "dir", "missing"):
+            seen = []
+            for path in ("//d/./x", "/d/x"):
+                sb = self.world(kind)
+                result = exec_syscall(sb, make_event(name, path, *rest))
+                seen.append((result, sb.vfs.digest(), sb.last_getdents,
+                             sb.diagnostics,
+                             [e[:3] for e in sb.fds.entries.values()]))
+            assert seen[0] == seen[1], (kind, seen)
 
 
 class TestErrnoTable:
