@@ -42,12 +42,8 @@ class BenchSetting:
     intercept: bool
 
 
-def gen_sizes(max_size: int, legacy_skip_branch: bool = False) -> list:
-    """File-size schedule: +1 below 1e6, +1,000 below 1e8, +1e6 to 1e9.
-
-    ``legacy_skip_branch`` reproduces the published recurrence verbatim,
-    where the top branch adds 1,000,000 to the size two steps back.
-    """
+def gen_sizes(max_size: int) -> list:
+    """File-size schedule: +1 below 1e6, +1,000 below 1e8, +1e6 to 1e9."""
     if not (0 < max_size <= 1_000_000_000):
         raise ValueError("max size must be in 1..1e9")
     sizes = [1]
@@ -57,10 +53,6 @@ def gen_sizes(max_size: int, legacy_skip_branch: bool = False) -> list:
             nxt = cur + 1
         elif cur < 100_000_000:
             nxt = cur + 1_000
-        elif legacy_skip_branch and len(sizes) >= 2:
-            nxt = sizes[-2] + 1_000_000
-            if nxt <= cur:
-                nxt = cur + 1_000_000
         else:
             nxt = cur + 1_000_000
         if nxt > max_size:

@@ -239,7 +239,7 @@ def specialize(name: str, params):
 
 # --- action implementations --------------------------------------------
 # Signature: fn(ev, sandbox, ctx, params) -> status int
-# ctx is the engine's per-event evaluation state (result slot, flags).
+# ctx is the event's Disposition, which the engine evaluates into.
 
 def _a_manipulateparam(ev, sandbox, ctx, params):
     index, pattern_text, replacement = params
@@ -288,8 +288,7 @@ def _a_block(ev, sandbox, ctx, params):
 
 
 def _a_jump(ev, sandbox, ctx, params):
-    ctx.jump_target = params[0]
-    return 0
+    return 0  # the target is bound with the rule; dispatch jumps after its chain
 
 
 def _a_store_set(ev, sandbox, ctx, params):

@@ -56,18 +56,22 @@ def cloak_ruleset(log_path: str) -> RuleProgram:
     return compile_source(source, "<cloak>")[0]
 
 
-def _shift_jumps(rule: Rule, offset: int, taken: set) -> Rule:
+def _shift_jumps(rule: Rule, offset: int, taken: set, copies: dict) -> Rule:
     """The rule itself if no jump target moves; else a copy with each
-    non-negative target moved by offset, under a fresh name added to taken."""
-    actions = tuple(
-        Action("jump", (a.params[0] + offset,))
-        if a.builtin_name == "jump" and len(a.params) == 1
-        and isinstance(a.params[0], int) and a.params[0] >= 0 else a
-        for a in rule.actions.actions)
-    if actions == rule.actions.actions:
-        return rule
-    taken.add(name := _free(rule.name, taken))
-    return replace(rule, name=name, actions=ActionChain(actions))
+    non-negative target moved by offset, under a fresh name added to taken.
+    ``copies`` keeps one copy per (rule, offset)."""
+    key = id(rule), offset
+    if key not in copies:
+        actions = tuple(
+            Action("jump", (a.params[0] + offset,))
+            if a.builtin_name == "jump" and len(a.params) == 1
+            and isinstance(a.params[0], int) and a.params[0] >= 0 else a
+            for a in rule.actions.actions)
+        if actions != rule.actions.actions:
+            taken.add(name := _free(rule.name, taken))
+            rule = replace(rule, name=name, actions=ActionChain(actions))
+        copies[key] = rule
+    return copies[key]
 
 
 def _free(name, taken) -> str:
@@ -85,7 +89,8 @@ def apply_cloak(user_prog: RuleProgram, cloak_prog: RuleProgram) -> RuleProgram:
     Each non-negative user jump target moves past the cloak rules; a
     negative one stays out of range.  No name gets two bodies: where an
     added chain, a cloak rule or a user rule whose jump moved would take
-    a name in use, it gets the first free ``<name>#<n>``.
+    a name in use, it gets the first free ``<name>#<n>``.  A user rule
+    moved by the same offset in several chains is one copy.
     """
     chains = dict(user_prog.chains)
     taken = {r.name for chain in chains.values() for r in chain.rules}
@@ -96,6 +101,7 @@ def apply_cloak(user_prog: RuleProgram, cloak_prog: RuleProgram) -> RuleProgram:
     bindings = []
     user_bound = dict(user_prog.bindings)
     added = {}   # (cloak chain, user chain or None) -> added chain's name
+    copies = {}  # (id of a user rule, offset) -> that rule with jumps moved
     for syscall, cloak_name in cloak_prog.bindings:
         user_name = user_bound.get(syscall)
         if (cloak_name, user_name) not in added:
@@ -103,7 +109,7 @@ def apply_cloak(user_prog: RuleProgram, cloak_prog: RuleProgram) -> RuleProgram:
             name = cloak_name
             if user_name is not None:
                 name = f"{cloak_name}+{user_name}"
-                rules += tuple(_shift_jumps(r, len(rules), taken)
+                rules += tuple(_shift_jumps(r, len(rules), taken, copies)
                                for r in chains[user_name].rules)
             fresh = _free(name, chains)
             chains[fresh] = RuleChain(fresh, rules)

@@ -28,21 +28,6 @@ from .sandbox import SandboxState, errno_default, exec_syscall
 DEFAULT_JUMP_BUDGET = 10_000
 
 
-class EvalContext:
-    """Per-event mutable state threaded through rules and actions."""
-
-    __slots__ = ("result", "blocked", "invoked", "jump_target",
-                 "conditions", "matched_rules")
-
-    def __init__(self):
-        self.result = 0
-        self.blocked = False
-        self.invoked = False      # call_orig or block happened
-        self.jump_target = None
-        self.conditions = 0
-        self.matched_rules = []
-
-
 def _flatten(node):
     """Children of the same-operator run rooted at node, left to right."""
     out, stack = [], [node]
@@ -101,52 +86,51 @@ def compiled_guard(block: ConditionBlock):
 
 
 def eval_condition(cond: Condition, ev: SyscallEvent, sandbox: SandboxState,
-                   ctx: "EvalContext | None" = None) -> int:
-    """Evaluate one condition; increments the condition counter by 1."""
+                   disp: "Disposition | None" = None) -> int:
+    """Evaluate one condition; counts 1 condition into disp."""
     fn = specialize(cond.builtin_name, cond.params)
-    if ctx is not None:
-        ctx.conditions += 1
+    if disp is not None:
+        disp.conditions_evaluated += 1
     return fn(ev, sandbox)
 
 
 def eval_condition_block(block: ConditionBlock, ev: SyscallEvent,
                          sandbox: SandboxState,
-                         ctx: "EvalContext | None" = None) -> int:
+                         disp: "Disposition | None" = None) -> int:
     """Evaluate a block: 1 iff (d + e) * op_code >= 4, children in full."""
     guard, count = compiled_guard(block)
-    if ctx is not None:
-        ctx.conditions += count
+    if disp is not None:
+        disp.conditions_evaluated += count
     return guard(ev, sandbox)
 
 
 def run_action_chain(chain: ActionChain, ev: SyscallEvent,
                      sandbox: SandboxState,
-                     ctx: "EvalContext | None" = None):
-    """Execute actions in order; first nonzero status disrupts the chain.
+                     disp: "Disposition | None" = None):
+    """Execute actions in order into the event's disposition; the first
+    nonzero status disrupts the chain.
 
     On disruption the error routine runs once: the failure is recorded
     and the result slot is set to the syscall-dependent errno.  Returns
     (status, result) where status is the first failing status or 0.
     """
-    if ctx is None:
-        ctx = EvalContext()
+    if disp is None:
+        disp = Disposition(ev.seq, ev.syscall)
     for index, action in enumerate(chain.actions):
-        status = lookup(action.builtin_name).fn(ev, sandbox, ctx, action.params)
+        status = lookup(action.builtin_name).fn(ev, sandbox, disp, action.params)
         if status != 0:
-            _chain_error(ev, sandbox, ctx,
+            _chain_error(ev, sandbox, disp,
                          f"ActionFailed index={index} builtin={action.builtin_name} "
                          f"status={status}")
-            return status, ctx.result
-    return 0, ctx.result
+            return status, disp.result
+    return 0, disp.result
 
 
-def _chain_error(ev, sandbox, ctx, detail):
+def _chain_error(ev, sandbox, disp, detail):
     """The error routine: runs exactly once per disruption."""
     sandbox.diag("ChainDisrupted", detail)
-    ctx.result = errno_default(ev)
-    ctx.blocked = True
-    ctx.invoked = True
-    ctx.jump_target = None
+    disp.result = errno_default(ev)
+    disp.blocked = disp.invoked = True
 
 
 def eval_chain(chain: RuleChain, ev: SyscallEvent,
@@ -161,55 +145,48 @@ def dispatch(prog: RuleProgram, ev: SyscallEvent,
     """Route one event through the chain bound to its syscall.
 
     A program never passed to validate_program is bound here, on its
-    first dispatch.  Unbound syscalls run the original call directly.
-    Rules are visited in order; a fired rule with the exit flag stops
-    traversal; a successful jump action redirects traversal instead of
+    first dispatch.  Rules, actions and the error routine write into the
+    one Disposition this returns.  Rules are visited in order; a fired
+    rule with a jump redirects traversal to its target instead of
     falling through to the next rule (and takes precedence over the exit
-    flag).  DEFAULT_JUMP_BUDGET traversal steps bound jump loops;
-    exhausting them blocks the event with the errno-table value.  If no
-    executed chain invoked call_orig or block, the original syscall runs
-    unchanged after traversal (pass-through default).
+    flag); else its exit flag stops traversal.  DEFAULT_JUMP_BUDGET
+    traversal steps bound jump loops; exhausting them blocks the event
+    with the errno-table value.  If no executed chain invoked call_orig
+    or block, the original syscall runs unchanged after traversal
+    (pass-through default), as it does for an unbound syscall.
     """
     if prog.plan is None:
         validate_program(prog)
-    rules = prog.plan.get(ev.syscall)
-    if rules is None:
-        result = exec_syscall(sandbox, ev)
-        return Disposition(seq=ev.seq, syscall=ev.syscall, result=result,
-                           manipulated_args=list(ev.args))
-    ctx = EvalContext()
+    disp = Disposition(ev.seq, ev.syscall)
+    rules = prog.plan.get(ev.syscall, ())
     i = steps = 0
-    while 0 <= i < len(rules):
+    while i < len(rules):
         if steps >= DEFAULT_JUMP_BUDGET:
-            _chain_error(ev, sandbox, ctx,
+            _chain_error(ev, sandbox, disp,
                          f"BudgetExhausted budget={DEFAULT_JUMP_BUDGET}")
             break
         steps += 1
-        guard, leaf_count, actions, exit_flag = rules[i]
-        ctx.conditions += leaf_count
+        guard, leaf_count, actions, exit_flag, jump = rules[i]
+        disp.conditions_evaluated += leaf_count
         if guard(ev, sandbox):
-            ctx.matched_rules.append(i)
-            status, _ = run_action_chain(actions, ev, sandbox, ctx)
+            disp.matched_rules.append(i)
+            status, _ = run_action_chain(actions, ev, sandbox, disp)
             if status != 0:
                 break  # disruption stops traversal; exit semantics subsumed
-            if ctx.jump_target is not None:
-                target = ctx.jump_target
-                ctx.jump_target = None
-                if not (0 <= target < len(rules)):
-                    _chain_error(ev, sandbox, ctx,
-                                 f"JumpOutOfRange target={target} len={len(rules)}")
+            if jump is not None:
+                if not (0 <= jump < len(rules)):
+                    _chain_error(ev, sandbox, disp,
+                                 f"JumpOutOfRange target={jump} len={len(rules)}")
                     break
-                i = target
+                i = jump
                 continue
             if exit_flag:
                 break
         i += 1
-    if not ctx.invoked:
-        ctx.result = exec_syscall(sandbox, ev)
-    return Disposition(seq=ev.seq, syscall=ev.syscall,
-                       matched_rules=ctx.matched_rules, result=ctx.result,
-                       blocked=ctx.blocked, manipulated_args=list(ev.args),
-                       conditions_evaluated=ctx.conditions)
+    if not disp.invoked:
+        disp.result = exec_syscall(sandbox, ev)
+    disp.manipulated_args = list(ev.args)
+    return disp
 
 
 def validate_program(prog: RuleProgram) -> None:
@@ -217,7 +194,8 @@ def validate_program(prog: RuleProgram) -> None:
 
     Generating a guard checks its conditions; each action must be a known
     action with valid params, and call_orig may not follow block.  A
-    guard that several rules share is generated once.
+    guard that several rules share is generated once.  A rule's jump
+    target is the param of the last jump in its chain, None if it has none.
     """
     guards, bound = {}, {}
     for name, chain in prog.chains.items():
@@ -226,7 +204,7 @@ def validate_program(prog: RuleProgram) -> None:
             entry = guards.get(id(rule.guard))
             if entry is None:
                 entry = guards[id(rule.guard)] = compiled_guard(rule.guard)
-            blocked = False
+            blocked, jump = False, None
             for action in rule.actions.actions:
                 spec = lookup(action.builtin_name)
                 if spec.kind != "action":
@@ -240,7 +218,9 @@ def validate_program(prog: RuleProgram) -> None:
                 elif action.builtin_name == "call_orig" and blocked:
                     raise ApateError(
                         f"rule {rule.name!r}: call_orig after block is contradictory")
-            rules.append((*entry, rule.actions, rule.exit_flag))
+                elif action.builtin_name == "jump":
+                    jump = action.params[0]
+            rules.append((*entry, rule.actions, rule.exit_flag, jump))
         bound[name] = tuple(rules)
     # reversed: where a syscall is bound twice, its first binding wins
     prog.plan = {sc: bound[name] for sc, name in reversed(prog.bindings)}

@@ -188,7 +188,8 @@ class RuleProgram:
 
     ``bindings`` preserves source order; at most one chain per syscall.
     Binding (engine.validate_program) sets ``plan``: syscall -> its
-    chain's rules as (guard, leaf_count, ActionChain, exit_flag) tuples.
+    chain's rules as (guard, leaf_count, ActionChain, exit_flag, jump
+    target or None) tuples.
     """
 
     chains: dict = field(default_factory=dict)          # name -> RuleChain
@@ -202,7 +203,9 @@ EMPTY_PROGRAM = RuleProgram()
 
 @dataclass(slots=True)
 class Disposition:
-    """Observable outcome of dispatching one event."""
+    """Outcome of dispatching one event; rules and actions write into it
+    as they run.  ``invoked`` (call_orig or block ran, so the original
+    call is not run again) is evaluation state and is not reported."""
 
     seq: int
     syscall: str
@@ -211,6 +214,7 @@ class Disposition:
     blocked: bool = False
     manipulated_args: list = field(default_factory=list)
     conditions_evaluated: int = 0
+    invoked: bool = False
 
     def to_dict(self) -> dict:
         """Report form; it shares this disposition's lists, not copies."""

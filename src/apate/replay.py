@@ -20,7 +20,7 @@ from __future__ import annotations
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .engine import dispatch
 from .errors import TraceError
@@ -32,6 +32,8 @@ _decode = json.JSONDecoder().raw_decode
 _skip_space = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
 
 TRACE_BLOCK = 1 << 20  # bytes read from a trace at a time
+# A ctx object's keys, in TaskContext's order; compares as a set.
+_CTX_KEYS = dict.fromkeys(f.name for f in fields(TaskContext)).keys()
 
 
 def parse_trace_line(line: str, line_no: int = 0,
@@ -69,6 +71,8 @@ def parse_trace_line(line: str, line_no: int = 0,
         # the type test sends it to TaskContext, which rejects it.
         if ctx is None or not (type(raw["pid"]) is type(raw["uid"])
                                is type(raw["ssid"]) is int):
+            if raw.keys() != _CTX_KEYS:
+                raise ValueError(_ctx_key_error(raw))
             ctx = contexts[key] = TaskContext(**raw)
         if type(seq) is not int:
             raise TypeError(f"seq must be an integer, got {seq!r}")
@@ -77,8 +81,28 @@ def parse_trace_line(line: str, line_no: int = 0,
         args = [a["len"] if isinstance(a, dict) else a for a in args]
         return SyscallEvent(seq=seq, syscall=obj["syscall"],
                             args=args, ctx=ctx)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise TraceError(line_no, _missing(obj, exc.args[0])) from None
+    except (TypeError, ValueError) as exc:
         raise TraceError(line_no, str(exc)) from None
+
+
+def _ctx_key_error(raw: dict) -> str:
+    """Name the first ctx key that is missing, or else unknown."""
+    for key in _CTX_KEYS:
+        if key not in raw:
+            return f"ctx: missing key {key!r}"
+    return f"ctx: unknown key {next(k for k in raw if k not in _CTX_KEYS)!r}"
+
+
+def _missing(obj: dict, key: str) -> str:
+    """The message for a KeyError on ``key`` while reading ``obj``: a
+    top-level field, or the "len" of an object argument."""
+    if key != "len":
+        return f"missing field {key!r}"
+    index = next(i for i, a in enumerate(obj["args"])
+                 if isinstance(a, dict) and "len" not in a)
+    return f'args[{index}]: an object argument must be {{"len": n}}'
 
 
 def _whole_lines(fh):

@@ -79,15 +79,6 @@ class VirtualFS:
         """Every directory path (a live, read-only view of the index)."""
         return self.children.keys()
 
-    def is_dir(self, path: str) -> bool:
-        return normalize_path(path) in self.dirs
-
-    def is_file(self, path: str) -> bool:
-        return normalize_path(path) in self.files
-
-    def exists(self, path: str) -> bool:
-        return self.is_dir(path) or self.is_file(path)
-
     def _link(self, path: str) -> None:
         parent, _, name = path.rpartition("/")
         self.children[parent or "/"].add(name)

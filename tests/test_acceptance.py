@@ -102,7 +102,7 @@ def test_criterion_03_worked_example(capsys):
     ctx = make_ctx(uid=1000, parent_pname="mysql")
     ev = make_event("open", "/var/lib/mysql/ibdata1", "w", ctx=ctx)
     disp = dispatch(prog, ev, sb)
-    honey_created = sb.vfs.is_file("/honey/mysql/ibdata1")
+    honey_created = "/honey/mysql/ibdata1" in sb.vfs.files
     source_intact = (sb.vfs.read_file("/var/lib/mysql/ibdata1") == b"realdata")
     logs_uid1000 = sb.log_count
 

@@ -17,9 +17,10 @@ class TestSizeSchedule:
         around = [s for s in sizes if 999_998 <= s <= 1_002_000]
         assert around == [999_998, 999_999, 1_000_000, 1_001_000, 1_002_000]
 
-    def test_legacy_branch_matches_default_below_1e8(self):
-        assert gen_sizes(1_500_000, legacy_skip_branch=True) == \
-            gen_sizes(1_500_000)
+    def test_step_changes_at_one_hundred_million(self):
+        sizes = gen_sizes(102_000_000)
+        assert sizes[-4:] == [99_999_000, 100_000_000, 101_000_000,
+                              102_000_000]
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):

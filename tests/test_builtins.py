@@ -5,7 +5,7 @@ import pytest
 
 from apate.builtins import (WildcardPattern, check_params,
                             rewrite_loop_hazard)
-from apate.engine import EvalContext, eval_condition, run_action_chain
+from apate.engine import eval_condition, run_action_chain
 from apate.model import Action, ActionChain, Condition
 
 from conftest import make_ctx, make_event

@@ -436,6 +436,24 @@ class TestRun:
             "apate: bad trace: line 1: pid, uid and ssid must be integers, "
             "got [1], 1000, 1\n")
 
+    @pytest.mark.parametrize("line, message", [
+        pytest.param('{"syscall":"getpid","args":[],"ctx":{}}',
+                     "missing field 'seq'", id="seq"),
+        pytest.param(trace_line(2, "write", [3, {"n": 4}]),
+                     'args[1]: an object argument must be {"len": n}',
+                     id="len"),
+        pytest.param(trace_line(2, "getpid", [], tty=1),
+                     "ctx: unknown key 'tty'", id="ctx"),
+    ])
+    def test_bad_trace_field_is_named(self, compiled, tmp_path, capsys,
+                                      line, message):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "getpid", []) + "\n" + line + "\n")
+        report = tmp_path / "report.json"
+        assert main(["run", "--program", str(compiled), "--trace", str(trace),
+                     "--report", str(report)]) == 1
+        assert capsys.readouterr().err == f"apate: bad trace: line 2: {message}\n"
+
 
 class TestReport:
     FS = "D /var/lib/mysql\nF /honey/mysql/ibdata1 5 @honey\nF /etc/hosts 3 @abc\n"

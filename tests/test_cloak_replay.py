@@ -51,7 +51,7 @@ class TestCloak:
         sb = cloaked_sandbox()
         disp = dispatch(cloak, make_event("unlink", LOG), sb)
         assert disp.result == ENOENT
-        assert sb.vfs.is_file(LOG)
+        assert LOG in sb.vfs.files
 
     def test_read_write_blocked_by_fd(self, cloak):
         sb = cloaked_sandbox()
@@ -325,6 +325,38 @@ def test_shifted_user_rule_gets_its_own_name():
                                                    trace)
 
 
+def test_rule_shifted_alike_in_two_chains_is_one_copy():
+    """A rule whose jump moves by the same offset in two merged chains
+    becomes one renamed copy: one shifted RULE record in the .apc."""
+    user = compile_source(
+        "define r,s as rule\ndefine rc1,rc2 as rulechain\n"
+        'let r be {{testforpname("cron")}->jump(1)}\n'
+        "let s be {{always_true()}->store_add(\"s\";1)}\n"
+        "let rc1 be {r,s}\nlet rc2 be {r,s}\n"
+        "bind rc1 to open\nbind rc2 to unlink\n", "user.apate")[0]
+    merged = apply_cloak(user, cloak_ruleset(LOG))
+    blob = apc.serialize(merged)
+    assert apc.serialize(apc.deserialize(blob)) == blob
+    rules = [line.split("\t")[1] for line in blob.decode().splitlines()
+             if line.startswith("RULE\t")]
+    assert sorted(rules) == ["by_fd", "by_path", "listing", "r", "r#1", "s"]
+    one, two = (merged.chains[c].rules[1]
+                for c in ("cloak_path+rc1", "cloak_path+rc2"))
+    assert one is two and one.actions.actions == (Action("jump", (2,)),)
+    cron = make_ctx(parent_pname="cron")
+    events = [make_event("open", "/x", "r", ctx=cron),
+              make_event("unlink", "/x", ctx=cron),
+              make_event("open", LOG, "r", ctx=cron),
+              make_event("getpid", ctx=cron)]
+    for prog in (merged, apc.deserialize(blob)):
+        sb = cloaked_sandbox()
+        got = [(d.matched_rules, d.result, d.blocked) for d in
+               (dispatch(prog, ev, sb) for ev in events)]
+        assert got == [([1, 2], ENOENT, False), ([1, 2], ENOENT, False),
+                       ([0], ENOENT, True), ([], cron.pid, False)]
+        assert sb.store.get("s") == 2
+
+
 class TestTraceParsing:
     def line(self, **kw):
         base = {"seq": 1, "syscall": "open", "args": ["/etc/passwd", "r"],
@@ -382,6 +414,31 @@ class TestTraceParsing:
         with pytest.raises(TraceError) as exc:
             parse_trace(good + "\n" + bad + "\n")
         assert "line 2" in str(exc.value)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"seq": None}, "missing field 'seq'"),
+        ({"syscall": None}, "missing field 'syscall'"),
+        ({"args": None}, "missing field 'args'"),
+        ({"ctx": None}, "missing field 'ctx'"),
+        ({"syscall": "write", "args": [3, {"size": 4}]},
+         'args[1]: an object argument must be {"len": n}'),
+        ({"syscall": "write", "args": [{}, {"len": 4}]},
+         'args[0]: an object argument must be {"len": n}'),
+        ({"ctx": {"pid": 1, "uid": 0, "ssid": 0, "pname": "a"}},
+         "ctx: missing key 'parent_pname'"),
+        ({"ctx": {"uid": 0, "ssid": 0, "pname": "a", "parent_pname": "b"}},
+         "ctx: missing key 'pid'"),
+        ({"ctx": {"pid": 1, "uid": 0, "ssid": 0, "pname": "a",
+                  "parent_pname": "b", "tty": 1}},
+         "ctx: unknown key 'tty'"),
+    ])
+    def test_trace_errors_name_the_field(self, change, message):
+        obj = json.loads(self.line())
+        obj.update(change)
+        obj = {k: v for k, v in obj.items() if v is not None}
+        with pytest.raises(TraceError) as exc:
+            parse_trace_line(json.dumps(obj), 5)
+        assert str(exc.value) == f"line 5: {message}"
 
 
     def test_padding_and_crlf(self):

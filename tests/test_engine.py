@@ -8,13 +8,13 @@ import weakref
 import pytest
 
 from apate import engine
-from apate.engine import (DEFAULT_JUMP_BUDGET, EvalContext, dispatch,
+from apate.engine import (DEFAULT_JUMP_BUDGET, dispatch,
                           eval_chain, eval_condition, eval_condition_block,
                           run_action_chain, validate_program)
 from apate.errors import ApateError, UnknownBuiltin
 from apate.model import (Action, ActionChain, ALWAYS_TRUE, Condition,
-                         ConditionBlock, EMPTY_PROGRAM, OP_AND, OP_OR, Rule,
-                         RuleChain, RuleProgram, SYSCALLS)
+                         ConditionBlock, Disposition, EMPTY_PROGRAM, OP_AND,
+                         OP_OR, Rule, RuleChain, RuleProgram, SYSCALLS)
 from apate.sandbox import EACCES, SandboxState, errno_default
 
 from conftest import FALSE_LEAF, TRUE_LEAF, make_ctx, make_event
@@ -72,9 +72,9 @@ class TestConditionBlock:
         block = ConditionBlock(FALSE_LEAF,
                                ConditionBlock(TRUE_LEAF, FALSE_LEAF, OP_OR),
                                OP_AND)
-        ctx = EvalContext()
-        eval_condition_block(block, ev, sandbox, ctx)
-        assert ctx.conditions == 3
+        disp = Disposition(ev.seq, ev.syscall)
+        eval_condition_block(block, ev, sandbox, disp)
+        assert disp.conditions_evaluated == 3
 
     def test_bad_op_code_rejected(self):
         with pytest.raises(ValueError):
@@ -86,10 +86,10 @@ class TestEvalCondition:
         assert eval_condition(ALWAYS_TRUE, make_event("getpid"), sandbox) == 1
 
     def test_counter_increments(self, sandbox):
-        ctx = EvalContext()
-        eval_condition(TRUE_LEAF, make_event("getpid"), sandbox, ctx)
-        eval_condition(FALSE_LEAF, make_event("getpid"), sandbox, ctx)
-        assert ctx.conditions == 2
+        disp = Disposition(1, "getpid")
+        eval_condition(TRUE_LEAF, make_event("getpid"), sandbox, disp)
+        eval_condition(FALSE_LEAF, make_event("getpid"), sandbox, disp)
+        assert disp.conditions_evaluated == 2
 
     def test_unknown_builtin_raises(self, sandbox):
         with pytest.raises(UnknownBuiltin):
@@ -129,13 +129,14 @@ class TestActionChain:
     def test_block_then_log_runs_both(self, sandbox):
         ev = make_event("unlink", "/apate.log")
         sandbox.vfs.put_file("/apate.log", b"x")
-        ctx = EvalContext()
+        disp = Disposition(ev.seq, ev.syscall)
         status, result = run_action_chain(
-            ActionChain((Action("block"), Action("log"))), ev, sandbox, ctx)
+            ActionChain((Action("block"), Action("log"))), ev, sandbox, disp)
         assert status == 0
         assert result == -13
+        assert disp.blocked and disp.invoked
         assert sandbox.log_count == 1
-        assert sandbox.vfs.is_file("/apate.log")
+        assert "/apate.log" in sandbox.vfs.files
 
 
 class TestEvalChain:
@@ -180,7 +181,7 @@ class TestEvalChain:
         disp = eval_chain(chain_of(rule),
                           make_event("open", "/var/data", "w"), sandbox)
         assert disp.manipulated_args[0] == "/honey/data"
-        assert sandbox.vfs.is_file("/honey/data")
+        assert "/honey/data" in sandbox.vfs.files
 
     def test_condition_count_2500(self, sandbox):
         # 50 rules x 50-condition AND trees, rules 1..49 false, rule 50 true
@@ -259,6 +260,57 @@ class TestJump:
         r1 = simple_rule("r1", fires=True, exit_flag=1)
         disp = eval_chain(chain_of(r0, r1), make_event("getpid"), sandbox)
         assert disp.matched_rules == [0, 1]
+
+    def test_jump_wins_over_exit_flag(self, sandbox):
+        r0 = Rule("r0", guard_of(True), ActionChain((Action("jump", (2,)),)),
+                  exit_flag=1)
+        r1 = simple_rule("r1", fires=True)
+        r2 = simple_rule("r2", fires=True)
+        disp = eval_chain(chain_of(r0, r1, r2), make_event("getpid"), sandbox)
+        assert disp.matched_rules == [0, 2]
+        assert sandbox.store.get("hits_r1") == 0
+        assert sandbox.store.get("hits_r2") == 1
+
+    def test_failure_after_jump_disrupts_without_jumping(self, sandbox):
+        sandbox.store.set("bad", "str")
+        sandbox.vfs.put_file("/x", b"abc")
+        r0 = Rule("r0", guard_of(True),
+                  ActionChain((Action("jump", (2,)),
+                               Action("store_add", ("bad", 1)))))
+        r1 = simple_rule("r1", fires=True)
+        r2 = simple_rule("r2", fires=True)
+        ev = make_event("open", "/x", "r")
+        disp = eval_chain(chain_of(r0, r1, r2), ev, sandbox)
+        assert disp.matched_rules == [0]
+        assert disp.blocked
+        assert disp.result == EACCES == errno_default(ev)
+        assert [d["kind"] for d in sandbox.diagnostics] == ["ChainDisrupted"]
+        assert sandbox.store.get("hits_r2") == 0
+        assert not sandbox.fds.entries    # the original open never ran
+
+    def test_last_of_two_jumps_wins(self, sandbox):
+        r0 = Rule("r0", guard_of(True),
+                  ActionChain((Action("jump", (1,)), Action("jump", (2,)))))
+        r1 = simple_rule("r1", fires=True)
+        r2 = simple_rule("r2", fires=True)
+        disp = eval_chain(chain_of(r0, r1, r2), make_event("getpid"), sandbox)
+        assert disp.matched_rules == [0, 2]
+        assert sandbox.store.get("hits_r1") == 0
+
+    def test_block_then_jump_stays_blocked_and_continues(self, sandbox):
+        sandbox.vfs.put_file("/x", b"abc")
+        r0 = Rule("r0", guard_of(True),
+                  ActionChain((Action("block"), Action("jump", (2,)))))
+        r1 = simple_rule("r1", fires=True)
+        r2 = simple_rule("r2", fires=True)
+        disp = eval_chain(chain_of(r0, r1, r2), make_event("open", "/x", "r"),
+                          sandbox)
+        assert disp.matched_rules == [0, 2]
+        assert disp.blocked
+        assert disp.result == EACCES
+        assert sandbox.store.get("hits_r1") == 0
+        assert sandbox.store.get("hits_r2") == 1
+        assert not sandbox.fds.entries
 
 
 class TestDispatch:
@@ -483,9 +535,9 @@ class TestGeneratedGuards:
                 want = _ref_block(block, ev, sb, counter)
                 want_diags = sb.diagnostics[mark:]
                 del sb.diagnostics[mark:]
-                ctx = EvalContext()
-                assert eval_condition_block(block, ev, sb, ctx) == want
-                assert ctx.conditions == counter[0]
+                disp = Disposition(ev.seq, ev.syscall)
+                assert eval_condition_block(block, ev, sb, disp) == want
+                assert disp.conditions_evaluated == counter[0]
                 assert sb.diagnostics[mark:] == want_diags
 
     def test_deep_guards(self, sandbox):
@@ -493,9 +545,9 @@ class TestGeneratedGuards:
         block = ConditionBlock(TRUE_LEAF, TRUE_LEAF, OP_AND)
         for _ in range(4_998):                  # 5,000 leaves, left-deep
             block = ConditionBlock(block, TRUE_LEAF, OP_AND)
-        ctx = EvalContext()
-        assert eval_condition_block(block, ev, sandbox, ctx) == 1
-        assert ctx.conditions == 5_000
+        disp = Disposition(ev.seq, ev.syscall)
+        assert eval_condition_block(block, ev, sandbox, disp) == 1
+        assert disp.conditions_evaluated == 5_000
         flipped = ConditionBlock(block, FALSE_LEAF, OP_AND)
         assert eval_condition_block(flipped, ev, sandbox) == 0
 
@@ -505,9 +557,9 @@ class TestGeneratedGuards:
             op = OP_OR if i % 2 else OP_AND
             alt = ConditionBlock(TRUE_LEAF if op == OP_AND else FALSE_LEAF,
                                  alt, op)
-        ctx = EvalContext()
-        assert eval_condition_block(alt, ev, sandbox, ctx) == 0
-        assert ctx.conditions == 2_001
+        disp = Disposition(ev.seq, ev.syscall)
+        assert eval_condition_block(alt, ev, sandbox, disp) == 0
+        assert disp.conditions_evaluated == 2_001
 
     @pytest.mark.parametrize("text", [
         '"', "'", "a\nb", ")", "__import__('os')",

@@ -45,7 +45,7 @@ class TestVirtualFS:
     def test_mkdirs_creates_parents(self):
         vfs = VirtualFS()
         vfs.mkdirs("/a/b/c")
-        assert vfs.is_dir("/a") and vfs.is_dir("/a/b") and vfs.is_dir("/a/b/c")
+        assert {"/a", "/a/b", "/a/b/c"} <= vfs.dirs
         vfs.check_invariants()
 
     def test_file_dir_conflicts(self):
@@ -63,7 +63,7 @@ class TestVirtualFS:
             vfs.mkdirs("/a/b/c")
         with pytest.raises(ValueError, match="/a exists as a file"):
             vfs.put_file("/a/b", b"y")
-        assert not vfs.is_dir("/a/b") and vfs.listdir("/") == ["a"]
+        assert "/a/b" not in vfs.dirs and vfs.listdir("/") == ["a"]
         vfs.check_invariants()
 
     def test_check_invariants_catches_stale_index(self):
@@ -107,15 +107,15 @@ class TestManifest:
         vfs = vfs_from_manifest(b"D /var/lib\n"
                                 b"F /var/lib/data 5 00\n"
                                 b"F /etc/hostname 4 @mini\n")
-        assert vfs.is_dir("/var/lib")
+        assert "/var/lib" in vfs.dirs
         assert vfs.read_file("/var/lib/data") == b"\x00" * 5
         assert vfs.read_file("/etc/hostname") == b"mini"
-        assert vfs.is_dir("/etc")  # parent auto-created
+        assert "/etc" in vfs.dirs  # parent auto-created
         vfs.check_invariants()
 
     def test_blank_lines_skipped(self):
         vfs = vfs_from_manifest(b"\nD /a\n\n")
-        assert vfs.is_dir("/a")
+        assert "/a" in vfs.dirs
 
     @pytest.mark.parametrize("line,fragment", [
         (b"X /a", "unknown record"),
@@ -222,7 +222,7 @@ class TestSyscalls:
         assert exec_syscall(sandbox, make_event("unlink", "/d/f")) == 0
         assert exec_syscall(sandbox, make_event("rmdir", "/d")) == 0
         assert exec_syscall(sandbox, make_event("write", fd, 7)) == 7
-        assert not sandbox.vfs.exists("/d/f") and not sandbox.vfs.exists("/d")
+        assert "/d/f" not in sandbox.vfs.files and "/d" not in sandbox.vfs.dirs
         sandbox.vfs.check_invariants()
 
     def test_descriptor_keeps_its_file_when_path_is_recreated(self, sandbox):
