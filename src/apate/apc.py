@@ -36,6 +36,14 @@ def _params_load(text):
 
 
 def serialize(prog: RuleProgram) -> bytes:
+    """The program's .apc bytes.  Like the compiler, the format binds a
+    syscall at most once: a program built in code that binds one twice
+    (a cloaked program) raises ValueError."""
+    bind_lines = {}
+    for sc, cn in prog.bindings:
+        if sc in bind_lines:
+            raise ValueError(f"syscall {sc!r} bound to more than one rulechain")
+        bind_lines[sc] = f"BIND\tsys_{sc}\t{cn}"
     conds = {}    # (builtin, params) -> cid
     cond_lines = []
     acts = {}
@@ -92,10 +100,9 @@ def serialize(prog: RuleProgram) -> bytes:
         members = ",".join((":" if r.exit_flag else "") + r.name for r in chain.rules)
         chain_lines.append(f"CHAIN\t{name}\t{members}")
 
-    bind_lines = [f"BIND\tsys_{sc}\t{cn}" for sc, cn in prog.bindings]
-
     lines = [f"{MAGIC} {VERSION}"]
-    lines += cond_lines + act_lines + rule_lines + chain_lines + bind_lines
+    lines += cond_lines + act_lines + rule_lines + chain_lines
+    lines += bind_lines.values()
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

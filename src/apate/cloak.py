@@ -3,18 +3,17 @@
 These rules make the honeypot's own logfile invisible to every syscall
 issued through the hooked layer: opening, reading, writing, or unlinking
 the logfile fails with ENOENT, and directory listings omit its entry.
-The rules are prepended with exit flags so user rules can never run
-first.
+apply_cloak binds them before the user's chains, each with its exit
+flag, so no user rule runs on an event a cloak rule fired on.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from string import Template
 
 from .dsl import _arg_src, compile_source
 from .errors import ApateError
-from .model import Action, ActionChain, Rule, RuleChain, RuleProgram
+from .model import RuleChain, RuleProgram
 from .sandbox import normalize_path, parent_of
 
 # $log, $dir and $name are the logfile's path, directory and basename,
@@ -56,24 +55,6 @@ def cloak_ruleset(log_path: str) -> RuleProgram:
     return compile_source(source, "<cloak>")[0]
 
 
-def _shift_jumps(rule: Rule, offset: int, taken: set, copies: dict) -> Rule:
-    """The rule itself if no jump target moves; else a copy with each
-    non-negative target moved by offset, under a fresh name added to taken.
-    ``copies`` keeps one copy per (rule, offset)."""
-    key = id(rule), offset
-    if key not in copies:
-        actions = tuple(
-            Action("jump", (a.params[0] + offset,))
-            if a.builtin_name == "jump" and len(a.params) == 1
-            and isinstance(a.params[0], int) and a.params[0] >= 0 else a
-            for a in rule.actions.actions)
-        if actions != rule.actions.actions:
-            taken.add(name := _free(rule.name, taken))
-            rule = replace(rule, name=name, actions=ActionChain(actions))
-        copies[key] = rule
-    return copies[key]
-
-
 def _free(name, taken) -> str:
     """name, or the first ``<name>#<n>`` not in taken."""
     fresh, n = name, 0
@@ -84,38 +65,17 @@ def _free(name, taken) -> str:
 
 
 def apply_cloak(user_prog: RuleProgram, cloak_prog: RuleProgram) -> RuleProgram:
-    """Merge: cloak rules run before any user rules on the same syscall.
+    """The user program with the cloak's chains bound before its own.
 
-    Each non-negative user jump target moves past the cloak rules; a
-    negative one stays out of range.  No name gets two bodies: where an
-    added chain, a cloak rule or a user rule whose jump moved would take
-    a name in use, it gets the first free ``<name>#<n>``.  A user rule
-    moved by the same offset in several chains is one copy.
+    Where both bind a syscall, binding runs the cloak chain and then the
+    user chain as one (engine.validate_program).  User chains and rules
+    are kept as they are; a cloak chain whose name the user program
+    already has takes the first free ``<name>#<n>``.
     """
     chains = dict(user_prog.chains)
-    taken = {r.name for chain in chains.values() for r in chain.rules}
-    cloak = {name: tuple(replace(r, name=_free(r.name, taken))
-                         for r in chain.rules)
-             for name, chain in cloak_prog.chains.items()}
-    taken.update(r.name for rules in cloak.values() for r in rules)
-    bindings = []
-    user_bound = dict(user_prog.bindings)
-    added = {}   # (cloak chain, user chain or None) -> added chain's name
-    copies = {}  # (id of a user rule, offset) -> that rule with jumps moved
-    for syscall, cloak_name in cloak_prog.bindings:
-        user_name = user_bound.get(syscall)
-        if (cloak_name, user_name) not in added:
-            rules = cloak[cloak_name]
-            name = cloak_name
-            if user_name is not None:
-                name = f"{cloak_name}+{user_name}"
-                rules += tuple(_shift_jumps(r, len(rules), taken, copies)
-                               for r in chains[user_name].rules)
-            fresh = _free(name, chains)
-            chains[fresh] = RuleChain(fresh, rules)
-            added[cloak_name, user_name] = fresh
-        bindings.append((syscall, added[cloak_name, user_name]))
-    for syscall, chain_name in user_prog.bindings:
-        if not any(sc == syscall for sc, _ in bindings):
-            bindings.append((syscall, chain_name))
-    return RuleProgram(chains=chains, bindings=bindings)
+    names = {}
+    for name, chain in cloak_prog.chains.items():
+        fresh = names[name] = _free(name, chains)
+        chains[fresh] = RuleChain(fresh, chain.rules)
+    bindings = [(sc, names[name]) for sc, name in cloak_prog.bindings]
+    return RuleProgram(chains, bindings + user_prog.bindings)

@@ -142,7 +142,7 @@ def eval_chain(chain: RuleChain, ev: SyscallEvent,
 
 def dispatch(prog: RuleProgram, ev: SyscallEvent,
              sandbox: SandboxState) -> Disposition:
-    """Route one event through the chain bound to its syscall.
+    """Route one event through the chains bound to its syscall.
 
     A program never passed to validate_program is bound here, on its
     first dispatch.  Rules, actions and the error routine write into the
@@ -196,6 +196,10 @@ def validate_program(prog: RuleProgram) -> None:
     action with valid params, and call_orig may not follow block.  A
     guard that several rules share is generated once.  A rule's jump
     target is the param of the last jump in its chain, None if it has none.
+    The chains bound to one syscall run as one, in binding order: each
+    non-negative jump target of a later chain moves by the number of
+    rules before it, so it still reaches the same rule; a negative one
+    stays out of range.
     """
     guards, bound = {}, {}
     for name, chain in prog.chains.items():
@@ -222,5 +226,10 @@ def validate_program(prog: RuleProgram) -> None:
                     jump = action.params[0]
             rules.append((*entry, rule.actions, rule.exit_flag, jump))
         bound[name] = tuple(rules)
-    # reversed: where a syscall is bound twice, its first binding wins
-    prog.plan = {sc: bound[name] for sc, name in reversed(prog.bindings)}
+    plan = {}
+    for sc, name in prog.bindings:
+        before = plan.get(sc, ())
+        plan[sc] = before + tuple(
+            r if r[4] is None or r[4] < 0 else (*r[:4], r[4] + len(before))
+            for r in bound[name])
+    prog.plan = plan

@@ -186,10 +186,11 @@ class RuleChain:
 class RuleProgram:
     """Compiled, immutable binding of rule chains to syscall names.
 
-    ``bindings`` preserves source order; at most one chain per syscall.
-    Binding (engine.validate_program) sets ``plan``: syscall -> its
-    chain's rules as (guard, leaf_count, ActionChain, exit_flag, jump
-    target or None) tuples.
+    ``bindings`` preserves source order.  Source and .apc bind a syscall
+    at most once; a program built in code (a cloaked one) may bind it to
+    several chains.  Binding (engine.validate_program) sets ``plan``:
+    syscall -> the rules of its chains, in binding order, as (guard,
+    leaf_count, ActionChain, exit_flag, jump target or None) tuples.
     """
 
     chains: dict = field(default_factory=dict)          # name -> RuleChain

@@ -78,11 +78,11 @@ def parse_trace_line(line: str, line_no: int = 0,
             raise TypeError(f"seq must be an integer, got {seq!r}")
         if not isinstance(args, list):
             raise TypeError(f"args must be a list, got {args!r}")
-        args = [a["len"] if isinstance(a, dict) else a for a in args]
+        args = [_count(a, args) if type(a) is dict else a for a in args]
         return SyscallEvent(seq=seq, syscall=obj["syscall"],
                             args=args, ctx=ctx)
     except KeyError as exc:
-        raise TraceError(line_no, _missing(obj, exc.args[0])) from None
+        raise TraceError(line_no, f"missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise TraceError(line_no, str(exc)) from None
 
@@ -95,14 +95,15 @@ def _ctx_key_error(raw: dict) -> str:
     return f"ctx: unknown key {next(k for k in raw if k not in _CTX_KEYS)!r}"
 
 
-def _missing(obj: dict, key: str) -> str:
-    """The message for a KeyError on ``key`` while reading ``obj``: a
-    top-level field, or the "len" of an object argument."""
-    if key != "len":
-        return f"missing field {key!r}"
-    index = next(i for i, a in enumerate(obj["args"])
-                 if isinstance(a, dict) and "len" not in a)
-    return f'args[{index}]: an object argument must be {{"len": n}}'
+def _count(arg: dict, args: list) -> int:
+    """n of an object argument ``arg`` of ``args``: exactly ``{"len": n}``
+    with n an int (a bool is not one)."""
+    n = arg.get("len") if len(arg) == 1 else None
+    if type(n) is not int:
+        # an equal object earlier in args would have raised first
+        raise ValueError(f"args[{args.index(arg)}]: an object argument "
+                         'must be {"len": n}')
+    return n
 
 
 def _whole_lines(fh):

@@ -267,7 +267,7 @@ class FdTable:
 
 
 class ScratchStore:
-    """Unbounded key/value cells backing counters, registers, and jumps.
+    """Unbounded key/value cells backing counters and registers.
 
     Reading an unset key yields integer 0.
     """

@@ -3,6 +3,7 @@ import os
 import socket
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -376,14 +377,33 @@ class TestRun:
         assert len(distinct) == 5   # 2 mysql rules, 3 cloak rules
         assert len(blocks) == len({id(b) for b in blocks}) == len(distinct)
 
+    def test_cloaked_run_crosses_every_benchmark_span(self, compiled,
+                                                       tmp_path, monkeypatch):
+        """perfbench/spans.py times layers by patching the boundaries one
+        layer calls in another; a cloaked run must cross each of them."""
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1]
+                                        / "perfbench"))
+        import spans
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join([
+            trace_line(1, "open", ["/var/lib/mysql/ibdata1", "r"]),
+            trace_line(2, "open", ["/etc/hosts", "r"], parent_pname="sshd"),
+            trace_line(3, "open", ["/var/log/apate.log", "r"]),
+        ]) + "\n")
+        with spans.Tracer().installed() as tracer:
+            assert main(["run", "--program", str(compiled), "--trace",
+                         str(trace), "--cloak", "/var/log/apate.log",
+                         "--report", str(tmp_path / "report.json")]) == 0
+        assert {"engine.validate", "engine.dispatch", "engine.guard",
+                "engine.actions", "logsink.format", "logsink.emit.vfs",
+                "sandbox.exec.open"} <= set(tracer.aggregate())
+
     @pytest.mark.parametrize("name", [
         "cloak_path", "cloak_fd", "cloak_dir",
         "cloak_path+rc1", "cloak_fd+rc1", "cloak_dir+rc1"])
     def test_cloak_never_replaces_a_user_chain(self, tmp_path, name):
-        # rc1 is bound where the cloak merges, so that the cloak adds the
-        # chains cloak_path+rc1 (open), cloak_fd+rc1 (read) and
-        # cloak_dir+rc1 (getdents) next to cloak_path (unlink) and
-        # cloak_fd (write); the chain called `name` blocks getpid.
+        # The chain called `name` blocks getpid; with a `+` in `name`,
+        # rc1 is also bound where the cloak binds (open, read, getdents).
         assert name.split("+")[0] in cloak_ruleset("/var/log/apate.log").chains
         prog = tmp_path / "prog.apc"
         prog.write_text(
@@ -442,6 +462,9 @@ class TestRun:
         pytest.param(trace_line(2, "write", [3, {"n": 4}]),
                      'args[1]: an object argument must be {"len": n}',
                      id="len"),
+        pytest.param(trace_line(2, "write", [3, {"len": "4096"}]),
+                     'args[1]: an object argument must be {"len": n}',
+                     id="len-string"),
         pytest.param(trace_line(2, "getpid", [], tty=1),
                      "ctx: unknown key 'tty'", id="ctx"),
     ])

@@ -4,13 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from apate import apc
+from apate import apc, engine
 from apate.cloak import CLOAK_SOURCE, apply_cloak, cloak_ruleset
 from apate.dsl import _arg_src, compile_source
 from apate.engine import dispatch
 from apate.errors import TraceError
 from apate.logsink import VfsSink
-from apate.model import (ALWAYS_TRUE, OP_AND, SYSCALLS, Action, ActionChain,
+from apate.model import (ALWAYS_TRUE, OP_AND, OP_OR, SYSCALLS, Action,
+                         ActionChain,
                          Condition, ConditionBlock, Rule, RuleChain,
                          RuleProgram, SyscallEvent, TaskContext)
 from apate.replay import (EventSource, parse_trace, parse_trace_line,
@@ -270,31 +271,196 @@ def _user_rule_named(name) -> RuleProgram:
         "user.apate")[0]
 
 
-@pytest.mark.parametrize("name", ["by_path", "by_fd", "listing"])
-def test_cloak_rules_never_share_a_user_rule_name(name):
-    merged = apply_cloak(_user_rule_named(name), cloak_ruleset(LOG))
-    blob = apc.serialize(merged)
+# Frozen copy of apply_cloak as it was when it merged each cloak chain
+# into the user chain bound to the same syscall: a chain `cloak+user`
+# whose user rules are copies with each non-negative jump moved past the
+# cloak rules, renamed where a name would get two bodies.  The
+# reference for the differential test of the merge at bind time.
+def _frozen_shift_jumps(rule, offset, taken, copies):
+    key = id(rule), offset
+    if key not in copies:
+        actions = tuple(
+            Action("jump", (a.params[0] + offset,))
+            if a.builtin_name == "jump" and len(a.params) == 1
+            and isinstance(a.params[0], int) and a.params[0] >= 0 else a
+            for a in rule.actions.actions)
+        if actions != rule.actions.actions:
+            taken.add(name := _frozen_free(rule.name, taken))
+            rule = replace(rule, name=name, actions=ActionChain(actions))
+        copies[key] = rule
+    return copies[key]
+
+
+def _frozen_free(name, taken):
+    fresh, n = name, 0
+    while fresh in taken:
+        n += 1
+        fresh = f"{name}#{n}"
+    return fresh
+
+
+def _frozen_apply_cloak(user_prog, cloak_prog):
+    chains = dict(user_prog.chains)
+    taken = {r.name for chain in chains.values() for r in chain.rules}
+    cloak = {name: tuple(replace(r, name=_frozen_free(r.name, taken))
+                         for r in chain.rules)
+             for name, chain in cloak_prog.chains.items()}
+    taken.update(r.name for rules in cloak.values() for r in rules)
+    bindings = []
+    user_bound = dict(user_prog.bindings)
+    added = {}
+    copies = {}
+    for syscall, cloak_name in cloak_prog.bindings:
+        user_name = user_bound.get(syscall)
+        if (cloak_name, user_name) not in added:
+            rules = cloak[cloak_name]
+            name = cloak_name
+            if user_name is not None:
+                name = f"{cloak_name}+{user_name}"
+                rules += tuple(_frozen_shift_jumps(r, len(rules), taken, copies)
+                               for r in chains[user_name].rules)
+            fresh = _frozen_free(name, chains)
+            chains[fresh] = RuleChain(fresh, rules)
+            added[cloak_name, user_name] = fresh
+        bindings.append((syscall, added[cloak_name, user_name]))
+    for syscall, chain_name in user_prog.bindings:
+        if not any(sc == syscall for sc, _ in bindings):
+            bindings.append((syscall, chain_name))
+    return RuleProgram(chains=chains, bindings=bindings)
+
+
+def _random_user_program(rng) -> RuleProgram:
+    """Chains over a pool of six rules, shared between chains, with
+    forward, backward, negative and out-of-range jumps, exit flags,
+    blocks and logs, each chain bound to its own syscalls."""
+    conds = [Condition("testforpname", ("cron",)),
+             Condition("testforselfpname", ("sh",)),
+             Condition("testforuid", (">", 500)),
+             Condition("testforparam", (0, "/var/*")), ALWAYS_TRUE]
+    pool = []
+    for i in range(6):
+        actions = rng.sample([Action("store_add", ("n", 1)), Action("log"),
+                              Action("block", (-13,))], rng.randint(1, 2))
+        if rng.random() < 0.5:
+            actions.append(Action("jump", (rng.randint(-1, 6),)))
+        guard = ConditionBlock(rng.choice(conds), rng.choice(conds),
+                               rng.choice((OP_AND, OP_OR)))
+        pool.append(Rule(f"r{i}", guard, ActionChain(tuple(actions)),
+                         span=f"user.apate:{i + 1}"))
+    chains, bindings = {}, []
+    syscalls = rng.sample(SYSCALLS, rng.randint(1, len(SYSCALLS)))
+    for c in range(rng.randint(1, 3)):
+        rules = tuple(replace(r, exit_flag=int(rng.random() < 0.3))
+                      for r in rng.choices(pool, k=rng.randint(1, 5)))
+        chains[f"rc{c}"] = RuleChain(f"rc{c}", rules)
+    for i, sc in enumerate(syscalls):
+        bindings.append((sc, f"rc{i % len(chains)}"))
+    return RuleProgram(chains=chains, bindings=bindings)
+
+
+def _chain_clash() -> RuleProgram:
+    """A user chain called cloak_path, bound where the cloak binds it."""
+    rc = _user_rule_named("by_path").chains["rc"]
+    return RuleProgram(chains={"cloak_path": replace(rc, name="cloak_path")},
+                       bindings=[("open", "cloak_path"),
+                                 ("getpid", "cloak_path")])
+
+
+MERGE_CASES = {
+    "empty": RuleProgram,
+    "mysql": lambda: compile_source(MYSQL_EXAMPLE, "user.apate")[0],
+    "jumps": lambda: compile_source(JUMPS, "user.apate")[0],
+    "rule-by_path": lambda: _user_rule_named("by_path"),
+    "rule-by_fd": lambda: _user_rule_named("by_fd"),
+    "rule-listing": lambda: _user_rule_named("listing"),
+    "chain-cloak_path": _chain_clash,
+    **{f"random-{seed}": (lambda seed=seed:
+                          _random_user_program(random.Random(seed)))
+       for seed in range(30)},
+}
+
+
+@pytest.mark.parametrize("case", MERGE_CASES)
+def test_cloak_at_bind_matches_frozen_merge(case, monkeypatch):
+    # Both sides run on one engine; a small budget keeps loops cheap.
+    monkeypatch.setattr(engine, "DEFAULT_JUMP_BUDGET", 64)
+    for log_path in CLOAK_PATHS:
+        for seed in (1, 2):
+            events = _cloak_trace(random.Random(seed), log_path, n=150)
+            user = MERGE_CASES[case]()
+            cloaked = apply_cloak(user, cloak_ruleset(log_path))
+            assert all(cloaked.chains[name] is chain
+                       for name, chain in user.chains.items())
+            new = _replay(cloaked, log_path, events)
+            user = MERGE_CASES[case]()
+            old = _replay(_frozen_apply_cloak(user, cloak_ruleset(log_path)),
+                          log_path, events)
+            assert new == old, (log_path, seed)
+
+
+def test_cloaked_program_does_not_serialize():
+    """.apc binds a syscall once, as the compiler does, so the cloak is
+    applied after loading and never written; the user program alone
+    still round-trips."""
+    user = compile_source(MYSQL_EXAMPLE, "user.apate")[0]
+    with pytest.raises(ValueError, match="syscall 'open' bound to more "
+                                         "than one rulechain"):
+        apc.serialize(apply_cloak(user, cloak_ruleset(LOG)))
+    blob = apc.serialize(user)
     assert apc.serialize(apc.deserialize(blob)) == blob
-    rules = {r.name: r.span for c in merged.chains.values() for r in c.rules}
-    assert rules[name] == "user.apate:3" and rules[f"{name}#1"] != rules[name]
+
+
+@pytest.mark.parametrize("name", ["by_path", "by_fd", "listing"])
+def test_user_rule_named_like_a_cloak_rule_keeps_its_name(name):
+    user = _user_rule_named(name)
+    merged = apply_cloak(user, cloak_ruleset(LOG))
+    assert merged.chains["rc"] is user.chains["rc"]
+    (rule,) = merged.chains["rc"].rules
+    assert (rule.name, rule.span) == (name, "user.apate:3")
+    cloak_rules = {r.name: r.span for c in ("cloak_path", "cloak_fd",
+                                            "cloak_dir")
+                   for r in merged.chains[c].rules}
+    assert cloak_rules[name] != rule.span
+    cron = make_ctx(parent_pname="cron")
+    sb = cloaked_sandbox()
+    got = [(d.matched_rules, d.result, d.blocked) for d in (
+        dispatch(merged, ev, sb) for ev in (
+            make_event("open", "/x", "r", ctx=cron),
+            make_event("open", LOG, "r", ctx=cron),
+            make_event("getpid", ctx=cron)))]
+    assert got == [([1], -13, True), ([0], ENOENT, True), ([0], -13, True)]
     events = _cloak_trace(random.Random(5), LOG)
     plain = apply_cloak(_user_rule_named("mine"), cloak_ruleset(LOG))
     assert _replay(merged, LOG, events) == _replay(plain, LOG, events)
 
 
-def test_cloak_rule_takes_the_first_free_name():
+def test_cloak_chain_takes_the_first_free_name():
     user = _user_rule_named("by_path")
-    (rule,) = user.chains["rc"].rules
-    user.chains["rc"] = RuleChain("rc", (rule, replace(rule, name="by_path#1")))
+    rc = user.chains["rc"]
+    for name in ("cloak_path", "cloak_path#1"):
+        user.chains[name] = replace(rc, name=name)
+    user.bindings.append(("unlink", "cloak_path"))
     merged = apply_cloak(user, cloak_ruleset(LOG))
-    assert [r.name for r in merged.chains["cloak_path+rc"].rules] == [
-        "by_path#2", "by_path", "by_path#1"]
-    assert [r.name for r in merged.chains["cloak_path"].rules] == ["by_path#2"]
+    assert list(merged.chains) == ["rc", "cloak_path", "cloak_path#1",
+                                   "cloak_path#2", "cloak_fd", "cloak_dir"]
+    assert all(merged.chains[n] is user.chains[n] for n in user.chains)
+    assert [r.name for r in merged.chains["cloak_path#2"].rules] == [
+        "by_path"]
+    assert merged.bindings[:2] == [("open", "cloak_path#2"),
+                                   ("read", "cloak_fd")]
+    cron = make_ctx(parent_pname="cron")
+    sb = cloaked_sandbox()
+    got = [(d.matched_rules, d.result, d.blocked) for d in (
+        dispatch(merged, ev, sb) for ev in (
+            make_event("unlink", "/x", ctx=cron),
+            make_event("unlink", LOG, ctx=cron),
+            make_event("open", LOG, "r", ctx=cron)))]
+    assert got == [([1], -13, True), ([0], ENOENT, True), ([0], ENOENT, True)]
 
 
 def test_shifted_user_rule_gets_its_own_name():
-    """A rule bound both behind the cloak (its jump moves) and on its own
-    (it does not) is two bodies, so the moved one is renamed."""
+    """A rule bound both behind the cloak (its jump target moves in the
+    plan) and on its own (it does not) is one rule under its own name."""
     user = compile_source(
         "define r,s as rule\ndefine rc as rulechain\n"
         'let r be {{testforpname("cron")}->jump(1)}\n'
@@ -302,32 +468,27 @@ def test_shifted_user_rule_gets_its_own_name():
         "let rc be {r,s}\nbind rc to open\nbind rc to getpid\n",
         "user.apate")[0]
     merged = apply_cloak(user, cloak_ruleset(LOG))
-    blob = apc.serialize(merged)
-    assert apc.serialize(apc.deserialize(blob)) == blob
-    (r, s), (by_path, r1, s1) = (merged.chains[c].rules
-                                 for c in ("rc", "cloak_path+rc"))
-    assert (r.name, r1.name, by_path.name) == ("r", "r#1", "by_path")
-    assert r1.actions.actions == (Action("jump", (2,)),) and s1 is s
     assert merged.chains["rc"] is user.chains["rc"]
+    r, s = merged.chains["rc"].rules
+    assert (r.name, r.span) == ("r", "user.apate:3")
+    assert r.actions.actions == (Action("jump", (1,)),)
     cron = make_ctx(pname="cron")
     events = [make_event("open", "/x", "r", ctx=cron),
               make_event("getpid", ctx=cron),
               make_event("open", LOG, "r", ctx=cron)]
-    for prog in (merged, apc.deserialize(blob)):
-        sb = cloaked_sandbox()
-        got = [(d.matched_rules, d.result, d.blocked) for d in
-               (dispatch(prog, ev, sb) for ev in events)]
-        assert got == [([2], ENOENT, False), ([1], 100, False),
-                       ([0], ENOENT, True)]
-        assert sb.store.get("s") == 2
-    trace = _cloak_trace(random.Random(9), LOG)
-    assert _replay(merged, LOG, trace) == _replay(apc.deserialize(blob), LOG,
-                                                   trace)
+    sb = cloaked_sandbox()
+    got = [(d.matched_rules, d.result, d.blocked) for d in
+           (dispatch(merged, ev, sb) for ev in events)]
+    assert got == [([2], ENOENT, False), ([1], 100, False),
+                   ([0], ENOENT, True)]
+    assert sb.store.get("s") == 2
+    assert [e[4] for e in merged.plan["open"]] == [None, 2, None]
+    assert [e[4] for e in merged.plan["getpid"]] == [1, None]
 
 
 def test_rule_shifted_alike_in_two_chains_is_one_copy():
-    """A rule whose jump moves by the same offset in two merged chains
-    becomes one renamed copy: one shifted RULE record in the .apc."""
+    """A rule behind the cloak in two chains stays one rule; each
+    syscall's plan moves its jump by the same offset."""
     user = compile_source(
         "define r,s as rule\ndefine rc1,rc2 as rulechain\n"
         'let r be {{testforpname("cron")}->jump(1)}\n'
@@ -335,26 +496,21 @@ def test_rule_shifted_alike_in_two_chains_is_one_copy():
         "let rc1 be {r,s}\nlet rc2 be {r,s}\n"
         "bind rc1 to open\nbind rc2 to unlink\n", "user.apate")[0]
     merged = apply_cloak(user, cloak_ruleset(LOG))
-    blob = apc.serialize(merged)
-    assert apc.serialize(apc.deserialize(blob)) == blob
-    rules = [line.split("\t")[1] for line in blob.decode().splitlines()
-             if line.startswith("RULE\t")]
-    assert sorted(rules) == ["by_fd", "by_path", "listing", "r", "r#1", "s"]
-    one, two = (merged.chains[c].rules[1]
-                for c in ("cloak_path+rc1", "cloak_path+rc2"))
-    assert one is two and one.actions.actions == (Action("jump", (2,)),)
+    one, two = (merged.chains[c].rules[0] for c in ("rc1", "rc2"))
+    assert one is two and one.actions.actions == (Action("jump", (1,)),)
     cron = make_ctx(parent_pname="cron")
     events = [make_event("open", "/x", "r", ctx=cron),
               make_event("unlink", "/x", ctx=cron),
               make_event("open", LOG, "r", ctx=cron),
               make_event("getpid", ctx=cron)]
-    for prog in (merged, apc.deserialize(blob)):
-        sb = cloaked_sandbox()
-        got = [(d.matched_rules, d.result, d.blocked) for d in
-               (dispatch(prog, ev, sb) for ev in events)]
-        assert got == [([1, 2], ENOENT, False), ([1, 2], ENOENT, False),
-                       ([0], ENOENT, True), ([], cron.pid, False)]
-        assert sb.store.get("s") == 2
+    sb = cloaked_sandbox()
+    got = [(d.matched_rules, d.result, d.blocked) for d in
+           (dispatch(merged, ev, sb) for ev in events)]
+    assert got == [([1, 2], ENOENT, False), ([1, 2], ENOENT, False),
+                   ([0], ENOENT, True), ([], cron.pid, False)]
+    assert sb.store.get("s") == 2
+    assert merged.plan["open"][1] == merged.plan["unlink"][1]
+    assert merged.plan["open"][1][4] == 2
 
 
 class TestTraceParsing:
@@ -431,6 +587,12 @@ class TestTraceParsing:
         ({"ctx": {"pid": 1, "uid": 0, "ssid": 0, "pname": "a",
                   "parent_pname": "b", "tty": 1}},
          "ctx: unknown key 'tty'"),
+        *(({"syscall": "write", "args": args}, f"args[{index}]: an object "
+           'argument must be {"len": n}') for args, index in (
+            ([3, {"len": 4, "x": 1}], 1), ([3, {"len": "zz"}], 1),
+            ([3, {"len": "4096"}], 1), ([3, {"len": True}], 1),
+            ([3, {"len": 4.0}], 1), ([3, {"len": None}], 1),
+            ([{"len": 3}, {"len": [4]}], 1), ([{"x": 3}, {"x": 3}], 0))),
     ])
     def test_trace_errors_name_the_field(self, change, message):
         obj = json.loads(self.line())

@@ -383,6 +383,68 @@ class TestBinding:
         assert all(ref() is None for ref in made)
 
 
+def _bound_in_turn(first, second, syscall="getpid"):
+    """Chains a (first's rules) and b (second's) bound to one syscall."""
+    return RuleProgram(chains={"a": RuleChain("a", tuple(first)),
+                               "b": RuleChain("b", tuple(second))},
+                       bindings=[(syscall, "a"), (syscall, "b")])
+
+
+class TestComposition:
+    """Chains bound to one syscall run as one, in binding order."""
+
+    def test_chains_run_in_binding_order(self, sandbox):
+        def last(name):
+            return simple_rule(name, True, [Action("store_set", ("last", name))])
+
+        prog = _bound_in_turn([last("a0")], [last("b0")])
+        dispatch(prog, make_event("getpid"), sandbox)
+        assert sandbox.store.get("last") == "b0"
+        prog.bindings.reverse()
+        validate_program(prog)
+        dispatch(prog, make_event("getpid"), sandbox)
+        assert sandbox.store.get("last") == "a0"
+
+    def test_matched_rules_count_across_chains(self, sandbox):
+        prog = _bound_in_turn(
+            [simple_rule("a0", True), simple_rule("a1", False)],
+            [simple_rule("b0", True)])
+        disp = dispatch(prog, make_event("getpid"), sandbox)
+        assert disp.matched_rules == [0, 2]
+        assert disp.conditions_evaluated == 6   # 3 rules x 2 leaves
+
+    def test_later_chain_jumps_within_itself(self, sandbox):
+        b0 = Rule("b0", guard_of(True), ActionChain((Action("jump", (1,)),)))
+        prog = _bound_in_turn(
+            [simple_rule("a0", True), simple_rule("a1", True)],
+            [b0, simple_rule("b1", True, exit_flag=1)])
+        disp = dispatch(prog, make_event("getpid"), sandbox)
+        assert disp.matched_rules == [0, 1, 2, 3]
+        assert [sandbox.store.get(f"hits_{n}") for n in ("a0", "a1", "b1")] \
+            == [1, 1, 1]
+        assert [entry[4] for entry in prog.plan["getpid"]] == [
+            None, None, 3, None]
+
+    def test_negative_jump_stays_out_of_range(self, sandbox):
+        b0 = Rule("b0", guard_of(True), ActionChain((Action("jump", (-1,)),)))
+        prog = _bound_in_turn([simple_rule("a0", True)],
+                              [b0, simple_rule("b1", True)])
+        ev = make_event("getpid")
+        disp = dispatch(prog, ev, sandbox)
+        assert disp.matched_rules == [0, 1]
+        assert disp.blocked and disp.result == errno_default(ev)
+        assert sandbox.diagnostics[-1]["detail"] == \
+            "JumpOutOfRange target=-1 len=3"
+        assert sandbox.store.get("hits_b1") == 0
+
+    def test_exit_flag_in_first_chain_stops_the_second(self, sandbox):
+        prog = _bound_in_turn([simple_rule("a0", True, exit_flag=1)],
+                              [simple_rule("b0", True)])
+        disp = dispatch(prog, make_event("getpid"), sandbox)
+        assert disp.matched_rules == [0]
+        assert sandbox.store.get("hits_b0") == 0
+
+
 class TestValidateProgram:
     def test_call_orig_after_block_rejected(self):
         rule = Rule("r", guard_of(True),
