@@ -9,7 +9,7 @@ a copy-workload benchmark harness.
 from .model import (Action, ActionChain, ALWAYS_TRUE, Condition,
                     ConditionBlock, Disposition, Rule, RuleChain,
                     RuleProgram, SyscallEvent, SYSCALLS, TaskContext)
-from .engine import dispatch, eval_chain, eval_condition, eval_condition_block
+from .engine import dispatch
 from .sandbox import SandboxState, VirtualFS, exec_syscall, vfs_from_manifest
 from .dsl import compile_source
 from .apc import deserialize, serialize
@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Action", "ActionChain", "ALWAYS_TRUE", "Condition", "ConditionBlock",
     "Disposition", "Rule", "RuleChain", "RuleProgram", "SyscallEvent",
-    "SYSCALLS", "TaskContext", "dispatch", "eval_chain", "eval_condition",
-    "eval_condition_block", "SandboxState", "VirtualFS", "exec_syscall",
-    "vfs_from_manifest", "compile_source", "serialize", "deserialize",
-    "__version__",
+    "SYSCALLS", "TaskContext", "dispatch", "SandboxState", "VirtualFS",
+    "exec_syscall", "vfs_from_manifest", "compile_source", "serialize",
+    "deserialize", "__version__",
 ]

@@ -18,6 +18,7 @@ from .sandbox import exec_syscall, errno_default
 COMPARISONS = ("==", "!=", ">", "<", ">=", "<=")
 
 CTX_FIELDS = ("pid", "uid", "ssid")
+INLINE_CHARS = 500   # a guard body this short runs inline in its scans
 
 
 class WildcardPattern:
@@ -58,8 +59,9 @@ def _as_str(value) -> str:
 # expression is truthy exactly when the condition holds; `1 if x else 0`
 # around it gives the condition's 0 | 1.  Params reach the text only as
 # names bound by src.const, operator text only from COMPARISONS, context
-# field names only from CTX_FIELDS, and a wildcard prefix's length only
-# as the int len() gives for a pattern check_params accepted.
+# field names only from CTX_FIELDS, and an argument index or a wildcard
+# prefix's length only as an int check_params or len() gave, written
+# with :d.
 
 def _wildcard(src, pattern, subject):
     """Leaf text: subject matches pattern; a None subject never does.
@@ -79,14 +81,14 @@ def _compare(src, lhs, op, value):
     return f"({lhs} {op} {src.const(value)})"
 
 
-def _arg_leaf(src, name, index, read, test):
-    """Leaf over args[index]; out of range it is 0 with a diagnostic."""
+def _arg_leaf(src, name, read, index, pattern):
+    """Leaf: src.arg(read, index) matches pattern; 0, noted, out of range."""
     miss = (f"_miss(sb, {src.const('ArgIndexOutOfRange')}, "
             f"{src.const(f'{name} index {index} on ')} + ev.syscall)")
     if index < 0:
         return miss
-    value = read(index)
-    return f"({test(value)} if nargs > {src.const(index)} else {miss})"
+    test = _wildcard(src, pattern, src.arg(read, index))
+    return f"({test} if nargs > {index:d} else {miss})"
 
 
 def _e_always_true(src, params):
@@ -102,9 +104,7 @@ def _e_testforselfpname(src, params):
 
 
 def _e_testforparam(src, params):
-    index, pattern = params
-    return _arg_leaf(src, "testforparam", index, src.arg_str,
-                     lambda s: _wildcard(src, pattern, s))
+    return _arg_leaf(src, "testforparam", "a", *params)
 
 
 def _e_testforuid(src, params):
@@ -140,10 +140,7 @@ def _e_store_cmp(src, params):
 
 
 def _e_testforfdpath(src, params):
-    index, pattern = params
-    return _arg_leaf(
-        src, "testforfdpath", index, src.fd_path,
-        lambda p: _wildcard(src, pattern, p))
+    return _arg_leaf(src, "testforfdpath", "f", *params)
 
 
 def _miss(sandbox, kind, detail):
@@ -152,27 +149,26 @@ def _miss(sandbox, kind, detail):
 
 
 class GuardSource:
-    """Source and namespace of one generated guard function.
+    """Source and namespace of one generated guard.
 
-    ``guard(ev, sb)`` reads each per-event value it needs once, at the
-    top, whatever number of leaves use it: the task context and its
-    fields, ``args`` and ``len(args)``, ``_as_str(args[i])`` and
-    ``sb.fds.path_of(args[i])`` per index, ``sb.store.get``, and one
-    ``subject[:n]`` per subject and distinct wildcard prefix length n.
-    Reads of an index are guarded by ``nargs`` and hold None when it is
-    out of range; so do their prefixes.
+    Each per-event value its leaves need is read once and named by what
+    it reads: ``ctx_uid`` is ``ev.ctx.uid``, ``nargs`` ``len(ev.args)``,
+    ``a0`` ``_as_str(ev.args[0])`` (None out of range), ``f0``
+    ``sb.fds.path_of(ev.args[0])``, ``a0_p8`` ``a0[:8]`` and
+    ``store_get`` ``sb.store.get``.  No read needs a constant, so guards
+    that read one value share its name, and a scan reads it once.
     """
 
     _CTX_READS = CTX_FIELDS + ("pname", "parent_pname")
+    _ARG_READS = {"a": "_as_str", "f": "sb.fds.path_of"}
 
     def __init__(self):
         self.ns = {"_as_str": _as_str, "_miss": _miss}
-        self.reads = {}      # local name -> expression, in first-use order
+        self.reads = {}      # name -> expression, in first-use order
         self._consts = 0
-        self._args = {}      # (reader, index) -> local name
 
     def const(self, value) -> str:
-        """Bind value in the namespace; returns the name to emit."""
+        """Bind value in the namespace; returns its name, k<n>, to emit."""
         name = f"k{self._consts}"
         self._consts += 1
         self.ns[name] = value
@@ -185,24 +181,14 @@ class GuardSource:
     def ctx(self, field) -> str:
         if field not in self._CTX_READS:
             raise ApateError(f"bad context field {field!r}")
-        self._read("ctx", "ev.ctx")
-        return self._read(f"ctx_{field}", f"ctx.{field}")
+        return self._read(f"ctx_{field}", f"ev.ctx.{field}")
 
-    def _arg(self, reader, index) -> str:
-        name = self._args.get((reader, index))
-        if name is None:
-            name = self._args[reader, index] = f"a{len(self._args)}"
-            self._read("args", "ev.args")
-            self._read("nargs", "len(args)")
-            k = self.const(index)
-            self._read(name, f"{reader}(args[{k}]) if nargs > {k} else None")
-        return name
-
-    def arg_str(self, index) -> str:
-        return self._arg("_as_str", index)
-
-    def fd_path(self, index) -> str:
-        return self._arg("sb.fds.path_of", index)
+    def arg(self, read, index) -> str:
+        """Local holding args[index] as a string (read "a") or as the path
+        of the descriptor it names ("f"), or None out of range."""
+        self._read("nargs", "len(ev.args)")
+        return self._read(f"{read}{index:d}", f"{self._ARG_READS[read]}"
+                          f"(ev.args[{index:d}]) if nargs > {index:d} else None")
 
     def prefix(self, subject, n: int) -> str:
         """Local holding subject[:n], or None where subject is None."""
@@ -222,19 +208,38 @@ class GuardSource:
             raise ApateError(err)
         return spec.fn(self, params)
 
-    def function(self, body):
-        """Compile ``guard(ev, sb)`` from the hoisted reads and body lines."""
-        lines = ["def guard(ev, sb):"]
-        lines += [f"    {name} = {expr}" for name, expr in self.reads.items()]
-        lines += [f"    {line}" for line in body]
-        exec(compile("\n".join(lines), "<guard>", "exec"), self.ns)
-        return self.ns.pop("guard")
+    def function(self, lines, result):
+        """Compile, in one compile(), ``body(ev, sb, <reads>)`` (lines, then
+        1 if result else 0) and ``guard(ev, sb)``, which makes the reads and
+        calls body, bound as a default so that no cycle runs through the
+        namespace.  guard carries body, reads, result, and short lines."""
+        call = ", ".join(["ev", "sb", *self.reads])
+        guard = define(self.ns, "guard", [
+            f"def body({call}):", *(f"    {line}" for line in lines),
+            f"    return 1 if {result} else 0",
+            "def guard(ev, sb, body=body):", *read_lines(self.reads),
+            f"    return body({call})"])
+        guard.body, guard.reads = self.ns.pop("body"), self.reads
+        guard.result = result
+        guard.lines = lines if sum(map(len, lines)) <= INLINE_CHARS else None
+        return guard
+
+
+def read_lines(reads):
+    """Source lines that make reads (name -> expression), in order."""
+    return [f"    {name} = {expr}" for name, expr in reads.items()]
+
+
+def define(ns, name, lines):
+    """Compile lines in ns and take out the function they define as name."""
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), ns)
+    return ns.pop(name)
 
 
 def specialize(name: str, params):
     """fn(ev, sandbox) -> 0 | 1 for one condition: a one-leaf guard."""
     src = GuardSource()
-    return src.function([f"return 1 if {src.leaf(name, params)} else 0"])
+    return src.function([], src.leaf(name, params))
 
 
 # --- action implementations --------------------------------------------

@@ -1,31 +1,29 @@
-"""Rule evaluation: condition blocks, action chains, chain traversal.
+"""Rule evaluation: guards, scans, action chains, chain traversal.
 
-Each guard (a ConditionBlock tree) runs as one Python function,
-``guard(ev, sb) -> 0 | 1``, generated by compiled_guard when its program
-is bound: at load (validate_program), or at the first dispatch of a
-program built in code.  The program's plan holds it; nothing is cached
-across programs.  The function reads each per-event value it needs
-once, at its top (a wildcard prefix once per subject and prefix
-length), then evaluates every leaf left to right as an inline
-expression: nothing short-circuits, so diagnostics come out in leaf
-order and the number of conditions evaluated is the block's static
-``leaf_count``.  A run of same-operator blocks is one boolean local,
-all() (AND) or any() (OR) of a tuple of its children, built in full
-before the fold; that is what ``(d + e) * f >= 4`` gives when applied
-pairwise.  Each leaf's text comes from its builtin's emitter
-(builtins.py), with params bound as namespace constants, never written
-into the source.
+Binding (validate_program, at load or at the first dispatch of a program
+built in code) generates each guard once (builtins.GuardSource) and one
+scan per distinct rule sequence bound to a syscall, held by the program;
+nothing is cached across programs.  A scan reads each per-event value its
+guards need once and evaluates them in rule order up to the first that
+holds, every leaf left to right with no short-circuit, so diagnostics
+come out in leaf order and a guard counts its static ``leaf_count``.
 """
 
 from __future__ import annotations
 
-from .builtins import GuardSource, check_params, lookup, specialize
+import re
+from itertools import accumulate
+
+from .builtins import (GuardSource, _as_str, check_params, define, lookup,
+                       read_lines)
 from .errors import ApateError
-from .model import (ActionChain, Condition, ConditionBlock, Disposition,
-                    OP_AND, RuleChain, RuleProgram, SyscallEvent)
+from .model import (Condition, ConditionBlock, Disposition, OP_AND,
+                    RuleProgram, SyscallEvent)
 from .sandbox import SandboxState, errno_default, exec_syscall
 
 DEFAULT_JUMP_BUDGET = 10_000
+SCAN_RUN = 16
+_CONST = re.compile(r"\bk(\d+)\b")      # the names GuardSource.const emits
 
 
 def _flatten(node):
@@ -48,13 +46,14 @@ def _flush(body, run):
         pending[:] = [var]
 
 
-def _generate(block: ConditionBlock):
-    """Build guard(ev, sb) for a block; iterative, so depth is unbounded.
+def compiled_guard(block: ConditionBlock):
+    """Return (guard function, leaf_count) for a condition block.
 
-    Each same-operator run folds its children with all() (AND) or any()
-    (OR); a nested run folds after the parent's items before it and joins
-    the parent's next tuple as one item, so every leaf evaluates in
-    left-to-right order.
+    Iterative, so depth is unbounded.  Each same-operator run folds its
+    children with all() (AND) or any() (OR) of a tuple built in full,
+    which is ``(d + e) * f >= 4`` applied pairwise; a nested run folds
+    after the parent's items before it and joins the parent's next tuple
+    as one item, so every leaf evaluates in left-to-right order.
     """
     src = GuardSource()
     body, runs = [], []           # open runs: (local, fold, pending items)
@@ -71,57 +70,93 @@ def _generate(block: ConditionBlock):
             if runs:
                 runs[-1][2].append(var)
             else:
-                body.append(f"return 1 if {var} else 0")
+                return src.function(body, var), block.leaf_count()
         else:
             fold = "all" if node.op_code == OP_AND else "any"
             runs.append((f"g{len(runs)}", fold, []))
             todo.append(None)
             todo += reversed(_flatten(node))
-    return src.function(body)
 
 
-def compiled_guard(block: ConditionBlock):
-    """Return (guard function, leaf_count) for a condition block."""
-    return _generate(block), block.leaf_count()
+def _scan(guards):
+    """Generate scan(ev, sb, start, stop): the first rule that holds, or stop.
 
-
-def eval_condition(cond: Condition, ev: SyscallEvent, sandbox: SandboxState,
-                   disp: "Disposition | None" = None) -> int:
-    """Evaluate one condition; counts 1 condition into disp."""
-    fn = specialize(cond.builtin_name, cond.params)
-    if disp is not None:
-        disp.conditions_evaluated += 1
-    return fn(ev, sandbox)
-
-
-def eval_condition_block(block: ConditionBlock, ev: SyscallEvent,
-                         sandbox: SandboxState,
-                         disp: "Disposition | None" = None) -> int:
-    """Evaluate a block: 1 iff (d + e) * op_code >= 4, children in full."""
-    guard, count = compiled_guard(block)
-    if disp is not None:
-        disp.conditions_evaluated += count
-    return guard(ev, sandbox)
-
-
-def run_action_chain(chain: ActionChain, ev: SyscallEvent,
-                     sandbox: SandboxState,
-                     disp: "Disposition | None" = None):
-    """Execute actions in order into the event's disposition; the first
-    nonzero status disrupts the chain.
-
-    On disruption the error routine runs once: the failure is recorded
-    and the result slot is set to the syscall-dependent errno.  Returns
-    (status, result) where status is the first failing status or 0.
+    Over rules [start, stop), it reads each value once, just before the
+    first rule that needs it; a plan longer than SCAN_RUN rules reads at
+    the top and compiles in runs of SCAN_RUN rules, so no compile unit
+    grows with the plan.  A short body runs inline, its constants renamed
+    per rule; a longer one, or a guard without one (a tracer's), is
+    called.  A one-rule plan is only scanned from 0 to 1: no range test.
     """
-    if disp is None:
-        disp = Disposition(ev.seq, ev.syscall)
-    for index, action in enumerate(chain.actions):
-        status = lookup(action.builtin_name).fn(ev, sandbox, disp, action.params)
+    reads, lines, calls, ns = {}, [], [], {"_as_str": _as_str}
+    for i, guard in enumerate(guards):
+        names = getattr(guard, "reads", {})
+        lines += read_lines({k: names[k] for k in names if k not in reads})
+        reads.update(names)
+        test = f"start <= {i:d} < stop" if len(guards) > 1 else "True"
+        if getattr(guard, "lines", None):
+            sub = f"k{i:d}_\\1"
+            ns.update((_CONST.sub(sub, k), v)
+                      for k, v in guard.body.__globals__.items())
+            calls.append([f"    if {test}:",
+                          *(f"        {_CONST.sub(sub, x)}" for x in guard.lines),
+                          f"        if {guard.result}: return {i:d}"])
+        else:
+            ns[f"b{i:d}"] = getattr(guard, "body", guard)
+            args = ", ".join(["ev", "sb", *names])
+            calls.append([f"    if {test} and b{i:d}({args}): return {i:d}"])
+        lines += calls[-1]
+    if len(calls) <= SCAN_RUN:
+        return define(ns, "scan", ["def scan(ev, sb, start, stop):", *lines,
+                                   "    return stop"])
+    params = ", ".join(["ev", "sb", "start", "stop", *reads])
+    runs = [define(ns, "run", [f"def run({params}):",
+                               *sum(calls[k:k + SCAN_RUN], []), "    return stop"])
+            for k in range(0, len(calls), SCAN_RUN)]
+    return define(ns, "make", [     # runs in a closure: no cycle through ns
+        "def make(runs):", "    def scan(ev, sb, start, stop):",
+        *(f"    {line}" for line in read_lines(reads)),
+        f"        for run in runs[start // {SCAN_RUN:d}:]:",
+        f"            if (i := run({params})) < stop: return i",
+        "        return stop", "    return scan"])(runs)
+
+
+def bind_actions(rule):
+    """Check a rule's actions; returns ((fn, params, failure detail), ...)
+    and its jump target, the param of its last jump or None.  call_orig
+    may not follow block."""
+    bound, blocked, jump = [], False, None
+    for index, action in enumerate(rule.actions.actions):
+        spec = lookup(name := action.builtin_name)
+        if spec.kind != "action":
+            raise ApateError(f"{name} is a {spec.kind}, not an action")
+        err = check_params(name, action.params)
+        if err:
+            raise ApateError(err)
+        if name == "block":
+            blocked = True
+        elif name == "call_orig" and blocked:
+            raise ApateError(
+                f"rule {rule.name!r}: call_orig after block is contradictory")
+        elif name == "jump":
+            jump = action.params[0]
+        bound.append((spec.fn, action.params,
+                      f"ActionFailed index={index} builtin={name}"))
+    return tuple(bound), jump
+
+
+def run_action_chain(actions, ev: SyscallEvent, sandbox: SandboxState,
+                     disp: Disposition):
+    """Execute bound actions (bind_actions) in order into disp.
+
+    The first nonzero status disrupts the chain: the error routine runs
+    once, recording the failure and setting the syscall's errno.
+    Returns (status, result), status the failing status or 0.
+    """
+    for fn, params, failure in actions:
+        status = fn(ev, sandbox, disp, params)
         if status != 0:
-            _chain_error(ev, sandbox, disp,
-                         f"ActionFailed index={index} builtin={action.builtin_name} "
-                         f"status={status}")
+            _chain_error(ev, sandbox, disp, f"{failure} status={status}")
             return status, disp.result
     return 0, disp.result
 
@@ -133,56 +168,50 @@ def _chain_error(ev, sandbox, disp, detail):
     disp.blocked = disp.invoked = True
 
 
-def eval_chain(chain: RuleChain, ev: SyscallEvent,
-               sandbox: SandboxState) -> Disposition:
-    """Bind one rule chain on its own and traverse it for one event."""
-    prog = RuleProgram({chain.name: chain}, [(ev.syscall, chain.name)])
-    return dispatch(prog, ev, sandbox)
-
-
 def dispatch(prog: RuleProgram, ev: SyscallEvent,
              sandbox: SandboxState) -> Disposition:
-    """Route one event through the chains bound to its syscall.
+    """Route one event through the chains bound to its syscall, into the
+    one Disposition returned; an unbound program is bound first.
 
-    A program never passed to validate_program is bound here, on its
-    first dispatch.  Rules, actions and the error routine write into the
-    one Disposition this returns.  Rules are visited in order; a fired
-    rule with a jump redirects traversal to its target instead of
-    falling through to the next rule (and takes precedence over the exit
-    flag); else its exit flag stops traversal.  DEFAULT_JUMP_BUDGET
-    traversal steps bound jump loops; exhausting them blocks the event
-    with the errno-table value.  If no executed chain invoked call_orig
-    or block, the original syscall runs unchanged after traversal
-    (pass-through default), as it does for an unbound syscall.
+    Rules are visited one scan at a time; the actions of the rule a scan
+    stops at run before the next scan reads the event.  A fired rule's
+    jump redirects traversal (and wins over its exit flag); else its exit
+    flag stops it.  After DEFAULT_JUMP_BUDGET visited rules the event is
+    blocked with the errno-table value.  Unless call_orig or block ran,
+    the syscall runs after traversal (pass-through default).
     """
     if prog.plan is None:
         validate_program(prog)
     disp = Disposition(ev.seq, ev.syscall)
-    rules = prog.plan.get(ev.syscall, ())
-    i = steps = 0
-    while i < len(rules):
-        if steps >= DEFAULT_JUMP_BUDGET:
-            _chain_error(ev, sandbox, disp,
-                         f"BudgetExhausted budget={DEFAULT_JUMP_BUDGET}")
-            break
-        steps += 1
-        guard, leaf_count, actions, exit_flag, jump = rules[i]
-        disp.conditions_evaluated += leaf_count
-        if guard(ev, sandbox):
-            disp.matched_rules.append(i)
-            status, _ = run_action_chain(actions, ev, sandbox, disp)
-            if status != 0:
+    bound = prog.scans.get(ev.syscall)
+    if bound is not None:
+        scan, sums, rules, n, budgeted = bound
+        i = steps = 0
+        while i < n:
+            stop = min(n, i + DEFAULT_JUMP_BUDGET - steps) if budgeted else n
+            j = scan(ev, sandbox, i, stop) if i < stop else stop
+            if j == stop:         # no rule in [i, stop) holds
+                disp.conditions_evaluated += sums[j] - sums[i]
+                if j < n:
+                    _chain_error(ev, sandbox, disp,
+                                 f"BudgetExhausted budget={DEFAULT_JUMP_BUDGET}")
+                break
+            disp.conditions_evaluated += sums[j + 1] - sums[i]
+            steps += j + 1 - i
+            disp.matched_rules.append(j)
+            actions, exit_flag, jump = rules[j]
+            if run_action_chain(actions, ev, sandbox, disp)[0]:
                 break  # disruption stops traversal; exit semantics subsumed
             if jump is not None:
-                if not (0 <= jump < len(rules)):
+                if not (0 <= jump < n):
                     _chain_error(ev, sandbox, disp,
-                                 f"JumpOutOfRange target={jump} len={len(rules)}")
+                                 f"JumpOutOfRange target={jump} len={n}")
                     break
                 i = jump
-                continue
-            if exit_flag:
+            elif exit_flag:
                 break
-        i += 1
+            else:
+                i = j + 1
     if not disp.invoked:
         disp.result = exec_syscall(sandbox, ev)
     disp.manipulated_args = list(ev.args)
@@ -190,46 +219,36 @@ def dispatch(prog: RuleProgram, ev: SyscallEvent,
 
 
 def validate_program(prog: RuleProgram) -> None:
-    """Bind a program: check every rule and set ``prog.plan``.
+    """Bind a program: check every rule, set ``prog.scans`` and ``prog.plan``.
 
-    Generating a guard checks its conditions; each action must be a known
-    action with valid params, and call_orig may not follow block.  A
-    guard that several rules share is generated once.  A rule's jump
-    target is the param of the last jump in its chain, None if it has none.
-    The chains bound to one syscall run as one, in binding order: each
-    non-negative jump target of a later chain moves by the number of
-    rules before it, so it still reaches the same rule; a negative one
-    stays out of range.
+    A guard shared by several rules is generated once.  Chains bound to
+    one syscall run as one, in binding order: a later chain's non-negative
+    jump targets move by the rules before it; a negative one stays out of
+    range.  Syscalls bound to the same rules share one scans entry: the
+    scan, the prefix sums of the leaf counts, each rule's (bound actions,
+    exit flag, jump), the length, and whether the jump budget can run out.
     """
-    guards, bound = {}, {}
+    guards, bound, acted, plan, shared = {}, {}, {}, {}, {}
     for name, chain in prog.chains.items():
-        rules = []
+        rules = bound[name] = []
         for rule in chain.rules:
             entry = guards.get(id(rule.guard))
             if entry is None:
                 entry = guards[id(rule.guard)] = compiled_guard(rule.guard)
-            blocked, jump = False, None
-            for action in rule.actions.actions:
-                spec = lookup(action.builtin_name)
-                if spec.kind != "action":
-                    raise ApateError(
-                        f"{action.builtin_name} is a {spec.kind}, not an action")
-                err = check_params(action.builtin_name, action.params)
-                if err:
-                    raise ApateError(err)
-                if action.builtin_name == "block":
-                    blocked = True
-                elif action.builtin_name == "call_orig" and blocked:
-                    raise ApateError(
-                        f"rule {rule.name!r}: call_orig after block is contradictory")
-                elif action.builtin_name == "jump":
-                    jump = action.params[0]
+            acted[id(rule.actions)], jump = bind_actions(rule)
             rules.append((*entry, rule.actions, rule.exit_flag, jump))
-        bound[name] = tuple(rules)
-    plan = {}
     for sc, name in prog.bindings:
         before = plan.get(sc, ())
         plan[sc] = before + tuple(
-            r if r[4] is None or r[4] < 0 else (*r[:4], r[4] + len(before))
-            for r in bound[name])
+            r if r[4] is None or r[4] < 0 or not before
+            else (*r[:4], r[4] + len(before)) for r in bound[name])
+    for rules in plan.values():
+        if rules and tuple(map(id, rules)) not in shared:
+            fns, counts, chains, exits, jumps = zip(*rules)
+            shared[tuple(map(id, rules))] = (
+                _scan(fns), tuple(accumulate(counts, initial=0)),
+                tuple(zip((acted[id(c)] for c in chains), exits, jumps)),
+                len(rules), len(rules) > DEFAULT_JUMP_BUDGET
+                or any(j is not None for j in jumps))
+    prog.scans = {sc: shared[tuple(map(id, r))] for sc, r in plan.items() if r}
     prog.plan = plan

@@ -1,6 +1,10 @@
 import pytest
 
-from apate.model import Condition, SyscallEvent, TaskContext
+from apate.engine import (bind_actions, dispatch, run_action_chain,
+                          validate_program)
+from apate.model import (Action, ActionChain, ALWAYS_TRUE, Condition,
+                         ConditionBlock, Disposition, OP_AND, Rule, RuleChain,
+                         RuleProgram, SYSCALLS, SyscallEvent, TaskContext)
 from apate.sandbox import SandboxState
 
 # The worked mysql-redirect example program, verbatim (including line
@@ -48,6 +52,51 @@ def make_event(syscall, *args, ctx=None, seq=None):
         seq = _seq[0]
     return SyscallEvent(seq=seq, syscall=syscall, args=list(args),
                         ctx=ctx or make_ctx())
+
+
+_BOUND = {}   # id(node) -> (node, the program it guards)
+
+
+def holds(node, ev, sb, disp=None) -> int:
+    """1 iff a condition or condition block holds for ev, else 0.
+
+    The node guards the first rule of a program bound to every syscall
+    once per node; the event is blocked by it or by an always-true second
+    rule, so its syscall never runs.  Counts into disp the conditions
+    dispatch counted for the node.
+    """
+    hit = _BOUND.get(id(node))
+    if hit is None or hit[0] is not node:
+        block = (node if isinstance(node, ConditionBlock)
+                 else ConditionBlock(node, ALWAYS_TRUE, OP_AND))
+        stop = ActionChain((Action("block"),))
+        rules = (Rule("r", block, stop, 1),
+                 Rule("s", ConditionBlock(ALWAYS_TRUE, ALWAYS_TRUE, OP_AND), stop))
+        prog = RuleProgram({"c": RuleChain("c", rules)},
+                           [(sc, "c") for sc in SYSCALLS])
+        validate_program(prog)
+        if len(_BOUND) >= 256:
+            _BOUND.clear()
+        hit = _BOUND[id(node)] = (node, prog)
+    got = dispatch(hit[1], ev, sb)
+    if disp is not None:   # less the wrapping leaf and the second rule's two
+        disp.conditions_evaluated += (
+            got.conditions_evaluated - (not isinstance(node, ConditionBlock))
+            - 2 * (got.matched_rules == [1]))
+    return 1 if got.matched_rules == [0] else 0
+
+
+def dispatch_chain(chain, ev, sb):
+    """Bind one rule chain on its own and dispatch one event through it."""
+    return dispatch(RuleProgram({chain.name: chain}, [(ev.syscall, chain.name)]),
+                    ev, sb)
+
+
+def run_actions(chain, ev, sb, disp=None):
+    """Bind an ActionChain and run it into disp (a fresh one if None)."""
+    actions, _ = bind_actions(Rule("r", None, chain))
+    return run_action_chain(actions, ev, sb,
+                            disp or Disposition(ev.seq, ev.syscall))
 
 
 @pytest.fixture

@@ -16,8 +16,7 @@ from apate.bench import (make_setting, run_copy, run_suite,
                          subsample_geometric)
 from apate.cloak import apply_cloak, cloak_ruleset
 from apate.dsl import compile_source, parse, pretty_print, tokenize, SourceUnit
-from apate.engine import (DEFAULT_JUMP_BUDGET, dispatch, eval_chain,
-                          eval_condition_block)
+from apate.engine import DEFAULT_JUMP_BUDGET, dispatch
 from apate.logsink import MemorySink, VfsSink
 from apate.model import (ALWAYS_TRUE, Action, ActionChain, Condition,
                          ConditionBlock, OP_AND, OP_OR, Rule, RuleChain,
@@ -25,7 +24,8 @@ from apate.model import (ALWAYS_TRUE, Action, ActionChain, Condition,
 from apate.replay import EventSource, scan_for_substring
 from apate.sandbox import SandboxState, errno_default
 
-from conftest import MYSQL_EXAMPLE, TRUE_LEAF, FALSE_LEAF, make_ctx, make_event
+from conftest import (MYSQL_EXAMPLE, TRUE_LEAF, FALSE_LEAF, dispatch_chain, holds,
+                      make_ctx, make_event)
 
 
 def announce(capsys, criterion, ok, detail=""):
@@ -45,7 +45,7 @@ def test_criterion_01_truth_table(capsys, sandbox):
             for f, py in ((OP_AND, lambda a, b: a and b),
                           (OP_OR, lambda a, b: a or b)):
                 block = ConditionBlock(leaves[d], leaves[e], f)
-                got = eval_condition_block(block, ev, sandbox)
+                got = holds(block, ev, sandbox)
                 formula = 1 if (d + e) * f >= 4 else 0
                 boolean = 1 if py(d, e) else 0
                 if not (got == formula == boolean):
@@ -75,8 +75,8 @@ def test_criterion_02_neutralization(capsys, sandbox):
             x = ConditionBlock(x, random_block(rng), OP_OR)
         ev = make_event("getpid", ctx=make_ctx(uid=rng.randint(0, 5)))
         embedded = ConditionBlock(x, ALWAYS_TRUE, OP_AND)
-        if eval_condition_block(x, ev, sandbox) != \
-                eval_condition_block(embedded, ev, sandbox):
+        if holds(x, ev, sandbox) != \
+                holds(embedded, ev, sandbox):
             mismatches += 1
     ok = mismatches == 0
     announce(capsys, 2, ok, f"1000 random blocks, mismatches={mismatches}")
@@ -153,7 +153,7 @@ def test_criterion_04_exit_flag_property(capsys):
 
         sb = SandboxState()
         ev = make_event("getpid", seq=case)
-        eval_chain(build(n), ev, sb)
+        dispatch_chain(build(n), ev, sb)
         fired = [i for i in range(n) if sb.store.get(f"r{i}") == 1]
 
         # reference: first-to-last; stop after a fired rule with exit=1
@@ -173,7 +173,7 @@ def test_criterion_04_exit_flag_property(capsys):
         truths.extend([True] * extra)
         exits.extend([rng.random() < 0.5 for _ in range(extra)])
         sb2 = SandboxState()
-        eval_chain(build(n + extra), make_event("getpid", seq=case), sb2)
+        dispatch_chain(build(n + extra), make_event("getpid", seq=case), sb2)
         fired2 = [i for i in range(n + extra) if sb2.store.get(f"r{i}") == 1]
         exited = bool(expected) and exits[expected[-1]]
         if exited and fired2 != expected:
@@ -205,7 +205,7 @@ def test_criterion_05_disruption(capsys):
                 ActionChain(pre + (failing,) + post), 1),))
             sb = SandboxState()
             ev = make_event(syscall, *SAMPLE_ARGS[syscall])
-            disp = eval_chain(chain, ev, sb)
+            disp = dispatch_chain(chain, ev, sb)
             expected_errno = errno_default(ev)
             if not (sb.store.get("pre") == k and sb.store.get("post") == 0
                     and disp.result == expected_errno and disp.blocked):
@@ -483,7 +483,7 @@ def test_criterion_09b_lowering_equivalence(capsys):
                 for i, bit in enumerate(bits):
                     sb.store.set(f"v{i}", bit)
                 total += 1
-                if eval_condition_block(tree, ev, sb) != ref(bits):
+                if holds(tree, ev, sb) != ref(bits):
                     mismatches += 1
     ok = mismatches == 0
     announce(capsys, "9b", ok,

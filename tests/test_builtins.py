@@ -5,10 +5,9 @@ import pytest
 
 from apate.builtins import (WildcardPattern, check_params,
                             rewrite_loop_hazard)
-from apate.engine import eval_condition, run_action_chain
 from apate.model import Action, ActionChain, Condition
 
-from conftest import make_ctx, make_event
+from conftest import holds, make_ctx, make_event, run_actions
 
 
 class TestWildcardPattern:
@@ -41,49 +40,49 @@ class TestWildcardPattern:
 class TestConditions:
     def test_testforparam_paper_example(self, sandbox):
         cond = Condition("testforparam", (0, "/etc/passwd"))
-        assert eval_condition(cond, make_event("open", "/etc/passwd", "r"),
+        assert holds(cond, make_event("open", "/etc/passwd", "r"),
                               sandbox) == 1
-        assert eval_condition(cond, make_event("open", "/etc/shadow", "r"),
+        assert holds(cond, make_event("open", "/etc/shadow", "r"),
                               sandbox) == 0
 
     def test_testforparam_wildcard(self, sandbox):
         cond = Condition("testforparam", (0, "/var/lib/mysql/*"))
         ev = make_event("open", "/var/lib/mysql/ib_logfile0", "r")
-        assert eval_condition(cond, ev, sandbox) == 1
+        assert holds(cond, ev, sandbox) == 1
 
     def test_testforuid(self, sandbox):
         gt0 = Condition("testforuid", (">", 0))
-        assert eval_condition(gt0, make_event("getpid", ctx=make_ctx(uid=1000)),
+        assert holds(gt0, make_event("getpid", ctx=make_ctx(uid=1000)),
                               sandbox) == 1
-        assert eval_condition(gt0, make_event("getpid", ctx=make_ctx(uid=0)),
+        assert holds(gt0, make_event("getpid", ctx=make_ctx(uid=0)),
                               sandbox) == 0
         eq42 = Condition("testforuid", ("==", 42))
-        assert eval_condition(eq42, make_event("getpid", ctx=make_ctx(uid=42)),
+        assert holds(eq42, make_event("getpid", ctx=make_ctx(uid=42)),
                               sandbox) == 1
 
     def test_testforpname_matches_parent(self, sandbox):
         cond = Condition("testforpname", ("mysql",))
         ev = make_event("getpid", ctx=make_ctx(pname="sh", parent_pname="mysql"))
-        assert eval_condition(cond, ev, sandbox) == 1
+        assert holds(cond, ev, sandbox) == 1
         ev = make_event("getpid", ctx=make_ctx(pname="mysql", parent_pname="init"))
-        assert eval_condition(cond, ev, sandbox) == 0
+        assert holds(cond, ev, sandbox) == 0
         ev = make_event("getpid", ctx=make_ctx(parent_pname="mysqld"))
-        assert eval_condition(Condition("testforpname", ("mysql*",)), ev,
+        assert holds(Condition("testforpname", ("mysql*",)), ev,
                               sandbox) == 1
 
     def test_testforselfpname_matches_own_name(self, sandbox):
         cond = Condition("testforselfpname", ("mysql",))
         ev = make_event("getpid", ctx=make_ctx(pname="mysql", parent_pname="init"))
-        assert eval_condition(cond, ev, sandbox) == 1
+        assert holds(cond, ev, sandbox) == 1
 
     def test_ctxfield_cmp(self, sandbox):
         c = Condition("ctxfield_cmp", ("pid", "==", 42))
-        assert eval_condition(c, make_event("getpid", ctx=make_ctx(pid=42)),
+        assert holds(c, make_event("getpid", ctx=make_ctx(pid=42)),
                               sandbox) == 1
-        assert eval_condition(c, make_event("getpid", ctx=make_ctx(pid=43)),
+        assert holds(c, make_event("getpid", ctx=make_ctx(pid=43)),
                               sandbox) == 0
         always = Condition("ctxfield_cmp", ("ssid", ">=", 0))
-        assert eval_condition(always, make_event("getpid"), sandbox) == 1
+        assert holds(always, make_event("getpid"), sandbox) == 1
 
     def test_file_keyword(self, sandbox):
         sandbox.vfs.put_file("/ctl/mode", b"enable trap now")
@@ -92,27 +91,27 @@ class TestConditions:
         missing = Condition("file_keyword", ("/ctl/other", "trap"))
         empty = Condition("file_keyword", ("/ctl/mode", ""))
         ev = make_event("getpid")
-        assert eval_condition(yes, ev, sandbox) == 1
-        assert eval_condition(no, ev, sandbox) == 0
-        assert eval_condition(missing, ev, sandbox) == 0
-        assert eval_condition(empty, ev, sandbox) == 1
+        assert holds(yes, ev, sandbox) == 1
+        assert holds(no, ev, sandbox) == 0
+        assert holds(missing, ev, sandbox) == 0
+        assert holds(empty, ev, sandbox) == 1
 
     def test_store_cmp_unset_is_zero(self, sandbox):
         c = Condition("store_cmp", ("unset", "==", 0))
-        assert eval_condition(c, make_event("getpid"), sandbox) == 1
+        assert holds(c, make_event("getpid"), sandbox) == 1
 
     def test_store_roundtrip_and_counting(self, sandbox):
         ev = make_event("open", "/x", "r")
         add = ActionChain((Action("store_add", ("opens", 1)),))
         for _ in range(3):
-            run_action_chain(add, ev, sandbox)
+            run_actions(add, ev, sandbox)
         c = Condition("store_cmp", ("opens", ">=", 3))
-        assert eval_condition(c, make_event("getpid"), sandbox) == 1
+        assert holds(c, make_event("getpid"), sandbox) == 1
 
     def test_store_set_then_cmp(self, sandbox):
-        run_action_chain(ActionChain((Action("store_set", ("n", 3)),)),
+        run_actions(ActionChain((Action("store_set", ("n", 3)),)),
                          make_event("getpid"), sandbox)
-        assert eval_condition(Condition("store_cmp", ("n", "==", 3)),
+        assert holds(Condition("store_cmp", ("n", "==", 3)),
                               make_event("getpid"), sandbox) == 1
 
     def test_testforfdpath(self, sandbox):
@@ -120,8 +119,8 @@ class TestConditions:
         fd = sandbox.fds.alloc("/var/log/app.log", "r",
                                sandbox.vfs.files["/var/log/app.log"])
         cond = Condition("testforfdpath", (0, "/var/log/app.log"))
-        assert eval_condition(cond, make_event("read", fd, 100), sandbox) == 1
-        assert eval_condition(cond, make_event("read", fd + 1, 100),
+        assert holds(cond, make_event("read", fd, 100), sandbox) == 1
+        assert holds(cond, make_event("read", fd + 1, 100),
                               sandbox) == 0
 
 
@@ -130,7 +129,7 @@ class TestManipulateParam:
         ev = make_event("open", arg, "r")
         chain = ActionChain((Action("manipulateparam",
                                     (0, pattern, replacement)),))
-        status, _ = run_action_chain(chain, ev, sandbox)
+        status, _ = run_actions(chain, ev, sandbox)
         return status, ev.args[0]
 
     def test_redirect_example(self, sandbox):
@@ -164,15 +163,15 @@ class TestManipulateParam:
         ev = make_event("open", "/var/lib/mysql/ibdata1", "r")
         act = ActionChain((Action("manipulateparam",
                                   (0, "/var/lib/mysql/*", "/honey/mysql/")),))
-        run_action_chain(act, ev, sandbox)
+        run_actions(act, ev, sandbox)
         once = ev.args[0]
-        run_action_chain(act, ev, sandbox)
+        run_actions(act, ev, sandbox)
         assert ev.args[0] == once
 
     def test_out_of_range_index_disrupts(self, sandbox):
         ev = make_event("open", "/x", "r")
         chain = ActionChain((Action("manipulateparam", (7, "/x", "/y")),))
-        status, _ = run_action_chain(chain, ev, sandbox)
+        status, _ = run_actions(chain, ev, sandbox)
         assert status != 0
 
     def test_rewrite_loop_hazard_flag(self):
@@ -185,7 +184,7 @@ class TestLogTransparency:
         sandbox.vfs.put_file("/f", b"data")
         ev = make_event("open", "/f", "r")
         before = sandbox.vfs.digest()
-        status, result = run_action_chain(ActionChain((Action("log"),)), ev,
+        status, result = run_actions(ActionChain((Action("log"),)), ev,
                                           sandbox)
         assert (status, result) == (0, 0)
         assert sandbox.vfs.digest() == before
@@ -199,7 +198,7 @@ class TestLogTransparency:
                 raise OSError("down")
 
         sandbox.sinks = [BrokenSink()]
-        status, _ = run_action_chain(ActionChain((Action("log"),)),
+        status, _ = run_actions(ActionChain((Action("log"),)),
                                      make_event("getpid"), sandbox)
         assert status == 0
         assert any(d["kind"] == "SinkFailure" for d in sandbox.diagnostics)

@@ -166,15 +166,16 @@ def _frozen_cloak_ruleset(log_path: str) -> RuleProgram:
 
 
 # Forward (r0), backward (r3) and negative (r4) jumps; cloaked, each
-# non-negative target moves past the cloak rule.  bash above uid 500
-# loops r3 -> r1 -> r2 -> r3 until the jump budget runs out.
+# non-negative target moves past the cloak rule.  sh exits at r2, bash
+# loops r3 -> r1 -> r2 -> r3 until the jump budget runs out, and cron
+# jumps out of range at r4.
 JUMPS = '''define r0,r1,r2,r3,r4 as rule
 define rc as rulechain
 let r0 be {{testforuid(">";500)}->jump(3)}
 let r1 be {{testforparam(0;"/var/*")}->store_add("n";1)}
-let r2 be {{testforpname("sh")}->log()}
-let r3 be {{testforpname("bash")}->jump(1)}
-let r4 be {{testforpname("cron")}->jump(-1)}
+let r2 be {{testforselfpname("sh")}->log()}
+let r3 be {{testforselfpname("bash")}->jump(1)}
+let r4 be {{testforselfpname("cron")}->jump(-1)}
 let rc be {r0,r1,:r2,r3,r4}
 bind rc to sys_open
 bind rc to sys_read
@@ -233,9 +234,13 @@ def _replay(prog, log_path, events):
 @pytest.mark.parametrize("user_src", [None, MYSQL_EXAMPLE, JUMPS],
                          ids=["empty", "mysql", "jumps"])
 @pytest.mark.parametrize("log_path", CLOAK_PATHS)
-def test_cloak_matches_frozen_model_built_cloak(user_src, log_path):
+def test_cloak_matches_frozen_model_built_cloak(user_src, log_path,
+                                                monkeypatch):
+    # A small budget keeps JUMPS's bash loops cheap; each still runs it out.
+    monkeypatch.setattr(engine, "DEFAULT_JUMP_BUDGET", 40)
     user = (RuleProgram() if user_src is None
             else compile_source(user_src, "user.apate")[0])
+    reached = {"open": set(), "getdents": set()}
     for seed in (1, 2, 3):
         events = _cloak_trace(random.Random(seed), log_path)
         new = _replay(apply_cloak(user, cloak_ruleset(log_path)), log_path,
@@ -243,6 +248,10 @@ def test_cloak_matches_frozen_model_built_cloak(user_src, log_path):
         old = _replay(apply_cloak(user, _frozen_cloak_ruleset(log_path)),
                       log_path, events)
         assert new == old
+        for ev, (_, _, matched, _, _) in zip(events, new[0]):
+            reached.get(ev.syscall, set()).update(matched)
+    if user_src is JUMPS:   # the cloak rule, then r0..r4: every jump fires
+        assert reached == {"open": set(range(6)), "getdents": set(range(6))}
 
 
 @pytest.mark.parametrize("log_path", CLOAK_PATHS)

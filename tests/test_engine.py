@@ -8,16 +8,15 @@ import weakref
 import pytest
 
 from apate import engine
-from apate.engine import (DEFAULT_JUMP_BUDGET, dispatch,
-                          eval_chain, eval_condition, eval_condition_block,
-                          run_action_chain, validate_program)
+from apate.engine import DEFAULT_JUMP_BUDGET, dispatch, validate_program
 from apate.errors import ApateError, UnknownBuiltin
 from apate.model import (Action, ActionChain, ALWAYS_TRUE, Condition,
                          ConditionBlock, Disposition, EMPTY_PROGRAM, OP_AND,
                          OP_OR, Rule, RuleChain, RuleProgram, SYSCALLS)
 from apate.sandbox import EACCES, SandboxState, errno_default
 
-from conftest import FALSE_LEAF, TRUE_LEAF, make_ctx, make_event
+from conftest import (FALSE_LEAF, TRUE_LEAF, dispatch_chain, holds, make_ctx,
+                      make_event, run_actions)
 
 
 def leaf(value):
@@ -44,7 +43,7 @@ class TestConditionBlock:
             for e in (0, 1):
                 for f in (OP_AND, OP_OR):
                     block = ConditionBlock(leaf(d), leaf(e), f)
-                    got = eval_condition_block(block, ev, sandbox)
+                    got = holds(block, ev, sandbox)
                     assert got == (1 if (d + e) * f >= 4 else 0)
                     assert got == ((d and e) if f == OP_AND else (d or e))
 
@@ -64,8 +63,8 @@ class TestConditionBlock:
             block = inner if isinstance(inner, ConditionBlock) \
                 else ConditionBlock(inner, leaf(1), OP_AND)
             wrapped = ConditionBlock(block, ALWAYS_TRUE, OP_AND)
-            assert (eval_condition_block(wrapped, ev, sandbox)
-                    == eval_condition_block(block, ev, sandbox))
+            assert (holds(wrapped, ev, sandbox)
+                    == holds(block, ev, sandbox))
 
     def test_no_short_circuit_counts_all_leaves(self, sandbox):
         ev = make_event("getpid")
@@ -73,7 +72,7 @@ class TestConditionBlock:
                                ConditionBlock(TRUE_LEAF, FALSE_LEAF, OP_OR),
                                OP_AND)
         disp = Disposition(ev.seq, ev.syscall)
-        eval_condition_block(block, ev, sandbox, disp)
+        holds(block, ev, sandbox, disp)
         assert disp.conditions_evaluated == 3
 
     def test_bad_op_code_rejected(self):
@@ -83,22 +82,22 @@ class TestConditionBlock:
 
 class TestEvalCondition:
     def test_always_true(self, sandbox):
-        assert eval_condition(ALWAYS_TRUE, make_event("getpid"), sandbox) == 1
+        assert holds(ALWAYS_TRUE, make_event("getpid"), sandbox) == 1
 
     def test_counter_increments(self, sandbox):
         disp = Disposition(1, "getpid")
-        eval_condition(TRUE_LEAF, make_event("getpid"), sandbox, disp)
-        eval_condition(FALSE_LEAF, make_event("getpid"), sandbox, disp)
+        holds(TRUE_LEAF, make_event("getpid"), sandbox, disp)
+        holds(FALSE_LEAF, make_event("getpid"), sandbox, disp)
         assert disp.conditions_evaluated == 2
 
     def test_unknown_builtin_raises(self, sandbox):
         with pytest.raises(UnknownBuiltin):
-            eval_condition(Condition("nope", ()), make_event("getpid"), sandbox)
+            holds(Condition("nope", ()), make_event("getpid"), sandbox)
 
     def test_arg_index_out_of_range_is_zero_with_diagnostic(self, sandbox):
         cond = Condition("testforparam", (3, "x"))
         ev = make_event("open", "/etc/passwd", "r")
-        assert eval_condition(cond, ev, sandbox) == 0
+        assert holds(cond, ev, sandbox) == 0
         assert any(d["kind"] == "ArgIndexOutOfRange"
                    for d in sandbox.diagnostics)
 
@@ -111,7 +110,7 @@ class TestActionChain:
                              Action("store_add", ("bad", 1)),
                              Action("store_add", ("after", 1))))
         ev = make_event("open", "/f", "r")
-        status, result = run_action_chain(chain, ev, sandbox)
+        status, result = run_actions(chain, ev, sandbox)
         assert status != 0
         assert result == EACCES
         assert sandbox.store.get("ok") == 1
@@ -121,7 +120,7 @@ class TestActionChain:
     def test_call_orig_sets_result(self, sandbox):
         sandbox.vfs.put_file("/tmp/x", b"data")
         ev = make_event("open", "/tmp/x", "r")
-        status, result = run_action_chain(
+        status, result = run_actions(
             ActionChain((Action("log"), Action("call_orig"))), ev, sandbox)
         assert status == 0
         assert result >= 3
@@ -130,7 +129,7 @@ class TestActionChain:
         ev = make_event("unlink", "/apate.log")
         sandbox.vfs.put_file("/apate.log", b"x")
         disp = Disposition(ev.seq, ev.syscall)
-        status, result = run_action_chain(
+        status, result = run_actions(
             ActionChain((Action("block"), Action("log"))), ev, sandbox, disp)
         assert status == 0
         assert result == -13
@@ -144,7 +143,7 @@ class TestEvalChain:
         rules = (simple_rule("r0", fires=False),
                  simple_rule("r1", fires=True, exit_flag=1),
                  simple_rule("r2", fires=True, exit_flag=1))
-        disp = eval_chain(chain_of(*rules), make_event("getpid"), sandbox)
+        disp = dispatch_chain(chain_of(*rules), make_event("getpid"), sandbox)
         assert disp.matched_rules == [1]
         assert sandbox.store.get("hits_r2") == 0
 
@@ -152,15 +151,15 @@ class TestEvalChain:
         rules = (simple_rule("r0", fires=True),
                  simple_rule("r1", fires=True),
                  simple_rule("r2", fires=True, exit_flag=1))
-        disp = eval_chain(chain_of(*rules), make_event("getpid"), sandbox)
+        disp = dispatch_chain(chain_of(*rules), make_event("getpid"), sandbox)
         assert disp.matched_rules == [0, 1, 2]
 
     def test_order_sensitivity(self, sandbox):
         exit_true = simple_rule("a", fires=True, exit_flag=1)
         other = simple_rule("b", fires=True)
-        d1 = eval_chain(chain_of(exit_true, other), make_event("getpid"),
+        d1 = dispatch_chain(chain_of(exit_true, other), make_event("getpid"),
                         SandboxState())
-        d2 = eval_chain(chain_of(other, exit_true), make_event("getpid"),
+        d2 = dispatch_chain(chain_of(other, exit_true), make_event("getpid"),
                         SandboxState())
         assert d1.matched_rules == [0]
         assert d2.matched_rules == [0, 1]
@@ -169,7 +168,7 @@ class TestEvalChain:
         # fired rule logs but never calls call_orig/block: original runs
         sandbox.vfs.put_file("/x", b"abc")
         rule = Rule("r", guard_of(True), ActionChain((Action("log"),)))
-        disp = eval_chain(chain_of(rule), make_event("open", "/x", "r"),
+        disp = dispatch_chain(chain_of(rule), make_event("open", "/x", "r"),
                           sandbox)
         assert disp.result == 3  # first fd
         assert not disp.blocked
@@ -178,7 +177,7 @@ class TestEvalChain:
         sandbox.vfs.mkdirs("/honey")
         rule = Rule("r", guard_of(True), ActionChain(
             (Action("manipulateparam", (0, "/var/*", "/honey/")),)))
-        disp = eval_chain(chain_of(rule),
+        disp = dispatch_chain(chain_of(rule),
                           make_event("open", "/var/data", "w"), sandbox)
         assert disp.manipulated_args[0] == "/honey/data"
         assert "/honey/data" in sandbox.vfs.files
@@ -196,7 +195,7 @@ class TestEvalChain:
         acts = ActionChain((Action("call_orig"),))
         rules = tuple(Rule(f"r{i}", miss, acts) for i in range(49))
         rules += (Rule("r49", hit, acts, exit_flag=1),)
-        disp = eval_chain(chain_of(*rules), make_event("getpid"), sandbox)
+        disp = dispatch_chain(chain_of(*rules), make_event("getpid"), sandbox)
         assert disp.conditions_evaluated == 2500
         assert disp.matched_rules == [49]
 
@@ -206,7 +205,7 @@ class TestEvalChain:
                  simple_rule("r2", fires=True, exit_flag=1))
         counts = set()
         for _ in range(5):
-            disp = eval_chain(chain_of(*rules),
+            disp = dispatch_chain(chain_of(*rules),
                               make_event("getpid", seq=1), SandboxState())
             counts.add(disp.conditions_evaluated)
         assert len(counts) == 1
@@ -216,7 +215,7 @@ class TestEvalChain:
         rule = Rule("r", guard_of(True),
                     ActionChain((Action("store_add", ("bad", 1)),)))
         ev = make_event("open", "/nope", "r")
-        disp = eval_chain(chain_of(rule), ev, sandbox)
+        disp = dispatch_chain(chain_of(rule), ev, sandbox)
         assert disp.blocked
         assert disp.result == EACCES
 
@@ -228,7 +227,7 @@ class TestJump:
                                Action("jump", (2,)))))
         r1 = simple_rule("r1", fires=True)
         r2 = simple_rule("r2", fires=True, exit_flag=1)
-        disp = eval_chain(chain_of(r0, r1, r2), make_event("getpid"), sandbox)
+        disp = dispatch_chain(chain_of(r0, r1, r2), make_event("getpid"), sandbox)
         assert disp.matched_rules == [0, 2]
         assert sandbox.store.get("hits_r1") == 0
 
@@ -237,7 +236,7 @@ class TestJump:
                   ActionChain((Action("store_add", ("n", 1)),
                                Action("jump", (0,)))))
         ev = make_event("getpid")
-        disp = eval_chain(chain_of(r0), ev, sandbox)
+        disp = dispatch_chain(chain_of(r0), ev, sandbox)
         assert sandbox.store.get("n") == DEFAULT_JUMP_BUDGET == 10_000
         assert disp.blocked
         assert disp.result == errno_default(ev)
@@ -250,7 +249,7 @@ class TestJump:
         r1 = simple_rule("r1", fires=True)
         r2 = simple_rule("r2", fires=True)
         ev = make_event("open", "/x", "r")
-        disp = eval_chain(chain_of(r0, r1, r2), ev, sandbox)
+        disp = dispatch_chain(chain_of(r0, r1, r2), ev, sandbox)
         assert disp.blocked
         assert disp.result == EACCES
         assert disp.matched_rules == [0]
@@ -258,7 +257,7 @@ class TestJump:
     def test_jump_to_next_is_sequential_equivalent(self, sandbox):
         r0 = Rule("r0", guard_of(True), ActionChain((Action("jump", (1,)),)))
         r1 = simple_rule("r1", fires=True, exit_flag=1)
-        disp = eval_chain(chain_of(r0, r1), make_event("getpid"), sandbox)
+        disp = dispatch_chain(chain_of(r0, r1), make_event("getpid"), sandbox)
         assert disp.matched_rules == [0, 1]
 
     def test_jump_wins_over_exit_flag(self, sandbox):
@@ -266,7 +265,7 @@ class TestJump:
                   exit_flag=1)
         r1 = simple_rule("r1", fires=True)
         r2 = simple_rule("r2", fires=True)
-        disp = eval_chain(chain_of(r0, r1, r2), make_event("getpid"), sandbox)
+        disp = dispatch_chain(chain_of(r0, r1, r2), make_event("getpid"), sandbox)
         assert disp.matched_rules == [0, 2]
         assert sandbox.store.get("hits_r1") == 0
         assert sandbox.store.get("hits_r2") == 1
@@ -280,7 +279,7 @@ class TestJump:
         r1 = simple_rule("r1", fires=True)
         r2 = simple_rule("r2", fires=True)
         ev = make_event("open", "/x", "r")
-        disp = eval_chain(chain_of(r0, r1, r2), ev, sandbox)
+        disp = dispatch_chain(chain_of(r0, r1, r2), ev, sandbox)
         assert disp.matched_rules == [0]
         assert disp.blocked
         assert disp.result == EACCES == errno_default(ev)
@@ -293,7 +292,7 @@ class TestJump:
                   ActionChain((Action("jump", (1,)), Action("jump", (2,)))))
         r1 = simple_rule("r1", fires=True)
         r2 = simple_rule("r2", fires=True)
-        disp = eval_chain(chain_of(r0, r1, r2), make_event("getpid"), sandbox)
+        disp = dispatch_chain(chain_of(r0, r1, r2), make_event("getpid"), sandbox)
         assert disp.matched_rules == [0, 2]
         assert sandbox.store.get("hits_r1") == 0
 
@@ -303,7 +302,7 @@ class TestJump:
                   ActionChain((Action("block"), Action("jump", (2,)))))
         r1 = simple_rule("r1", fires=True)
         r2 = simple_rule("r2", fires=True)
-        disp = eval_chain(chain_of(r0, r1, r2), make_event("open", "/x", "r"),
+        disp = dispatch_chain(chain_of(r0, r1, r2), make_event("open", "/x", "r"),
                           sandbox)
         assert disp.matched_rules == [0, 2]
         assert disp.blocked
@@ -598,7 +597,7 @@ class TestGeneratedGuards:
                 want_diags = sb.diagnostics[mark:]
                 del sb.diagnostics[mark:]
                 disp = Disposition(ev.seq, ev.syscall)
-                assert eval_condition_block(block, ev, sb, disp) == want
+                assert holds(block, ev, sb, disp) == want
                 assert disp.conditions_evaluated == counter[0]
                 assert sb.diagnostics[mark:] == want_diags
 
@@ -608,10 +607,10 @@ class TestGeneratedGuards:
         for _ in range(4_998):                  # 5,000 leaves, left-deep
             block = ConditionBlock(block, TRUE_LEAF, OP_AND)
         disp = Disposition(ev.seq, ev.syscall)
-        assert eval_condition_block(block, ev, sandbox, disp) == 1
+        assert holds(block, ev, sandbox, disp) == 1
         assert disp.conditions_evaluated == 5_000
         flipped = ConditionBlock(block, FALSE_LEAF, OP_AND)
-        assert eval_condition_block(flipped, ev, sandbox) == 0
+        assert holds(flipped, ev, sandbox) == 0
 
         # alternating operators: no run flattens, 2,001 leaves deep
         alt = FALSE_LEAF
@@ -620,7 +619,7 @@ class TestGeneratedGuards:
             alt = ConditionBlock(TRUE_LEAF if op == OP_AND else FALSE_LEAF,
                                  alt, op)
         disp = Disposition(ev.seq, ev.syscall)
-        assert eval_condition_block(alt, ev, sandbox, disp) == 0
+        assert holds(alt, ev, sandbox, disp) == 0
         assert disp.conditions_evaluated == 2_001
 
     @pytest.mark.parametrize("text", [
@@ -640,11 +639,11 @@ class TestGeneratedGuards:
                  Condition("store_cmp", (text, "==", 1)),
                  Condition("file_keyword", ("/f", text))]
         for cond in conds:
-            assert eval_condition(cond, hit, sandbox) == 1
-        assert eval_condition(conds[0], miss, sandbox) == 0
-        assert eval_condition(Condition("testforparam", (0, text + "*")),
+            assert holds(cond, hit, sandbox) == 1
+        assert holds(conds[0], miss, sandbox) == 0
+        assert holds(Condition("testforparam", (0, text + "*")),
                               miss, sandbox) == 1
-        assert eval_condition(Condition("file_keyword", (text, "x")),
+        assert holds(Condition("file_keyword", (text, "x")),
                               hit, sandbox) == 0
         assert sandbox.diagnostics[-1]["detail"] == f"file_keyword: {text}"
         assert "pwned" not in sys.modules
@@ -658,4 +657,4 @@ class TestGeneratedGuards:
     def test_bad_operator_or_field_rejected(self, sandbox, cond):
         block = ConditionBlock(cond, ALWAYS_TRUE, OP_AND)
         with pytest.raises(ApateError):
-            eval_condition_block(block, make_event("getpid"), sandbox)
+            holds(block, make_event("getpid"), sandbox)
