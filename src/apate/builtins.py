@@ -18,7 +18,7 @@ from .sandbox import exec_syscall, errno_default
 COMPARISONS = ("==", "!=", ">", "<", ">=", "<=")
 
 CTX_FIELDS = ("pid", "uid", "ssid")
-INLINE_CHARS = 500   # a guard body this short runs inline in its scans
+INLINE_CHARS = 500   # a guard with at most this much leaf text runs inline
 
 
 class WildcardPattern:
@@ -56,8 +56,10 @@ def _as_str(value) -> str:
 # --- condition definitions ---------------------------------------------
 # One emitter per condition: fn(src, params) -> the text of one leaf
 # expression in a generated guard function (see GuardSource).  The
-# expression is truthy exactly when the condition holds; `1 if x else 0`
-# around it gives the condition's 0 | 1.  Params reach the text only as
+# expression is truthy exactly when the condition holds; it is the test
+# of one statement, `if <leaf>: g = 1` or `if not <leaf>: g = 0`, that
+# sets its run's 0 | 1 flag (GuardSource.child), so a compare in it
+# sits just before a jump.  Params reach the text only as
 # names bound by src.const, operator text only from COMPARISONS, context
 # field names only from CTX_FIELDS, and an argument index or a wildcard
 # prefix's length only as an int check_params or len() gave, written
@@ -165,7 +167,9 @@ class GuardSource:
     def __init__(self):
         self.ns = {"_as_str": _as_str, "_miss": _miss}
         self.reads = {}      # name -> expression, in first-use order
+        self._named = {}     # read -> times handed out, less those prefix() took
         self._consts = 0
+        self._leaf_chars = 0
 
     def const(self, value) -> str:
         """Bind value in the namespace; returns its name, k<n>, to emit."""
@@ -176,6 +180,7 @@ class GuardSource:
 
     def _read(self, name, expr) -> str:
         self.reads.setdefault(name, expr)
+        self._named[name] = self._named.get(name, 0) + 1
         return name
 
     def ctx(self, field) -> str:
@@ -191,7 +196,9 @@ class GuardSource:
                           f"(ev.args[{index:d}]) if nargs > {index:d} else None")
 
     def prefix(self, subject, n: int) -> str:
-        """Local holding subject[:n], or None where subject is None."""
+        """Local holding subject[:n], or None where subject is None; the
+        leaf names the slice in place of subject."""
+        self._named[subject] -= 1
         return self._read(f"{subject}_p{n:d}",
                           f"{subject}[:{n:d}] if {subject} is not None else None")
 
@@ -206,22 +213,44 @@ class GuardSource:
         err = check_params(name, params)
         if err:
             raise ApateError(err)
-        return spec.fn(self, params)
+        text = spec.fn(self, params)
+        self._leaf_chars += len(text)
+        return text
+
+    @staticmethod
+    def child(flag, conj, test) -> str:
+        """One child of a run: it clears an AND run's 0/1 flag when test
+        fails, or sets an OR run's when it holds."""
+        return (f"if not {test}: {flag} = 0" if conj
+                else f"if {test}: {flag} = 1")
 
     def function(self, lines, result):
-        """Compile, in one compile(), ``body(ev, sb, <reads>)`` (lines, then
-        1 if result else 0) and ``guard(ev, sb)``, which makes the reads and
-        calls body, bound as a default so that no cycle runs through the
-        namespace.  guard carries body, reads, result, and short lines."""
-        call = ", ".join(["ev", "sb", *self.reads])
-        guard = define(self.ns, "guard", [
-            f"def body({call}):", *(f"    {line}" for line in lines),
-            f"    return 1 if {result} else 0",
-            "def guard(ev, sb, body=body):", *read_lines(self.reads),
-            f"    return body({call})"])
-        guard.body, guard.reads = self.ns.pop("body"), self.reads
-        guard.result = result
-        guard.lines = lines if sum(map(len, lines)) <= INLINE_CHARS else None
+        """Compile the guard that runs lines and returns the 0/1 flag
+        result, in one compile().
+
+        A guard whose leaf text is at most INLINE_CHARS is one function,
+        ``guard(ev, sb)``: the reads, then lines; it carries reads, lines
+        and result, for a scan to inline.  A longer one is
+        ``body(ev, sb, <args>)``, args the reads its leaves name, and
+        ``guard(ev, sb)``, which makes the reads and calls body, bound as
+        a default so that no cycle runs through the namespace; it
+        carries body, reads and args.
+        """
+        if self._leaf_chars <= INLINE_CHARS:
+            guard = define(self.ns, "guard", [
+                "def guard(ev, sb):", *read_lines(self.reads),
+                *(f"    {line}" for line in lines), f"    return {result}"])
+            guard.lines, guard.result = lines, result
+        else:
+            args = tuple(name for name in self.reads if self._named[name])
+            call = ", ".join(["ev", "sb", *args])
+            guard = define(self.ns, "guard", [
+                f"def body({call}):", *(f"    {line}" for line in lines),
+                f"    return {result}",
+                "def guard(ev, sb, body=body):", *read_lines(self.reads),
+                f"    return body({call})"])
+            guard.body, guard.args = self.ns.pop("body"), args
+        guard.reads = self.reads
         return guard
 
 
@@ -237,9 +266,11 @@ def define(ns, name, lines):
 
 
 def specialize(name: str, params):
-    """fn(ev, sandbox) -> 0 | 1 for one condition: a one-leaf guard."""
+    """fn(ev, sandbox) -> 0 | 1 for one condition: a one-leaf guard, in
+    the statement form a guard runs its leaves in."""
     src = GuardSource()
-    return src.function([], src.leaf(name, params))
+    return src.function(
+        ["g0 = 0", src.child("g0", False, src.leaf(name, params))], "g0")
 
 
 # --- action implementations --------------------------------------------

@@ -17,7 +17,7 @@ from itertools import accumulate
 from .builtins import (GuardSource, _as_str, check_params, define, lookup,
                        read_lines)
 from .errors import ApateError
-from .model import (Condition, ConditionBlock, Disposition, OP_AND,
+from .model import (ConditionBlock, Disposition, OP_AND,
                     RuleProgram, SyscallEvent)
 from .sandbox import SandboxState, errno_default, exec_syscall
 
@@ -38,44 +38,37 @@ def _flatten(node):
     return out
 
 
-def _flush(body, run):
-    """Fold a run's pending items into its local, which then leads them."""
-    var, fold, pending = run
-    if pending:
-        body.append(f"{var} = {fold}(({', '.join(pending)},))")
-        pending[:] = [var]
-
-
 def compiled_guard(block: ConditionBlock):
     """Return (guard function, leaf_count) for a condition block.
 
-    Iterative, so depth is unbounded.  Each same-operator run folds its
-    children with all() (AND) or any() (OR) of a tuple built in full,
-    which is ``(d + e) * f >= 4`` applied pairwise; a nested run folds
-    after the parent's items before it and joins the parent's next tuple
-    as one item, so every leaf evaluates in left-to-right order.
+    Iterative, so depth is unbounded.  Each same-operator run is a 0/1
+    local flag and each child one statement: an AND run starts at 1 and
+    each child is ``if not <child>: g = 0``, an OR run starts at 0 and
+    each child is ``if <child>: g = 1``.  That is ``(d + e) * f >= 4``
+    applied pairwise, with no short-circuit: a nested run is written in
+    place as its own flag, which then acts as one child of its parent,
+    so every leaf evaluates in left-to-right order.  Each compare sits
+    just before a jump, where CPython can specialize it.
     """
     src = GuardSource()
-    body, runs = [], []           # open runs: (local, fold, pending items)
+    lines, runs = [], []          # open runs: (flag, is an AND run)
     todo = [block]
     while todo:
         node = todo.pop()
-        if isinstance(node, Condition):
-            runs[-1][2].append(src.leaf(node.builtin_name, node.params))
-            continue
-        if runs:
-            _flush(body, runs[-1])
-        if node is None:          # end of the innermost open run
-            var = runs.pop()[0]
-            if runs:
-                runs[-1][2].append(var)
-            else:
-                return src.function(body, var), block.leaf_count()
-        else:
-            fold = "all" if node.op_code == OP_AND else "any"
-            runs.append((f"g{len(runs)}", fold, []))
+        if isinstance(node, ConditionBlock):
+            conj = node.op_code == OP_AND
+            runs.append((flag := f"g{len(runs)}", conj))
+            lines.append(f"{flag} = {conj:d}")
             todo.append(None)
             todo += reversed(_flatten(node))
+            continue
+        if node is None:          # end of the innermost open run
+            child = runs.pop()[0]
+            if not runs:
+                return src.function(lines, child), block.leaf_count()
+        else:
+            child = src.leaf(node.builtin_name, node.params)
+        lines.append(src.child(*runs[-1], child))
 
 
 def _scan(guards):
@@ -84,9 +77,11 @@ def _scan(guards):
     Over rules [start, stop), it reads each value once, just before the
     first rule that needs it; a plan longer than SCAN_RUN rules reads at
     the top and compiles in runs of SCAN_RUN rules, so no compile unit
-    grows with the plan.  A short body runs inline, its constants renamed
-    per rule; a longer one, or a guard without one (a tracer's), is
-    called.  A one-rule plan is only scanned from 0 to 1: no range test.
+    grows with the plan.  A short guard's statements run inline, its
+    constants renamed per rule; a longer guard's body is called with the
+    reads its leaves name, and a guard without either (a tracer's) is
+    called as guard(ev, sb).  A one-rule plan is only scanned from 0 to
+    1: no range test.
     """
     reads, lines, calls, ns = {}, [], [], {"_as_str": _as_str}
     for i, guard in enumerate(guards):
@@ -94,16 +89,16 @@ def _scan(guards):
         lines += read_lines({k: names[k] for k in names if k not in reads})
         reads.update(names)
         test = f"start <= {i:d} < stop" if len(guards) > 1 else "True"
-        if getattr(guard, "lines", None):
+        if hasattr(guard, "lines"):
             sub = f"k{i:d}_\\1"
-            ns.update((_CONST.sub(sub, k), v)
-                      for k, v in guard.body.__globals__.items())
+            ns.update((f"k{i:d}_{k[1:]}" if k[0] == "k" else k, v)
+                      for k, v in guard.__globals__.items())  # k: a const
             calls.append([f"    if {test}:",
                           *(f"        {_CONST.sub(sub, x)}" for x in guard.lines),
                           f"        if {guard.result}: return {i:d}"])
         else:
             ns[f"b{i:d}"] = getattr(guard, "body", guard)
-            args = ", ".join(["ev", "sb", *names])
+            args = ", ".join(["ev", "sb", *getattr(guard, "args", ())])
             calls.append([f"    if {test} and b{i:d}({args}): return {i:d}"])
         lines += calls[-1]
     if len(calls) <= SCAN_RUN:

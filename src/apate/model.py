@@ -215,7 +215,7 @@ class Disposition:
     matched_rules: list = field(default_factory=list)
     result: int = 0
     blocked: bool = False
-    manipulated_args: list = field(default_factory=list)
+    manipulated_args: "list | tuple" = ()   # dispatch sets the final args
     conditions_evaluated: int = 0
     invoked: bool = False
 

@@ -658,3 +658,100 @@ class TestGeneratedGuards:
         block = ConditionBlock(cond, ALWAYS_TRUE, OP_AND)
         with pytest.raises(ApateError):
             holds(block, make_event("getpid"), sandbox)
+
+
+def _chain_block(leaves, ops, nest):
+    """leaves[0] ops[0] leaves[1] ... parenthesized to the left or right."""
+    if nest == "left":      # (((c0 o0 c1) o1 c2) o2 c3) ...
+        block = leaves[0]
+        for op, cond in zip(ops, leaves[1:]):
+            block = ConditionBlock(block, cond, op)
+        return block
+    block = leaves[-1]      # c0 o0 (c1 o1 (c2 o2 c3 ...))
+    for cond, op in zip(reversed(leaves[:-1]), reversed(ops)):
+        block = ConditionBlock(cond, block, op)
+    return block
+
+
+class TestStatementForm:
+    """Each run is a 0/1 flag and each child one statement; every leaf runs."""
+
+    @pytest.mark.parametrize("nest", ["left", "right"])
+    def test_3000_deep_alternating_ops_that_fail(self, sandbox, nest):
+        depth = 3_000
+        ops = [OP_AND if i % 2 else OP_OR for i in range(depth)]
+        ev = make_event("getuid", ctx=make_ctx(uid=1000))
+        # left: every prefix holds through the || leaves, and the last &&
+        # meets a false leaf; right: c0 || (c1 && (c2 || ...)) with the
+        # || leaves false and the && leaves true, so only the innermost
+        # leaf decides
+        if nest == "left":
+            leaves = [TRUE_LEAF] * depth + [FALSE_LEAF]
+        else:
+            leaves = [leaf(i % 2) for i in range(depth)] + [FALSE_LEAF]
+        for last, want in ((FALSE_LEAF, 0), (TRUE_LEAF, 1)):
+            block = _chain_block(leaves[:-1] + [last], ops, nest)
+            disp = Disposition(ev.seq, ev.syscall)
+            assert holds(block, ev, sandbox, disp) == want
+            assert disp.conditions_evaluated == depth + 1
+            guard, count = engine.compiled_guard(block)
+            assert count == depth + 1
+            assert type(got := guard(ev, sandbox)) is int and got == want
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_missing_leaves_report_in_leaf_order(self, padded):
+        ev = make_event("open", "/etc/passwd", "r", ctx=make_ctx(uid=1000))
+        misses = [
+            Condition("testforparam", (5, "x")),         # past the arity
+            Condition("file_keyword", ("/nope", "k")),   # missing file
+            Condition("store_cmp", ("s", "<", 3)),       # str cell ordered
+            Condition("testforparam", (7, "y*")),
+        ]
+        want_kinds = ["ArgIndexOutOfRange", "MissingFile",
+                      "StoreTypeMismatch", "ArgIndexOutOfRange"]
+        # AND run: a false leaf, then a miss, then nested OR runs of misses
+        nested = ConditionBlock(
+            misses[1], ConditionBlock(ALWAYS_TRUE, ConditionBlock(
+                misses[2], misses[3], OP_OR), OP_AND), OP_OR)
+        fails = ConditionBlock(ConditionBlock(
+            Condition("testforuid", ("==", 1)), misses[0], OP_AND),
+            nested, OP_AND)
+        holds_ = ConditionBlock(misses[0], ConditionBlock(
+            nested, ALWAYS_TRUE, OP_OR), OP_OR)
+        pad = [Condition("testforuid", (">=", -i)) for i in range(40)]
+        for block, want, leaves in ((fails, 0, 6), (holds_, 1, 6)):
+            if padded:      # past INLINE_CHARS: a called body
+                block = ConditionBlock(block, _chain_block(
+                    pad, [OP_AND] * (len(pad) - 1), "left"), OP_AND)
+                leaves += len(pad)
+            guard, count = engine.compiled_guard(block)
+            assert hasattr(guard, "body") is padded
+            assert hasattr(guard, "lines") is not padded
+            for run in ("holds", "guard"):
+                sb = SandboxState()
+                sb.store.set("s", "text")
+                if run == "holds":
+                    disp = Disposition(ev.seq, ev.syscall)
+                    assert holds(block, ev, sb, disp) == want
+                    assert disp.conditions_evaluated == leaves
+                else:
+                    got = guard(ev, sb)
+                    assert type(got) is int and got == want
+                    assert count == leaves
+                assert [d["kind"] for d in sb.diagnostics] == want_kinds
+                assert sb.diagnostics[0]["detail"] == \
+                    "testforparam index 5 on open"
+
+    def test_cloaked_mysql_example_inlines_every_guard(self):
+        from apate.cloak import apply_cloak, cloak_ruleset
+        from apate.dsl import compile_source
+        from conftest import MYSQL_EXAMPLE
+
+        prog = apply_cloak(compile_source(MYSQL_EXAMPLE)[0],
+                           cloak_ruleset("/var/log/apate.log"))
+        validate_program(prog)
+        assert len(prog.scans) >= 5
+        for scan, *_ in prog.scans.values():
+            names = scan.__code__.co_names
+            assert not [n for n in names if n[0] == "b" and n[1:].isdigit()]
+            assert "guard" not in names
