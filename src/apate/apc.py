@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import json
 
-from .errors import BadMagic, CorruptRecord, UnsupportedVersion
+from .builtins import checked
+from .errors import ApateError, BadMagic, CorruptRecord, UnsupportedVersion
 from .logsink import args_json
 from .model import (Action, ActionChain, Condition, ConditionBlock, Rule,
                     RuleChain, RuleProgram, OP_AND, OP_OR, hooked_syscall)
@@ -168,12 +169,15 @@ def deserialize(data: bytes) -> RuleProgram:
         fields = line.split("\t")
         tag = fields[0]
         try:
-            if tag == "COND":
-                _, cid, builtin, params = fields
-                conds[cid] = Condition(builtin, _params_load(params))
-            elif tag == "ACTION":
-                _, aid, builtin, params = fields
-                acts[aid] = Action(builtin, _params_load(params))
+            if tag in ("COND", "ACTION"):
+                _, rid, builtin, params = fields
+                make, kind, table = ((Condition, "condition", conds) if tag == "COND"
+                                     else (Action, "action", acts))
+                try:
+                    checked(builtin, kind, params := _params_load(params))
+                except ApateError as exc:
+                    raise CorruptRecord(line_no, str(exc)) from None
+                table[rid] = make(builtin, params)
             elif tag == "RULE":
                 _, name, guard_s, aids, span = fields
                 guard = _parse_guard(guard_s, conds, line_no)

@@ -10,6 +10,7 @@ so the compiler can check arity and types.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ApateError, UnknownBuiltin
 from .logsink import format_record
@@ -151,7 +152,7 @@ def _miss(sandbox, kind, detail):
 
 
 class GuardSource:
-    """Source and namespace of one generated guard.
+    """One generated guard: its source, namespace and reads.
 
     Each per-event value its leaves need is read once and named by what
     it reads: ``ctx_uid`` is ``ev.ctx.uid``, ``nargs`` ``len(ev.args)``,
@@ -159,6 +160,11 @@ class GuardSource:
     ``sb.fds.path_of(ev.args[0])``, ``a0_p8`` ``a0[:8]`` and
     ``store_get`` ``sb.store.get``.  No read needs a constant, so guards
     that read one value share its name, and a scan reads it once.
+
+    Finished, it holds ``lines``, which set the 0/1 flag ``result``, for
+    a scan to inline; past INLINE_CHARS of leaf text, also ``body(ev, sb,
+    <args>)``, compiled once, args the reads its leaves name.  Called as
+    ``guard(ev, sb)``, it runs ``function``, compiled on the first call.
     """
 
     _CTX_READS = CTX_FIELDS + ("pname", "parent_pname")
@@ -167,6 +173,7 @@ class GuardSource:
     def __init__(self):
         self.ns = {"_as_str": _as_str, "_miss": _miss}
         self.reads = {}      # name -> expression, in first-use order
+        self.body, self.args = None, ()
         self._named = {}     # read -> times handed out, less those prefix() took
         self._consts = 0
         self._leaf_chars = 0
@@ -207,13 +214,7 @@ class GuardSource:
 
     def leaf(self, name, params) -> str:
         """Emit one condition; a bad name, kind or params raises."""
-        spec = lookup(name)
-        if spec.kind != "condition":
-            raise UnknownBuiltin(f"{name} is a {spec.kind}, not a condition")
-        err = check_params(name, params)
-        if err:
-            raise ApateError(err)
-        text = spec.fn(self, params)
+        text = checked(name, "condition", params).fn(self, params)
         self._leaf_chars += len(text)
         return text
 
@@ -224,34 +225,29 @@ class GuardSource:
         return (f"if not {test}: {flag} = 0" if conj
                 else f"if {test}: {flag} = 1")
 
-    def function(self, lines, result):
-        """Compile the guard that runs lines and returns the 0/1 flag
-        result, in one compile().
-
-        A guard whose leaf text is at most INLINE_CHARS is one function,
-        ``guard(ev, sb)``: the reads, then lines; it carries reads, lines
-        and result, for a scan to inline.  A longer one is
-        ``body(ev, sb, <args>)``, args the reads its leaves name, and
-        ``guard(ev, sb)``, which makes the reads and calls body, bound as
-        a default so that no cycle runs through the namespace; it
-        carries body, reads and args.
-        """
-        if self._leaf_chars <= INLINE_CHARS:
-            guard = define(self.ns, "guard", [
-                "def guard(ev, sb):", *read_lines(self.reads),
+    def finish(self, lines, result):
+        """Take the statements and their 0/1 flag; compile body if long."""
+        self.lines, self.result = lines, result
+        if self._leaf_chars > INLINE_CHARS:
+            self.args = tuple(name for name in self.reads if self._named[name])
+            self.body = define(self.ns, "body", [
+                f"def body({', '.join(['ev', 'sb', *self.args])}):",
                 *(f"    {line}" for line in lines), f"    return {result}"])
-            guard.lines, guard.result = lines, result
-        else:
-            args = tuple(name for name in self.reads if self._named[name])
-            call = ", ".join(["ev", "sb", *args])
-            guard = define(self.ns, "guard", [
-                f"def body({call}):", *(f"    {line}" for line in lines),
-                f"    return {result}",
-                "def guard(ev, sb, body=body):", *read_lines(self.reads),
-                f"    return body({call})"])
-            guard.body, guard.args = self.ns.pop("body"), args
-        guard.reads = self.reads
-        return guard
+        return self
+
+    def __call__(self, ev, sb):
+        return self.function(ev, sb)
+
+    @cached_property
+    def function(self):
+        """guard(ev, sb): the reads, then the statements or a call to body."""
+        if self.body is None:
+            return define(self.ns, "guard", [
+                "def guard(ev, sb):", *read_lines(self.reads),
+                *(f"    {line}" for line in self.lines), f"    return {self.result}"])
+        return define({"_as_str": _as_str, "body": self.body}, "guard", [
+            "def guard(ev, sb):", *read_lines(self.reads),
+            f"    return body({', '.join(['ev', 'sb', *self.args])})"])
 
 
 def read_lines(reads):
@@ -266,11 +262,11 @@ def define(ns, name, lines):
 
 
 def specialize(name: str, params):
-    """fn(ev, sandbox) -> 0 | 1 for one condition: a one-leaf guard, in
-    the statement form a guard runs its leaves in."""
+    """fn(ev, sandbox) -> 0 | 1 for one condition: a one-leaf guard's
+    standalone function, in the statement form a guard runs its leaves in."""
     src = GuardSource()
-    return src.function(
-        ["g0 = 0", src.child("g0", False, src.leaf(name, params))], "g0")
+    return src.finish(
+        ["g0 = 0", src.child("g0", False, src.leaf(name, params))], "g0").function
 
 
 # --- action implementations --------------------------------------------
@@ -387,11 +383,15 @@ REGISTRY = dict([
 ])
 
 
-def lookup(name: str) -> BuiltinSpec:
-    try:
-        return REGISTRY[name]
-    except KeyError:
-        raise UnknownBuiltin(f"unknown builtin {name!r}") from None
+def checked(name: str, kind: str, params) -> BuiltinSpec:
+    """The spec of a builtin of this kind ("condition" or "action") that
+    takes params; else UnknownBuiltin, or ApateError for bad params."""
+    spec = REGISTRY.get(name)
+    if spec is None or spec.kind != kind:
+        raise UnknownBuiltin(f"{name!r} is not a builtin {kind}")
+    if err := check_params(name, params):
+        raise ApateError(err)
+    return spec
 
 
 def check_params(name: str, params) -> "str | None":
@@ -400,7 +400,7 @@ def check_params(name: str, params) -> "str | None":
     Returns an error message or None.  Used by the compiler and at
     program load so bad programs never reach the engine.
     """
-    spec = lookup(name)
+    spec = REGISTRY[name]
     required = [k for k in spec.sig if not k.endswith("?")]
     if not (len(required) <= len(params) <= len(spec.sig)):
         want = (f"{len(required)}" if len(required) == len(spec.sig)
@@ -408,8 +408,10 @@ def check_params(name: str, params) -> "str | None":
         return f"{name} takes {want} params, got {len(params)}"
     for kind, value in zip(spec.sig, params):
         kind = kind.rstrip("?")
-        if kind == "int" and not isinstance(value, int):
+        if kind == "int" and type(value) is not int:     # not a bool
             return f"{name}: expected integer, got {value!r}"
+        if kind == "any" and type(value) not in (str, int):
+            return f"{name}: expected string or integer, got {value!r}"
         if kind in ("str", "pattern", "cmp", "field") and not isinstance(value, str):
             return f"{name}: expected string, got {value!r}"
         if kind == "pattern":

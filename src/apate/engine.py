@@ -1,12 +1,13 @@
 """Rule evaluation: guards, scans, action chains, chain traversal.
 
 Binding (validate_program, at load or at the first dispatch of a program
-built in code) generates each guard once (builtins.GuardSource) and one
-scan per distinct rule sequence bound to a syscall, held by the program;
-nothing is cached across programs.  A scan reads each per-event value its
-guards need once and evaluates them in rule order up to the first that
-holds, every leaf left to right with no short-circuit, so diagnostics
-come out in leaf order and a guard counts its static ``leaf_count``.
+built in code) generates each guard once (builtins.GuardSource) and
+compiles one scan per distinct rule sequence bound to a syscall, held by
+the program; nothing is cached across programs.  A scan reads each
+per-event value its guards need once and evaluates them in rule order up
+to the first that holds, every leaf left to right with no short-circuit,
+so diagnostics come out in leaf order and a guard counts its static
+``leaf_count``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 import re
 from itertools import accumulate
 
-from .builtins import (GuardSource, _as_str, check_params, define, lookup,
-                       read_lines)
+from .builtins import GuardSource, _as_str, checked, define, read_lines
 from .errors import ApateError
 from .model import (ConditionBlock, Disposition, OP_AND,
                     RuleProgram, SyscallEvent)
@@ -39,7 +39,8 @@ def _flatten(node):
 
 
 def compiled_guard(block: ConditionBlock):
-    """Return (guard function, leaf_count) for a condition block.
+    """Return (guard, leaf_count) for a condition block, guard the
+    finished builtins.GuardSource.
 
     Iterative, so depth is unbounded.  Each same-operator run is a 0/1
     local flag and each child one statement: an AND run starts at 1 and
@@ -65,7 +66,7 @@ def compiled_guard(block: ConditionBlock):
         if node is None:          # end of the innermost open run
             child = runs.pop()[0]
             if not runs:
-                return src.function(lines, child), block.leaf_count()
+                return src.finish(lines, child), block.leaf_count()
         else:
             child = src.leaf(node.builtin_name, node.params)
         lines.append(src.child(*runs[-1], child))
@@ -77,28 +78,28 @@ def _scan(guards):
     Over rules [start, stop), it reads each value once, just before the
     first rule that needs it; a plan longer than SCAN_RUN rules reads at
     the top and compiles in runs of SCAN_RUN rules, so no compile unit
-    grows with the plan.  A short guard's statements run inline, its
-    constants renamed per rule; a longer guard's body is called with the
-    reads its leaves name, and a guard without either (a tracer's) is
-    called as guard(ev, sb).  A one-rule plan is only scanned from 0 to
-    1: no range test.
+    grows with the plan.  A GuardSource's lines run inline, its constants
+    renamed per rule, or its body is called with the reads its leaves
+    name; anything else (a tracer's wrapper) is called as guard(ev, sb).
+    A one-rule plan is only scanned from 0 to 1: no range test.
     """
     reads, lines, calls, ns = {}, [], [], {"_as_str": _as_str}
     for i, guard in enumerate(guards):
-        names = getattr(guard, "reads", {})
-        lines += read_lines({k: names[k] for k in names if k not in reads})
+        body, args, names = ((guard.body, guard.args, guard.reads)
+                             if isinstance(guard, GuardSource) else (guard, (), {}))
+        lines += read_lines({k: v for k, v in names.items() if k not in reads})
         reads.update(names)
         test = f"start <= {i:d} < stop" if len(guards) > 1 else "True"
-        if hasattr(guard, "lines"):
+        if body is None:
             sub = f"k{i:d}_\\1"
             ns.update((f"k{i:d}_{k[1:]}" if k[0] == "k" else k, v)
-                      for k, v in guard.__globals__.items())  # k: a const
+                      for k, v in guard.ns.items())  # k: a const
             calls.append([f"    if {test}:",
                           *(f"        {_CONST.sub(sub, x)}" for x in guard.lines),
                           f"        if {guard.result}: return {i:d}"])
         else:
-            ns[f"b{i:d}"] = getattr(guard, "body", guard)
-            args = ", ".join(["ev", "sb", *getattr(guard, "args", ())])
+            ns[f"b{i:d}"] = body
+            args = ", ".join(["ev", "sb", *args])
             calls.append([f"    if {test} and b{i:d}({args}): return {i:d}"])
         lines += calls[-1]
     if len(calls) <= SCAN_RUN:
@@ -122,12 +123,7 @@ def bind_actions(rule):
     may not follow block."""
     bound, blocked, jump = [], False, None
     for index, action in enumerate(rule.actions.actions):
-        spec = lookup(name := action.builtin_name)
-        if spec.kind != "action":
-            raise ApateError(f"{name} is a {spec.kind}, not an action")
-        err = check_params(name, action.params)
-        if err:
-            raise ApateError(err)
+        spec = checked(name := action.builtin_name, "action", action.params)
         if name == "block":
             blocked = True
         elif name == "call_orig" and blocked:
@@ -175,7 +171,7 @@ def dispatch(prog: RuleProgram, ev: SyscallEvent,
     blocked with the errno-table value.  Unless call_orig or block ran,
     the syscall runs after traversal (pass-through default).
     """
-    if prog.plan is None:
+    if prog.scans is None:
         validate_program(prog)
     disp = Disposition(ev.seq, ev.syscall)
     bound = prog.scans.get(ev.syscall)
@@ -214,7 +210,7 @@ def dispatch(prog: RuleProgram, ev: SyscallEvent,
 
 
 def validate_program(prog: RuleProgram) -> None:
-    """Bind a program: check every rule, set ``prog.scans`` and ``prog.plan``.
+    """Bind a program: check every rule and set ``prog.scans``.
 
     A guard shared by several rules is generated once.  Chains bound to
     one syscall run as one, in binding order: a later chain's non-negative
@@ -237,13 +233,13 @@ def validate_program(prog: RuleProgram) -> None:
         plan[sc] = before + tuple(
             r if r[4] is None or r[4] < 0 or not before
             else (*r[:4], r[4] + len(before)) for r in bound[name])
-    for rules in plan.values():
-        if rules and tuple(map(id, rules)) not in shared:
-            fns, counts, chains, exits, jumps = zip(*rules)
-            shared[tuple(map(id, rules))] = (
+    keys = {sc: tuple(map(id, rules)) for sc, rules in plan.items() if rules}
+    for sc, key in keys.items():
+        if key not in shared:
+            fns, counts, chains, exits, jumps = zip(*plan[sc])
+            shared[key] = (
                 _scan(fns), tuple(accumulate(counts, initial=0)),
                 tuple(zip((acted[id(c)] for c in chains), exits, jumps)),
-                len(rules), len(rules) > DEFAULT_JUMP_BUDGET
+                len(key), len(key) > DEFAULT_JUMP_BUDGET
                 or any(j is not None for j in jumps))
-    prog.scans = {sc: shared[tuple(map(id, r))] for sc, r in plan.items() if r}
-    prog.plan = plan
+    prog.scans = {sc: shared[key] for sc, key in keys.items()}

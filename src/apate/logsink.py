@@ -173,7 +173,7 @@ class UdpSink:
                 return
             try:
                 self._sock.sendto(data, self.addr)
-            except OSError:
+            except Exception:  # any failure drops the record, not the thread
                 self.dropped += 1
 
     def close(self) -> None:
@@ -211,6 +211,6 @@ class VfsSink:
 
 def parse_udp_addr(spec: str):
     host, _, port = spec.rpartition(":")
-    if not host:
-        raise ValueError(f"expected host:port, got {spec!r}")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ValueError(f"expected host:port, port 0-65535, got {spec!r}")
     return host, int(port)

@@ -189,15 +189,13 @@ class RuleProgram:
     ``bindings`` preserves source order.  Source and .apc bind a syscall
     at most once; a program built in code (a cloaked one) may bind it to
     several chains.  Binding (engine.validate_program) sets ``scans``,
-    which dispatch walks, and ``plan``: syscall -> the rules of its chains
-    in binding order, as (guard, leaf_count, ActionChain, exit_flag, jump
-    target or None) tuples.
+    the one bound form, which dispatch walks: syscall -> (scan, prefix
+    sums of the leaf counts, each rule's (bound actions, exit flag, jump
+    target or None), length, whether the jump budget can run out).
     """
 
     chains: dict = field(default_factory=dict)          # name -> RuleChain
     bindings: list = field(default_factory=list)        # [(syscall, chain name)]
-    plan: "dict | None" = field(default=None, init=False, compare=False,
-                                repr=False)
     scans: "dict | None" = field(default=None, init=False, compare=False, repr=False)
 
 

@@ -217,3 +217,14 @@ class TestCheckParams:
         assert check_params("testforuid", ("~", 0)) is not None
         assert check_params("ctxfield_cmp", ("gid", "==", 0)) is not None
         assert check_params("testforparam", (0, "a*b")) is not None
+
+    def test_int_is_exact_and_any_is_a_literal(self):
+        """.apate has str and int literals only: a bool is no int, and
+        store_set's value is one of the two."""
+        assert check_params("block", (True,)) is not None
+        assert check_params("testforuid", (">", False)) is not None
+        assert check_params("testforparam", (True, "/x")) is not None
+        assert check_params("store_set", ("k", 3)) is None
+        assert check_params("store_set", ("k", "v")) is None
+        for value in ([1, 2], {"a": 1}, None, True, 1.5):
+            assert check_params("store_set", ("k", value)) is not None

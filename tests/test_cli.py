@@ -349,6 +349,20 @@ class TestRun:
         report = json.loads(report_path.read_text())
         assert report["diagnostics"]["dropped"] == 1
 
+    @pytest.mark.parametrize("port", ["70000", "-5"])
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_udp_port_out_of_range_is_a_bad_sink(self, compiled, tmp_path,
+                                                 monkeypatch, capsys, port, via):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "getpid", []) + "\n")
+        argv = ["run", "--program", str(compiled), "--trace", str(trace)]
+        if via == "env":
+            monkeypatch.setenv("APATE_LOG_UDP", f"127.0.0.1:{port}")
+        else:
+            argv += ["--log-udp", f"127.0.0.1:{port}"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("apate: bad sink:")
+
     def test_cloaked_run_generates_each_guard_once(self, compiled, tmp_path,
                                                    monkeypatch):
         blocks = []

@@ -491,8 +491,8 @@ def test_shifted_user_rule_gets_its_own_name():
     assert got == [([2], ENOENT, False), ([1], 100, False),
                    ([0], ENOENT, True)]
     assert sb.store.get("s") == 2
-    assert [e[4] for e in merged.plan["open"]] == [None, 2, None]
-    assert [e[4] for e in merged.plan["getpid"]] == [1, None]
+    assert [e[2] for e in merged.scans["open"][2]] == [None, 2, None]
+    assert [e[2] for e in merged.scans["getpid"][2]] == [1, None]
 
 
 def test_rule_shifted_alike_in_two_chains_is_one_copy():
@@ -518,8 +518,8 @@ def test_rule_shifted_alike_in_two_chains_is_one_copy():
     assert got == [([1, 2], ENOENT, False), ([1, 2], ENOENT, False),
                    ([0], ENOENT, True), ([], cron.pid, False)]
     assert sb.store.get("s") == 2
-    assert merged.plan["open"][1] == merged.plan["unlink"][1]
-    assert merged.plan["open"][1][4] == 2
+    assert merged.scans["open"][2][1] == merged.scans["unlink"][2][1]
+    assert merged.scans["open"][2][1][2] == 2
 
 
 class TestTraceParsing:

@@ -425,6 +425,24 @@ class TestApcFormat:
             apc.deserialize(b"APATE-RP 1\nWHAT\tx\n")
         assert "line 2" in str(exc.value)
 
+    @pytest.mark.parametrize("line, message", [
+        ("ACTION\ta1\tblock\t[true]", "expected integer, got True"),
+        ('ACTION\ta1\tstore_set\t["k",[1,2]]', "string or integer"),
+        ('ACTION\ta1\tstore_set\t["k",null]', "string or integer"),
+        ('COND\tc1\ttestforuid\t[">",false]', "expected integer"),
+        ("COND\tc1\tlog\t[]", "'log' is not a builtin condition"),
+        ("ACTION\ta1\talways_true\t[]", "'always_true' is not a builtin action"),
+        ("COND\tc1\tnope\t[]", "'nope' is not a builtin condition"),
+        ('COND\tc1\ttestforuid\t[">"]', "takes 2 params"),
+    ])
+    def test_bad_builtin_record_is_corrupt_at_its_line(self, line, message):
+        blob = ("APATE-RP 1\n"
+                'COND\tc0\ttestforuid\t[">",0]\n'
+                "ACTION\ta0\tlog\t[]\n" + line + "\n"
+                "RULE\tr0\t(& c0 c0)\ta0\tx:1\n")
+        with pytest.raises(CorruptRecord, match=f"line 4: .*{message}"):
+            apc.deserialize(blob.encode())
+
     def test_non_utf8_is_corrupt_record(self):
         with pytest.raises(CorruptRecord) as exc:
             apc.deserialize(b"APATE-RP 1\nACTION\ta0\tlog\t[]\n"

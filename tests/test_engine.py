@@ -7,7 +7,9 @@ import weakref
 
 import pytest
 
+from apate import builtins as apate_builtins
 from apate import engine
+from apate.builtins import GuardSource
 from apate.engine import DEFAULT_JUMP_BUDGET, dispatch, validate_program
 from apate.errors import ApateError, UnknownBuiltin
 from apate.model import (Action, ActionChain, ALWAYS_TRUE, Condition,
@@ -34,6 +36,26 @@ def chain_of(*rules):
 def simple_rule(name, fires, actions=None, exit_flag=0):
     acts = actions or [Action("store_add", (f"hits_{name}", 1))]
     return Rule(name, guard_of(fires), ActionChain(tuple(acts)), exit_flag)
+
+
+def long_guard(value):
+    """guard_of(value) and 40 true leaves: past INLINE_CHARS, a called body."""
+    block = guard_of(value)
+    for i in range(40):
+        block = ConditionBlock(block, Condition("testforuid", (">=", -i)), OP_AND)
+    return block
+
+
+def compiles(monkeypatch):
+    """The file name of each compile() generated code makes from now on."""
+    names = []
+
+    def counting(source, filename, mode):
+        names.append(filename)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(apate_builtins, "compile", counting, raising=False)
+    return names
 
 
 class TestConditionBlock:
@@ -341,10 +363,10 @@ class TestBinding:
     def test_first_dispatch_binds_an_unvalidated_program(self, sandbox):
         prog = RuleProgram(chains={"rc": chain_of(simple_rule("r", True))},
                            bindings=[("getpid", "rc")])
-        assert prog.plan is None
+        assert prog.scans is None
         dispatch(prog, make_event("getpid"), sandbox)
-        assert set(prog.plan) == {"getpid"}
-        assert dataclasses.replace(prog).plan is None
+        assert set(prog.scans) == {"getpid"}
+        assert dataclasses.replace(prog).scans is None
 
     def test_shared_guard_is_generated_once(self, monkeypatch):
         blocks = []
@@ -361,22 +383,27 @@ class TestBinding:
                            bindings=[("open", "a"), ("getpid", "b")])
         validate_program(prog)
         assert blocks == [shared.guard]
-        assert prog.plan["open"][0] == prog.plan["getpid"][0]
+        assert prog.scans["open"][2][0] == prog.scans["getpid"][2][0]
 
     def test_guards_die_with_their_program(self, sandbox, monkeypatch):
+        """What binding keeps of its guards, the scans and the long
+        guards' bodies, lives only as long as the program."""
         made = []
         generate = engine.compiled_guard
 
         def recording(block):
-            fn, count = generate(block)
-            made.append(weakref.ref(fn))
-            return fn, count
+            guard, count = generate(block)
+            if guard.body is not None:
+                made.append(weakref.ref(guard.body))
+            return guard, count
 
         monkeypatch.setattr(engine, "compiled_guard", recording)
-        prog = RuleProgram(chains={"rc": chain_of(simple_rule("r", True))},
+        slow = Rule("l", long_guard(True), ActionChain((Action("log"),)))
+        prog = RuleProgram(chains={"rc": chain_of(simple_rule("r", False), slow)},
                            bindings=[("getpid", "rc")])
-        assert dispatch(prog, make_event("getpid"), sandbox).matched_rules == [0]
-        assert made and all(ref() is not None for ref in made)
+        assert dispatch(prog, make_event("getpid"), sandbox).matched_rules == [1]
+        made += [weakref.ref(scan) for scan, *_ in prog.scans.values()]
+        assert len(made) == 2 and all(ref() is not None for ref in made)
         del prog
         gc.collect()
         assert all(ref() is None for ref in made)
@@ -421,7 +448,7 @@ class TestComposition:
         assert disp.matched_rules == [0, 1, 2, 3]
         assert [sandbox.store.get(f"hits_{n}") for n in ("a0", "a1", "b1")] \
             == [1, 1, 1]
-        assert [entry[4] for entry in prog.plan["getpid"]] == [
+        assert [entry[2] for entry in prog.scans["getpid"][2]] == [
             None, None, 3, None]
 
     def test_negative_jump_stays_out_of_range(self, sandbox):
@@ -725,8 +752,8 @@ class TestStatementForm:
                     pad, [OP_AND] * (len(pad) - 1), "left"), OP_AND)
                 leaves += len(pad)
             guard, count = engine.compiled_guard(block)
-            assert hasattr(guard, "body") is padded
-            assert hasattr(guard, "lines") is not padded
+            assert isinstance(guard, GuardSource)
+            assert (guard.body is not None) is padded
             for run in ("holds", "guard"):
                 sb = SandboxState()
                 sb.store.set("s", "text")
@@ -755,3 +782,51 @@ class TestStatementForm:
             names = scan.__code__.co_names
             assert not [n for n in names if n[0] == "b" and n[1:].isdigit()]
             assert "guard" not in names
+
+
+class TestCompiledOnce:
+    """Binding compiles each piece of generated code once, where it runs."""
+
+    def test_cloaked_mysql_example_compiles_once_per_scan(self, monkeypatch):
+        from apate.cloak import apply_cloak, cloak_ruleset
+        from apate.dsl import compile_source
+        from conftest import MYSQL_EXAMPLE
+
+        prog = apply_cloak(compile_source(MYSQL_EXAMPLE)[0],
+                           cloak_ruleset("/var/log/apate.log"))
+        names = compiles(monkeypatch)
+        validate_program(prog)
+        scans = {id(scan) for scan, *_ in prog.scans.values()}
+        assert len(scans) < len(prog.scans)
+        assert names == ["<scan>"] * len(scans)
+
+    def test_long_guard_in_two_plans_compiles_its_body_once(self, sandbox,
+                                                            monkeypatch):
+        slow = Rule("l", long_guard(True),
+                    ActionChain((Action("store_add", ("hits", 1)),)))
+        prog = RuleProgram(
+            chains={"a": chain_of(slow),
+                    "b": RuleChain("b", (simple_rule("s", False), slow))},
+            bindings=[("open", "a"), ("getpid", "b")])
+        names = compiles(monkeypatch)
+        validate_program(prog)
+        assert sorted(names) == ["<body>", "<scan>", "<scan>"]
+        body = prog.scans["open"][0].__globals__["b0"]
+        assert prog.scans["getpid"][0].__globals__["b1"] is body
+        assert dispatch(prog, make_event("open", "/x", "r"),
+                        sandbox).matched_rules == [0]
+        assert dispatch(prog, make_event("getpid"), sandbox).matched_rules == [1]
+        assert sandbox.store.get("hits") == 2
+
+    @pytest.mark.parametrize("make", [guard_of, long_guard])
+    def test_standalone_guard_compiles_on_its_first_call(self, sandbox,
+                                                         monkeypatch, make):
+        names = compiles(monkeypatch)
+        for value in (0, 1):
+            del names[:]
+            guard, count = engine.compiled_guard(make(value))
+            assert names == ([] if make is guard_of else ["<body>"])
+            for _ in range(2):
+                got = guard(make_event("getpid"), sandbox)
+                assert type(got) is int and got == value
+            assert names[1 if make is long_guard else 0:] == ["<guard>"]

@@ -343,3 +343,27 @@ class TestSinks:
         assert parse_udp_addr("localhost:9999") == ("localhost", 9999)
         with pytest.raises(ValueError):
             parse_udp_addr("9999")
+        assert parse_udp_addr("h:0") == ("h", 0)
+        assert parse_udp_addr("h:65535") == ("h", 65535)
+        for spec in ("127.0.0.1:70000", "127.0.0.1:-5", "h:65536", "h:",
+                     "h:\u0669", "h: 9", "h:1_0", "h:+9"):
+            with pytest.raises(ValueError, match="port 0-65535"):
+                parse_udp_addr(spec)
+
+    def test_udp_sink_counts_a_failed_send_as_a_drop(self):
+        sink = UdpSink("127.0.0.1", 9)
+
+        class FailingSocket:
+            def sendto(self, data, addr):
+                raise OverflowError("port must be 0-65535.")
+
+            def close(self):
+                pass
+
+        sink._sock.close()
+        sink._sock = FailingSocket()
+        sink.emit("a")
+        sink.emit("b")
+        sink.close()
+        assert not sink._thread.is_alive()
+        assert sink.dropped == 2
