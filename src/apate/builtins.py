@@ -32,9 +32,8 @@ class WildcardPattern:
     __slots__ = ("text", "prefix", "has_tail_star")
 
     def __init__(self, text: str):
-        star_count = text.count("*")
-        if star_count > 1 or (star_count == 1 and not text.endswith("*")):
-            raise ValueError(f"'*' allowed only once, in final position: {text!r}")
+        if err := star_error(text):
+            raise ValueError(err)
         self.text = text
         self.has_tail_star = text.endswith("*")
         self.prefix = text[:-1] if self.has_tail_star else text
@@ -46,6 +45,13 @@ class WildcardPattern:
 
     def __repr__(self):
         return f"WildcardPattern({self.text!r})"
+
+
+def star_error(text: str) -> "str | None":
+    """Why text is not a pattern, or None: a '*' anywhere but last."""
+    if -1 < text.find("*") < len(text) - 1:
+        return f"'*' allowed only once, in final position: {text!r}"
+    return None
 
 
 def _as_str(value) -> str:
@@ -64,7 +70,8 @@ def _as_str(value) -> str:
 # names bound by src.const, operator text only from COMPARISONS, context
 # field names only from CTX_FIELDS, and an argument index or a wildcard
 # prefix's length only as an int check_params or len() gave, written
-# with :d.
+# with :d.  An argument leaf is one compare, subject on the left: out of
+# range, its read is an Absent, which notes the miss when compared.
 
 def _wildcard(src, pattern, subject):
     """Leaf text: subject matches pattern; a None subject never does.
@@ -84,14 +91,14 @@ def _compare(src, lhs, op, value):
     return f"({lhs} {op} {src.const(value)})"
 
 
-def _arg_leaf(src, name, read, index, pattern):
-    """Leaf: src.arg(read, index) matches pattern; 0, noted, out of range."""
-    miss = (f"_miss(sb, {src.const('ArgIndexOutOfRange')}, "
-            f"{src.const(f'{name} index {index} on ')} + ev.syscall)")
+def _arg_leaf(src, name, index, pattern):
+    """Leaf: src.arg(name, index) matches pattern.  Out of range it is 0
+    with one ArgIndexOutOfRange: a negative index statically, else the
+    compare against the read's Absent notes it."""
     if index < 0:
-        return miss
-    test = _wildcard(src, pattern, src.arg(read, index))
-    return f"({test} if nargs > {index:d} else {miss})"
+        return (f"_miss(sb, {src.const('ArgIndexOutOfRange')}, "
+                f"{src.const(f'{name} index {index} on ')} + ev.syscall)")
+    return _wildcard(src, pattern, src.arg(name, index))
 
 
 def _e_always_true(src, params):
@@ -107,7 +114,7 @@ def _e_testforselfpname(src, params):
 
 
 def _e_testforparam(src, params):
-    return _arg_leaf(src, "testforparam", "a", *params)
+    return _arg_leaf(src, "testforparam", *params)
 
 
 def _e_testforuid(src, params):
@@ -143,7 +150,7 @@ def _e_store_cmp(src, params):
 
 
 def _e_testforfdpath(src, params):
-    return _arg_leaf(src, "testforfdpath", "f", *params)
+    return _arg_leaf(src, "testforfdpath", *params)
 
 
 def _miss(sandbox, kind, detail):
@@ -151,13 +158,34 @@ def _miss(sandbox, kind, detail):
     return 0
 
 
+class Absent:
+    """An argument read past the event's arity.  Each ``==`` against it
+    notes one ArgIndexOutOfRange and is False; a slice of it is itself,
+    so a wildcard's prefix read stays absent."""
+
+    __slots__ = ("sb", "detail")
+
+    def __init__(self, sb, builtin, index, syscall):
+        self.sb, self.detail = sb, f"{builtin} index {index} on {syscall}"
+
+    def __eq__(self, other):
+        self.sb.diag("ArgIndexOutOfRange", self.detail)
+        return False
+
+    def __getitem__(self, key):
+        return self
+
+
+READ_NS = {"_as_str": _as_str, "Absent": Absent}    # what read text names
+
+
 class GuardSource:
     """One generated guard: its source, namespace and reads.
 
     Each per-event value its leaves need is read once and named by what
     it reads: ``ctx_uid`` is ``ev.ctx.uid``, ``nargs`` ``len(ev.args)``,
-    ``a0`` ``_as_str(ev.args[0])`` (None out of range), ``f0``
-    ``sb.fds.path_of(ev.args[0])``, ``a0_p8`` ``a0[:8]`` and
+    ``a0`` ``_as_str(ev.args[0])``, ``f0`` ``sb.fds.path_of(ev.args[0])``
+    (each an Absent out of range), ``a0_p8`` ``a0[:8]`` and
     ``store_get`` ``sb.store.get``.  No read needs a constant, so guards
     that read one value share its name, and a scan reads it once.
 
@@ -168,10 +196,11 @@ class GuardSource:
     """
 
     _CTX_READS = CTX_FIELDS + ("pname", "parent_pname")
-    _ARG_READS = {"a": "_as_str", "f": "sb.fds.path_of"}
+    _ARG_READS = {"testforparam": ("a", "_as_str"),
+                  "testforfdpath": ("f", "sb.fds.path_of")}
 
     def __init__(self):
-        self.ns = {"_as_str": _as_str, "_miss": _miss}
+        self.ns = {**READ_NS, "_miss": _miss}
         self.reads = {}      # name -> expression, in first-use order
         self.body, self.args = None, ()
         self._named = {}     # read -> times handed out, less those prefix() took
@@ -195,12 +224,16 @@ class GuardSource:
             raise ApateError(f"bad context field {field!r}")
         return self._read(f"ctx_{field}", f"ev.ctx.{field}")
 
-    def arg(self, read, index) -> str:
-        """Local holding args[index] as a string (read "a") or as the path
-        of the descriptor it names ("f"), or None out of range."""
+    def arg(self, builtin, index) -> str:
+        """Local holding args[index] for builtin: as a string for
+        testforparam (a<i>), or as the path of the descriptor it names for
+        testforfdpath (f<i>, None if none).  Out of range it is an Absent
+        that notes builtin when compared."""
         self._read("nargs", "len(ev.args)")
-        return self._read(f"{read}{index:d}", f"{self._ARG_READS[read]}"
-                          f"(ev.args[{index:d}]) if nargs > {index:d} else None")
+        read, fn = self._ARG_READS[builtin]
+        return self._read(f"{read}{index:d}",
+                          f"{fn}(ev.args[{index:d}]) if nargs > {index:d} else "
+                          f"Absent(sb, '{builtin}', {index:d}, ev.syscall)")
 
     def prefix(self, subject, n: int) -> str:
         """Local holding subject[:n], or None where subject is None; the
@@ -245,7 +278,7 @@ class GuardSource:
             return define(self.ns, "guard", [
                 "def guard(ev, sb):", *read_lines(self.reads),
                 *(f"    {line}" for line in self.lines), f"    return {self.result}"])
-        return define({"_as_str": _as_str, "body": self.body}, "guard", [
+        return define({**READ_NS, "body": self.body}, "guard", [
             "def guard(ev, sb):", *read_lines(self.reads),
             f"    return body({', '.join(['ev', 'sb', *self.args])})"])
 
@@ -354,12 +387,15 @@ def _a_filter_dirents(ev, sandbox, ctx, params):
 class BuiltinSpec:
     name: str
     kind: str          # "condition" | "action"
-    sig: tuple         # param kinds; a trailing kind ending in '?' is optional
+    kinds: tuple       # param kinds
+    required: int      # how many params must be given; the rest are optional
     fn: "object"       # condition: emitter fn(src, params); action: fn(ev, sandbox, ctx, params)
 
 
 def _spec(name, kind, sig, fn):
-    return name, BuiltinSpec(name, kind, sig, fn)
+    """sig: param kinds; a trailing kind ending in '?' is optional."""
+    return name, BuiltinSpec(name, kind, tuple(k.rstrip("?") for k in sig),
+                             sum(not k.endswith("?") for k in sig), fn)
 
 
 REGISTRY = dict([
@@ -401,24 +437,20 @@ def check_params(name: str, params) -> "str | None":
     program load so bad programs never reach the engine.
     """
     spec = REGISTRY[name]
-    required = [k for k in spec.sig if not k.endswith("?")]
-    if not (len(required) <= len(params) <= len(spec.sig)):
-        want = (f"{len(required)}" if len(required) == len(spec.sig)
-                else f"{len(required)}..{len(spec.sig)}")
+    kinds, required = spec.kinds, spec.required
+    if not (required <= len(params) <= len(kinds)):
+        want = (f"{required}" if required == len(kinds)
+                else f"{required}..{len(kinds)}")
         return f"{name} takes {want} params, got {len(params)}"
-    for kind, value in zip(spec.sig, params):
-        kind = kind.rstrip("?")
+    for kind, value in zip(kinds, params):
         if kind == "int" and type(value) is not int:     # not a bool
             return f"{name}: expected integer, got {value!r}"
         if kind == "any" and type(value) not in (str, int):
             return f"{name}: expected string or integer, got {value!r}"
         if kind in ("str", "pattern", "cmp", "field") and not isinstance(value, str):
             return f"{name}: expected string, got {value!r}"
-        if kind == "pattern":
-            try:
-                WildcardPattern(value)
-            except ValueError as exc:
-                return f"{name}: {exc}"
+        if kind == "pattern" and (err := star_error(value)):
+            return f"{name}: {err}"
         if kind == "cmp" and value not in COMPARISONS:
             return f"{name}: bad comparison {value!r}"
         if kind == "field" and value not in CTX_FIELDS:

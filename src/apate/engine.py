@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from itertools import accumulate
 
-from .builtins import GuardSource, _as_str, checked, define, read_lines
+from .builtins import READ_NS, GuardSource, checked, define, read_lines
 from .errors import ApateError
 from .model import (ConditionBlock, Disposition, OP_AND,
                     RuleProgram, SyscallEvent)
@@ -83,7 +83,7 @@ def _scan(guards):
     name; anything else (a tracer's wrapper) is called as guard(ev, sb).
     A one-rule plan is only scanned from 0 to 1: no range test.
     """
-    reads, lines, calls, ns = {}, [], [], {"_as_str": _as_str}
+    reads, lines, calls, ns = {}, [], [], dict(READ_NS)
     for i, guard in enumerate(guards):
         body, args, names = ((guard.body, guard.args, guard.reads)
                              if isinstance(guard, GuardSource) else (guard, (), {}))

@@ -784,6 +784,89 @@ class TestStatementForm:
             assert "guard" not in names
 
 
+ABSENT_LEAVES = [Condition("testforparam", (0, "*")),
+                 Condition("testforparam", (1, "/x")),
+                 Condition("testforfdpath", (0, "/x*")),
+                 Condition("testforparam", (0, "*"))]     # repeated
+
+
+class TestArgLeaves:
+    """An argument leaf is one compare; out of range, its read is an
+    Absent that notes one ArgIndexOutOfRange per compare."""
+
+    @pytest.mark.parametrize("syscall", ["getpid", "getuid"])
+    @pytest.mark.parametrize("conj", [True, False])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_absent_arguments_note_each_leaf_in_order(self, syscall, conj,
+                                                      padded):
+        ev = make_event(syscall)
+        op = OP_AND if conj else OP_OR
+        leaves = list(ABSENT_LEAVES)
+        if padded:      # past INLINE_CHARS: a called body; the value stays 0
+            leaves += [Condition("testforuid", (">=" if conj else "<", -i))
+                       for i in range(40)]
+        block = _chain_block(leaves, [op] * (len(leaves) - 1), "left")
+        guard, count = engine.compiled_guard(block)
+        assert (guard.body is not None) is padded
+        assert count == len(leaves)
+        want = [{"kind": "ArgIndexOutOfRange",
+                 "detail": f"{c.builtin_name} index {c.params[0]} on {syscall}"}
+                for c in ABSENT_LEAVES]
+        for run in ("holds", "guard"):
+            sb = SandboxState()
+            if run == "holds":
+                disp = Disposition(ev.seq, ev.syscall)
+                assert holds(block, ev, sb, disp) == 0
+                assert disp.conditions_evaluated == len(leaves)
+            else:
+                got = guard(ev, sb)
+                assert type(got) is int and got == 0
+            assert sb.diagnostics == want
+
+    def test_in_range_argument_that_names_no_fd_notes_nothing(self, sandbox):
+        ev = make_event("close", 99)
+        block = ConditionBlock(Condition("testforfdpath", (0, "/x*")),
+                               Condition("testforparam", (0, "9*")), OP_AND)
+        assert holds(block, ev, sandbox) == 0
+        assert sandbox.diagnostics == []
+        block = ConditionBlock(block, ABSENT_LEAVES[1], OP_OR)
+        assert holds(block, ev, sandbox) == 0
+        assert sandbox.diagnostics == [{"kind": "ArgIndexOutOfRange",
+                                        "detail": "testforparam index 1 on close"}]
+
+    def test_no_range_test_outside_the_reads(self, monkeypatch):
+        """A guard-heavy-shaped program: 20 rules of 50 distinct leaves."""
+        sources = []
+
+        def capturing(source, filename, mode):
+            sources.append(source)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(apate_builtins, "compile", capturing, raising=False)
+        rng = random.Random(19)
+        kinds = [lambda k: Condition("testforuid", ("==", 2000 + k)),
+                 lambda k: Condition("ctxfield_cmp", ("pid", "<", 50_000 + k)),
+                 lambda k: Condition("testforparam", (k % 3, f"/srv/p{k}/*")),
+                 lambda k: Condition("testforpname", (f"daemon{k}",)),
+                 lambda k: Condition("testforfdpath", (k % 2, f"/data/held{k}*"))]
+        rules = [Rule(f"r{i}", _chain_block(
+                     [rng.choice(kinds)(50 * i + k) for k in range(50)],
+                     [OP_AND] * 49, "left"), ActionChain((Action("call_orig", ()),)))
+                 for i in range(20)]
+        prog = RuleProgram({"c": RuleChain("c", tuple(rules))},
+                           [(sc, "c") for sc in SYSCALLS])
+        validate_program(prog)
+        assert any("def body(" in s for s in sources)
+        reads = 0
+        for line in "\n".join(sources).splitlines():
+            if "nargs >" in line:
+                reads += 1
+                name, expr = line.strip().split(" = ", 1)
+                assert name[0] in "af" and name[1:].isdigit(), line
+                assert expr.endswith(f", {name[1:]}, ev.syscall)"), line
+        assert reads == 5     # a0..a2 and f0, f1, in the one scan
+
+
 class TestCompiledOnce:
     """Binding compiles each piece of generated code once, where it runs."""
 

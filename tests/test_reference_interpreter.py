@@ -27,18 +27,20 @@ from conftest import make_ctx
 from test_engine import _random_leaf, _random_tree, _ref_leaf
 
 
-def _holds(node, ev, sb, count):
+def _holds(node, ev, sb, count, seen, where):
     if isinstance(node, Condition):
         count[0] += 1
         name, p = node.builtin_name, node.params
+        if name in ("testforparam", "testforfdpath") and p[0] >= len(ev.args):
+            seen.add(f"absent argument {where}")
         if (name == "store_cmp" and p[1] not in ("==", "!=")
                 and not isinstance(sb.store.get(p[0]), int)):
             sb.diag("StoreTypeMismatch",
                     f"store_cmp: {p[0]!r} {p[1]} {p[2]} on a non-int cell")
             return 0
         return _ref_leaf(node, ev, sb)
-    d = _holds(node.left, ev, sb, count)
-    e = _holds(node.right, ev, sb, count)
+    d = _holds(node.left, ev, sb, count, seen, where)
+    e = _holds(node.right, ev, sb, count, seen, where)
     return 1 if (d + e) * node.op_code >= 4 else 0
 
 
@@ -56,6 +58,10 @@ def ref_dispatch(prog, ev, sb, budget, seen):
                     jump += base
                 rules.append((rule, jump))
     disp = Disposition(ev.seq, ev.syscall)
+    # where dispatch runs each rule's guard: inline in the scan, or a
+    # called body b<i> (seen only to count what the replay reached)
+    bound = prog.scans.get(ev.syscall)
+    called = bound[0].__globals__ if bound else {}
 
     def error(kind, detail):
         seen.add(kind)
@@ -73,7 +79,8 @@ def ref_dispatch(prog, ev, sb, budget, seen):
         steps += 1
         rule, jump = rules[i]
         count = [0]
-        fired = _holds(rule.guard, ev, sb, count)
+        fired = _holds(rule.guard, ev, sb, count, seen, "in a called body"
+                       if f"b{i:d}" in called else "inline")
         disp.conditions_evaluated += count[0]
         if not fired:
             i += 1
@@ -213,4 +220,5 @@ def test_dispatch_matches_reference_interpreter(monkeypatch):
         assert got_sb.store.get("n") == want_sb.store.get("n")
     assert seen == {"exit", "forward jump", "backward jump", "out-of-range jump",
                     "disruption", "budget runs out mid-scan",
-                    "budget runs out at a jump", "fires past the first scan run"}
+                    "budget runs out at a jump", "fires past the first scan run",
+                    "absent argument inline", "absent argument in a called body"}
