@@ -195,8 +195,10 @@ class _ReportStream:
 
     def flush(self) -> None:
         if self.batch:
+            # fresh lists of fresh dicts: nothing to check for cycles
             self.out.write(self.sep + json.dumps(
-                [d.to_dict() for d in self.batch])[1:-1])
+                [d.to_dict() for d in self.batch],
+                check_circular=False)[1:-1])
             self.sep = ", "
             self.batch.clear()
 

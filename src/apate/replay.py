@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import re
 from dataclasses import dataclass, field, fields
 
@@ -28,7 +29,23 @@ from .model import Disposition, RuleProgram, SyscallEvent, TaskContext
 from .sandbox import SandboxState
 
 
-_decode = json.JSONDecoder().raw_decode
+def _non_finite(text: str):
+    raise ValueError(f"{text} is not a finite number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):   # 1e400 overflows to inf
+        _non_finite(text)
+    return value
+
+
+# NaN, Infinity and -Infinity, and a float that overflows, are not JSON
+# (RFC 8259) and could not be written back into the report as JSON.
+_decoder = json.JSONDecoder(parse_constant=_non_finite,
+                            parse_float=_finite_float)
+_decode = _decoder.raw_decode
+_scan = _decoder.scan_once   # raw_decode, raising a bare StopIteration
 _skip_space = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
 
 TRACE_BLOCK = 1 << 20  # bytes read from a trace at a time
@@ -40,16 +57,83 @@ def parse_trace_line(line: str, line_no: int = 0,
                      contexts: "dict | None" = None) -> SyscallEvent:
     """Parse one trace line.
 
-    ``contexts`` maps each ``ctx`` object seen so far (as a tuple of its
-    items) to its validated TaskContext, so that events of one task share
+    ``contexts`` maps each ``ctx`` seen so far, by its text and by its
+    items, to its validated TaskContext, so that events of one task share
     one; ``iter_trace`` passes one per trace, and a fresh one is used
     when none is given.
+
+    A line whose ``ctx`` comes last is read in two pieces: its head (the
+    text before the comma that precedes the last ``"ctx":``, closed with
+    ``}``) is decoded, and the ``ctx`` text is looked up in ``contexts``,
+    so a task's ctx is decoded once per trace.  When the head is one
+    non-empty object and the ctx text one value, the whole line is one
+    object with the head's members plus ``ctx`` (the last of a repeated
+    key wins, as in ``json``).  Every other line, and every line the
+    pieces do not give an event for, takes ``_parse_whole``, which alone
+    raises, so each error reads as if no split were tried.
     """
     if contexts is None:
         contexts = {}
+    at = line.rfind('"ctx":') if line.endswith("}}") else -1
+    if at > 0:
+        comma = at - 1
+        while line[comma] in " \t\n\r" and comma:
+            comma -= 1
+        if line[comma] == ",":
+            try:
+                head, end = _scan(line[:comma] + "}", 0)
+                # Only an object ends at that "}".  SyscallEvent refuses a
+                # syscall that is not a string.
+                if end == comma + 1 and head:
+                    text = line[at + 6:-1]
+                    ctx = contexts.get(text)
+                    if ctx is None:   # check it, then keep it by its text
+                        value = text.strip(" \t\n\r")
+                        raw, end = _scan(value, 0)
+                        if end != len(value):
+                            raise ValueError("not one JSON value")
+                        ctx = contexts[text] = _task_context(raw, contexts)
+                    seq, args = head["seq"], head["args"]
+                    if type(seq) is int and type(args) is list:
+                        return SyscallEvent(seq, head["syscall"],
+                                            _counted(args), ctx)
+            except (StopIteration, KeyError, TypeError, ValueError,
+                    RecursionError):
+                pass
+    return _parse_whole(line, line_no, contexts)
+
+
+def _task_context(raw, contexts: dict) -> TaskContext:
+    """The TaskContext of a decoded ``ctx`` value, shared through
+    ``contexts`` by its items: the key is its keys then its values, in
+    order, which two ctx objects share exactly when their items are
+    equal, and which hashes faster than a tuple of pairs."""
+    if type(raw) is not dict:
+        raise TypeError(f"ctx must be an object, got {raw!r}")
+    key = (*raw, *raw.values())
     try:
-        obj, end = _decode(line, _skip_space(line).end())
-    except (json.JSONDecodeError, RecursionError) as exc:
+        ctx = contexts.get(key)
+    except TypeError:   # an unhashable value: TaskContext names it
+        ctx = None
+    # An equal key may hold a float or bool equal to a cached int;
+    # the type test sends it to TaskContext, which rejects it.
+    if ctx is None or not (type(raw["pid"]) is type(raw["uid"])
+                           is type(raw["ssid"]) is int):
+        if raw.keys() != _CTX_KEYS:
+            raise ValueError(_ctx_key_error(raw))
+        ctx = contexts[key] = TaskContext(**raw)
+    return ctx
+
+
+def _parse_whole(line: str, line_no: int, contexts: dict) -> SyscallEvent:
+    """Parse one trace line as a whole, raising a TraceError that names
+    what is wrong."""
+    try:
+        try:
+            obj, end = _scan(line, 0)
+        except StopIteration:   # a leading blank, or no value at all
+            obj, end = _decode(line, _skip_space(line).end())
+    except (ValueError, RecursionError) as exc:
         raise TraceError(line_no, f"bad JSON: {exc}") from None
     if end != len(line):
         end = _skip_space(line, end).end()
@@ -60,27 +144,16 @@ def parse_trace_line(line: str, line_no: int = 0,
                          f"{type(obj).__name__}")
     try:
         raw, seq, args = obj["ctx"], obj["seq"], obj["args"]
-        if type(raw) is not dict:
-            raise TypeError(f"ctx must be an object, got {raw!r}")
-        key = tuple(raw.items())
-        try:
-            ctx = contexts.get(key)
-        except TypeError:   # an unhashable value: TaskContext names it
-            ctx = None
-        # An equal key may hold a float or bool equal to a cached int;
-        # the type test sends it to TaskContext, which rejects it.
-        if ctx is None or not (type(raw["pid"]) is type(raw["uid"])
-                               is type(raw["ssid"]) is int):
-            if raw.keys() != _CTX_KEYS:
-                raise ValueError(_ctx_key_error(raw))
-            ctx = contexts[key] = TaskContext(**raw)
+        ctx = _task_context(raw, contexts)
         if type(seq) is not int:
             raise TypeError(f"seq must be an integer, got {seq!r}")
-        if not isinstance(args, list):
+        if type(args) is not list:
             raise TypeError(f"args must be a list, got {args!r}")
-        args = [_count(a, args) if type(a) is dict else a for a in args]
-        return SyscallEvent(seq=seq, syscall=obj["syscall"],
-                            args=args, ctx=ctx)
+        args = _counted(args)
+        syscall = obj["syscall"]
+        if type(syscall) is not str:
+            raise TypeError(f"syscall must be a string, got {syscall!r}")
+        return SyscallEvent(seq, syscall, args, ctx)
     except KeyError as exc:
         raise TraceError(line_no, f"missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
@@ -95,15 +168,17 @@ def _ctx_key_error(raw: dict) -> str:
     return f"ctx: unknown key {next(k for k in raw if k not in _CTX_KEYS)!r}"
 
 
-def _count(arg: dict, args: list) -> int:
-    """n of an object argument ``arg`` of ``args``: exactly ``{"len": n}``
-    with n an int (a bool is not one)."""
-    n = arg.get("len") if len(arg) == 1 else None
-    if type(n) is not int:
-        # an equal object earlier in args would have raised first
-        raise ValueError(f"args[{args.index(arg)}]: an object argument "
-                         'must be {"len": n}')
-    return n
+def _counted(args: list) -> list:
+    """``args`` with each object argument, exactly ``{"len": n}`` with n
+    an int (a bool is not one), replaced in place by its n."""
+    for i, arg in enumerate(args):
+        if type(arg) is dict:
+            n = arg.get("len") if len(arg) == 1 else None
+            if type(n) is not int:
+                raise ValueError(f"args[{i}]: an object argument "
+                                 'must be {"len": n}')
+            args[i] = n
+    return args
 
 
 def _whole_lines(fh):

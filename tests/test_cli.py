@@ -481,6 +481,15 @@ class TestRun:
                      id="len-string"),
         pytest.param(trace_line(2, "getpid", [], tty=1),
                      "ctx: unknown key 'tty'", id="ctx"),
+        pytest.param(trace_line(2, "read", [3, float("nan")]),
+                     "bad JSON: NaN is not a finite number", id="nan"),
+        pytest.param(trace_line(2, "open", ["/x", "r"]).replace('"/x"', "1e400"),
+                     "bad JSON: 1e400 is not a finite number", id="overflow"),
+        pytest.param(trace_line(2, "getpid", [], uid=float("-inf")),
+                     "bad JSON: -Infinity is not a finite number",
+                     id="ctx-infinity"),
+        pytest.param(trace_line(2, ["open"], ["/x", "r"]),
+                     "syscall must be a string, got ['open']", id="syscall"),
     ])
     def test_bad_trace_field_is_named(self, compiled, tmp_path, capsys,
                                       line, message):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from apate import apc, engine
+from apate import apc, engine, replay
 from apate.cloak import CLOAK_SOURCE, apply_cloak, cloak_ruleset
 from apate.dsl import _arg_src, compile_source
 from apate.engine import dispatch
@@ -573,6 +573,9 @@ class TestTraceParsing:
         '{"seq":1,"syscall":"getpid","args":[],"ctx":{"pid":1,"uid":0,'
         '"ssid":0,"pname":7,"parent_pname":"b"}}',  # pname not a string
         pytest.param("[" * 100_000, id="deep nesting"),
+        pytest.param('{"seq":1' + "0" * 5000 + ',"syscall":"getpid","args":[],'
+                     '"ctx":{"pid":1,"uid":0,"ssid":0,"pname":"a",'
+                     '"parent_pname":"b"}}', id="int past the digit limit"),
     ])
     def test_trace_errors_carry_line_numbers(self, bad):
         good = self.line()
@@ -602,6 +605,7 @@ class TestTraceParsing:
             ([3, {"len": "4096"}], 1), ([3, {"len": True}], 1),
             ([3, {"len": 4.0}], 1), ([3, {"len": None}], 1),
             ([{"len": 3}, {"len": [4]}], 1), ([{"x": 3}, {"x": 3}], 0))),
+        ({"syscall": ["open"]}, "syscall must be a string, got ['open']"),
     ])
     def test_trace_errors_name_the_field(self, change, message):
         obj = json.loads(self.line())
@@ -611,6 +615,29 @@ class TestTraceParsing:
             parse_trace_line(json.dumps(obj), 5)
         assert str(exc.value) == f"line 5: {message}"
 
+
+    @pytest.mark.parametrize("number", [
+        "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1E+999"])
+    @pytest.mark.parametrize("spaced", [False, True])
+    def test_non_finite_numbers_are_refused(self, number, spaced):
+        """NaN, the infinities and a float that overflows are not JSON;
+        a line holding one, in its args or its ctx, is refused with its
+        line number, whether its ctx text was seen before or not."""
+        contexts = {}
+        ok = self.line(syscall="read", args=[3, 7])
+        if not spaced:
+            ok = json.dumps(json.loads(ok), separators=(",", ":"))
+        parse_trace_line(ok, 1, contexts)
+        for bad in (ok.replace("7", number, 1),
+                    ok.replace("1000", number, 1)):   # args[1], ctx uid
+            assert bad != ok
+            for _ in range(2):
+                with pytest.raises(TraceError) as exc:
+                    parse_trace_line(bad, 4, contexts)
+                assert str(exc.value) == (
+                    f"line 4: bad JSON: {number} is not a finite number")
+        finite = parse_trace_line(ok.replace("7", "1e-400", 1), 5, contexts)
+        assert finite.args == [3, 0.0]
 
     def test_padding_and_crlf(self):
         text = "  " + self.line() + " \t\r\n\t" + self.line(seq=2) + "\r\n"
@@ -681,6 +708,144 @@ class TestTraceParsing:
         distinct = {json.dumps(json.loads(line)["ctx"])
                     for line in lines if line.strip()}
         assert len({id(e.ctx) for e in events}) == len(distinct)
+
+
+    def test_split_intake_matches_whole_line_parse(self):
+        """Differential fuzz of the split read: parse_trace_line, which
+        reads a line whose ctx comes last as a decoded head plus a ctx
+        text looked up in one shared dict, gives the same event or the
+        same TraceError message as decoding the whole line.  Each line is
+        parsed twice, so the second read meets whatever the first one
+        left in the dict."""
+        rng = random.Random(2020)
+        ctxs = [{"pid": rng.randrange(1, 40), "uid": rng.choice((0, 1000)),
+                 "ssid": rng.randrange(3),
+                 "pname": rng.choice(("sh", "é", 'x","ctx":{"pid":1}}')),
+                 "parent_pname": rng.choice(("sshd", "a,\"ctx\":5}"))}
+                for _ in range(8)]
+        ctxs += [{"pid": 7, "uid": 0, "ssid": 0, "pname": "a",
+                  "parent_pname": "b"},
+                 {"uid": 0, "pid": 7, "ssid": 0, "pname": "a",
+                  "parent_pname": "b"}]   # keys in another order
+        bad_ctxs = [{"pid": 7, "uid": 0, "ssid": 0, "pname": "a",
+                     "parent_pname": "b", **bad} for bad in (
+            {"pid": 7.0}, {"uid": True}, {"pid": 0}, {"pname": ""},
+            {"ssid": [1]}, {"tty": 1}, {"pname": {"ctx": {}}})]
+        not_objects = ["5", "[1]", '"ctx"', "null", "{}", "[]", "1.5"]
+        calls = [("open", ["/etc/passwd", "r"]), ("read", [3, 4096]),
+                 ("write", [3, {"len": 9}]), ("getpid", []),
+                 ("execve", ['/bin/sh', 'sh -c ",\"ctx\":{}}"']),
+                 ("write", [3, {"len": 9, "x": 1}]), ("close", "3"),
+                 ("unlink", ['x,"ctx":{"pid":1}}'])]
+        spacings = [(",", ":"), (", ", ": "), (" , ", " :  "), (",", ": ")]
+
+        def members(seq):
+            syscall, args = rng.choice(calls)
+            ctx = json.dumps(rng.choice(
+                bad_ctxs if rng.random() < 0.15 else ctxs))
+            return [("seq", str(seq)), ("syscall", json.dumps(syscall)),
+                    ("args", json.dumps(args)),
+                    ("ctx", rng.choice(not_objects)
+                     if rng.random() < 0.05 else ctx)]
+
+        def render(pairs, sep=(",", ":")):
+            return "{" + sep[0].join(f'"{k}"{sep[1]}{v}' for k, v in pairs) + "}"
+
+        def valid(seq):
+            pairs = members(seq)
+            kind = rng.random()
+            if kind < 0.2:
+                rng.shuffle(pairs)
+            elif kind < 0.3:   # a second ctx before the last one wins
+                pairs.insert(rng.randrange(4), ("ctx", rng.choice(
+                    not_objects + [json.dumps(rng.choice(ctxs + bad_ctxs))])))
+            elif kind < 0.35:  # an object member after ctx
+                pairs.append(("z", rng.choice(('{"ctx":5}', '{"a":{}}'))))
+            sep = rng.choice(spacings)
+            line = render(pairs, sep)
+            if rng.random() < 0.2:
+                line = json.dumps(json.loads(line),
+                                  ensure_ascii=rng.random() < 0.5)
+            return line
+
+        deep = 100_000
+        lines = [
+            '{,"ctx":{"pid":1,"uid":0,"ssid":0,"pname":"a","parent_pname":"b"}}',
+            '{ ,"ctx":{"pid":1,"uid":0,"ssid":0,"pname":"a","parent_pname":"b"}}',
+            '{"ctx":{"pid":1,"uid":0,"ssid":0,"pname":"a","parent_pname":"b"}}',
+            '{"seq":1,"syscall":"getpid","args":[] ,,"ctx":{"pid":1,"uid":0,'
+            '"ssid":0,"pname":"a","parent_pname":"b"}}',
+            '{"seq":1,"syscall":"getpid","args":[]}, "ctx":{"pid":1,"uid":0,'
+            '"ssid":0,"pname":"a","parent_pname":"b"}}',
+            '{"syscall":"getpid","args":[],"seq":12 "ctx":{"pid":1,"uid":0,'
+            '"ssid":0,"pname":"a","parent_pname":"b"}}',
+            '{"seq":1,"syscall":"getpid","args":' + "[" * deep + "]" * deep
+            + ',"ctx":{"pid":1,"uid":0,"ssid":0,"pname":"a","parent_pname":"b"}}',
+            '{"seq":1,"syscall":"getpid","args":[],"ctx":{"pid":1,"uid":0,'
+            '"ssid":0,"pname":"a","parent_pname":' + '{"a":' * deep + "1"
+            + "}" * deep + "}}",
+        ]
+        for seq in range(1, 3001):
+            line = valid(seq)
+            lines.append(line)
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                at = rng.randrange(len(line) + 1)
+                if rng.random() < 0.3:   # near where the line is split
+                    at = max(0, line.rfind('"ctx"') + rng.randrange(-3, 7))
+                if rng.random() < 0.5 and at < len(line):
+                    line = line[:at] + line[at + 1:]
+                else:
+                    line = line[:at] + rng.choice('{}[],:" \\0.e-5ctx') \
+                        + line[at:]
+                lines.append(line)
+
+        shared, whole = {}, {}
+
+        def outcome(parse, line, contexts):
+            try:
+                return repr(parse(line, 9, contexts))
+            except TraceError as exc:
+                return str(exc)
+
+        events = 0
+        for line in lines:
+            want = outcome(replay._parse_whole, line, whole)
+            for _ in range(2):
+                assert outcome(parse_trace_line, line, shared) == want, line
+            events += want.startswith("SyscallEvent")
+        assert 0.3 * len(lines) < events < 0.8 * len(lines)
+        # the split read ran: contexts holds ctx texts, compact and spaced
+        texts = {k for k in shared if type(k) is str}
+        assert len(texts) >= 20
+        assert any(t.startswith(" ") for t in texts)
+
+    def test_split_intake_shares_and_checks_contexts(self):
+        contexts = {}
+        ctx = {"pid": 1, "uid": 0, "ssid": 0, "pname": "a",
+               "parent_pname": "b"}
+        spellings = [
+            json.dumps({"seq": 1, "syscall": "getpid", "args": [],
+                        "ctx": ctx}, separators=(",", ":")),
+            json.dumps({"seq": 2, "syscall": "getpid", "args": [],
+                        "ctx": ctx}),
+            '{"seq":3,"syscall":"getpid","args":[],"ctx":{"pid":1,"uid":0,'
+            '"ssid":0,"pname":"\\u0061","parent_pname":"b"}}',
+            '{"seq":4,"syscall":"getpid","args":[],  "ctx":  { "pid":1, '
+            '"uid":0,"ssid":0,"pname":"a","parent_pname":"b" }}',
+            '{"ctx":{"pid":1,"uid":0,"ssid":0,"pname":"a","parent_pname":'
+            '"b"},"seq":5,"syscall":"getpid","args":[]}',
+        ]
+        events = [parse_trace_line(line, n, contexts)
+                  for n, line in enumerate(spellings, 1)]
+        assert all(ev.ctx is events[0].ctx for ev in events)
+        assert sum(type(k) is str for k in contexts) == 4
+        for _ in range(2):   # 1.0 == 1, but it is not an integer
+            with pytest.raises(TraceError) as exc:
+                parse_trace_line(spellings[0].replace('"pid":1', '"pid":1.0'),
+                                 6, contexts)
+            assert str(exc.value) == ("line 6: pid, uid and ssid must be "
+                                      "integers, got 1.0, 0, 0")
+        assert sum(type(k) is str for k in contexts) == 4
 
 
 class TestReplay:

@@ -242,9 +242,9 @@ class TestStreamedReplay:
         sizes = []
         dumps = json.dumps
 
-        def counting(obj):
+        def counting(obj, **kwargs):
             sizes.append(len(obj))
-            return dumps(obj)
+            return dumps(obj, **kwargs)
 
         monkeypatch.setattr(cli, "json", type("J", (), {
             "dumps": staticmethod(counting)}))
