@@ -29,12 +29,11 @@ class WildcardPattern:
     matches only exact equality.  '*' alone matches everything.
     """
 
-    __slots__ = ("text", "prefix", "has_tail_star")
+    __slots__ = ("prefix", "has_tail_star")
 
     def __init__(self, text: str):
         if err := star_error(text):
             raise ValueError(err)
-        self.text = text
         self.has_tail_star = text.endswith("*")
         self.prefix = text[:-1] if self.has_tail_star else text
 
@@ -42,9 +41,6 @@ class WildcardPattern:
         if self.has_tail_star:
             return s.startswith(self.prefix)
         return s == self.prefix
-
-    def __repr__(self):
-        return f"WildcardPattern({self.text!r})"
 
 
 def star_error(text: str) -> "str | None":
@@ -66,12 +62,14 @@ def _as_str(value) -> str:
 # expression is truthy exactly when the condition holds; it is the test
 # of one statement, `if <leaf>: g = 1` or `if not <leaf>: g = 0`, that
 # sets its run's 0 | 1 flag (GuardSource.child), so a compare in it
-# sits just before a jump.  Params reach the text only as
-# names bound by src.const, operator text only from COMPARISONS, context
-# field names only from CTX_FIELDS, and an argument index or a wildcard
-# prefix's length only as an int check_params or len() gave, written
-# with :d.  An argument leaf is one compare, subject on the left: out of
-# range, its read is an Absent, which notes the miss when compared.
+# sits just before a jump.  GuardSource.leaf, the one caller, runs
+# checked first, so an emitter trusts its params: they reach the text
+# only as names bound by src.const, operator text only from COMPARISONS,
+# context field names only from CTX_FIELDS, and an argument index or a
+# wildcard prefix's length only as an int check_params or len() gave,
+# written with :d.  An argument leaf is one compare, subject on the
+# left: out of range, its read is an Absent, which notes the miss when
+# compared.
 
 def _wildcard(src, pattern, subject):
     """Leaf text: subject matches pattern; a None subject never does.
@@ -86,8 +84,6 @@ def _wildcard(src, pattern, subject):
 
 
 def _compare(src, lhs, op, value):
-    if op not in COMPARISONS:
-        raise ApateError(f"bad comparison {op!r}")
     return f"({lhs} {op} {src.const(value)})"
 
 
@@ -124,8 +120,6 @@ def _e_testforuid(src, params):
 
 def _e_ctxfield_cmp(src, params):
     fieldname, op, value = params
-    if fieldname not in CTX_FIELDS:
-        raise ApateError(f"bad context field {fieldname!r}")
     return _compare(src, src.ctx(fieldname), op, value)
 
 
@@ -188,6 +182,8 @@ class GuardSource:
     (each an Absent out of range), ``a0_p8`` ``a0[:8]`` and
     ``store_get`` ``sb.store.get``.  No read needs a constant, so guards
     that read one value share its name, and a scan reads it once.
+    ``nargs`` only feeds other reads' text, so no leaf names it.
+    ``leaf`` runs ``checked`` before an emitter, which trusts its params.
 
     Finished, it holds ``lines``, which set the 0/1 flag ``result``, for
     a scan to inline; past INLINE_CHARS of leaf text, also ``body(ev, sb,
@@ -195,7 +191,6 @@ class GuardSource:
     ``guard(ev, sb)``, it runs ``function``, compiled on the first call.
     """
 
-    _CTX_READS = CTX_FIELDS + ("pname", "parent_pname")
     _ARG_READS = {"testforparam": ("a", "_as_str"),
                   "testforfdpath": ("f", "sb.fds.path_of")}
 
@@ -203,7 +198,7 @@ class GuardSource:
         self.ns = {**READ_NS, "_miss": _miss}
         self.reads = {}      # name -> expression, in first-use order
         self.body, self.args = None, ()
-        self._named = {}     # read -> times handed out, less those prefix() took
+        self._named = {}     # leaf read -> times handed out, less prefix()'s
         self._consts = 0
         self._leaf_chars = 0
 
@@ -220,8 +215,6 @@ class GuardSource:
         return name
 
     def ctx(self, field) -> str:
-        if field not in self._CTX_READS:
-            raise ApateError(f"bad context field {field!r}")
         return self._read(f"ctx_{field}", f"ev.ctx.{field}")
 
     def arg(self, builtin, index) -> str:
@@ -229,7 +222,7 @@ class GuardSource:
         testforparam (a<i>), or as the path of the descriptor it names for
         testforfdpath (f<i>, None if none).  Out of range it is an Absent
         that notes builtin when compared."""
-        self._read("nargs", "len(ev.args)")
+        self.reads.setdefault("nargs", "len(ev.args)")
         read, fn = self._ARG_READS[builtin]
         return self._read(f"{read}{index:d}",
                           f"{fn}(ev.args[{index:d}]) if nargs > {index:d} else "
@@ -262,7 +255,7 @@ class GuardSource:
         """Take the statements and their 0/1 flag; compile body if long."""
         self.lines, self.result = lines, result
         if self._leaf_chars > INLINE_CHARS:
-            self.args = tuple(name for name in self.reads if self._named[name])
+            self.args = tuple(k for k, n in self._named.items() if n)
             self.body = define(self.ns, "body", [
                 f"def body({', '.join(['ev', 'sb', *self.args])}):",
                 *(f"    {line}" for line in lines), f"    return {result}"])
@@ -461,7 +454,4 @@ def check_params(name: str, params) -> "str | None":
 def rewrite_loop_hazard(params) -> bool:
     """True when a manipulateparam replacement re-matches its own pattern."""
     _, pattern_text, replacement = params
-    try:
-        return WildcardPattern(pattern_text).matches(replacement)
-    except ValueError:
-        return False
+    return WildcardPattern(pattern_text).matches(replacement)

@@ -118,9 +118,9 @@ def _scan(guards):
 
 
 def bind_actions(rule):
-    """Check a rule's actions; returns ((fn, params, failure detail), ...)
-    and its jump target, the param of its last jump or None.  call_orig
-    may not follow block."""
+    """Check a rule's actions; returns ((fn, params, failure detail), ...),
+    held by its plan entry, and its jump target, the param of its last
+    jump or None.  call_orig may not follow block."""
     bound, blocked, jump = [], False, None
     for index, action in enumerate(rule.actions.actions):
         spec = checked(name := action.builtin_name, "action", action.params)
@@ -165,11 +165,12 @@ def dispatch(prog: RuleProgram, ev: SyscallEvent,
     one Disposition returned; an unbound program is bound first.
 
     Rules are visited one scan at a time; the actions of the rule a scan
-    stops at run before the next scan reads the event.  A fired rule's
-    jump redirects traversal (and wins over its exit flag); else its exit
-    flag stops it.  After DEFAULT_JUMP_BUDGET visited rules the event is
-    blocked with the errno-table value.  Unless call_orig or block ran,
-    the syscall runs after traversal (pass-through default).
+    stops at run before the next scan reads the event.  Then traversal
+    goes on at that rule's successor, which binding decided: past the
+    end stops it, and -1 (a jump out of range) disrupts it.  After
+    DEFAULT_JUMP_BUDGET visited rules the event is blocked with the
+    errno-table value.  Unless call_orig or block ran, the syscall runs
+    after traversal (pass-through default).
     """
     if prog.scans is None:
         validate_program(prog)
@@ -190,19 +191,13 @@ def dispatch(prog: RuleProgram, ev: SyscallEvent,
             disp.conditions_evaluated += sums[j + 1] - sums[i]
             steps += j + 1 - i
             disp.matched_rules.append(j)
-            actions, exit_flag, jump = rules[j]
+            actions, i, jump = rules[j]
             if run_action_chain(actions, ev, sandbox, disp)[0]:
                 break  # disruption stops traversal; exit semantics subsumed
-            if jump is not None:
-                if not (0 <= jump < n):
-                    _chain_error(ev, sandbox, disp,
-                                 f"JumpOutOfRange target={jump} len={n}")
-                    break
-                i = jump
-            elif exit_flag:
+            if i < 0:
+                _chain_error(ev, sandbox, disp,
+                             f"JumpOutOfRange target={jump} len={n}")
                 break
-            else:
-                i = j + 1
     if not disp.invoked:
         disp.result = exec_syscall(sandbox, ev)
     disp.manipulated_args = list(ev.args)
@@ -217,29 +212,34 @@ def validate_program(prog: RuleProgram) -> None:
     jump targets move by the rules before it; a negative one stays out of
     range.  Syscalls bound to the same rules share one scans entry: the
     scan, the prefix sums of the leaf counts, each rule's (bound actions,
-    exit flag, jump), the length, and whether the jump budget can run out.
+    successor, jump), the length n, and whether the jump budget can run
+    out.  Rule k's successor is where traversal goes on after it fires:
+    its jump target if in range (a jump wins over the exit flag), -1 for
+    one out of range, n for an exit, else k + 1.
     """
-    guards, bound, acted, plan, shared = {}, {}, {}, {}, {}
+    guards, bound, plan, shared = {}, {}, {}, {}
     for name, chain in prog.chains.items():
         rules = bound[name] = []
         for rule in chain.rules:
             entry = guards.get(id(rule.guard))
             if entry is None:
                 entry = guards[id(rule.guard)] = compiled_guard(rule.guard)
-            acted[id(rule.actions)], jump = bind_actions(rule)
-            rules.append((*entry, rule.actions, rule.exit_flag, jump))
+            rules.append((*entry, *bind_actions(rule), rule.exit_flag))
     for sc, name in prog.bindings:
         before = plan.get(sc, ())
         plan[sc] = before + tuple(
-            r if r[4] is None or r[4] < 0 or not before
-            else (*r[:4], r[4] + len(before)) for r in bound[name])
+            r if r[3] is None or r[3] < 0 or not before
+            else (*r[:3], r[3] + len(before), r[4]) for r in bound[name])
     keys = {sc: tuple(map(id, rules)) for sc, rules in plan.items() if rules}
     for sc, key in keys.items():
         if key not in shared:
-            fns, counts, chains, exits, jumps = zip(*plan[sc])
+            fns, counts, actions, jumps, exits = zip(*plan[sc])
+            n = len(key)
+            successors = [(n if x else k + 1) if j is None else
+                          j if 0 <= j < n else -1
+                          for k, (j, x) in enumerate(zip(jumps, exits))]
             shared[key] = (
                 _scan(fns), tuple(accumulate(counts, initial=0)),
-                tuple(zip((acted[id(c)] for c in chains), exits, jumps)),
-                len(key), len(key) > DEFAULT_JUMP_BUDGET
-                or any(j is not None for j in jumps))
+                tuple(zip(actions, successors, jumps)), n,
+                n > DEFAULT_JUMP_BUDGET or any(j is not None for j in jumps))
     prog.scans = {sc: shared[key] for sc, key in keys.items()}

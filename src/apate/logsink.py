@@ -100,20 +100,6 @@ def parse_record(line: str) -> LogRecord:
                      result=int(result))
 
 
-class MemorySink:
-    """Collects formatted lines in a list; handy in tests and reports."""
-
-    def __init__(self):
-        self.lines = []
-        self.dropped = 0
-
-    def emit(self, line: str) -> None:
-        self.lines.append(line)
-
-    def close(self) -> None:
-        pass
-
-
 class DiscardSink:
     """Counts records without keeping them (benchmark default)."""
 

@@ -190,8 +190,9 @@ class RuleProgram:
     at most once; a program built in code (a cloaked one) may bind it to
     several chains.  Binding (engine.validate_program) sets ``scans``,
     the one bound form, which dispatch walks: syscall -> (scan, prefix
-    sums of the leaf counts, each rule's (bound actions, exit flag, jump
-    target or None), length, whether the jump budget can run out).
+    sums of the leaf counts, each rule's (bound actions, successor, jump
+    target or None), length, whether the jump budget can run out); a
+    successor is where traversal goes on after the rule fires.
     """
 
     chains: dict = field(default_factory=dict)          # name -> RuleChain

@@ -284,52 +284,3 @@ class EventSource:
                           ctx=self.ctx)
         self.seq += 1
         return ev
-
-
-def scan_for_substring(prog: RuleProgram, sandbox: SandboxState,
-                       needle: bytes, ctx: TaskContext,
-                       root: str = "/") -> dict:
-    """Grep-style sweep through the hooked layer.
-
-    Walks every directory visible via getdents, opens and reads every
-    visible file, and searches the bytes for ``needle``.  Returns the
-    matching paths and how many dispatched syscalls the sweep issued.
-    All traffic goes through the rule program, so cloaked entries are
-    invisible to the sweep exactly as they would be to an intruder.
-    """
-    src = EventSource(ctx, start_seq=10_000_000)
-    hits = []
-    syscalls = 0
-    pending = [root]
-    while pending:
-        directory = pending.pop()
-        disp = dispatch(prog, src.event("getdents", directory), sandbox)
-        syscalls += 1
-        if disp.result < 0:
-            continue
-        entries = list(sandbox.last_getdents)
-        prefix = directory if directory.endswith("/") else directory + "/"
-        for name in entries:
-            path = prefix + name
-            probe = dispatch(prog, src.event("getdents", path), sandbox)
-            syscalls += 1
-            if probe.result >= 0:
-                pending.append(path)
-                continue
-            disp = dispatch(prog, src.event("open", path, "r"), sandbox)
-            syscalls += 1
-            if disp.result < 0:
-                continue
-            fd = disp.result
-            content = b""
-            while True:
-                r = dispatch(prog, src.event("read", fd, 65536), sandbox)
-                syscalls += 1
-                if r.result <= 0:
-                    break
-                content += sandbox.last_read
-            dispatch(prog, src.event("close", fd), sandbox)
-            syscalls += 1
-            if needle in content:
-                hits.append(path)
-    return {"hits": hits, "syscalls": syscalls}

@@ -5,6 +5,7 @@ from apate.engine import (bind_actions, dispatch, run_action_chain,
 from apate.model import (Action, ActionChain, ALWAYS_TRUE, Condition,
                          ConditionBlock, Disposition, OP_AND, Rule, RuleChain,
                          RuleProgram, SYSCALLS, SyscallEvent, TaskContext)
+from apate.replay import EventSource
 from apate.sandbox import SandboxState
 
 # The worked mysql-redirect example program, verbatim (including line
@@ -97,6 +98,69 @@ def run_actions(chain, ev, sb, disp=None):
     actions, _ = bind_actions(Rule("r", None, chain))
     return run_action_chain(actions, ev, sb,
                             disp or Disposition(ev.seq, ev.syscall))
+
+
+class MemorySink:
+    """Collects formatted lines in a list."""
+
+    def __init__(self):
+        self.lines = []
+        self.dropped = 0
+
+    def emit(self, line: str) -> None:
+        self.lines.append(line)
+
+    def close(self) -> None:
+        pass
+
+
+def scan_for_substring(prog: RuleProgram, sandbox: SandboxState,
+                       needle: bytes, ctx: TaskContext,
+                       root: str = "/") -> dict:
+    """Grep-style sweep through the hooked layer.
+
+    Walks every directory visible via getdents, opens and reads every
+    visible file, and searches the bytes for ``needle``.  Returns the
+    matching paths and how many dispatched syscalls the sweep issued.
+    All traffic goes through the rule program, so cloaked entries are
+    invisible to the sweep exactly as they would be to an intruder.
+    """
+    src = EventSource(ctx, start_seq=10_000_000)
+    hits = []
+    syscalls = 0
+    pending = [root]
+    while pending:
+        directory = pending.pop()
+        disp = dispatch(prog, src.event("getdents", directory), sandbox)
+        syscalls += 1
+        if disp.result < 0:
+            continue
+        entries = list(sandbox.last_getdents)
+        prefix = directory if directory.endswith("/") else directory + "/"
+        for name in entries:
+            path = prefix + name
+            probe = dispatch(prog, src.event("getdents", path), sandbox)
+            syscalls += 1
+            if probe.result >= 0:
+                pending.append(path)
+                continue
+            disp = dispatch(prog, src.event("open", path, "r"), sandbox)
+            syscalls += 1
+            if disp.result < 0:
+                continue
+            fd = disp.result
+            content = b""
+            while True:
+                r = dispatch(prog, src.event("read", fd, 65536), sandbox)
+                syscalls += 1
+                if r.result <= 0:
+                    break
+                content += sandbox.last_read
+            dispatch(prog, src.event("close", fd), sandbox)
+            syscalls += 1
+            if needle in content:
+                hits.append(path)
+    return {"hits": hits, "syscalls": syscalls}
 
 
 @pytest.fixture

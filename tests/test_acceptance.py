@@ -17,15 +17,16 @@ from apate.bench import (make_setting, run_copy, run_suite,
 from apate.cloak import apply_cloak, cloak_ruleset
 from apate.dsl import compile_source, parse, pretty_print, tokenize, SourceUnit
 from apate.engine import DEFAULT_JUMP_BUDGET, dispatch
-from apate.logsink import MemorySink, VfsSink
+from apate.logsink import VfsSink
 from apate.model import (ALWAYS_TRUE, Action, ActionChain, Condition,
                          ConditionBlock, OP_AND, OP_OR, Rule, RuleChain,
                          RuleProgram, SYSCALLS, TaskContext)
-from apate.replay import EventSource, scan_for_substring
+from apate.replay import EventSource
 from apate.sandbox import SandboxState, errno_default
 
-from conftest import (MYSQL_EXAMPLE, TRUE_LEAF, FALSE_LEAF, dispatch_chain, holds,
-                      make_ctx, make_event)
+from conftest import (MYSQL_EXAMPLE, TRUE_LEAF, FALSE_LEAF, MemorySink,
+                      dispatch_chain, holds, make_ctx, make_event,
+                      scan_for_substring)
 
 
 def announce(capsys, criterion, ok, detail=""):

@@ -3,9 +3,15 @@ import string
 
 import pytest
 
+from apate import apc, engine
+from apate import builtins as apate_builtins
 from apate.builtins import (WildcardPattern, check_params,
                             rewrite_loop_hazard)
-from apate.model import Action, ActionChain, Condition
+from apate.dsl import compile_source
+from apate.errors import ApateError
+from apate.logsink import args_json
+from apate.model import (ALWAYS_TRUE, Action, ActionChain, Condition,
+                         ConditionBlock, OP_AND, Rule, RuleChain, RuleProgram)
 
 from conftest import holds, make_ctx, make_event, run_actions
 
@@ -228,3 +234,74 @@ class TestCheckParams:
         assert check_params("store_set", ("k", "v")) is None
         for value in ([1, 2], {"a": 1}, None, True, 1.5):
             assert check_params("store_set", ("k", value)) is not None
+
+
+BAD_CONDITIONS = [
+    ("testforuid", (">= 0 or 1 or 0 <", 5)),
+    ("testforuid", ("is not", 5)),
+    ("ctxfield_cmp", ("uid.__class__", "==", 1)),
+    ("ctxfield_cmp", ("pname", "==", 1)),
+    ("ctxfield_cmp", ("uid", "in", 1)),
+    ("store_cmp", ("k", "not in", 1)),
+]
+
+
+class TestOneCheck:
+    """The emitters trust their params: an operator outside COMPARISONS or
+    a context field outside CTX_FIELDS is refused at every way in, before
+    any code is generated (no builtins.define call)."""
+
+    @pytest.fixture
+    def defined(self, monkeypatch):
+        names = []
+        real = apate_builtins.define
+
+        def counting(ns, name, lines):
+            names.append(name)
+            return real(ns, name, lines)
+
+        monkeypatch.setattr(apate_builtins, "define", counting)
+        monkeypatch.setattr(engine, "define", counting)
+        return names
+
+    @staticmethod
+    def source_call(params):
+        return "; ".join(f'"{p}"' if isinstance(p, str) else str(p)
+                         for p in params)
+
+    @pytest.mark.parametrize("name, params", BAD_CONDITIONS)
+    def test_compile_source(self, defined, name, params):
+        call = f"{name}({self.source_call(params)})"
+        source = ("define r as rule\ndefine rc as rulechain\n"
+                  f"let r be {{{{{call}}}->log()}}\n"
+                  "let rc be {r}\nbind rc to open\n")
+        with pytest.raises(ApateError, match=r"^p\.apate:3:1: "):
+            compile_source(source, "p.apate")
+        assert defined == []
+
+    @pytest.mark.parametrize("name, params", BAD_CONDITIONS)
+    def test_apc_deserialize(self, defined, name, params):
+        blob = ("APATE-RP 1\n"
+                f"COND\tc0\t{name}\t{args_json(params)}\n"
+                "ACTION\ta0\tlog\t[]\nRULE\tr\t(& c0 c0)\ta0\tp:1\n"
+                "CHAIN\trc\tr\nBIND\tsys_open\trc\n")
+        with pytest.raises(ApateError, match="^line 2: "):
+            apc.deserialize(blob.encode())
+        assert defined == []
+
+    @pytest.mark.parametrize("name, params", BAD_CONDITIONS)
+    def test_validate_program(self, defined, name, params):
+        rule = Rule("r", ConditionBlock(Condition(name, params), ALWAYS_TRUE,
+                                        OP_AND), ActionChain((Action("log"),)))
+        prog = RuleProgram({"rc": RuleChain("rc", (rule,))}, [("open", "rc")])
+        with pytest.raises(ApateError):
+            engine.validate_program(prog)
+        assert defined == [] and prog.scans is None
+
+    @pytest.mark.parametrize("name, params", BAD_CONDITIONS)
+    def test_specialize(self, defined, name, params):
+        with pytest.raises(ApateError):
+            apate_builtins.specialize(name, params)
+        assert defined == []
+        apate_builtins.specialize("testforuid", (">", 0))
+        assert defined == ["guard"]

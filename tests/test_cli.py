@@ -394,7 +394,9 @@ class TestRun:
     def test_cloaked_run_crosses_every_benchmark_span(self, compiled,
                                                        tmp_path, monkeypatch):
         """perfbench/spans.py times layers by patching the boundaries one
-        layer calls in another; a cloaked run must cross each of them."""
+        layer calls in another; a cloaked run must cross each of them, and
+        so must an uncloaked run of a plan scanned in runs (more than
+        SCAN_RUN rules of long guards) that logs to a file."""
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1]
                                         / "perfbench"))
         import spans
@@ -411,6 +413,28 @@ class TestRun:
         assert {"engine.validate", "engine.dispatch", "engine.guard",
                 "engine.actions", "logsink.format", "logsink.emit.vfs",
                 "sandbox.exec.open"} <= set(tracer.aggregate())
+
+        rules = engine.SCAN_RUN + 4
+        leaves = " && ".join(f'testforuid(">=";{-k})' for k in range(40))
+        source = tmp_path / "runs.apate"
+        source.write_text(
+            f"define {','.join(f'r{i}' for i in range(rules))} as rule\n"
+            "define rc as rulechain\n"
+            + "".join(f"let r{i} be {{{{{leaves}}}->log()}}\n"
+                      for i in range(rules))
+            + f"let rc be {{{','.join(f'r{i}' for i in range(rules))}}}\n"
+            "bind rc to sys_getpid\n")
+        program, log = tmp_path / "runs.apc", tmp_path / "runs.log"
+        assert main(["compile", str(source), "-o", str(program)]) == 0
+        trace.write_text(trace_line(1, "getpid", []) + "\n")
+        with spans.Tracer().installed() as tracer:
+            assert main(["run", "--program", str(program), "--trace",
+                         str(trace), "--log-file", str(log),
+                         "--report", str(tmp_path / "report.json")]) == 0
+        assert {"engine.guard", "engine.actions", "logsink.format",
+                "logsink.emit.file"} <= set(tracer.aggregate())
+        assert tracer.leaves == rules * 40
+        assert len(log.read_text().splitlines()) == rules
 
     @pytest.mark.parametrize("name", [
         "cloak_path", "cloak_fd", "cloak_dir",

@@ -15,10 +15,10 @@ from apate.model import (ALWAYS_TRUE, OP_AND, OP_OR, SYSCALLS, Action,
                          Condition, ConditionBlock, Rule, RuleChain,
                          RuleProgram, SyscallEvent, TaskContext)
 from apate.replay import (EventSource, parse_trace, parse_trace_line,
-                          replay_trace, scan_for_substring)
+                          replay_trace)
 from apate.sandbox import ENOENT, SandboxState, normalize_path, parent_of
 
-from conftest import MYSQL_EXAMPLE, make_ctx, make_event
+from conftest import MYSQL_EXAMPLE, make_ctx, make_event, scan_for_substring
 
 LOG = "/var/log/apate.log"
 

@@ -10,8 +10,9 @@ from apate.errors import (ApateSyntaxError, ArityError, BadMagic,
                           CorruptRecord, DuplicateBind, IllegalCharacter,
                           SemanticError, TypeMismatch, UndefinedName,
                           UnsupportedVersion, UnterminatedString)
-from apate.model import (ALWAYS_TRUE, Condition, ConditionBlock, OP_AND,
-                         OP_OR, RuleProgram)
+from apate.model import (ALWAYS_TRUE, Action, ActionChain, Condition,
+                         ConditionBlock, OP_AND, OP_OR, Rule, RuleChain,
+                         RuleProgram)
 
 from apate.engine import dispatch
 from apate.sandbox import SandboxState
@@ -258,6 +259,53 @@ class TestAnalyzer:
         self.compile_err('define c as condition\ndefine rc as rulechain\n'
                          'let c be always_true\nlet rc be {c}', TypeMismatch)
 
+    @pytest.mark.parametrize("text, message", [
+        ("define r as rule\nlet r be log",
+         "p.apate:2:1: 'r' is a rule; expected {guard->actions}"),
+        ("define rc as rulechain\nlet rc be log",
+         "p.apate:2:1: 'rc' is a rulechain; expected {rule,rule,...}"),
+        ("define sy as syscall\nlet sy be {(always_true())}",
+         "p.apate:2:1: 'sy' is a syscall; expected a syscall name"),
+        ("define sy as syscall\nlet sy be sys_open(1)",
+         "p.apate:2:1: 'sy' is a syscall; expected a syscall name"),
+        ("define c as condition\nlet c be {(always_true())}",
+         "p.apate:2:1: 'c' is a condition; expected a builtin name"),
+        ("define a as action\nlet a be {r}",
+         "p.apate:2:1: 'a' is a action; expected a builtin name"),
+        ("define cb as conditionblock\nlet cb be\n {(always_true() && log())}",
+         "p.apate:3:1: 'log' is a action, not a condition"),
+        ("define r as rule\nlet r be {{always_true()}->\ntestforuid(\">\";0)}",
+         "p.apate:3:1: 'testforuid' is a condition, not a action"),
+        ("define cb as conditionblock\ndefine r as rule\n"
+         "let cb be {(r())}",
+         "p.apate:3:1: 'r' is a rule, not a condition"),
+        ("define cb as conditionblock\ndefine r as rule\n"
+         "let r be {{always_true()}->cb()}",
+         "p.apate:3:1: 'cb' is a conditionblock, not a action"),
+        ("define c as condition\ndefine r as rule\nlet c be always_true\n"
+         "let r be {c->log()}",
+         "p.apate:4:1: rule guard 'c' is not a conditionblock"),
+    ])
+    def test_type_mismatch_messages(self, text, message):
+        with pytest.raises(TypeMismatch) as exc:
+            compile_source(text, "p.apate")
+        assert str(exc.value) == message
+
+    def test_alias_with_params_is_the_inline_call(self):
+        def program(call, alias=""):
+            return compile_source(
+                "define c as condition\ndefine r as rule\n"
+                f"define rc as rulechain\n{alias}\n"
+                f"let r be {{{{{call} && always_true()}}->log()}}\n"
+                "let rc be {r}\nbind rc to sys_open\n", "p.apate")
+        aliased, warnings = program("c()", 'let c be testforuid(">";0)')
+        inline, _ = program('testforuid(">";0)')
+        assert warnings == []
+        guard = aliased.chains["rc"].rules[0].guard
+        assert guard == inline.chains["rc"].rules[0].guard
+        assert guard.left == Condition("testforuid", (">", 0))
+        assert apc.serialize(aliased) == apc.serialize(inline)
+
     def test_unused_warning(self):
         _, warnings = compile_source(
             'define r,unused as rule\ndefine rc as rulechain\n'
@@ -402,6 +450,37 @@ class TestApcFormat:
                   "CHAIN\tch\t:r0\n")
         with pytest.raises(CorruptRecord):
             apc.deserialize((prefix + line + "\n").encode())
+
+    @pytest.mark.parametrize("guard, aids, message", [
+        ("(& c0", "a0", "truncated guard expression"),
+        ("(", "a0", "expected & or | in guard"),
+        ("(c0 c0)", "a0", "expected & or | in guard"),
+        ("(& c0 c0 c0)", "a0", "missing ')' in guard"),
+        ("(& c0 c0) c0", "a0", "trailing tokens in guard expression"),
+        ("c0", "a0", "guard must be a condition block"),
+        ("(& c0 c0)", "a0,a9", "unknown action id 'a9'"),
+    ])
+    def test_bad_rule_record_names_its_line(self, guard, aids, message):
+        blob = ("APATE-RP 1\n"
+                'COND\tc0\ttestforuid\t[">",0]\n'
+                "ACTION\ta0\tlog\t[]\n"
+                "RULE\tr0\t(& c0 c0)\ta0\tx:1\n"
+                f"RULE\tr1\t{guard}\t{aids}\tx:2\n")
+        with pytest.raises(CorruptRecord) as exc:
+            apc.deserialize(blob.encode())
+        assert str(exc.value) == f"line 5: {message}"
+
+    def test_one_rule_name_with_two_bodies_does_not_serialize(self):
+        def chain(name, uid):
+            guard = ConditionBlock(Condition("testforuid", ("==", uid)),
+                                   ALWAYS_TRUE, OP_AND)
+            return RuleChain(name, (Rule("r", guard, ActionChain(
+                (Action("log"),))),))
+        prog = RuleProgram({"a": chain("a", 1), "b": chain("b", 2)},
+                           [("open", "a"), ("getpid", "b")])
+        with pytest.raises(ValueError,
+                           match="rule name 'r' used with different bodies"):
+            apc.serialize(prog)
 
     def test_second_bind_of_a_syscall_is_corrupt(self):
         # The DSL rejects this as DuplicateBind; a loader that kept both

@@ -276,6 +276,18 @@ class TestJump:
         assert disp.result == EACCES
         assert disp.matched_rules == [0]
 
+    @pytest.mark.parametrize("target", [3, -1])
+    def test_jump_just_out_of_range_disrupts(self, sandbox, target):
+        r0 = Rule("r0", guard_of(True),
+                  ActionChain((Action("jump", (target,)),)), exit_flag=1)
+        r1 = simple_rule("r1", fires=True)
+        disp = dispatch_chain(chain_of(r0, r1, r1), make_event("getpid"),
+                              sandbox)
+        assert disp.blocked and disp.matched_rules == [0]
+        assert sandbox.diagnostics == [{
+            "kind": "ChainDisrupted",
+            "detail": f"JumpOutOfRange target={target} len=3"}]
+
     def test_jump_to_next_is_sequential_equivalent(self, sandbox):
         r0 = Rule("r0", guard_of(True), ActionChain((Action("jump", (1,)),)))
         r1 = simple_rule("r1", fires=True, exit_flag=1)
@@ -367,6 +379,34 @@ class TestBinding:
         dispatch(prog, make_event("getpid"), sandbox)
         assert set(prog.scans) == {"getpid"}
         assert dataclasses.replace(prog).scans is None
+
+    def test_plan_entries_carry_successors(self):
+        """Each entry is (bound actions, successor, jump): the jump target
+        if in range (it wins over exit), -1 out of range, the plan's
+        length for an exit, else the next rule; a later chain's
+        non-negative targets move by the rules before it."""
+        def rule(exit_flag, *jumps):
+            return Rule("r", guard_of(True), ActionChain(
+                (Action("log"), *(Action("jump", (j,)) for j in jumps))),
+                exit_flag)
+        first = chain_of(rule(0), rule(1), rule(1, 0), rule(0, 8))
+        second = RuleChain("b", (rule(0, 1), rule(0, -2), rule(0, 4), rule(1)))
+        prog = RuleProgram(chains={"a": first, "b": second},
+                           bindings=[("getpid", "a"), ("getpid", "b"),
+                                     ("open", "b")])
+        validate_program(prog)
+        _, _, entries, n, budgeted = prog.scans["getpid"]
+        assert (n, budgeted) == (8, True)
+        assert [e[1:] for e in entries] == [
+            (1, None), (8, None), (0, 0), (-1, 8),
+            (5, 5), (-1, -2), (-1, 8), (8, None)]
+        assert [e[1:] for e in prog.scans["open"][2]] == [
+            (1, 1), (-1, -2), (-1, 4), (4, None)]
+        log = apate_builtins.REGISTRY["log"].fn
+        assert [fn for fn, *_ in entries[2][0]] == [
+            log, apate_builtins.REGISTRY["jump"].fn]
+        assert entries[2][0][0] == (log, (),
+                                    "ActionFailed index=0 builtin=log")
 
     def test_shared_guard_is_generated_once(self, monkeypatch):
         blocks = []
@@ -833,6 +873,39 @@ class TestArgLeaves:
         assert holds(block, ev, sandbox) == 0
         assert sandbox.diagnostics == [{"kind": "ArgIndexOutOfRange",
                                         "detail": "testforparam index 1 on close"}]
+
+    def test_called_body_takes_no_nargs(self):
+        """nargs feeds only the argument reads' text, which the scan makes,
+        so a called body takes the reads its leaves name and not nargs."""
+        pad = [Condition("testforuid", (">=", -i)) for i in range(40)]
+        args = ConditionBlock(ConditionBlock(
+            Condition("testforparam", (0, "/etc/*")),
+            Condition("testforfdpath", (0, "/etc/m*")), OP_OR),
+            Condition("testforparam", (1, "r")), OP_AND)
+        block = ConditionBlock(args, _chain_block(
+            pad, [OP_AND] * (len(pad) - 1), "left"), OP_AND)
+        guard, _ = engine.compiled_guard(block)
+        code = guard.body.__code__
+        assert code.co_varnames[:code.co_argcount] == (
+            "ev", "sb", "a0_p5", "f0_p6", "a1", "ctx_uid")
+        assert "nargs" in guard.reads
+        sb = SandboxState()
+        sb.vfs.put_file("/etc/motd", b"hi")
+        fd = sb.fds.alloc("/etc/motd", "r", sb.vfs.files["/etc/motd"])
+        for syscall, *argv in (("open", "/etc/passwd", "r"),
+                               ("open", "/etc/passwd", "w"),
+                               ("open", "/srv/x", "r"), ("read", fd, 4),
+                               ("read", 99, 4), ("close", fd), ("getpid",)):
+            ev = make_event(syscall, *argv)
+            mark = len(sb.diagnostics)
+            counter = [0]
+            want = _ref_block(block, ev, sb, counter)
+            want_diags = sb.diagnostics[mark:]
+            del sb.diagnostics[mark:]
+            disp = Disposition(ev.seq, ev.syscall)
+            assert holds(block, ev, sb, disp) == want
+            assert disp.conditions_evaluated == counter[0] == 43
+            assert sb.diagnostics[mark:] == want_diags
 
     def test_no_range_test_outside_the_reads(self, monkeypatch):
         """A guard-heavy-shaped program: 20 rules of 50 distinct leaves."""

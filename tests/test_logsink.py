@@ -9,12 +9,12 @@ import time
 
 import pytest
 
-from apate.logsink import (LINE_MAX, FileSink, LogRecord, MemorySink,
-                           TRUNCATION_MARK, UdpSink, VfsSink, format_record,
-                           parse_record, parse_udp_addr)
+from apate.logsink import (LINE_MAX, FileSink, LogRecord, TRUNCATION_MARK,
+                           UdpSink, VfsSink, format_record, parse_record,
+                           parse_udp_addr)
 from apate.sandbox import SandboxState, VirtualFS, exec_syscall
 
-from conftest import make_event
+from conftest import MemorySink, make_event
 
 
 def rec(**kw):

@@ -17,13 +17,12 @@ from apate import engine
 from apate.builtins import REGISTRY
 from apate.dsl import compile_source
 from apate.engine import SCAN_RUN, dispatch, validate_program
-from apate.logsink import MemorySink
 from apate.model import (Action, ActionChain, Condition, ConditionBlock,
                          Disposition, OP_OR, Rule, RuleChain, RuleProgram,
                          SYSCALLS, SyscallEvent)
 from apate.sandbox import SandboxState, errno_default, exec_syscall
 
-from conftest import make_ctx
+from conftest import MemorySink, make_ctx
 from test_engine import _random_leaf, _random_tree, _ref_leaf
 
 

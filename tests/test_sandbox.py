@@ -120,6 +120,7 @@ class TestManifest:
     @pytest.mark.parametrize("line,fragment", [
         (b"X /a", "unknown record"),
         (b"D", "bad directory"),
+        (b"F /f 3", "bad file line: 'F /f 3'"),
         (b"F /f 3 @toolong", "declared 3"),
         (b"F /f zz 00", "bad length"),
         (b"F /f 3 not-hex", "bad fill"),
