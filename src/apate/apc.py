@@ -211,7 +211,7 @@ def deserialize(data: bytes) -> RuleProgram:
                 bindings.append((syscall, chain_name))
             else:
                 raise CorruptRecord(line_no, f"unknown record type {tag!r}")
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:   # deep params nesting
             raise CorruptRecord(line_no, str(exc)) from None
 
     return RuleProgram(chains=chains, bindings=bindings)

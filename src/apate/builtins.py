@@ -201,6 +201,7 @@ class GuardSource:
         self._named = {}     # leaf read -> times handed out, less prefix()'s
         self._consts = 0
         self._leaf_chars = 0
+        self.leaves = 0      # conditions emitted
 
     def const(self, value) -> str:
         """Bind value in the namespace; returns its name, k<n>, to emit."""
@@ -242,6 +243,7 @@ class GuardSource:
         """Emit one condition; a bad name, kind or params raises."""
         text = checked(name, "condition", params).fn(self, params)
         self._leaf_chars += len(text)
+        self.leaves += 1
         return text
 
     @staticmethod

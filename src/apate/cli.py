@@ -162,7 +162,11 @@ def _report_out(path):
         yield sys.stdout
         return
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:   # name the report, not its temporary file
+        exc.filename = path
+        raise
     try:
         with fh:
             yield fh

@@ -6,8 +6,8 @@ compiles one scan per distinct rule sequence bound to a syscall, held by
 the program; nothing is cached across programs.  A scan reads each
 per-event value its guards need once and evaluates them in rule order up
 to the first that holds, every leaf left to right with no short-circuit,
-so diagnostics come out in leaf order and a guard counts its static
-``leaf_count``.
+so diagnostics come out in leaf order and a guard counts the leaves
+it was generated with.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ def _flatten(node):
 
 
 def compiled_guard(block: ConditionBlock):
-    """Return (guard, leaf_count) for a condition block, guard the
-    finished builtins.GuardSource.
+    """Return (guard, leaves) for a condition block: the finished
+    builtins.GuardSource and the number of conditions it emitted.
 
     Iterative, so depth is unbounded.  Each same-operator run is a 0/1
     local flag and each child one statement: an AND run starts at 1 and
@@ -66,7 +66,7 @@ def compiled_guard(block: ConditionBlock):
         if node is None:          # end of the innermost open run
             child = runs.pop()[0]
             if not runs:
-                return src.finish(lines, child), block.leaf_count()
+                return src.finish(lines, child), src.leaves
         else:
             child = src.leaf(node.builtin_name, node.params)
         lines.append(src.child(*runs[-1], child))

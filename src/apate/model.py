@@ -129,16 +129,6 @@ class ConditionBlock:
         if self.op_code not in (OP_AND, OP_OR):
             raise ValueError("op_code must be 2 (AND) or 4 (OR)")
 
-    def leaf_count(self) -> int:
-        total, stack = 0, [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, ConditionBlock):
-                stack += (node.left, node.right)
-            else:
-                total += 1
-        return total
-
 
 @dataclass(frozen=True)
 class Action:

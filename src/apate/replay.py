@@ -57,15 +57,15 @@ def parse_trace_line(line: str, line_no: int = 0,
                      contexts: "dict | None" = None) -> SyscallEvent:
     """Parse one trace line.
 
-    ``contexts`` maps each ``ctx`` seen so far, by its text and by its
-    items, to its validated TaskContext, so that events of one task share
-    one; ``iter_trace`` passes one per trace, and a fresh one is used
-    when none is given.
+    ``contexts`` maps each ``ctx`` text seen so far to its validated
+    TaskContext, so that events whose ``ctx`` texts are identical share
+    one; ``iter_trace`` passes one per block of the trace, and a fresh one
+    is used when none is given.
 
     A line whose ``ctx`` comes last is read in two pieces: its head (the
     text before the comma that precedes the last ``"ctx":``, closed with
     ``}``) is decoded, and the ``ctx`` text is looked up in ``contexts``,
-    so a task's ctx is decoded once per trace.  When the head is one
+    so a task's ctx is decoded once per block.  When the head is one
     non-empty object and the ctx text one value, the whole line is one
     object with the head's members plus ``ctx`` (the last of a repeated
     key wins, as in ``json``).  Every other line, and every line the
@@ -92,7 +92,7 @@ def parse_trace_line(line: str, line_no: int = 0,
                         raw, end = _scan(value, 0)
                         if end != len(value):
                             raise ValueError("not one JSON value")
-                        ctx = contexts[text] = _task_context(raw, contexts)
+                        ctx = contexts[text] = _task_context(raw)
                     seq, args = head["seq"], head["args"]
                     if type(seq) is int and type(args) is list:
                         return SyscallEvent(seq, head["syscall"],
@@ -100,32 +100,19 @@ def parse_trace_line(line: str, line_no: int = 0,
             except (StopIteration, KeyError, TypeError, ValueError,
                     RecursionError):
                 pass
-    return _parse_whole(line, line_no, contexts)
+    return _parse_whole(line, line_no)
 
 
-def _task_context(raw, contexts: dict) -> TaskContext:
-    """The TaskContext of a decoded ``ctx`` value, shared through
-    ``contexts`` by its items: the key is its keys then its values, in
-    order, which two ctx objects share exactly when their items are
-    equal, and which hashes faster than a tuple of pairs."""
+def _task_context(raw) -> TaskContext:
+    """The TaskContext of a decoded ``ctx`` value."""
     if type(raw) is not dict:
         raise TypeError(f"ctx must be an object, got {raw!r}")
-    key = (*raw, *raw.values())
-    try:
-        ctx = contexts.get(key)
-    except TypeError:   # an unhashable value: TaskContext names it
-        ctx = None
-    # An equal key may hold a float or bool equal to a cached int;
-    # the type test sends it to TaskContext, which rejects it.
-    if ctx is None or not (type(raw["pid"]) is type(raw["uid"])
-                           is type(raw["ssid"]) is int):
-        if raw.keys() != _CTX_KEYS:
-            raise ValueError(_ctx_key_error(raw))
-        ctx = contexts[key] = TaskContext(**raw)
-    return ctx
+    if raw.keys() != _CTX_KEYS:
+        raise ValueError(_ctx_key_error(raw))
+    return TaskContext(**raw)
 
 
-def _parse_whole(line: str, line_no: int, contexts: dict) -> SyscallEvent:
+def _parse_whole(line: str, line_no: int) -> SyscallEvent:
     """Parse one trace line as a whole, raising a TraceError that names
     what is wrong."""
     try:
@@ -144,7 +131,7 @@ def _parse_whole(line: str, line_no: int, contexts: dict) -> SyscallEvent:
                          f"{type(obj).__name__}")
     try:
         raw, seq, args = obj["ctx"], obj["seq"], obj["args"]
-        ctx = _task_context(raw, contexts)
+        ctx = _task_context(raw)
         if type(seq) is not int:
             raise TypeError(f"seq must be an integer, got {seq!r}")
         if type(args) is not list:
@@ -206,11 +193,13 @@ def iter_trace(fh):
     binary file ``fh``, as soon as that line is parsed.
 
     ``bytes.splitlines`` ends a line at ``\\n``, ``\\r\\n`` or ``\\r`` and
-    nowhere else; each line is then decoded as UTF-8 on its own.
+    nowhere else; each line is then decoded as UTF-8 on its own.  The
+    ctx texts of one piece share a map, so it holds no more than the
+    TRACE_BLOCK-byte block they came from.
     """
-    contexts = {}
     line_no = 0
     for piece in _whole_lines(fh):
+        contexts = {}
         for raw in piece.splitlines():
             line_no += 1
             if not raw.strip():

@@ -171,8 +171,9 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
     """Build a VFS from a line-based manifest.
 
     ``manifest`` is UTF-8 bytes.  Lines are ``D <path>`` or
-    ``F <path> <byte-length> <fill-hex|@text>``, the length at most
-    MAX_FILE_BYTES.  Missing parents are created as directories.
+    ``F <path> <byte-length> <fill-hex|@text>``, the length ASCII
+    decimal digits, at most MAX_FILE_BYTES, and a fill byte one or two
+    ASCII hex digits.  Missing parents are created as directories.
     """
     vfs = VirtualFS()
     try:
@@ -196,7 +197,10 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
             if len(fields) != 4:
                 raise MalformedManifestLine(n, f"bad file line: {raw!r}")
             _, path, length_s, spec = fields
+            digits = length_s.removeprefix("-")
             try:
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
                 length = int(length_s)
             except ValueError:
                 raise MalformedManifestLine(n, f"bad length {length_s!r}") from None
@@ -211,7 +215,9 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
                     raise MalformedManifestLine(
                         n, f"inline content is {len(content)} bytes, declared {length}")
             else:
-                try:
+                try:   # no sign, "0x" or "_", and no non-ASCII digit
+                    if len(spec) > 2 or not (spec.isascii() and spec.isalnum()):
+                        raise ValueError
                     fill = bytearray([int(spec, 16)])
                 except ValueError:
                     raise MalformedManifestLine(n, f"bad fill byte {spec!r}") from None

@@ -2,6 +2,7 @@ import pytest
 
 from apate.bench import (DEFAULT_BUFFER, SETTING_IDS, gen_sizes, make_setting,
                          run_copy, run_suite, stats, subsample_geometric)
+from apate.engine import compiled_guard
 from apate.errors import TooFewSamples
 
 
@@ -71,7 +72,7 @@ class TestSettings:
         prog = make_setting("m3").program
         (chain,) = prog.chains.values()
         assert len(chain.rules) == 50
-        assert all(r.guard.leaf_count() == 50 for r in chain.rules)
+        assert all(compiled_guard(r.guard)[1] == 50 for r in chain.rules)
         assert [r.exit_flag for r in chain.rules] == [0] * 49 + [1]
         assert len(prog.bindings) == 11
 

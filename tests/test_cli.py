@@ -76,6 +76,15 @@ class TestCompile:
                      "-o", str(tmp_path / "x.apc")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_output_in_missing_directory_is_io_error(self, tmp_path, capsys):
+        src = tmp_path / "p.apate"
+        src.write_text(MYSQL_EXAMPLE)
+        out = tmp_path / "no" / "x.apc"
+        assert main(["compile", str(src), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"apate: cannot write {out}: ")
+        assert not out.parent.exists()
+
     def test_warnings_printed_but_exit_zero(self, tmp_path, capsys):
         src = tmp_path / "warn.apate"
         src.write_text("define r,unused as rule\ndefine rc as rulechain\n"
@@ -182,6 +191,37 @@ class TestRun:
         assert main(["run", "--program", str(compiled),
                      "--trace", str(trace)]) == 1
         assert "bad trace" in capsys.readouterr().err
+
+    def test_missing_trace_exit_one(self, compiled, tmp_path, capsys):
+        missing = tmp_path / "none.jsonl"
+        assert main(["run", "--program", str(compiled),
+                     "--trace", str(missing)]) == 1
+        assert capsys.readouterr().err == (
+            f"apate: bad trace: [Errno 2] No such file or directory: "
+            f"'{missing}'\n")
+
+    def test_report_in_missing_directory_exit_one(self, compiled, tmp_path,
+                                                  capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "getpid", []) + "\n")
+        report = tmp_path / "no" / "report.json"
+        assert main(["run", "--program", str(compiled), "--trace", str(trace),
+                     "--report", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"apate: [Errno 2] No such file or directory: '{report}'\n")
+        assert not report.parent.exists()
+
+    def test_deeply_nested_apc_params_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "deep.apc"
+        bad.write_bytes(b"APATE-RP 1\nCOND\tc0\ttestforuid\t"
+                        + b"[" * 200_000 + b"\n")
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "getpid", []) + "\n")
+        assert main(["run", "--program", str(bad),
+                     "--trace", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("apate: cannot load program: line 2: ")
+        assert "recursion" in err and "Traceback" not in err
 
     def test_cloak_hides_log_from_trace(self, compiled, tmp_path):
         trace = tmp_path / "trace.jsonl"

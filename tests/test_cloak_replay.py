@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -14,8 +15,8 @@ from apate.model import (ALWAYS_TRUE, OP_AND, OP_OR, SYSCALLS, Action,
                          ActionChain,
                          Condition, ConditionBlock, Rule, RuleChain,
                          RuleProgram, SyscallEvent, TaskContext)
-from apate.replay import (EventSource, parse_trace, parse_trace_line,
-                          replay_trace)
+from apate.replay import (EventSource, iter_trace, parse_trace,
+                          parse_trace_line, replay_trace)
 from apate.sandbox import ENOENT, SandboxState, normalize_path, parent_of
 
 from conftest import MYSQL_EXAMPLE, make_ctx, make_event, scan_for_substring
@@ -644,16 +645,21 @@ class TestTraceParsing:
         assert [e.seq for e in parse_trace(text)] == [1, 2]
         assert parse_trace_line(" " + self.line() + "\r\n").seq == 1
 
-    def test_equal_ctx_shares_one_task_context(self):
+    def test_equal_ctx_shares_one_task_context(self, monkeypatch):
         other = {"pid": 7, "uid": 0, "ssid": 0, "pname": "sh",
                  "parent_pname": "init"}
-        a, b, c, d = parse_trace("\n".join(
-            [self.line(), self.line(seq=2), self.line(seq=3, ctx=other),
-             self.line(seq=4, ctx=dict(other))]))
+        lines = [self.line(), self.line(seq=2), self.line(seq=3, ctx=other),
+                 self.line(seq=4, ctx=dict(other))]
+        a, b, c, d = parse_trace("\n".join(lines) + "\n")
         assert a.ctx is b.ctx and c.ctx is d.ctx
         assert a.ctx is not c.ctx and a.ctx != c.ctx
         # parse_trace_line alone shares nothing
         assert parse_trace_line(self.line()).ctx is not a.ctx
+        # a ctx seen again in the next block is equal, not shared
+        monkeypatch.setattr(replay, "TRACE_BLOCK", len(lines[0]) + 1)
+        a, b = parse_trace(lines[0] + "\n" + lines[1] + "\n")
+        assert (a.seq, b.seq) == (1, 2)
+        assert a.ctx == b.ctx and a.ctx is not b.ctx
 
     def test_differential_against_json_loads(self):
         rng = random.Random(5)
@@ -704,10 +710,16 @@ class TestTraceParsing:
                                                         want.args)
             assert type(got.args) is list
             assert got.ctx == want.ctx
-        # one TaskContext per distinct ctx object in the trace
-        distinct = {json.dumps(json.loads(line)["ctx"])
-                    for line in lines if line.strip()}
-        assert len({id(e.ctx) for e in events}) == len(distinct)
+        # The trace is one piece, so an unpadded line, whose ctx comes
+        # last, shares one TaskContext per distinct ctx text; a padded
+        # line is parsed whole and has its own.
+        assert len("\n".join(lines).encode()) < replay.TRACE_BLOCK
+        read = [line.rstrip("\r") for line in lines if line.strip()]
+        unpadded = [line for line in read if line == line.strip()]
+        split = {line[line.rfind('"ctx":') + 6:-1] for line in unpadded}
+        whole = len(read) - len(unpadded)
+        assert len(split) > 6 and whole > 0
+        assert len({id(e.ctx) for e in events}) == len(split) + whole
 
 
     def test_split_intake_matches_whole_line_parse(self):
@@ -799,17 +811,17 @@ class TestTraceParsing:
                         + line[at:]
                 lines.append(line)
 
-        shared, whole = {}, {}
+        shared = {}
 
-        def outcome(parse, line, contexts):
+        def outcome(parse, line, *contexts):
             try:
-                return repr(parse(line, 9, contexts))
+                return repr(parse(line, 9, *contexts))
             except TraceError as exc:
                 return str(exc)
 
         events = 0
         for line in lines:
-            want = outcome(replay._parse_whole, line, whole)
+            want = outcome(replay._parse_whole, line)
             for _ in range(2):
                 assert outcome(parse_trace_line, line, shared) == want, line
             events += want.startswith("SyscallEvent")
@@ -837,7 +849,7 @@ class TestTraceParsing:
         ]
         events = [parse_trace_line(line, n, contexts)
                   for n, line in enumerate(spellings, 1)]
-        assert all(ev.ctx is events[0].ctx for ev in events)
+        assert all(ev.ctx == events[0].ctx for ev in events)
         assert sum(type(k) is str for k in contexts) == 4
         for _ in range(2):   # 1.0 == 1, but it is not an integer
             with pytest.raises(TraceError) as exc:
@@ -846,6 +858,28 @@ class TestTraceParsing:
             assert str(exc.value) == ("line 6: pid, uid and ssid must be "
                                       "integers, got 1.0, 0, 0")
         assert sum(type(k) is str for k in contexts) == 4
+
+    def test_intake_memory_is_bounded_by_the_block(self, tmp_path):
+        """Every line's ctx is new, so what intake holds is bounded by one
+        block, not by the trace: ten times the lines peak at less than
+        twice the memory."""
+        def peak(n):
+            path = tmp_path / f"{n}.jsonl"
+            with path.open("w") as fh:
+                for seq in range(1, n + 1):
+                    fh.write(f'{{"seq":{seq},"syscall":"getpid","args":[],'
+                             f'"ctx":{{"pid":{seq},"uid":0,"ssid":0,'
+                             '"pname":"sh","parent_pname":"sshd"}}\n')
+            with path.open("rb") as fh:
+                tracemalloc.start()
+                try:
+                    assert sum(1 for _ in iter_trace(fh)) == n
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        small, large = peak(10_000), peak(100_000)
+        assert large < 2 * small, (small, large)
 
 
 class TestReplay:

@@ -291,6 +291,14 @@ class TestAnalyzer:
             compile_source(text, "p.apate")
         assert str(exc.value) == message
 
+    def test_param_of_the_wrong_type_names_the_builtin(self):
+        with pytest.raises(ArityError) as exc:
+            compile_source("define c as condition\ndefine r as rule\n"
+                           "define rc as rulechain\nlet c be testforpname(5)\n",
+                           "p.apate")
+        assert str(exc.value) == (
+            "p.apate:4:1: testforpname: expected string, got 5")
+
     def test_alias_with_params_is_the_inline_call(self):
         def program(call, alias=""):
             return compile_source(
@@ -382,6 +390,10 @@ class TestPrettyPrint:
         assert strip_spans(prog1) == strip_spans(prog2)
         assert apc.serialize(strip_spans(prog1)) == apc.serialize(strip_spans(prog2))
 
+    def test_let_of_a_call_prints_verbatim(self):
+        source = 'define c as condition\nlet c be testforuid(">";0)\n'
+        assert pretty_print(parse(toks(source))) == source
+
     def test_3000_leaf_guard(self):
         leaves = [f'testforparam(0;"/p{i}/*")' for i in range(3_000)]
         source = ("define r1 as rule\ndefine rc1 as rulechain\n"
@@ -420,6 +432,28 @@ class TestApcFormat:
         assert text.count("COND\t") == 2  # testforuid + the neutral partner
         assert text.count("ACTION\t") == 1
 
+    def test_shared_rule_is_one_record(self):
+        # r runs in both chains and twice in rc1: one RULE record
+        prog, _ = compile_source(
+            'define r as rule\ndefine rc1,rc2 as rulechain\n'
+            'let r be {{testforuid(">";0)}->log()}\n'
+            'let rc1 be {r,:r}\nlet rc2 be {r}\n'
+            'bind rc1 to sys_open\nbind rc2 to sys_close')
+        blob = apc.serialize(prog)
+        assert blob.count(b"\nRULE\t") == 1
+        assert b"\nCHAIN\trc1\tr,:r\n" in blob
+        again = apc.deserialize(blob)
+        assert strip_spans(again).chains == strip_spans(prog).chains
+        assert apc.serialize(again) == blob
+
+    def test_blank_lines_are_skipped(self):
+        prog, _ = compile_source(MYSQL_EXAMPLE)
+        blob = apc.serialize(prog)
+        padded = blob.replace(b"\n", b"\n\n \t\n", 2).replace(
+            b"\nBIND", b"\n   \nBIND")
+        assert padded != blob
+        assert apc.serialize(apc.deserialize(padded)) == blob
+
     def test_bad_magic(self):
         with pytest.raises(BadMagic):
             apc.deserialize(b"NOT-APC 1\n")
@@ -441,6 +475,8 @@ class TestApcFormat:
         "CHAIN\tch\tnope",                           # unknown rule
         "BIND\tsys_fork\tch",                        # unknown syscall
         "BIND\tsys_open\tmissing",                   # unknown chain
+        pytest.param("COND\tc1\ttestforuid\t" + "[" * 200_000,
+                     id="deeply nested params"),
     ])
     def test_corrupt_records(self, line):
         prefix = ("APATE-RP 1\n"
@@ -448,8 +484,9 @@ class TestApcFormat:
                   "ACTION\ta0\tlog\t[]\n"
                   "RULE\tr0\t(& c0 c0)\ta0\tx:1\n"
                   "CHAIN\tch\t:r0\n")
-        with pytest.raises(CorruptRecord):
+        with pytest.raises(CorruptRecord) as exc:
             apc.deserialize((prefix + line + "\n").encode())
+        assert exc.value.line_no == 6
 
     @pytest.mark.parametrize("guard, aids, message", [
         ("(& c0", "a0", "truncated guard expression"),

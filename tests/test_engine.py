@@ -125,6 +125,11 @@ class TestEvalCondition:
 
 
 class TestActionChain:
+    def test_empty_chain_is_refused(self):
+        with pytest.raises(ValueError,
+                           match="action chain must contain at least one"):
+            ActionChain(())
+
     def test_disruption_skips_rest_and_sets_errno(self, sandbox):
         sandbox.vfs.put_file("/f", b"hello")
         sandbox.store.set("bad", "not-an-int")

@@ -83,6 +83,18 @@ class TestVirtualFS:
         vfs.put_file("/g", b"bytes")
         assert type(vfs.files["/g"]) is bytearray
 
+    def test_remove_dir_refuses_root_and_non_empty(self):
+        vfs = VirtualFS()
+        vfs.mkdirs("/a/b")
+        for path in ("/", "/a"):
+            with pytest.raises(ValueError,
+                               match=f"^{path} is the root or not empty$"):
+                vfs.remove_dir(path)
+        vfs.remove_dir("/a/b")
+        vfs.remove_dir("/a")
+        assert vfs.listdir("/") == []
+        vfs.check_invariants()
+
     def test_listdir_immediate_children_sorted(self):
         vfs = VirtualFS()
         vfs.put_file("/d/b", b"")
@@ -131,6 +143,16 @@ class TestManifest:
         (b"D /a/b\nF /a 1 00", "/a exists as a directory"),
         (b"F /a 1 00\nD /a/b", "/a exists as a file"),
         (b"F /a 1 00\nF /a/b/c 1 00", "/a exists as a file"),
+        (b"F /a 1_0 00", "bad length '1_0'"),
+        ("F /b \u0661 00".encode(), "bad length '\u0661'"),
+        (b"F /b +1 00", "bad length '+1'"),
+        (b"F /b --3 00", "bad length '--3'"),
+        (b"F /b 1" + b"0" * 5000 + b" 00", "bad length '10000"),
+        (b"F /c 1 0x1", "bad fill byte '0x1'"),
+        (b"F /c 1 +1", "bad fill byte '+1'"),
+        (b"F /c 1 1_0", "bad fill byte '1_0'"),
+        (b"F /c 1 100", "bad fill byte '100'"),
+        ("F /c 1 \u0661".encode(), "bad fill byte '\u0661'"),
     ])
     def test_malformed_lines(self, line, fragment):
         with pytest.raises(MalformedManifestLine) as exc:
