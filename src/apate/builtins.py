@@ -64,12 +64,12 @@ def _as_str(value) -> str:
 # sets its run's 0 | 1 flag (GuardSource.child), so a compare in it
 # sits just before a jump.  GuardSource.leaf, the one caller, runs
 # checked first, so an emitter trusts its params: they reach the text
-# only as names bound by src.const, operator text only from COMPARISONS,
-# context field names only from CTX_FIELDS, and an argument index or a
-# wildcard prefix's length only as an int check_params or len() gave,
-# written with :d.  An argument leaf is one compare, subject on the
-# left: out of range, its read is an Absent, which notes the miss when
-# compared.
+# only as the literals src.const writes, operator text only from
+# COMPARISONS, context field names only from CTX_FIELDS, and an argument
+# index or a wildcard prefix's length only as an int check_params or
+# len() gave, written with :d.  An argument leaf is one compare, subject
+# on the left: out of range, its read is an Absent, which notes the miss
+# when compared.
 
 def _wildcard(src, pattern, subject):
     """Leaf text: subject matches pattern; a None subject never does.
@@ -170,11 +170,12 @@ class Absent:
         return self
 
 
-READ_NS = {"_as_str": _as_str, "Absent": Absent}    # what read text names
+GUARD_NS = {"_as_str": _as_str, "Absent": Absent, "_miss": _miss}  # guard text's names
+_LITERALS = {str: repr, bytes: repr, int: hex}   # the param types check_params admits
 
 
 class GuardSource:
-    """One generated guard: its source, namespace and reads.
+    """One generated guard: its source and reads.
 
     Each per-event value its leaves need is read once and named by what
     it reads: ``ctx_uid`` is ``ev.ctx.uid``, ``nargs`` ``len(ev.args)``,
@@ -183,7 +184,8 @@ class GuardSource:
     ``store_get`` ``sb.store.get``.  No read needs a constant, so guards
     that read one value share its name, and a scan reads it once.
     ``nargs`` only feeds other reads' text, so no leaf names it.
-    ``leaf`` runs ``checked`` before an emitter, which trusts its params.
+    ``leaf`` runs ``checked`` before an emitter, which trusts its params
+    and writes them as literals: a guard binds no name of its own.
 
     Finished, it holds ``lines``, which set the 0/1 flag ``result``, for
     a scan to inline; past INLINE_CHARS of leaf text, also ``body(ev, sb,
@@ -195,20 +197,20 @@ class GuardSource:
                   "testforfdpath": ("f", "sb.fds.path_of")}
 
     def __init__(self):
-        self.ns = {**READ_NS, "_miss": _miss}
         self.reads = {}      # name -> expression, in first-use order
         self.body, self.args = None, ()
         self._named = {}     # leaf read -> times handed out, less prefix()'s
-        self._consts = 0
         self._leaf_chars = 0
         self.leaves = 0      # conditions emitted
 
-    def const(self, value) -> str:
-        """Bind value in the namespace; returns its name, k<n>, to emit."""
-        name = f"k{self._consts}"
-        self._consts += 1
-        self.ns[name] = value
-        return name
+    @staticmethod
+    def const(value) -> str:
+        """value's literal, which compile() reads back equal: repr escapes
+        a str's quote, backslash and every non-printable character, so it
+        neither ends early nor spans a line; hex has no digit limit."""
+        if (write := _LITERALS.get(type(value))) is None:
+            raise TypeError(f"no literal for a {type(value).__name__} param")
+        return write(value)
 
     def _read(self, name, expr) -> str:
         self.reads.setdefault(name, expr)
@@ -258,7 +260,7 @@ class GuardSource:
         self.lines, self.result = lines, result
         if self._leaf_chars > INLINE_CHARS:
             self.args = tuple(k for k, n in self._named.items() if n)
-            self.body = define(self.ns, "body", [
+            self.body = define(dict(GUARD_NS), "body", [
                 f"def body({', '.join(['ev', 'sb', *self.args])}):",
                 *(f"    {line}" for line in lines), f"    return {result}"])
         return self
@@ -270,10 +272,10 @@ class GuardSource:
     def function(self):
         """guard(ev, sb): the reads, then the statements or a call to body."""
         if self.body is None:
-            return define(self.ns, "guard", [
+            return define(dict(GUARD_NS), "guard", [
                 "def guard(ev, sb):", *read_lines(self.reads),
                 *(f"    {line}" for line in self.lines), f"    return {self.result}"])
-        return define({**READ_NS, "body": self.body}, "guard", [
+        return define({**GUARD_NS, "body": self.body}, "guard", [
             "def guard(ev, sb):", *read_lines(self.reads),
             f"    return body({', '.join(['ev', 'sb', *self.args])})"])
 
@@ -442,7 +444,7 @@ def check_params(name: str, params) -> "str | None":
             return f"{name}: expected integer, got {value!r}"
         if kind == "any" and type(value) not in (str, int):
             return f"{name}: expected string or integer, got {value!r}"
-        if kind in ("str", "pattern", "cmp", "field") and not isinstance(value, str):
+        if kind in ("str", "pattern", "cmp", "field") and type(value) is not str:
             return f"{name}: expected string, got {value!r}"
         if kind == "pattern" and (err := star_error(value)):
             return f"{name}: {err}"

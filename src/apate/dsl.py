@@ -135,7 +135,12 @@ def tokenize(src: SourceUnit) -> list:
                                        filename, line, col)
             append(Token("KW" if word in KEYWORDS else "IDENT", word, line, col))
         elif kind == "INT":
-            append(Token("INT", int(text[start:end]), line, col))
+            try:
+                append(Token("INT", int(text[start:end]), line, col))
+            except ValueError:  # past sys.get_int_max_str_digits()
+                raise ApateSyntaxError(f"integer literal of {end - start} "
+                                       "characters is too long",
+                                       filename, line, col) from None
         elif kind == "NL":
             line += 1
             line_start = end

@@ -12,10 +12,9 @@ it was generated with.
 
 from __future__ import annotations
 
-import re
 from itertools import accumulate
 
-from .builtins import READ_NS, GuardSource, checked, define, read_lines
+from .builtins import GUARD_NS, GuardSource, checked, define, read_lines
 from .errors import ApateError
 from .model import (ConditionBlock, Disposition, OP_AND,
                     RuleProgram, SyscallEvent)
@@ -23,7 +22,6 @@ from .sandbox import SandboxState, errno_default, exec_syscall
 
 DEFAULT_JUMP_BUDGET = 10_000
 SCAN_RUN = 16
-_CONST = re.compile(r"\bk(\d+)\b")      # the names GuardSource.const emits
 
 
 def _flatten(node):
@@ -78,12 +76,13 @@ def _scan(guards):
     Over rules [start, stop), it reads each value once, just before the
     first rule that needs it; a plan longer than SCAN_RUN rules reads at
     the top and compiles in runs of SCAN_RUN rules, so no compile unit
-    grows with the plan.  A GuardSource's lines run inline, its constants
-    renamed per rule, or its body is called with the reads its leaves
-    name; anything else (a tracer's wrapper) is called as guard(ev, sb).
+    grows with the plan.  A GuardSource's lines run inline as they are
+    (its params are literals, so it names nothing the scan lacks), or its
+    body is called with the reads its leaves name; anything else (a
+    tracer's wrapper) is called as guard(ev, sb).
     A one-rule plan is only scanned from 0 to 1: no range test.
     """
-    reads, lines, calls, ns = {}, [], [], dict(READ_NS)
+    reads, lines, calls, ns = {}, [], [], dict(GUARD_NS)
     for i, guard in enumerate(guards):
         body, args, names = ((guard.body, guard.args, guard.reads)
                              if isinstance(guard, GuardSource) else (guard, (), {}))
@@ -91,11 +90,7 @@ def _scan(guards):
         reads.update(names)
         test = f"start <= {i:d} < stop" if len(guards) > 1 else "True"
         if body is None:
-            sub = f"k{i:d}_\\1"
-            ns.update((f"k{i:d}_{k[1:]}" if k[0] == "k" else k, v)
-                      for k, v in guard.ns.items())  # k: a const
-            calls.append([f"    if {test}:",
-                          *(f"        {_CONST.sub(sub, x)}" for x in guard.lines),
+            calls.append([f"    if {test}:", *(f"        {x}" for x in guard.lines),
                           f"        if {guard.result}: return {i:d}"])
         else:
             ns[f"b{i:d}"] = body

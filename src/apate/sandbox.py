@@ -116,8 +116,10 @@ class VirtualFS:
         if path in self.files:
             self.files[path][:] = content
         else:
-            self.mkdirs(parent_of(path))
-            self._link(path)
+            parent, _, name = path.rpartition("/")
+            if (parent or "/") not in self.children:
+                self.mkdirs(parent)   # a parent that is a file raises
+            self.children[parent or "/"].add(name)
             self.files[path] = (content if type(content) is bytearray
                                 else bytearray(content))
 

@@ -71,6 +71,16 @@ class TestCompile:
         assert err.startswith(f"{src}:{where}: ")
         assert "Traceback" not in err
 
+    def test_integer_past_the_digit_limit_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "big.apate"
+        src.write_text("define c1 as condition\n"
+                       f'let c1 be testforuid("==";{"9" * 5000})\n')
+        out = tmp_path / "x.apc"
+        assert main(["compile", str(src), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"{src}:2:27: integer literal of 5000 characters is too long\n")
+        assert not out.exists()
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["compile", str(tmp_path / "none.apate"),
                      "-o", str(tmp_path / "x.apc")]) == 2

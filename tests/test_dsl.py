@@ -92,6 +92,13 @@ class TestLexer:
         assert [t.value for t in toks("x\u00b2 y\u0663")][:2] == ["x\u00b2",
                                                                   "y\u0663"]
 
+    def test_int_past_the_digit_limit_is_a_source_error(self):
+        assert toks("f(" + "9" * 4300 + ")")[2].value == 10 ** 4300 - 1
+        with pytest.raises(ApateSyntaxError) as exc:
+            toks('f(\n  "==";-' + "9" * 5000 + ")")
+        assert exc.value.message == "integer literal of 5001 characters is too long"
+        assert (exc.value.line, exc.value.col) == (2, 8)
+
     def test_unterminated_string(self):
         with pytest.raises(UnterminatedString) as exc:
             toks('let x be f("oops)')

@@ -732,6 +732,111 @@ class TestGeneratedGuards:
             holds(block, make_event("getpid"), sandbox)
 
 
+# Text a literal must keep whole: quotes, a triple quote, a backslash, a
+# named-escape opener, comment and brace characters, NUL, line breaks of
+# every kind, a lone surrogate and a non-BMP character.
+_TRICKY = ("'", '"', "'''", "\\", "\\N{", "#", "{}", "\x00", "\r", "\n",
+           "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029", "\ud800",
+           "\U0001f600", "a", "é")
+_PAD = [Condition("testforuid", (">=", -i)) for i in range(40)]
+
+
+def _tricky(rng, alphabet=_TRICKY):
+    return "".join(rng.choices(alphabet, k=rng.randint(1, 5)))
+
+
+class TestLiteralParams:
+    """A param reaches a guard's source only as a literal that compile()
+    reads back as an equal value, inline in a scan or in a called body."""
+
+    @staticmethod
+    def _check(block, ev, sb, inline):
+        guard, count = engine.compiled_guard(block)
+        assert (guard.body is None) is inline
+        for run in ("holds", "guard"):
+            mark = len(sb.diagnostics)
+            counter = [0]
+            want = _ref_block(block, ev, sb, counter)
+            want_diags = sb.diagnostics[mark:]
+            del sb.diagnostics[mark:]
+            if run == "holds":
+                disp = Disposition(ev.seq, ev.syscall)
+                assert holds(block, ev, sb, disp) == want
+                assert disp.conditions_evaluated == counter[0]
+            else:
+                got = guard(ev, sb)
+                assert type(got) is int and got == want
+                assert count == counter[0]
+            assert sb.diagnostics[mark:] == want_diags
+
+    def test_tricky_text_matches_reference(self):
+        rng = random.Random(24)
+        # a keyword is UTF-8 encoded at bind, which a lone surrogate fails
+        encodable = tuple(c for c in _TRICKY if c != "\ud800")
+        for _ in range(60):
+            text, other = _tricky(rng), _tricky(rng)
+            pattern = text + "*" if rng.random() < 0.4 else text
+            keyword = _tricky(rng, encodable)
+            conds = [Condition("testforparam", (0, pattern)),
+                     Condition("testforpname", (pattern,)),
+                     Condition("testforselfpname", (pattern,)),
+                     Condition("store_cmp", (text, rng.choice(tuple(_CMP)),
+                                             rng.choice((0, 3, 5)))),
+                     Condition("file_keyword", ("/" + text, keyword)),
+                     Condition("file_keyword", ("/" + other, keyword))]
+            sb = SandboxState()
+            sb.vfs.put_file("/" + text, f"<{keyword}>".encode())
+            sb.store.set(text, 3)
+            subjects = (text, text + other, other, text[:-1] or other)
+            for subject in subjects:
+                ev = make_event("open", subject, "r", ctx=make_ctx(
+                    pname=subject, parent_pname=rng.choice(subjects)))
+                for cond in conds:
+                    self._check(ConditionBlock(cond, ALWAYS_TRUE, OP_AND),
+                                ev, sb, inline=True)
+                    self._check(_chain_block([cond, *_PAD], [OP_AND] * 40,
+                                             "left"), ev, sb, inline=False)
+
+    def test_int_past_the_decimal_digit_limit(self, sandbox):
+        big = 10 ** 5000 - 1    # 5,000 digits: str() of it raises
+        for op, uid, want in (("==", big, 1), ("==", big - 1, 0),
+                              ("!=", big - 1, 1), ("<", big - 1, 1),
+                              (">=", 0, 0)):
+            cond = Condition("testforuid", (op, big))
+            ev = make_event("getuid", ctx=make_ctx(uid=uid))
+            assert _ref_leaf(cond, ev, sandbox) == want
+            self._check(ConditionBlock(cond, ALWAYS_TRUE, OP_AND), ev,
+                        sandbox, inline=False)   # over 4,000 hex digits of text
+
+    def test_guards_bind_no_names(self):
+        """Inline guards' lines run in the scan as they are: its namespace
+        is GUARD_NS, and the params are its code's constants."""
+        rules = [Rule(f"r{i}", ConditionBlock(
+                     Condition("testforparam", (0, f"/k{i}/*")),
+                     Condition("testforuid", ("==", 1000 + i)), OP_AND),
+                     ActionChain((Action("log"),))) for i in range(3)]
+        prog = RuleProgram({"c": RuleChain("c", tuple(rules))}, [("open", "c")])
+        validate_program(prog)
+        scan = prog.scans["open"][0]
+        assert set(scan.__globals__) == {*apate_builtins.GUARD_NS, "__builtins__"}
+        assert {"/k0/", "/k1/", "/k2/", 1000, 1001, 1002} <= set(
+            scan.__code__.co_consts)
+        assert not [n for n in scan.__code__.co_names if n[0] == "k"]
+
+    @pytest.mark.parametrize("value", [1.5, True, None, bytearray(b"x"),
+                                       type("Text", (str,), {})("x")])
+    def test_const_writes_only_exact_str_bytes_and_int(self, value):
+        with pytest.raises(TypeError):
+            GuardSource.const(value)
+
+    def test_str_subclass_param_is_refused_at_bind(self, sandbox):
+        text = type("Text", (str,), {"__format__": lambda s, spec: "1) or (1"})
+        for cond in (Condition("testforpname", (text("sshd"),)),
+                     Condition("testforuid", (text("=="), 0))):
+            with pytest.raises(ApateError, match="expected string"):
+                holds(cond, make_event("getpid"), sandbox)
+
+
 def _chain_block(leaves, ops, nest):
     """leaves[0] ops[0] leaves[1] ... parenthesized to the left or right."""
     if nest == "left":      # (((c0 o0 c1) o1 c2) o2 c3) ...

@@ -5,7 +5,7 @@ and says which and why; a refactor leaves them as they are.
 """
 
 import hashlib
-import json
+import re
 from pathlib import Path
 
 import pytest
@@ -25,13 +25,13 @@ GOLDEN = {
         "db6f79120b591c739805d143b5e8490ea4dfe52f75780af210ec2f3140a3e653"),
     ("honeypot-mix", 1): (
         "b10a4409f565865238d31d94b15b17409712d75e7313d5caff5073087bc9f357",
-        "685774c8f8b8b8604d0a56fc2bbac7be564593e088d0deadfb3f074ad69bc639"),
+        "926c5aeb6de3392147ceb1b44a91283842d07975e5144be1af3bed3124c3366d"),
     ("honeypot-mix", 2): (
         "b10a4409f565865238d31d94b15b17409712d75e7313d5caff5073087bc9f357",
-        "20fec9896adf59e4319da740b69ac93a4f3432b5bd900dcc725d74bdd6924ad2"),
+        "d31046552ea51db5c9d87d881c7ea8e1ac3d9a775620dfa6625911038ddd2d89"),
     ("honeypot-mix", 3): (
         "b10a4409f565865238d31d94b15b17409712d75e7313d5caff5073087bc9f357",
-        "16535328b4c245b169531da9108bc9aa36319ad834e3a71033d9a316d11d223b"),
+        "44d008ceacb88443c1c01f3d62622c77df1657c0558836284ab74f562469f021"),
     ("bulk-copy", 1): (
         "b4de323c83b304c2f07046c5933d725f94c859881aaad0837943def382290b5a",
         "2c65ec5da94570d70ce14b35cb72594f314d8d7936fff8c8299730e3b7162f4c"),
@@ -47,10 +47,11 @@ GOLDEN = {
 def _report_digest(workload, raw: bytes) -> str:
     if workload == "honeypot-mix":
         # A cloaked run logs into the VFS with wall-clock times, so its
-        # vfs_digest differs between any two runs; the rest must not.
-        report = json.loads(raw)
-        del report["vfs_digest"]
-        raw = json.dumps(report).encode("utf-8")
+        # vfs_digest differs between any two runs; every other byte must
+        # not, so only that value is masked.
+        raw, n = re.subn(rb'(?<="vfs_digest": ")[0-9a-f]{64}(?=")',
+                         b"0" * 64, raw)
+        assert n == 1
     return hashlib.sha256(raw).hexdigest()
 
 

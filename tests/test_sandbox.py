@@ -160,6 +160,16 @@ class TestManifest:
         assert fragment in str(exc.value)
         assert exc.value.line_no == line.count(b"\n") + 1  # the last line
 
+    def test_files_under_new_and_existing_parents(self):
+        vfs = vfs_from_manifest(
+            b"D /a\nF /a/f 1 00\nF /a/g 1 00\nF /b/c/h 2 ff\nF /b/c/i 1 00\n"
+            b"F /b/j 1 00\nF /k 1 00\nD /b/c/d\nF /b/c/d/e 1 00\nF /a/f 3 01\n")
+        vfs.check_invariants()
+        assert sorted(vfs.files) == ["/a/f", "/a/g", "/b/c/d/e", "/b/c/h",
+                                     "/b/c/i", "/b/j", "/k"]
+        assert vfs.listdir("/b/c") == ["d", "h", "i"]
+        assert vfs.files["/a/f"] == b"\x01" * 3
+
     def test_length_limit(self, monkeypatch):
         assert MAX_FILE_BYTES == 1 << 30
         monkeypatch.setattr(sandbox_mod, "MAX_FILE_BYTES", 16)
