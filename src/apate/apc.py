@@ -1,6 +1,6 @@
 """Canonical serialized form of a compiled rule program (.apc files).
 
-Text format, UTF-8, one record per line, tab-separated fields:
+Text format, one record per line (see LineError.lines), tab-separated fields:
 
     APATE-RP 1
     COND   <cid>  <builtin>  <params-json>
@@ -143,17 +143,16 @@ def _parse_guard(expr: str, conds: dict, line_no: int):
 
 
 def deserialize(data: bytes) -> RuleProgram:
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise CorruptRecord(line_no, f"not UTF-8: {exc.reason}") from None
-    lines = text.splitlines()
-    if not lines:
+    raws = data.splitlines()
+    if not raws:
         raise BadMagic("empty file")
-    header = lines[0].split(" ")
+    lines = CorruptRecord.lines(raws)
+    line_no, head = next(lines, (0, ""))
+    if line_no != 1:    # line 1 is blank: ASCII whitespace
+        head = raws[0].decode()
+    header = head.split(" ")
     if len(header) != 2 or header[0] != MAGIC:
-        raise BadMagic(f"bad header {lines[0]!r}")
+        raise BadMagic(f"bad header {head!r}")
     if header[1] != str(VERSION):
         raise UnsupportedVersion(f"unsupported format version {header[1]}")
 
@@ -163,9 +162,7 @@ def deserialize(data: bytes) -> RuleProgram:
     chains = {}
     bindings = []
 
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for line_no, line in lines:
         fields = line.split("\t")
         tag = fields[0]
         try:

@@ -9,6 +9,7 @@ so the compiler can check arity and types.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -137,8 +138,12 @@ def _e_store_cmp(src, params):
     cell = f"{src.store_get()}({src.const(key)})"
     if op in ("==", "!="):
         return _compare(src, cell, op, value)
+    try:
+        shown = str(value)
+    except ValueError:   # past sys.get_int_max_str_digits(); hex has no limit
+        shown = hex(value)
     miss = (f"_miss(sb, {src.const('StoreTypeMismatch')}, "
-            f"{src.const(f'store_cmp: {key!r} {op} {value} on a non-int cell')})")
+            f"{src.const(f'store_cmp: {key!r} {op} {shown} on a non-int cell')})")
     return (f"({_compare(src, 'cell', op, value)} "
             f"if isinstance(cell := {cell}, int) else {miss})")
 
@@ -431,7 +436,8 @@ def check_params(name: str, params) -> "str | None":
     """Validate params against a builtin's signature.
 
     Returns an error message or None.  Used by the compiler and at
-    program load so bad programs never reach the engine.
+    program load so bad programs never reach the engine.  As in .apate
+    source, no string param holds a lone surrogate, which is not UTF-8.
     """
     spec = REGISTRY[name]
     kinds, required = spec.kinds, spec.required
@@ -452,6 +458,9 @@ def check_params(name: str, params) -> "str | None":
             return f"{name}: bad comparison {value!r}"
         if kind == "field" and value not in CTX_FIELDS:
             return f"{name}: bad context field {value!r}"
+        if (type(value) is str and not value.isascii()
+                and re.search("[\ud800-\udfff]", value)):
+            return f"{name}: lone surrogate in {value!r}"
     return None
 
 

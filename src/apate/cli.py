@@ -12,7 +12,7 @@ from . import apc, bench
 from .cloak import apply_cloak, cloak_ruleset
 from .engine import validate_program
 from .errors import ApateError, SourceError, TraceError
-from .dsl import compile_source
+from .dsl import compile_source, decode_source
 from .logsink import FileSink, UdpSink, VfsSink, parse_udp_addr
 from .replay import iter_trace, replay_trace
 from .sandbox import SandboxState, vfs_from_manifest
@@ -61,13 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_compile(args) -> int:
     try:
-        with open(args.source, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.source, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         print(f"apate: cannot read {args.source}: {exc}", file=sys.stderr)
         return 2
     try:
-        prog, warnings = compile_source(text, filename=args.source)
+        prog, warnings = compile_source(decode_source(data, args.source),
+                                        filename=args.source)
     except SourceError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -84,6 +84,19 @@ def _where(text, i):
     return text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i)
 
 
+def decode_source(data: bytes, filename: str) -> str:
+    """Source bytes as ``open`` reads text: UTF-8, with ``\\r\\n`` and
+    ``\\r`` made ``\\n``; a byte that is not UTF-8 is an IllegalCharacter
+    at its line and column."""
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode()
+        raise IllegalCharacter(f"not UTF-8: {exc.reason}", filename,
+                               *_where(head, len(head))) from None
+
+
 def _string(text, i, filename) -> str:
     """The value of the string literal whose '"' is at offset i."""
     parts, j = [], i + 1
@@ -446,6 +459,10 @@ class Analyzer:
         self.used = set()
         self.later = []      # (var, line, rule var | None): may be let later
         self.out = TypedProgram(ast.filename)
+        # a rule's span is one .apc field: UTF-8, with no tab or line end
+        self.span_file = (ast.filename.encode("utf-8", "backslashreplace")
+                          .decode().replace("\t", "\\t")
+                          .replace("\n", "\\n").replace("\r", "\\r"))
 
     def err(self, cls, message, line):
         raise cls(message, self.ast.filename, line, 1)
@@ -619,7 +636,7 @@ class Analyzer:
                     f"its own pattern (rewrite loop hazard)")
             actions.append(Action(builtin, params))
         return Rule(name, guard, ActionChain(tuple(actions)), 0,
-                    f"{self.ast.filename}:{line}")
+                    f"{self.span_file}:{line}")
 
     def bind(self, stmt: BindStmt):
         chain, name, values = stmt.chain, stmt.syscall, self.out.values

@@ -70,6 +70,20 @@ class LineError(ApateError):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
+    @classmethod
+    def lines(cls, raws, first=1):
+        """Yield (n, text) of each non-blank line of ``raws``, numbered from
+        ``first``: ``bytes.splitlines`` cut them, so a line ends only at
+        ``\\n``, ``\\r\\n`` or ``\\r``.  Blank is ASCII whitespace only, and
+        a line that is not UTF-8 on its own raises ``cls`` at its number."""
+        for n, raw in enumerate(raws, first):
+            if raw.strip():
+                try:
+                    yield n, raw.decode()
+                except UnicodeDecodeError as exc:
+                    raise cls(n, f"not UTF-8: {exc.reason} at byte "
+                              f"{exc.start + 1}") from None
+
 
 class CorruptRecord(LineError):
     """A bad record in a serialized program (.apc)."""

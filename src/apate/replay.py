@@ -192,24 +192,17 @@ def iter_trace(fh):
     """Yield the event of each non-blank line of the trace read from the
     binary file ``fh``, as soon as that line is parsed.
 
-    ``bytes.splitlines`` ends a line at ``\\n``, ``\\r\\n`` or ``\\r`` and
-    nowhere else; each line is then decoded as UTF-8 on its own.  The
-    ctx texts of one piece share a map, so it holds no more than the
-    TRACE_BLOCK-byte block they came from.
+    Lines are read by ``LineError.lines``.  The ctx texts of one piece
+    share a map, so it holds no more than the TRACE_BLOCK-byte block
+    they came from.
     """
     line_no = 0
     for piece in _whole_lines(fh):
         contexts = {}
-        for raw in piece.splitlines():
-            line_no += 1
-            if not raw.strip():
-                continue
-            try:
-                line = raw.decode()
-            except UnicodeDecodeError as exc:
-                raise TraceError(line_no, f"not UTF-8: {exc.reason} at byte "
-                                 f"{exc.start + 1}") from None
-            yield parse_trace_line(line, line_no, contexts)
+        raws = piece.splitlines()
+        for n, line in TraceError.lines(raws, line_no + 1):
+            yield parse_trace_line(line, n, contexts)
+        line_no += len(raws)
 
 
 def parse_trace(text: str) -> list:

@@ -178,16 +178,8 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
     ASCII hex digits.  Missing parents are created as directories.
     """
     vfs = VirtualFS()
-    try:
-        text = manifest.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = manifest.count(b"\n", 0, exc.start) + 1
-        raise MalformedManifestLine(line_no, f"not UTF-8: {exc.reason}") from None
-    for n, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(maxsplit=3)
+    for n, raw in MalformedManifestLine.lines(manifest.splitlines()):
+        fields = raw.strip().split(maxsplit=3) or [raw]   # U+3000 only, say
         if fields[0] == "D":
             if len(fields) != 2:
                 raise MalformedManifestLine(n, f"bad directory line: {raw!r}")

@@ -1,3 +1,4 @@
+import json
 import random
 import string
 
@@ -8,7 +9,7 @@ from apate import builtins as apate_builtins
 from apate.builtins import (WildcardPattern, check_params,
                             rewrite_loop_hazard)
 from apate.dsl import compile_source
-from apate.errors import ApateError
+from apate.errors import ApateError, CorruptRecord
 from apate.logsink import args_json
 from apate.model import (ALWAYS_TRUE, Action, ActionChain, Condition,
                          ConditionBlock, OP_AND, Rule, RuleChain, RuleProgram)
@@ -113,6 +114,16 @@ class TestConditions:
             run_actions(add, ev, sandbox)
         c = Condition("store_cmp", ("opens", ">=", 3))
         assert holds(c, make_event("getpid"), sandbox) == 1
+
+    def test_store_cmp_ordering_past_the_decimal_digit_limit(self, sandbox):
+        big = 10 ** 5000    # str() of it raises: the detail shows it in hex
+        cond = Condition("store_cmp", ("k", "<", big))
+        assert holds(cond, make_event("getpid"), sandbox) == 1   # unset is 0
+        sandbox.store.set("k", "text")
+        assert holds(cond, make_event("getpid"), sandbox) == 0
+        assert sandbox.diagnostics[-1] == {
+            "kind": "StoreTypeMismatch",
+            "detail": f"store_cmp: 'k' < {big:#x} on a non-int cell"}
 
     def test_store_set_then_cmp(self, sandbox):
         run_actions(ActionChain((Action("store_set", ("n", 3)),)),
@@ -234,6 +245,60 @@ class TestCheckParams:
         assert check_params("store_set", ("k", "v")) is None
         for value in ([1, 2], {"a": 1}, None, True, 1.5):
             assert check_params("store_set", ("k", value)) is not None
+
+
+# Every string slot, each holding a lone surrogate in turn.
+SURROGATE_PARAMS = [
+    ("condition", "testforpname", ("a\ud800*",)),
+    ("condition", "testforselfpname", ("\udfff",)),
+    ("condition", "testforparam", (0, "/\ud800")),
+    ("condition", "testforfdpath", (0, "/\ud800")),
+    ("condition", "file_keyword", ("/f", "\ud800")),
+    ("condition", "file_keyword", ("/f\ud800", "k")),
+    ("condition", "store_cmp", ("\ud800", "<", 1)),
+    ("action", "manipulateparam", (0, "/a\ud800", "/b")),
+    ("action", "manipulateparam", (0, "/a", "/b\ud800")),
+    ("action", "store_set", ("\ud800", 1)),
+    ("action", "store_set", ("k", "\ud800")),
+    ("action", "store_add", ("\ud800", 1)),
+    ("action", "filter_dirents", ("\ud800*",)),
+]
+
+
+class TestLoneSurrogate:
+    """A string param that is not UTF-8 is refused by the one check, as
+    .apate strings refuse it: at load as a CorruptRecord at its line, and
+    at bind as an ApateError, never a UnicodeEncodeError."""
+
+    @pytest.mark.parametrize("kind, name, params", SURROGATE_PARAMS)
+    def test_check_params(self, kind, name, params):
+        assert "lone surrogate" in check_params(name, params)
+        encodable = tuple(p.replace("\ud800", "\N{LINE SEPARATOR}")
+                          .replace("\udfff", "\U0001f600")
+                          if isinstance(p, str) else p for p in params)
+        assert check_params(name, encodable) is None
+
+    @pytest.mark.parametrize("kind, name, params", SURROGATE_PARAMS)
+    def test_apc_record_is_corrupt_at_its_line(self, kind, name, params):
+        tag = "COND" if kind == "condition" else "ACTION"
+        blob = ("APATE-RP 1\n"
+                'COND\tc0\ttestforuid\t[">",0]\n'
+                f"{tag}\tx1\t{name}\t{json.dumps(list(params))}\n")
+        with pytest.raises(CorruptRecord, match="^line 3: .*lone surrogate"):
+            apc.deserialize(blob.encode())
+
+    @pytest.mark.parametrize("kind, name, params", SURROGATE_PARAMS)
+    def test_program_built_in_code_fails_at_bind(self, kind, name, params):
+        guard, actions = ALWAYS_TRUE, (Action("log"),)
+        if kind == "condition":
+            guard = Condition(name, params)
+        else:
+            actions = (Action(name, params),)
+        rule = Rule("r", ConditionBlock(guard, ALWAYS_TRUE, OP_AND),
+                    ActionChain(actions))
+        prog = RuleProgram({"rc": RuleChain("rc", (rule,))}, [("open", "rc")])
+        with pytest.raises(ApateError, match="lone surrogate"):
+            engine.validate_program(prog)
 
 
 BAD_CONDITIONS = [

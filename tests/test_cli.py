@@ -81,6 +81,55 @@ class TestCompile:
             f"{src}:2:27: integer literal of 5000 characters is too long\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("data, where, reason", [
+        (b"define c as condition\n\xff\n", "2:1", "invalid start byte"),
+        (b'define c as condition\nlet c be f("\xc3\xa9\xc3")', "2:14",
+         "invalid continuation byte"),
+        (b"define c as condition\r\n  \xe9", "2:3", "unexpected end of data"),
+        (b"define c as condition\r\rx\xe9x", "3:2",
+         "invalid continuation byte"),
+    ])
+    def test_source_that_is_not_utf8_exits_1_with_location(
+            self, tmp_path, capsys, data, where, reason):
+        src = tmp_path / "bad.apate"
+        src.write_bytes(data)
+        out = tmp_path / "x.apc"
+        assert main(["compile", str(src), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"{src}:{where}: not UTF-8: {reason}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_sources_compile_as_lf(self, tmp_path, monkeypatch,
+                                               newline):
+        blobs = []
+        for name, text in (("lf", MYSQL_EXAMPLE),
+                           ("other", MYSQL_EXAMPLE.replace("\n", newline))):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            Path("p.apate").write_bytes(text.encode())
+            assert main(["compile", "p.apate", "-o", "p.apc"]) == 0
+            blobs.append(Path("p.apc").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("name, shown", [
+        ("a\tb.apate", "a\\tb.apate"),
+        ("a\nb.apate", "a\\nb.apate"),
+        ("a\rb.apate", "a\\rb.apate"),
+        (os.fsdecode(b"a\xffb.apate"), "a\\udcffb.apate"),
+        ("a b\N{LINE SEPARATOR}\x0b.apate", "a b\N{LINE SEPARATOR}\x0b.apate"),
+    ])
+    def test_any_source_path_gives_an_apc_that_loads_and_round_trips(
+            self, tmp_path, monkeypatch, name, shown):
+        monkeypatch.chdir(tmp_path)
+        Path(name).write_text(MYSQL_EXAMPLE)
+        assert main(["compile", name, "-o", "p.apc"]) == 0
+        blob = Path("p.apc").read_bytes()
+        prog = apc.deserialize(blob)
+        assert apc.serialize(prog) == blob
+        assert [r.span for r in prog.chains["rc1"].rules] == [
+            f"{shown}:20", f"{shown}:18"]
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         assert main(["compile", str(tmp_path / "none.apate"),
                      "-o", str(tmp_path / "x.apc")]) == 2
@@ -232,6 +281,28 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("apate: cannot load program: line 2: ")
         assert "recursion" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sep", ["\N{LINE SEPARATOR}", "\x85",
+                                     "\N{PARAGRAPH SEPARATOR}"])
+    def test_a_line_separator_in_a_param_compiles_loads_and_runs(
+            self, tmp_path, sep):
+        src = tmp_path / "sep.apate"
+        src.write_text('define r as rule\ndefine rc as rulechain\n'
+                       f'let r be {{{{testforpname("a{sep}b")}}->block(-1)}}\n'
+                       'let rc be {r}\nbind rc to sys_open\n', encoding="utf-8")
+        prog = tmp_path / "sep.apc"
+        assert main(["compile", str(src), "-o", str(prog)]) == 0
+        blob = prog.read_bytes()
+        assert sep.encode() in blob
+        assert apc.serialize(apc.deserialize(blob)) == blob
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "open", ["/f", "r"],
+                                    parent_pname=f"a{sep}b") + "\n")
+        report = tmp_path / "report.json"
+        assert main(["run", "--program", str(prog), "--trace", str(trace),
+                     "--report", str(report)]) == 0
+        (event,) = json.loads(report.read_text())["events"]
+        assert event["result"] == -1
 
     def test_cloak_hides_log_from_trace(self, compiled, tmp_path):
         trace = tmp_path / "trace.jsonl"

@@ -413,9 +413,11 @@ class TestPrettyPrint:
 
 class TestApcFormat:
     def test_round_trip_byte_identical(self):
-        prog, _ = compile_source(MYSQL_EXAMPLE)
-        blob = apc.serialize(prog)
-        assert apc.serialize(apc.deserialize(blob)) == blob
+        separators = MYSQL_EXAMPLE.replace('"mysql"', '"my\N{LINE SEPARATOR}sql"')
+        for source in (MYSQL_EXAMPLE, separators):
+            prog, _ = compile_source(source)
+            blob = apc.serialize(prog)
+            assert apc.serialize(apc.deserialize(blob)) == blob
 
     def test_deserialized_equals_source_modulo_spans(self):
         prog, _ = compile_source(MYSQL_EXAMPLE)

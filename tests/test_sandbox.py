@@ -153,6 +153,10 @@ class TestManifest:
         (b"F /c 1 1_0", "bad fill byte '1_0'"),
         (b"F /c 1 100", "bad fill byte '100'"),
         ("F /c 1 \u0661".encode(), "bad fill byte '\u0661'"),
+        # not blank (that is ASCII whitespace only) and no field either
+        ("D /a\n\N{IDEOGRAPHIC SPACE}".encode(), "unknown record type '\\u3000'"),
+        ("D /a\n\x85".encode(), "unknown record type '\\x85'"),
+        ("D /a\n \N{LINE SEPARATOR} ".encode(), "unknown record type"),
     ])
     def test_malformed_lines(self, line, fragment):
         with pytest.raises(MalformedManifestLine) as exc:
