@@ -142,6 +142,13 @@ def _parse_guard(expr: str, conds: dict, line_no: int):
     return node
 
 
+def _define(table: dict, name: str, value, what: str, line_no: int) -> None:
+    """``table[name] = value``; as in the DSL, a name is defined once."""
+    if name in table:
+        raise CorruptRecord(line_no, f"{what} {name!r} already defined")
+    table[name] = value
+
+
 def deserialize(data: bytes) -> RuleProgram:
     raws = data.splitlines()
     if not raws:
@@ -174,7 +181,7 @@ def deserialize(data: bytes) -> RuleProgram:
                     checked(builtin, kind, params := _params_load(params))
                 except ApateError as exc:
                     raise CorruptRecord(line_no, str(exc)) from None
-                table[rid] = make(builtin, params)
+                _define(table, rid, make(builtin, params), f"{kind} id", line_no)
             elif tag == "RULE":
                 _, name, guard_s, aids, span = fields
                 guard = _parse_guard(guard_s, conds, line_no)
@@ -182,7 +189,8 @@ def deserialize(data: bytes) -> RuleProgram:
                     actions = tuple(acts[a] for a in aids.split(","))
                 except KeyError as exc:
                     raise CorruptRecord(line_no, f"unknown action id {exc}") from None
-                rules[name] = (guard, ActionChain(actions), span)
+                _define(rules, name, (guard, ActionChain(actions), span), "rule",
+                        line_no)
             elif tag == "CHAIN":
                 _, name, members = fields
                 built = []
@@ -193,7 +201,8 @@ def deserialize(data: bytes) -> RuleProgram:
                         raise CorruptRecord(line_no, f"unknown rule {rname!r}")
                     guard, actions, span = rules[rname]
                     built.append(Rule(rname, guard, actions, exit_flag, span))
-                chains[name] = RuleChain(name, tuple(built))
+                _define(chains, name, RuleChain(name, tuple(built)), "chain",
+                        line_no)
             elif tag == "BIND":
                 _, name, chain_name = fields
                 syscall = hooked_syscall(name)

@@ -130,8 +130,7 @@ def cmd_run(args) -> int:
         with trace as fh, _report_out(args.report) as out:
             stream = _ReportStream(out)
             report = replay_trace(prog, iter_trace(fh), sandbox, stream.emit)
-            # closing a sink can drop records too (the UDP flush thread)
-            report.diagnostics["dropped"] = _close_sinks(sinks)
+            _close_sinks(sinks)
             stream.finish(report)
     except TraceError as exc:
         print(f"apate: bad trace: {exc}", file=sys.stderr)
@@ -144,15 +143,10 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _close_sinks(sinks) -> int:
-    """Close each sink in ``sinks`` once, emptying the list; returns the
-    records they dropped."""
-    dropped = 0
+def _close_sinks(sinks) -> None:
+    """Close each sink in ``sinks`` once, emptying the list."""
     while sinks:
-        sink = sinks.pop(0)
-        sink.close()
-        dropped += sink.dropped
-    return dropped
+        sinks.pop(0).close()
 
 
 @contextlib.contextmanager

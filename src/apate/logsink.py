@@ -1,4 +1,4 @@
-"""Log record format and transport sinks (file, UDP, VFS, memory).
+"""Log record format and transport sinks (file, UDP, VFS, discard).
 
 A record renders as one pipe-delimited line:
 
@@ -17,9 +17,7 @@ datagram; oversized args are truncated with a trailing ellipsis marker.
 from __future__ import annotations
 
 import json
-import queue
 import socket
-import threading
 from dataclasses import dataclass
 
 from .sandbox import append_to_vfs_file, normalize_path
@@ -131,46 +129,29 @@ class FileSink:
 
 
 class UdpSink:
-    """One datagram per record via a bounded queue and a flush thread.
+    """One datagram per record, sent at once on a non-blocking socket.
 
-    When the queue is full the record is dropped and counted; logging
+    The address is resolved once, here; a host with no IPv4 address
+    raises OSError.  A record the local socket refuses (a full buffer)
+    or cannot encode (a lone surrogate) is dropped and counted; logging
     must never stall syscall processing.
     """
 
-    def __init__(self, host: str, port: int, maxlen: int = 4096):
-        self.addr = (host, port)
+    def __init__(self, host: str, port: int):
+        family, kind, proto, _, self.addr = socket.getaddrinfo(
+            host, port, socket.AF_INET, socket.SOCK_DGRAM)[0]
         self.dropped = 0
-        self._queue = queue.Queue(maxsize=maxlen)
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._closed = False
-        self._thread = threading.Thread(target=self._drain, daemon=True)
-        self._thread.start()
+        self._sock = socket.socket(family, kind, proto)
+        self._sock.setblocking(False)
 
     def emit(self, line: str) -> None:
         try:
-            self._queue.put_nowait(line.encode("utf-8"))
-        except (queue.Full, UnicodeEncodeError):  # or a lone surrogate
+            self._sock.sendto(line.encode("utf-8"), self.addr)
+        except (OSError, UnicodeEncodeError):
             self.dropped += 1
 
-    def _drain(self) -> None:
-        while True:
-            data = self._queue.get()
-            if data is None:
-                return
-            try:
-                self._sock.sendto(data, self.addr)
-            except Exception:  # any failure drops the record, not the thread
-                self.dropped += 1
-
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            try:
-                self._queue.put(None, timeout=5)
-            except queue.Full:  # the flush thread is stuck; let join time out
-                pass
-            self._thread.join(timeout=5)
-            self._sock.close()
+        self._sock.close()
 
 
 class VfsSink:

@@ -249,7 +249,7 @@ def replay_trace(prog: RuleProgram, events, sandbox: SandboxState,
         log_records=sandbox.log_count,
         vfs_digest=sandbox.vfs.digest(),
         diagnostics={
-            "dropped": sum(getattr(s, "dropped", 0) for s in sandbox.sinks),
+            "dropped": sum(s.dropped for s in sandbox.sinks),
             "notes": list(sandbox.diagnostics),
         })
 

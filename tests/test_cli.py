@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from apate import apc, cli, engine
+from apate import apc, engine
 from apate.cli import main
 from apate.cloak import apply_cloak, cloak_ruleset
 from apate.dsl import compile_source
@@ -448,28 +448,6 @@ class TestRun:
             {"kind": "StoreTypeMismatch",
              "detail": "store_cmp: 'k' <= 3 on a non-int cell"}]
 
-    def test_drops_counted_while_closing_a_sink_are_reported(
-            self, compiled, tmp_path, monkeypatch):
-        class DropsOnClose:
-            def __init__(self, host, port):
-                self.dropped = 0
-
-            def emit(self, line):
-                pass
-
-            def close(self):
-                self.dropped += 1
-
-        monkeypatch.setattr(cli, "UdpSink", DropsOnClose)
-        trace = tmp_path / "trace.jsonl"
-        trace.write_text(trace_line(1, "open", ["/etc/hosts", "r"]) + "\n")
-        report_path = tmp_path / "report.json"
-        assert main(["run", "--program", str(compiled), "--trace", str(trace),
-                     "--log-udp", "127.0.0.1:9",
-                     "--report", str(report_path)]) == 0
-        report = json.loads(report_path.read_text())
-        assert report["diagnostics"]["dropped"] == 1
-
     @pytest.mark.parametrize("port", ["70000", "-5"])
     @pytest.mark.parametrize("via", ["flag", "env"])
     def test_udp_port_out_of_range_is_a_bad_sink(self, compiled, tmp_path,
@@ -483,6 +461,16 @@ class TestRun:
             argv += ["--log-udp", f"127.0.0.1:{port}"]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("apate: bad sink:")
+
+    def test_udp_host_with_no_ipv4_address_is_a_bad_sink(self, compiled,
+                                                         tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "getpid", []) + "\n")
+        assert main(["run", "--program", str(compiled), "--trace", str(trace),
+                     "--log-udp", "::1:9"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("apate: bad sink:")
+        assert captured.out == ""
 
     def test_cloaked_run_generates_each_guard_once(self, compiled, tmp_path,
                                                    monkeypatch):

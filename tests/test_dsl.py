@@ -484,6 +484,10 @@ class TestApcFormat:
         "CHAIN\tch\tnope",                           # unknown rule
         "BIND\tsys_fork\tch",                        # unknown syscall
         "BIND\tsys_open\tmissing",                   # unknown chain
+        'COND\tc0\ttestforuid\t["<",1]',             # defined twice
+        "ACTION\ta0\tlog\t[]",
+        "RULE\tr0\t(& c0 c0)\ta0\tx:1",
+        "CHAIN\tch\tr0",
         pytest.param("COND\tc1\ttestforuid\t" + "[" * 200_000,
                      id="deeply nested params"),
     ])
@@ -544,6 +548,36 @@ class TestApcFormat:
             apc.deserialize(blob.encode())
         one = apc.deserialize(blob.encode().rsplit(b"BIND", 1)[0])
         assert one.bindings == [("open", "a")]
+
+    @pytest.mark.parametrize("blob, message", [
+        # a loader that kept the later rule gave chain a the body (& c0 c0)
+        # and chain b the body (| c0 c0), and serialize then refused it
+        ("APATE-RP 1\n"
+         'COND\tc0\ttestforuid\t[">",0]\n'
+         "ACTION\ta0\tlog\t[]\n"
+         "RULE\tr\t(& c0 c0)\ta0\tx:1\n"
+         "CHAIN\ta\tr\n"
+         "RULE\tr\t(| c0 c0)\ta0\tx:1\n"
+         "CHAIN\tb\tr\n"
+         "BIND\tsys_open\ta\n"
+         "BIND\tsys_getpid\tb\n", "line 6: rule 'r' already defined"),
+        # a loader that kept the later of each serialized other bytes
+        ("APATE-RP 1\n"
+         'COND\tc0\ttestforuid\t[">",0]\n'
+         'COND\tc0\ttestforuid\t["<",5]\n'
+         "ACTION\ta0\tlog\t[]\n"
+         "RULE\tr0\t(& c0 c0)\ta0\tx:1\n"
+         "CHAIN\ta\tr0\n"
+         "CHAIN\ta\t:r0\n"
+         "BIND\tsys_open\ta\n",
+         "line 3: condition id 'c0' already defined"),
+    ])
+    def test_a_name_defined_twice_is_corrupt_at_its_line(self, blob, message):
+        # The DSL refuses a name defined twice, and a loader that kept
+        # either definition would not give back the file's own bytes.
+        with pytest.raises(CorruptRecord) as exc:
+            apc.deserialize(blob.encode())
+        assert str(exc.value) == message
 
     def test_corrupt_record_reports_line(self):
         with pytest.raises(CorruptRecord) as exc:

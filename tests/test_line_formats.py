@@ -3,26 +3,30 @@ and the JSONL trace -- share one reader, ``LineError.lines``: a line ends
 at ``\\n``, ``\\r\\n`` or ``\\r`` and nowhere else, blank means ASCII
 whitespace only, and each line is decoded as UTF-8 on its own.
 
-The fuzz tests mutate valid .apc and manifest bytes with the characters
-those rules turn on.  Every input loads or raises an ApateError; an error
-at a line names the first line that fails; a loaded program reloads from
-its own bytes to the same bytes and binds; a loaded VFS keeps its
-invariants.
+The fuzz tests mutate valid .apc, manifest and trace bytes with the
+characters those rules turn on.  Every input loads or raises an
+ApateError; an error at a line names the first line that fails; a loaded
+program reloads from its own bytes to the same bytes and binds; a loaded
+VFS keeps its invariants; a trace replays the same way twice, keeping the
+VFS invariants after every event.
 """
 
 import io
 import random
 import re
+from pathlib import Path
 
 import pytest
 
 from apate import apc
+from apate.cloak import apply_cloak, cloak_ruleset
 from apate.dsl import compile_source
 from apate.engine import validate_program
 from apate.errors import (ApateError, BadMagic, CorruptRecord, LineError,
                           MalformedManifestLine, TraceError)
-from apate.replay import iter_trace
-from apate.sandbox import vfs_from_manifest
+from apate.logsink import VfsSink
+from apate.replay import iter_trace, replay_trace
+from apate.sandbox import SandboxState, parent_of, vfs_from_manifest
 
 from conftest import MYSQL_EXAMPLE
 from test_acceptance import random_program_source
@@ -93,17 +97,22 @@ class TestThreeFormats:
 # --- seeded fuzz ------------------------------------------------------------
 
 def _mutate(rng, data: bytes) -> bytes:
-    """data with one to three inserts, deletes or replacements."""
+    """data with one to three inserts, deletes, replacements or repeats of
+    the line around a byte (a name defined twice)."""
     out = bytearray(data)
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(out) + 1)
-        op = rng.randrange(3)
+        op = rng.randrange(4)
         if op == 0:
             out[i:i] = rng.choice(MARKS)
         elif op == 1:
             del out[i:i + rng.randint(1, 4)]
-        else:
+        elif op == 2:
             out[i:i + rng.randint(1, 4)] = rng.choice(MARKS)
+        else:
+            start = out.rfind(b"\n", 0, i) + 1
+            end = out.find(b"\n", i) + 1 or len(out)
+            out[start:start] = out[start:end].rstrip(b"\n") + b"\n"
     return bytes(out)
 
 
@@ -203,3 +212,66 @@ def test_manifest_fuzz(seed):
 
 
 APC_INPUTS = _apc_inputs()
+
+
+@pytest.fixture(scope="module")
+def honeypot_mix(tmp_path_factory):
+    """The mysql program's source and its cloaked program, the log path,
+    and a honeypot-mix input from perfbench/gen.py: its manifest lines
+    by directory, and its trace lines."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        import gen
+    inputs = gen.generate("honeypot-mix", 26, str(tmp_path_factory.mktemp("hm")))
+    source = Path(inputs.source).read_bytes()
+    prog = apply_cloak(compile_source(source.decode())[0],
+                       cloak_ruleset(gen.LOG_PATH))
+    validate_program(prog)
+    by_dir = {}
+    for line in Path(inputs.manifest).read_bytes().splitlines():
+        parent = parent_of(line.split()[1].decode()).encode()
+        by_dir[parent] = by_dir.get(parent, b"") + line + b"\n"
+    return (source, prog, gen.LOG_PATH, by_dir,
+            Path(inputs.trace).read_bytes().splitlines())
+
+
+def _replay(prog, log_path, world: bytes, data: bytes):
+    """Replay the trace data into a fresh world under a fixed clock,
+    checking the VFS after every event: the dispositions, the VFS digest,
+    and the TraceError that ended the replay, if one did."""
+    sb = SandboxState(vfs=vfs_from_manifest(world),
+                      clock=lambda: "2024-05-01T12:00:00.000000+00:00")
+    sb.sinks = [VfsSink(sb.vfs, log_path)]
+    disps = []
+
+    def emit(disp):
+        sb.vfs.check_invariants()
+        disps.append(disp)
+
+    try:
+        replay_trace(prog, iter_trace(io.BytesIO(data)), sb, emit)
+    except TraceError as exc:
+        return disps, sb.vfs.digest(), exc
+    return disps, sb.vfs.digest(), None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trace_fuzz(seed, honeypot_mix):
+    source, prog, log_path, by_dir, trace = honeypot_mix
+    rng = random.Random(200 + seed)
+    for _ in range(75):
+        at = rng.randrange(len(trace) - 12)
+        window = b"\n".join(trace[at:at + 12]) + b"\n"
+        # The world holds what the window can reach: the entries of each
+        # directory it or the program names (a path names its directory).
+        world = b"".join(lines for parent, lines in by_dir.items()
+                         if parent in window or parent in source)
+        data = _mutate(rng, window)
+        disps, digest, exc = _replay(prog, log_path, world, data)
+        again = _replay(prog, log_path, world, data)
+        assert again[:2] == (disps, digest) and str(again[2]) == str(exc)
+        if exc is not None:   # at the first line that fails to parse
+            lines = data.splitlines()
+            assert lines[exc.line_no - 1] not in window.splitlines()
+            assert len(disps) == sum(1 for line in lines[:exc.line_no - 1]
+                                     if line.strip())

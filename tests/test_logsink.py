@@ -4,7 +4,6 @@ import math
 import random
 import socket
 import string
-import threading
 import time
 
 import pytest
@@ -311,33 +310,41 @@ class TestSinks:
         data, _ = recv.recvfrom(LINE_MAX + 10)
         assert data.decode() == line
         sink.close()
-        assert not sink._thread.is_alive()
         assert sink.dropped == 1
         recv.close()
 
     def test_udp_sink_drops_instead_of_blocking(self):
-        sink = UdpSink("127.0.0.1", 9, maxlen=2)
-        gate = threading.Event()
-        sending = threading.Event()
+        sink = UdpSink("127.0.0.1", 9)
+        assert sink._sock.gettimeout() == 0.0     # non-blocking
 
-        class StuckSocket:
+        class FullSocket:
             def sendto(self, data, addr):
-                sending.set()
-                gate.wait(timeout=10)
+                raise BlockingIOError("send buffer full")
 
             def close(self):
                 pass
 
         sink._sock.close()
-        sink._sock = StuckSocket()
-        sink.emit("a")                   # drain picks this up and stalls
-        assert sending.wait(timeout=5)
-        sink.emit("b")                   # fills the queue
-        sink.emit("c")
-        sink.emit("overflow")            # must drop, not block
-        assert sink.dropped == 1
-        gate.set()
+        sink._sock = FullSocket()
+        began = time.perf_counter()
+        for _ in range(3):
+            sink.emit("a")
+        assert time.perf_counter() - began < 1
+        assert sink.dropped == 3
         sink.close()
+
+    def test_udp_sink_keeps_every_record_of_a_burst(self):
+        # the receiver reads nothing: what it cannot hold is lost on the
+        # wire, but the local socket takes every datagram
+        recv = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        recv.bind(("127.0.0.1", 0))
+        sink = UdpSink("127.0.0.1", recv.getsockname()[1])
+        line = fmt(rec())
+        for _ in range(20_000):
+            sink.emit(line)
+        sink.close()
+        recv.close()
+        assert sink.dropped == 0
 
     def test_parse_udp_addr(self):
         assert parse_udp_addr("localhost:9999") == ("localhost", 9999)
@@ -355,7 +362,7 @@ class TestSinks:
 
         class FailingSocket:
             def sendto(self, data, addr):
-                raise OverflowError("port must be 0-65535.")
+                raise OSError("network is unreachable")
 
             def close(self):
                 pass
@@ -365,5 +372,4 @@ class TestSinks:
         sink.emit("a")
         sink.emit("b")
         sink.close()
-        assert not sink._thread.is_alive()
         assert sink.dropped == 2
