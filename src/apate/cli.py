@@ -17,7 +17,14 @@ from .logsink import FileSink, UdpSink, VfsSink, parse_udp_addr
 from .replay import iter_trace, replay_trace
 from .sandbox import SandboxState, vfs_from_manifest
 
-REPORT_BATCH = 1024  # dispositions encoded per json.dumps call
+REPORT_BATCH = 1024  # dispositions held, then written in one out.write
+
+# json.dumps's own C encoder for one value, with json.dumps's defaults
+# less the cycle check (an args list from a trace has no cycles).  Bound
+# here, once: a traced run swaps ``json`` in this module for a stand-in.
+_encode_args = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+    None, ": ", ", ", False, False, True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -171,13 +178,26 @@ def _report_out(path):
         raise
 
 
+def _entry(d) -> str:
+    """One ``events[]`` entry: the bytes ``json.dumps`` gives for the
+    disposition's seven report keys.  ``seq``, ``result`` and
+    ``conditions`` are exact ints, ``matched_rules`` a list of ints (its
+    repr is its JSON) and ``syscall`` a SYSCALL_TABLE name, so only
+    ``args``, any JSON value from the trace, needs the encoder."""
+    return (f'{{"seq": {d.seq}, "syscall": "{d.syscall}", '
+            f'"matched_rules": {d.matched_rules!r}, "result": {d.result}, '
+            f'"blocked": {"true" if d.blocked else "false"}, '
+            f'"args": {"".join(_encode_args(d.manipulated_args, 0))}, '
+            f'"conditions": {d.conditions_evaluated}}}')
+
+
 class _ReportStream:
     """Writes the report while the replay runs, holding at most
     REPORT_BATCH dispositions.
 
     The bytes are those of ``json.dumps`` of the whole report dict:
-    ``{"events": [``, each batch's JSON list without its brackets (joined
-    by ``", "``), then ``"], "`` and the other keys.
+    ``{"events": [``, each entry as ``_entry`` writes it (joined by
+    ``", "``), then ``"], "`` and the other keys.
     """
 
     def __init__(self, out):
@@ -194,10 +214,7 @@ class _ReportStream:
 
     def flush(self) -> None:
         if self.batch:
-            # fresh lists of fresh dicts: nothing to check for cycles
-            self.out.write(self.sep + json.dumps(
-                [d.to_dict() for d in self.batch],
-                check_circular=False)[1:-1])
+            self.out.write(self.sep + ", ".join(map(_entry, self.batch)))
             self.sep = ", "
             self.batch.clear()
 

@@ -18,25 +18,11 @@ from __future__ import annotations
 
 import json
 import socket
-from dataclasses import dataclass
 
 from .sandbox import append_to_vfs_file, normalize_path
 
 LINE_MAX = 60_000
 TRUNCATION_MARK = "…"
-
-
-@dataclass
-class LogRecord:
-    """A record as parse_record reads it back."""
-
-    ts: str
-    seq: int
-    pid: int
-    uid: int
-    syscall: str
-    args: list
-    result: int
 
 
 def _bytes_json(v) -> str:
@@ -81,21 +67,6 @@ def format_record(ts, seq, pid, uid, syscall, args, result) -> str:
     cut = payload.encode("utf-8", "surrogatepass")[:max(budget, 0)].decode(
         "utf-8", errors="ignore")
     return f"apate|1|{ts}|{seq}|{pid}|{uid}|{syscall}|{cut}{TRUNCATION_MARK}|{result}"
-
-
-def parse_record(line: str) -> LogRecord:
-    """Inverse of format_record (modulo the truncation marker)."""
-    head = line.split("|", 7)
-    if len(head) != 8 or head[0] != "apate" or head[1] != "1":
-        raise ValueError(f"not a log record: {line!r}")
-    tail, result = head[7].rsplit("|", 1)
-    if tail.endswith(TRUNCATION_MARK):
-        args = [tail]  # truncated payload kept verbatim
-    else:
-        args = json.loads(tail)
-    return LogRecord(ts=head[2], seq=int(head[3]), pid=int(head[4]),
-                     uid=int(head[5]), syscall=head[6], args=args,
-                     result=int(result))
 
 
 class DiscardSink:

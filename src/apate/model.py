@@ -207,15 +207,3 @@ class Disposition:
     manipulated_args: "list | tuple" = ()   # dispatch sets the final args
     conditions_evaluated: int = 0
     invoked: bool = False
-
-    def to_dict(self) -> dict:
-        """Report form; it shares this disposition's lists, not copies."""
-        return {
-            "seq": self.seq,
-            "syscall": self.syscall,
-            "matched_rules": self.matched_rules,
-            "result": self.result,
-            "blocked": self.blocked,
-            "args": self.manipulated_args,
-            "conditions": self.conditions_evaluated,
-        }

@@ -145,12 +145,16 @@ class VirtualFS:
         return sorted(self.children.get(normalize_path(path), ()))
 
     def digest(self) -> str:
-        """Stable hash over the whole tree (paths, kinds, contents)."""
+        """Stable hash over the whole tree (paths, kinds, contents).
+
+        Paths are UTF-8, with a lone surrogate (a trace's JSON may hold
+        one) written as its three bytes: one-to-one, and any other path's
+        bytes are unchanged."""
         h = hashlib.sha256()
         for d in sorted(self.dirs):
-            h.update(b"D\x00" + d.encode() + b"\x00")
+            h.update(b"D\x00" + d.encode("utf-8", "surrogatepass") + b"\x00")
         for f in sorted(self.files):
-            h.update(b"F\x00" + f.encode() + b"\x00")
+            h.update(b"F\x00" + f.encode("utf-8", "surrogatepass") + b"\x00")
             h.update(self.files[f])
             h.update(b"\x00")
         return h.hexdigest()

@@ -1,3 +1,6 @@
+import json
+from dataclasses import dataclass
+
 import pytest
 
 from apate.engine import (bind_actions, dispatch, run_action_chain,
@@ -5,6 +8,7 @@ from apate.engine import (bind_actions, dispatch, run_action_chain,
 from apate.model import (Action, ActionChain, ALWAYS_TRUE, Condition,
                          ConditionBlock, Disposition, OP_AND, Rule, RuleChain,
                          RuleProgram, SYSCALLS, SyscallEvent, TaskContext)
+from apate.logsink import TRUNCATION_MARK
 from apate.replay import EventSource
 from apate.sandbox import SandboxState
 
@@ -98,6 +102,49 @@ def run_actions(chain, ev, sb, disp=None):
     actions, _ = bind_actions(Rule("r", None, chain))
     return run_action_chain(actions, ev, sb,
                             disp or Disposition(ev.seq, ev.syscall))
+
+
+def to_dict(d: Disposition) -> dict:
+    """A disposition's report entry as a dict; it shares the
+    disposition's lists, not copies.  ``json.dumps`` of a list of these
+    is the reference for the report's ``events[]`` bytes."""
+    return {
+        "seq": d.seq,
+        "syscall": d.syscall,
+        "matched_rules": d.matched_rules,
+        "result": d.result,
+        "blocked": d.blocked,
+        "args": d.manipulated_args,
+        "conditions": d.conditions_evaluated,
+    }
+
+
+@dataclass
+class LogRecord:
+    """A record as parse_record reads it back."""
+
+    ts: str
+    seq: int
+    pid: int
+    uid: int
+    syscall: str
+    args: list
+    result: int
+
+
+def parse_record(line: str) -> LogRecord:
+    """Inverse of logsink.format_record (modulo the truncation marker)."""
+    head = line.split("|", 7)
+    if len(head) != 8 or head[0] != "apate" or head[1] != "1":
+        raise ValueError(f"not a log record: {line!r}")
+    tail, result = head[7].rsplit("|", 1)
+    if tail.endswith(TRUNCATION_MARK):
+        args = [tail]  # truncated payload kept verbatim
+    else:
+        args = json.loads(tail)
+    return LogRecord(ts=head[2], seq=int(head[3]), pid=int(head[4]),
+                     uid=int(head[5]), syscall=head[6], args=args,
+                     result=int(result))
 
 
 class MemorySink:

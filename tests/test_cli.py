@@ -12,11 +12,11 @@ from apate.cli import main
 from apate.cloak import apply_cloak, cloak_ruleset
 from apate.dsl import compile_source
 from apate.engine import dispatch
-from apate.logsink import parse_record
 from apate.replay import parse_trace, replay_trace
 from apate.sandbox import SandboxState, vfs_from_manifest
 
-from conftest import MYSQL_EXAMPLE, make_ctx, make_event
+from conftest import (MYSQL_EXAMPLE, make_ctx, make_event, parse_record,
+                      to_dict)
 
 TRACE_CTX = {"pid": 42, "uid": 1000, "ssid": 1, "pname": "bash",
              "parent_pname": "mysql"}
@@ -472,6 +472,23 @@ class TestRun:
         assert captured.err.startswith("apate: bad sink:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("syscall,args", [("mkdir", ["/x\ud800"]),
+                                              ("open", ["/y\udc80", "w"])])
+    def test_a_path_with_a_lone_surrogate_is_in_the_digest(
+            self, compiled, tmp_path, syscall, args):
+        trace = tmp_path / "trace.jsonl"
+        report_path = tmp_path / "report.json"
+        digests = []
+        for text in [trace_line(1, syscall, args) + "\n"] * 2 + [""]:
+            trace.write_text(text)
+            assert main(["run", "--program", str(compiled), "--trace",
+                         str(trace), "--report", str(report_path)]) == 0
+            report = json.loads(report_path.read_text())
+            assert [e["result"] >= 0 for e in report["events"]] == [True] * (
+                text != "")
+            digests.append(report["vfs_digest"])
+        assert digests[0] == digests[1] != digests[2]
+
     def test_cloaked_run_generates_each_guard_once(self, compiled, tmp_path,
                                                    monkeypatch):
         blocks = []
@@ -656,7 +673,7 @@ class TestReport:
         dispositions = []
         report = replay_trace(prog, parse_trace(trace.read_text()), sandbox,
                               dispositions.append)
-        return {"events": [d.to_dict() for d in dispositions],
+        return {"events": [to_dict(d) for d in dispositions],
                 **report.to_dict()}
 
     def test_file_and_stdout_match_replay(self, compiled, tmp_path, capsys):
@@ -679,7 +696,7 @@ class TestReport:
         sandbox = SandboxState()
         ev = make_event("open", "/var/lib/mysql/ibdata1", "r",
                         ctx=make_ctx(parent_pname="mysql"))
-        d = dispatch(prog, ev, sandbox).to_dict()
+        d = to_dict(dispatch(prog, ev, sandbox))
         assert d["args"] == ["/honey/mysql/ibdata1", "r"]
         assert d["matched_rules"] == [0, 1]
         ev.args[0] = "/elsewhere"

@@ -6,9 +6,9 @@ whitespace only, and each line is decoded as UTF-8 on its own.
 The fuzz tests mutate valid .apc, manifest and trace bytes with the
 characters those rules turn on.  Every input loads or raises an
 ApateError; an error at a line names the first line that fails; a loaded
-program reloads from its own bytes to the same bytes and binds; a loaded
-VFS keeps its invariants; a trace replays the same way twice, keeping the
-VFS invariants after every event.
+program reloads from its own bytes to an equal program with the same
+bytes and binds; a loaded VFS keeps its invariants; a trace replays the
+same way twice, keeping the VFS invariants after every event.
 """
 
 import io
@@ -132,8 +132,10 @@ def _assert_at_its_line(load, data: bytes, exc: ApateError) -> None:
 
 
 def _load_apc(data: bytes):
-    """The program data holds, checked to reload from its own bytes to the
-    same bytes and to bind; or None after an ApateError at its line."""
+    """The program data holds, checked to reload from its own bytes to an
+    equal program with the same bytes (also when ``data`` numbers its
+    records otherwise, say a first condition ``c5``) and to bind; or None
+    after an ApateError at its line."""
     try:
         prog = apc.deserialize(data)
     except ApateError as exc:
@@ -141,6 +143,7 @@ def _load_apc(data: bytes):
         return None
     blob = apc.serialize(prog)
     again = apc.deserialize(blob)
+    assert again == prog
     assert apc.serialize(again) == blob
     validate_program(again)
     return prog
@@ -190,6 +193,17 @@ def _manifest_input(rng) -> bytes:
     for line in lines:
         out += line.encode() + rng.choice((b"\n", b"\r\n", b"\r"))
     return out
+
+
+def test_apc_with_other_ids_reloads_to_an_equal_program():
+    blob = APC_INPUTS[0]
+    for old, new in [(b"c0", b"c9"), (b"c1", b"c5"), (b"a0", b"a7")]:
+        blob = blob.replace(b"\t" + old, b"\t" + new).replace(
+            old + b" ", new + b" ").replace(b" " + old, b" " + new)
+    assert blob.startswith(b"APATE-RP 1\nCOND\tc9\t")
+    prog = _load_apc(blob)
+    assert prog == apc.deserialize(APC_INPUTS[0])
+    assert apc.serialize(prog) == APC_INPUTS[0]
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -8,12 +8,11 @@ import time
 
 import pytest
 
-from apate.logsink import (LINE_MAX, FileSink, LogRecord, TRUNCATION_MARK,
-                           UdpSink, VfsSink, format_record, parse_record,
-                           parse_udp_addr)
+from apate.logsink import (LINE_MAX, FileSink, TRUNCATION_MARK, UdpSink,
+                           VfsSink, format_record, parse_udp_addr)
 from apate.sandbox import SandboxState, VirtualFS, exec_syscall
 
-from conftest import MemorySink, make_event
+from conftest import LogRecord, MemorySink, make_event, parse_record
 
 
 def rec(**kw):

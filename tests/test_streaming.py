@@ -3,6 +3,7 @@ report batches out, with the bytes of the whole-report `json.dumps`."""
 
 import io
 import json
+import random
 import sys
 import tracemalloc
 
@@ -11,10 +12,11 @@ import pytest
 from apate import apc, cli, replay
 from apate.cli import main
 from apate.errors import TraceError
-from apate.replay import iter_trace, parse_trace, replay_trace
+from apate.model import SYSCALLS, Disposition
+from apate.replay import Report, iter_trace, parse_trace, replay_trace
 from apate.sandbox import SandboxState, vfs_from_manifest
 
-from conftest import MYSQL_EXAMPLE
+from conftest import MYSQL_EXAMPLE, to_dict
 
 CTX = {"pid": 42, "uid": 1000, "ssid": 1, "pname": "bash",
        "parent_pname": "mysql"}
@@ -68,7 +70,7 @@ def in_memory_report(prog_path, fs, trace_text) -> bytes:
     dispositions = []
     report = replay_trace(prog, parse_trace(trace_text), sandbox,
                           dispositions.append)
-    full = {"events": [d.to_dict() for d in dispositions], **report.to_dict()}
+    full = {"events": [to_dict(d) for d in dispositions], **report.to_dict()}
     return (json.dumps(full) + "\n").encode()
 
 
@@ -102,6 +104,105 @@ class TestReportBytes:
                             io.TextIOWrapper(io.BytesIO(text.encode())))
         assert main(argv + ["--trace", "-", "--report", str(from_stdin)]) == 0
         assert from_stdin.read_bytes() == from_file.read_bytes()
+
+    def test_the_report_needs_only_json_dumps_at_run_time(
+            self, mysql, world, tmp_path, monkeypatch):
+        # a traced perfbench run puts a namespace with only ``dumps`` in
+        # place of cli.json
+        monkeypatch.setattr(cli, "json", type("J", (), {
+            "dumps": staticmethod(json.dumps)}))
+        text = open_read_close(1500)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(text)
+        out = tmp_path / "report.json"
+        assert main(["run", "--program", str(mysql), "--trace", str(trace),
+                     "--fs", str(world), "--report", str(out)]) == 0
+        assert out.read_bytes() == in_memory_report(mysql, world, text)
+
+
+# Text a trace's JSON can hold: non-ASCII, lone surrogates, control
+# characters, the two characters JSON escapes, and astral code points.
+_CHARS = ["a", "/", " ", "é", "\u2028", "\U0001f600", "\ud800", "\udc80",
+          "\x00", "\x1f", "\x7f", "\n", "\t", '"', "\\", "\u00ff"]
+_FLOATS = [0.0, -0.0, 1.5, -2.25, 1e16, 1e-7, 1.7976931348623157e308,
+           5e-324, 0.1, float("inf"), float("-inf"), float("nan")]
+
+
+def _value(rng, depth=0):
+    kind = rng.randrange(6 if depth < 3 else 4)
+    if kind == 0:
+        return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice([0, -1, 2 ** 63, -(10 ** 40), True, False, None,
+                           rng.randrange(-5, 1 << 16)])
+    if kind == 2:
+        return {"len": rng.randrange(1 << 20)}
+    if kind == 3:
+        return rng.choice(_FLOATS)
+    if kind == 4:
+        return [_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {"k" + rng.choice(_CHARS): _value(rng, depth + 1)
+            for _ in range(rng.randrange(3))}
+
+
+def random_dispositions(seed, n):
+    rng = random.Random(seed)
+    return [Disposition(
+        seq=rng.choice([i, rng.randrange(1 << 62)]),
+        syscall=rng.choice(SYSCALLS),
+        matched_rules=rng.sample(range(60), rng.choice([0, 0, 1, 2, 5])),
+        result=rng.choice([0, 3, -2, -13, rng.randrange(-(1 << 40), 1 << 40)]),
+        blocked=rng.random() < 0.5,
+        manipulated_args=rng.choice([(), [_value(rng)],
+                                     [_value(rng) for _ in range(3)]]),
+        conditions_evaluated=rng.randrange(3000))
+        for i in range(1, n + 1)]
+
+
+class TestReportEntries:
+    """Each ``events[]`` entry is written without a dict or json.dumps;
+    the reference is json.dumps of the entry's dict."""
+
+    EDGES = [
+        Disposition(1, "open", [], -13, True,
+                    ['"\\/\x00\x1f\x7f\ud800\udfff\U0001f600é\u2028', -0.0,
+                     1e16, 10 ** 30, -(2 ** 64), True, False, None,
+                     [[], [1.5, [None, "x"]]], {"len": 9}], 0),
+        Disposition(2 ** 70, "getpid", [0, 3, 17], 0, False, (), 5),
+        Disposition(3, "write", [4], -(10 ** 20), False, [5, 1.0])]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_entries_are_the_bytes_of_json_dumps(self, seed):
+        ds = self.EDGES + random_dispositions(seed, 400)
+        for d in ds:
+            assert cli._entry(d) == json.dumps(to_dict(d))
+        assert ", ".join(map(cli._entry, ds)) == json.dumps(
+            [to_dict(d) for d in ds])[1:-1]
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_a_stream_is_one_dumps_of_the_whole_report(self, n):
+        ds = random_dispositions(n, n)
+        report = Report(total_conditions=n, log_records=2, vfs_digest="ab",
+                        diagnostics={"dropped": 0, "notes": ["\ud800 é"]})
+        out = io.StringIO()
+        stream = cli._ReportStream(out)
+        for d in ds:
+            stream.emit(d)
+        stream.finish(report)
+        assert out.getvalue() == json.dumps(
+            {"events": [to_dict(d) for d in ds], **report.to_dict()}) + "\n"
+
+    def test_the_stream_holds_at_most_one_batch(self):
+        writes, held = [], []
+        out = type("Out", (), {"write": lambda _, text: writes.append(text)})
+        stream = cli._ReportStream(out())
+        for d in random_dispositions(5, 2500):
+            stream.emit(d)
+            held.append(len(stream.batch))
+        stream.finish(Report())
+        assert max(held) == cli.REPORT_BATCH - 1
+        # the head, one write per batch, and the tail
+        assert [w.count('{"seq": ') for w in writes] == [0, 1024, 1024, 452, 0]
 
 
 class TestFlatMemory:
@@ -236,21 +337,3 @@ class TestStreamedReplay:
                      "--fs", str(world),
                      "--report", str(tmp_path / "r.json")]) == 0
         assert calls == ["parse", "dispatch"] * 4
-
-    def test_report_batches_are_one_dumps_call_each(self, mysql, world,
-                                                    tmp_path, monkeypatch):
-        sizes = []
-        dumps = json.dumps
-
-        def counting(obj, **kwargs):
-            sizes.append(len(obj))
-            return dumps(obj, **kwargs)
-
-        monkeypatch.setattr(cli, "json", type("J", (), {
-            "dumps": staticmethod(counting)}))
-        trace = tmp_path / "trace.jsonl"
-        trace.write_text(open_read_close(2500))
-        assert main(["run", "--program", str(mysql), "--trace", str(trace),
-                     "--fs", str(world),
-                     "--report", str(tmp_path / "r.json")]) == 0
-        assert sizes == [1024, 1024, 452, 4]   # 4: the keys after events
