@@ -25,31 +25,22 @@ LINE_MAX = 60_000
 TRUNCATION_MARK = "…"
 
 
-def _bytes_json(v) -> str:
-    return f'{{"len":{len(v)}}}'
-
-
-_dumps = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
-
-
-def _other_json(v) -> str:
-    if isinstance(v, (bytes, bytearray)):
-        return _bytes_json(v)
-    return _dumps(v)
-
-
-# Exact types only: subclasses (bool among them) take _other_json, which
-# renders them as json.dumps does.
-_ENCODERS = {int: int.__repr__, str: json.encoder.encode_basestring,
-             bytes: _bytes_json, bytearray: _bytes_json}
+# json.dumps's own C encoder for one value, with compact separators,
+# non-ASCII kept, and no cycle check (an args list from a trace has none).
+_encode = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring,
+    None, ":", ",", False, False, True)
 
 
 def args_json(args) -> str:
     """``json.dumps(list(args), separators=(",", ":"), ensure_ascii=False)``
-    with each bytes-like item replaced by ``{"len": n}``: the compact JSON
-    list of log records and of .apc params."""
-    get = _ENCODERS.get
-    return "[" + ",".join([get(type(a), _other_json)(a) for a in args]) + "]"
+    with each top-level bytes-like item replaced by ``{"len": n}``: the
+    compact JSON list of log records and of .apc params."""
+    try:
+        return "".join(_encode(args, 0))
+    except TypeError:  # a bytes-like item; one nested in a value raises again
+        return "".join(_encode([{"len": len(a)} if isinstance(a, (bytes, bytearray))
+                                else a for a in args], 0))
 
 
 def format_record(ts, seq, pid, uid, syscall, args, result) -> str:

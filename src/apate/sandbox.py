@@ -248,12 +248,9 @@ class FdTable:
         return fd
 
     def get(self, fd):
-        """fd's entry, or None; an unhashable fd (a JSON array in a
-        trace) names no descriptor."""
-        try:
-            return self.entries.get(fd)
-        except TypeError:
-            return None
+        """fd's entry, or None; only an exact int names a descriptor (a
+        float, a bool or a JSON array in a trace names none)."""
+        return self.entries.get(fd) if type(fd) is int else None
 
     def close(self, fd) -> bool:
         if self.get(fd) is None:
@@ -263,10 +260,7 @@ class FdTable:
 
     def path_of(self, fd) -> "str | None":
         # get()'s test inline: generated guards call this once per guard
-        try:
-            e = self.entries.get(fd)
-        except TypeError:
-            return None
+        e = self.entries.get(fd) if type(fd) is int else None
         return e[0] if e else None
 
 
@@ -326,7 +320,10 @@ class SandboxState:
 
 
 def _byte_count(value) -> int:
-    """``int(value)``, or -1 for a bool, a float, or what int() rejects."""
+    """``int(value)``, or -1 for a bool, a float, a str that is not ASCII
+    digits (the rule a manifest length follows), or what int() rejects."""
+    if isinstance(value, str) and not (value.isascii() and value.isdigit()):
+        return -1
     try:
         return -1 if isinstance(value, (bool, float)) else int(value)
     except (TypeError, ValueError, OverflowError):
@@ -400,7 +397,9 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
         entry = fds.get(args[0])
         if entry is None or entry[2] != name[0]:  # open for "r" or "w"
             return EBADF
-        count = _byte_count(args[1])
+        count = args[1]
+        if type(count) is not int:
+            count = _byte_count(count)
         if count < 0:
             return EINVAL
         _, offset, _, content = entry

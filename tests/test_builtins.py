@@ -140,6 +140,15 @@ class TestConditions:
         assert holds(cond, make_event("read", fd + 1, 100),
                               sandbox) == 0
 
+    def test_testforfdpath_needs_an_exact_int_descriptor(self, sandbox):
+        # A JSON 3.0 hashes like 3 but names no descriptor.
+        sandbox.vfs.put_file("/f", b"x")
+        fd = sandbox.fds.alloc("/f", "r", sandbox.vfs.files["/f"])
+        cond = Condition("testforfdpath", (0, "*"))
+        assert holds(cond, make_event("read", fd, 1), sandbox) == 1
+        assert holds(cond, make_event("read", float(fd), 1), sandbox) == 0
+        assert sandbox.fds.path_of(float(fd)) is None
+
 
 class TestManipulateParam:
     def run_one(self, sandbox, arg, pattern, replacement):

@@ -399,6 +399,13 @@ class TestRun:
         assert self.run_read(tmp_path, source, True) == [3, -22, 4]
         assert self.run_read(tmp_path, source, "4096") == [3, 10, 0]
 
+    def test_read_count_that_is_not_ascii_digits_is_einval(self, tmp_path):
+        # int() would read the Arabic-Indic digit three as 3.
+        source = ('define r as rule\ndefine rc as rulechain\n'
+                  'let r be {{always_true()}->call_orig()}\n'
+                  'let rc be {r}\nbind rc to sys_read\n')
+        assert self.run_read(tmp_path, source, "\u0663") == [3, -22, 4]
+
     def test_unhashable_fd_is_ebadf(self, tmp_path):
         src = tmp_path / "fd.apate"
         src.write_text('define r as rule\ndefine rc as rulechain\n'
@@ -414,6 +421,29 @@ class TestRun:
             trace_line(2, "read", [[3], 4]),    # no path: the rule misses
             trace_line(3, "write", [[3], 4]),
             trace_line(4, "close", [[3]]),
+            trace_line(5, "read", [3, 4]),      # a path: the rule fires
+        ]) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["run", "--program", str(prog), "--trace", str(trace),
+                     "--fs", str(fs), "--report", str(report_path)]) == 0
+        events = json.loads(report_path.read_text())["events"]
+        assert [e["result"] for e in events] == [3, -9, -9, -9, -7]
+
+    def test_float_fd_is_ebadf(self, tmp_path):
+        src = tmp_path / "fd.apate"
+        src.write_text('define r as rule\ndefine rc as rulechain\n'
+                       'let r be {{testforfdpath(0;"*")}->block(-7)}\n'
+                       'let rc be {r}\nbind rc to sys_read\n')
+        prog = tmp_path / "fd.apc"
+        assert main(["compile", str(src), "-o", str(prog)]) == 0
+        fs = tmp_path / "fs.manifest"
+        fs.write_text("F /f 10 @0123456789\n")
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text("\n".join([
+            trace_line(1, "open", ["/f", "r"]),
+            trace_line(2, "read", [3.0, 4]),    # no path: the rule misses
+            trace_line(3, "write", [3.0, 4]),
+            trace_line(4, "close", [3.0]),      # fd 3 stays open
             trace_line(5, "read", [3, 4]),      # a path: the rule fires
         ]) + "\n")
         report_path = tmp_path / "report.json"

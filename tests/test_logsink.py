@@ -9,7 +9,7 @@ import time
 import pytest
 
 from apate.logsink import (LINE_MAX, FileSink, TRUNCATION_MARK, UdpSink,
-                           VfsSink, format_record, parse_udp_addr)
+                           VfsSink, args_json, format_record, parse_udp_addr)
 from apate.sandbox import SandboxState, VirtualFS, exec_syscall
 
 from conftest import LogRecord, MemorySink, make_event, parse_record
@@ -211,6 +211,70 @@ class TestFormat:
             parse_record("not a record")
         with pytest.raises(ValueError):
             parse_record("apate|2|t|1|1|1|open|[]|0")
+
+
+def compact(v) -> str:
+    return json.dumps(v, separators=(",", ":"), ensure_ascii=False)
+
+
+def random_json(rng, depth=0):
+    """A value of a shape json.loads of a trace line can give."""
+    kind = rng.randrange(9 if depth < 3 else 7)
+    if kind == 0:  # any code point, lone surrogates and controls among them
+        return "".join(chr(rng.choice([rng.randrange(0x20), rng.randrange(0x80),
+                                       rng.randrange(0xD800, 0xE000),
+                                       rng.randrange(0x110000), 0x22, 0x5C]))
+                       for _ in range(rng.randint(0, 12)))
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2**63, 2**64, -(2**64) - 1, 10**40,
+                           rng.randint(-(2**80), 2**80)])
+    if kind == 2:
+        return rng.choice([0.0, -0.0, 1e16, 1.5, -2.5e-8, 1e308, 5e-324,
+                           rng.uniform(-1e6, 1e6)])
+    if kind == 3:
+        return rng.choice([True, False, None])
+    if kind in (4, 5, 6):
+        return rng.choice(["", "r", "w", "/etc/passwd", rng.randint(3, 40)])
+    if kind == 7:
+        return [random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))]
+    return {random_json(rng, 3) if rng.random() < 0.5 else "k":
+            random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))}
+
+
+class TestArgsJson:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_compact_json_dumps(self, seed):
+        rng = random.Random(seed)
+        for _ in range(1_000):
+            args = [random_json(rng) for _ in range(rng.randint(0, 4))]
+            # What a trace line holds is what json.loads gives back.
+            args = json.loads(json.dumps(args))
+            assert args_json(args) == compact(args), args
+
+    def test_a_tuple_is_a_list(self):
+        assert args_json(("/a", 1, ("b",))) == '["/a",1,["b"]]'
+
+    def test_top_level_bytes_like_is_its_length(self):
+        assert args_json([b"abc", bytearray(5), Blob(b"xy"), "s"]) == (
+            '[{"len":3},{"len":5},{"len":2},"s"]')
+        assert args_json((b"",)) == '[{"len":0}]'
+
+    @pytest.mark.parametrize("value", [[b"x"], {"k": bytearray(2)},
+                                       [Blob(b"")], [[bytearray()]]])
+    def test_nested_bytes_like_is_refused(self, value):
+        with pytest.raises(TypeError):
+            args_json([1, value])
+
+    def test_subclasses_and_non_finite_floats(self):
+        args = [Path("/p\u00e9|q"), Mode.RDONLY, math.nan, math.inf, -math.inf]
+        assert args_json(args) == compact(args)
+        assert args_json(args) == '["/p\u00e9|q",0,NaN,Infinity,-Infinity]'
+
+    def test_a_list_holding_itself_is_refused(self):
+        args = [1]
+        args.append(args)
+        with pytest.raises(RecursionError):
+            args_json(args)
 
 
 class TestSinks:

@@ -1,3 +1,4 @@
+import enum
 import random
 import time
 from datetime import datetime, timezone
@@ -314,6 +315,31 @@ class TestSyscalls:
         assert exec_syscall(sandbox, make_event("read", 99, -4)) == EBADF
         assert exec_syscall(sandbox, make_event("write", 99, "x")) == EBADF
 
+    # int() reads each of these as a count; none is ASCII digits.  The
+    # count table below holds the other str cases.
+    @pytest.mark.parametrize("count", ["\u0663", "1_0", " 4", "4 ", "+4", "\uff10"])
+    @pytest.mark.parametrize("name", ["read", "write"])
+    def test_str_count_that_is_not_ascii_digits_is_einval(self, sandbox, name, count):
+        sandbox.vfs.put_file("/f", b"0123456789")
+        fd = exec_syscall(sandbox, make_event("open", "/f", name[0]))
+        assert exec_syscall(sandbox, make_event(name, fd, count)) == EINVAL
+        assert sandbox.fds.get(fd)[1] == 0
+        assert sandbox.vfs.read_file("/f") == (b"0123456789" if name == "read" else b"")
+
+    @pytest.mark.parametrize("fd", [3.0, True, 3.5, [3], None])
+    def test_only_an_exact_int_names_a_descriptor(self, sandbox, fd):
+        sandbox.vfs.put_file("/f", b"0123456789")
+        assert exec_syscall(sandbox, make_event("open", "/f", "r")) == 3
+        assert exec_syscall(sandbox, make_event("open", "/g", "w")) == 4
+        wfd = fd + 1 if isinstance(fd, float) else fd  # 4.0 for the writer
+        assert exec_syscall(sandbox, make_event("read", fd, 4)) == EBADF
+        assert exec_syscall(sandbox, make_event("write", wfd, 4)) == EBADF
+        assert exec_syscall(sandbox, make_event("close", fd)) == EBADF
+        assert sandbox.fds.path_of(fd) is None
+        assert exec_syscall(sandbox, make_event("read", 3, 4)) == 4
+        assert exec_syscall(sandbox, make_event("write", 4, 4)) == 4
+        assert exec_syscall(sandbox, make_event("close", 3)) == 0
+
     def test_mkdir_rmdir(self, sandbox):
         assert exec_syscall(sandbox, make_event("mkdir", "/d")) == 0
         assert exec_syscall(sandbox, make_event("mkdir", "/d")) == EEXIST
@@ -340,6 +366,51 @@ class TestSyscalls:
         ctx = make_ctx(pid=321, uid=77)
         assert exec_syscall(sandbox, make_event("getpid", ctx=ctx)) == 321
         assert exec_syscall(sandbox, make_event("getuid", ctx=ctx)) == 77
+
+
+# _byte_count as it was before an exact int skipped it, with a str counting
+# only as ASCII digits: the reference for the count table.
+def ref_byte_count(value) -> int:
+    if isinstance(value, str) and not (value.isascii() and value.isdigit()):
+        return -1
+    try:
+        return -1 if isinstance(value, (bool, float)) else int(value)
+    except (TypeError, ValueError, OverflowError):
+        return -1
+
+
+class Count(enum.IntEnum):
+    FOUR = 4
+
+
+COUNTS = [0, 4, 2**70, -4, -(2**70), True, False, 4.0, 4.7, float("nan"),
+          float("inf"), None, [4], {"n": 4}, Count.FOUR,
+          "4", "007", "4096", "0", "", "-4", "x", "9" * 5000]
+
+
+class TestCountTable:
+    """read and write against the reference count, result and offset."""
+
+    @pytest.mark.parametrize("count", COUNTS, ids=range(len(COUNTS)))
+    def test_read(self, sandbox, count):
+        sandbox.vfs.put_file("/f", b"0123456789")
+        fd = exec_syscall(sandbox, make_event("open", "/f", "r"))
+        assert exec_syscall(sandbox, make_event("read", fd, 2)) == 2
+        n = ref_byte_count(count)
+        want = EINVAL if n < 0 else min(n, 8)  # bounded by EOF
+        assert exec_syscall(sandbox, make_event("read", fd, count)) == want
+        assert sandbox.fds.get(fd)[1] == 2 + max(want, 0)
+        assert sandbox.last_read == (b"23456789"[:want] if want >= 0 else b"01")
+
+    @pytest.mark.parametrize("count", COUNTS, ids=range(len(COUNTS)))
+    def test_write(self, sandbox, count):
+        fd = exec_syscall(sandbox, make_event("open", "/f", "w"))
+        assert exec_syscall(sandbox, make_event("write", fd, 10)) == 10
+        n = ref_byte_count(count)
+        want = EINVAL if n < 0 else EFBIG if 10 + n > MAX_FILE_BYTES else n
+        assert exec_syscall(sandbox, make_event("write", fd, count)) == want
+        assert sandbox.fds.get(fd)[1] == 10 + max(want, 0)
+        assert sandbox.vfs.read_file("/f") == bytes(10 + max(want, 0))
 
 
 class TestSyscallTable:
