@@ -29,8 +29,19 @@ MAGIC = "APATE-RP"
 VERSION = 1
 
 
+# json.loads' own decoding, less its blank skipping and whole-text check
+_scan_value = json.JSONDecoder().scan_once
+
+
 def _params_load(text):
-    params = json.loads(text)
+    """The params a record's JSON list gives.  A text the scan does not
+    read whole goes to json.loads, so its value or error is json's."""
+    try:
+        params, end = _scan_value(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end != len(text):
+        params = json.loads(text)
     if not isinstance(params, list):
         raise ValueError(f"params must be a JSON list, got {text!r}")
     return tuple(params)

@@ -58,14 +58,16 @@ def _as_str(value) -> str:
 
 
 # --- condition definitions ---------------------------------------------
-# One emitter per condition: fn(src, params) -> the text of one leaf
-# expression in a generated guard function (see GuardSource).  The
-# expression is truthy exactly when the condition holds; it is the test
-# of one statement, `if <leaf>: g = 1` or `if not <leaf>: g = 0`, that
-# sets its run's 0 | 1 flag (GuardSource.child), so a compare in it
-# sits just before a jump.  GuardSource.leaf, the one caller, runs
-# checked first, so an emitter trusts its params: they reach the text
-# only as the literals src.const writes, operator text only from
+# One emitter per condition: fn(src, params) -> one leaf of a generated
+# guard function (see GuardSource): a compare's (subject, operator,
+# literal), or else the text of an expression that is truthy exactly
+# when the condition holds.  Each leaf is one statement that sets its
+# run's 0 | 1 flag (GuardSource.child): a compare is `if a != k: g = 0`
+# in an AND run (the inverse compare) or `if a == k: g = 1` in an OR
+# run, other text `if not <leaf>: g = 0` or `if <leaf>: g = 1`, so a
+# compare sits just before a jump.  GuardSource.leaf, the one caller,
+# runs checked first, so an emitter trusts its params: they reach the
+# text only as the literals src.const writes, operator text only from
 # COMPARISONS, context field names only from CTX_FIELDS, and an argument
 # index or a wildcard prefix's length only as an int check_params or
 # len() gave, written with :d.  An argument leaf is one compare, subject
@@ -73,19 +75,20 @@ def _as_str(value) -> str:
 # when compared.
 
 def _wildcard(src, pattern, subject):
-    """Leaf text: subject matches pattern; a None subject never does.
+    """Compare leaf: subject matches pattern; a None subject never does.
 
     ``P*`` compares a hoisted ``subject[:len(P)]`` with P, which for a
     str is the test ``subject.startswith(P)`` makes, without a call.
+    checked has refused a '*' anywhere but last.
     """
-    p = WildcardPattern(pattern)
-    if p.has_tail_star:
-        subject = src.prefix(subject, len(p.prefix))
-    return f"({subject} == {src.const(p.prefix)})"
+    if pattern.endswith("*"):
+        pattern = pattern[:-1]
+        subject = src.prefix(subject, len(pattern))
+    return subject, "==", src.const(pattern)
 
 
 def _compare(src, lhs, op, value):
-    return f"({lhs} {op} {src.const(value)})"
+    return lhs, op, src.const(value)
 
 
 def _arg_leaf(src, name, index, pattern):
@@ -144,7 +147,7 @@ def _e_store_cmp(src, params):
         shown = hex(value)
     miss = (f"_miss(sb, {src.const('StoreTypeMismatch')}, "
             f"{src.const(f'store_cmp: {key!r} {op} {shown} on a non-int cell')})")
-    return (f"({_compare(src, 'cell', op, value)} "
+    return (f"((cell {op} {src.const(value)}) "
             f"if isinstance(cell := {cell}, int) else {miss})")
 
 
@@ -158,9 +161,9 @@ def _miss(sandbox, kind, detail):
 
 
 class Absent:
-    """An argument read past the event's arity.  Each ``==`` against it
-    notes one ArgIndexOutOfRange and is False; a slice of it is itself,
-    so a wildcard's prefix read stays absent."""
+    """An argument read past the event's arity.  Each ``==`` or ``!=``
+    against it notes one ArgIndexOutOfRange and is False or True; a slice
+    of it is itself, so a wildcard's prefix read stays absent."""
 
     __slots__ = ("sb", "detail")
 
@@ -170,6 +173,10 @@ class Absent:
     def __eq__(self, other):
         self.sb.diag("ArgIndexOutOfRange", self.detail)
         return False
+
+    def __ne__(self, other):
+        self.sb.diag("ArgIndexOutOfRange", self.detail)
+        return True
 
     def __getitem__(self, key):
         return self
@@ -200,6 +207,8 @@ class GuardSource:
 
     _ARG_READS = {"testforparam": ("a", "_as_str"),
                   "testforfdpath": ("f", "sb.fds.path_of")}
+    _INVERSE = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=",
+                "<=": ">"}
 
     def __init__(self):
         self.reads = {}      # name -> expression, in first-use order
@@ -217,46 +226,61 @@ class GuardSource:
             raise TypeError(f"no literal for a {type(value).__name__} param")
         return write(value)
 
-    def _read(self, name, expr) -> str:
-        self.reads.setdefault(name, expr)
+    def _new(self, name) -> bool:
+        """Count one use of a read; True if reads lacks it as yet."""
         self._named[name] = self._named.get(name, 0) + 1
-        return name
+        return name not in self.reads
 
     def ctx(self, field) -> str:
-        return self._read(f"ctx_{field}", f"ev.ctx.{field}")
+        if self._new(name := f"ctx_{field}"):
+            self.reads[name] = f"ev.ctx.{field}"
+        return name
 
     def arg(self, builtin, index) -> str:
         """Local holding args[index] for builtin: as a string for
         testforparam (a<i>), or as the path of the descriptor it names for
         testforfdpath (f<i>, None if none).  Out of range it is an Absent
         that notes builtin when compared."""
-        self.reads.setdefault("nargs", "len(ev.args)")
         read, fn = self._ARG_READS[builtin]
-        return self._read(f"{read}{index:d}",
-                          f"{fn}(ev.args[{index:d}]) if nargs > {index:d} else "
-                          f"Absent(sb, '{builtin}', {index:d}, ev.syscall)")
+        if self._new(name := f"{read}{index:d}"):
+            self.reads.setdefault("nargs", "len(ev.args)")
+            self.reads[name] = (f"{fn}(ev.args[{index:d}]) if nargs > {index:d} "
+                                f"else Absent(sb, '{builtin}', {index:d}, ev.syscall)")
+        return name
 
     def prefix(self, subject, n: int) -> str:
         """Local holding subject[:n], or None where subject is None; the
         leaf names the slice in place of subject."""
         self._named[subject] -= 1
-        return self._read(f"{subject}_p{n:d}",
-                          f"{subject}[:{n:d}] if {subject} is not None else None")
+        if self._new(name := f"{subject}_p{n:d}"):
+            self.reads[name] = f"{subject}[:{n:d}] if {subject} is not None else None"
+        return name
 
     def store_get(self) -> str:
-        return self._read("store_get", "sb.store.get")
+        if self._new("store_get"):
+            self.reads["store_get"] = "sb.store.get"
+        return "store_get"
 
-    def leaf(self, name, params) -> str:
-        """Emit one condition; a bad name, kind or params raises."""
-        text = checked(name, "condition", params).fn(self, params)
-        self._leaf_chars += len(text)
+    def leaf(self, name, params):
+        """Emit one condition: a compare's (subject, op, literal), counted
+        as the text ``(subject op literal)``, or else its text; a bad
+        name, kind or params raises."""
+        leaf = checked(name, "condition", params).fn(self, params)
+        self._leaf_chars += (len(leaf) if type(leaf) is str
+                             else sum(map(len, leaf)) + 4)
         self.leaves += 1
-        return text
+        return leaf
 
-    @staticmethod
-    def child(flag, conj, test) -> str:
+    @classmethod
+    def child(cls, flag, conj, test) -> str:
         """One child of a run: it clears an AND run's 0/1 flag when test
-        fails, or sets an OR run's when it holds."""
+        fails, or sets an OR run's when it holds.  A compare is written
+        bare, inverted in an AND run; other text as ``not <test>`` there."""
+        if type(test) is tuple:
+            subject, op, literal = test
+            if conj:
+                return f"if {subject} {cls._INVERSE[op]} {literal}: {flag} = 0"
+            return f"if {subject} {op} {literal}: {flag} = 1"
         return (f"if not {test}: {flag} = 0" if conj
                 else f"if {test}: {flag} = 1")
 

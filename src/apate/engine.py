@@ -43,11 +43,14 @@ def compiled_guard(block: ConditionBlock):
     Iterative, so depth is unbounded.  Each same-operator run is a 0/1
     local flag and each child one statement: an AND run starts at 1 and
     each child is ``if not <child>: g = 0``, an OR run starts at 0 and
-    each child is ``if <child>: g = 1``.  That is ``(d + e) * f >= 4``
-    applied pairwise, with no short-circuit: a nested run is written in
-    place as its own flag, which then acts as one child of its parent,
-    so every leaf evaluates in left-to-right order.  Each compare sits
-    just before a jump, where CPython can specialize it.
+    each child is ``if <child>: g = 1``.  A compare leaf is written as
+    one compare, the inverse one in an AND run (``if a != k: g = 0``)
+    and itself in an OR run (``if a == k: g = 1``).  That is
+    ``(d + e) * f >= 4`` applied pairwise, with no short-circuit: a
+    nested run is written in place as its own flag, which then acts as
+    one child of its parent, so every leaf evaluates in left-to-right
+    order.  Each compare sits just before a jump, where CPython can
+    specialize it.
     """
     src = GuardSource()
     lines, runs = [], []          # open runs: (flag, is an AND run)

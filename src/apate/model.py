@@ -41,6 +41,10 @@ SYSCALL_TABLE = {
 }
 
 SYSCALLS = tuple(SYSCALL_TABLE)
+# Per syscall: its arity and the indexes of its path and mode slots.
+_ARG_SHAPES = {sc: (len(slots), tuple(i for i, slot in enumerate(slots)
+                                      if slot in ("path", "mode")))
+               for sc, (slots, _) in SYSCALL_TABLE.items()}
 
 
 def hooked_syscall(name: str) -> "str | None":
@@ -79,8 +83,11 @@ class TaskContext:
 class SyscallEvent:
     """One intercepted syscall invocation.
 
-    ``args`` is mutable: manipulating actions rewrite it in place and
-    later rules, actions, and the original syscall observe the rewrite.
+    ``args`` holds one value per slot of the syscall in SYSCALL_TABLE; a
+    path or mode slot holds a str (or, built in code, bytes), never a
+    JSON number, list, object, bool or null.  ``args`` is mutable:
+    manipulating actions rewrite it in place and later rules, actions,
+    and the original syscall observe the rewrite.
     """
 
     seq: int
@@ -89,12 +96,18 @@ class SyscallEvent:
     ctx: TaskContext
 
     def __post_init__(self):
-        entry = SYSCALL_TABLE.get(self.syscall)
-        if entry is None:
+        shape = _ARG_SHAPES.get(self.syscall)
+        if shape is None:
             raise ValueError(f"unknown syscall {self.syscall!r}")
-        if len(self.args) != len(entry[0]):
-            raise ValueError(f"{self.syscall} takes {len(entry[0])} args, "
+        arity, strs = shape
+        if len(self.args) != arity:
+            raise ValueError(f"{self.syscall} takes {arity} args, "
                              f"got {len(self.args)}")
+        for i in strs:
+            if type(self.args[i]) is not str and type(self.args[i]) is not bytes:
+                slot = SYSCALL_TABLE[self.syscall][0][i]
+                raise TypeError(f"{self.syscall} args[{i}] ({slot}) must be "
+                                f"a string, got {self.args[i]!r}")
 
 
 @dataclass(frozen=True)

@@ -670,6 +670,21 @@ class TestRun:
                      id="ctx-infinity"),
         pytest.param(trace_line(2, ["open"], ["/x", "r"]),
                      "syscall must be a string, got ['open']", id="syscall"),
+        pytest.param(trace_line(2, "mkdir", [["x"]]),
+                     "mkdir args[0] (path) must be a string, got ['x']",
+                     id="path-list"),
+        pytest.param(trace_line(2, "open", [5, "r"]),
+                     "open args[0] (path) must be a string, got 5",
+                     id="path-int"),
+        pytest.param(trace_line(2, "open", ["/var/log/syslog", 7]),
+                     "open args[1] (mode) must be a string, got 7",
+                     id="mode-int"),
+        pytest.param(trace_line(2, "getdents", [True]),
+                     "getdents args[0] (path) must be a string, got True",
+                     id="path-bool"),
+        pytest.param(trace_line(2, "execve", [{"len": 3}, "x"]),
+                     "execve args[0] (path) must be a string, got 3",
+                     id="path-len"),
     ])
     def test_bad_trace_field_is_named(self, compiled, tmp_path, capsys,
                                       line, message):

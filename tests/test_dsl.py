@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -601,6 +602,38 @@ class TestApcFormat:
                 "RULE\tr0\t(& c0 c0)\ta0\tx:1\n")
         with pytest.raises(CorruptRecord, match=f"line 4: .*{message}"):
             apc.deserialize(blob.encode())
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(' [">", 0] ', id="blanks"),
+        pytest.param("[NaN, Infinity, -Infinity]", id="nan"),
+        pytest.param("[1e400]", id="overflow"),
+        pytest.param("[" + "7" * 4301 + "]", id="4301-digits"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deep"),
+        pytest.param("[1]x", id="trailing"),
+        pytest.param("", id="empty"),
+        pytest.param('{">": 0}', id="object"),
+        pytest.param("5", id="number"),
+        pytest.param("\ufeff[1]", id="bom"),
+    ])
+    def test_params_decode_as_json_loads(self, text):
+        """A record's params are json.loads' list, as a tuple; where json
+        refuses the text, its error is the record's, at its line."""
+        try:
+            want = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            want = exc
+        else:
+            if type(want) is list:
+                assert repr(apc._params_load(text)) == repr(tuple(want))
+                return
+            want = ValueError(f"params must be a JSON list, got {text!r}")
+        with pytest.raises(type(want)) as got:
+            apc._params_load(text)
+        assert str(got.value) == str(want)
+        blob = f"APATE-RP 1\nACTION\ta0\tlog\t[]\nACTION\ta1\tlog\t{text}\n"
+        with pytest.raises(CorruptRecord) as got:
+            apc.deserialize(blob.encode())
+        assert (got.value.line_no, str(got.value)) == (3, f"line 3: {want}")
 
     def test_non_utf8_is_corrupt_record(self):
         with pytest.raises(CorruptRecord) as exc:

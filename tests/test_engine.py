@@ -4,6 +4,7 @@ import operator
 import random
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -566,7 +567,12 @@ def _ref_leaf(cond, ev, sb):
     if name == "ctxfield_cmp":
         return int(_CMP[p[1]](getattr(ev.ctx, p[0]), p[2]))
     if name == "store_cmp":
-        return int(_CMP[p[1]](sb.store.get(p[0]), p[2]))
+        cell = sb.store.get(p[0])
+        if p[1] not in ("==", "!=") and type(cell) is not int:
+            sb.diag("StoreTypeMismatch",
+                    f"store_cmp: {p[0]!r} {p[1]} {p[2]} on a non-int cell")
+            return 0
+        return int(_CMP[p[1]](cell, p[2]))
     if name == "file_keyword":
         content = sb.vfs.read_file(p[0])
         if content is None:
@@ -751,9 +757,11 @@ class TestLiteralParams:
     reads back as an equal value, inline in a scan or in a called body."""
 
     @staticmethod
-    def _check(block, ev, sb, inline):
+    def _check(block, ev, sb, inline=None):
+        """guard and a program of it agree with _ref_block; inline, if
+        given, is whether the guard runs inline (no called body)."""
         guard, count = engine.compiled_guard(block)
-        assert (guard.body is None) is inline
+        assert inline is None or (guard.body is None) is inline
         for run in ("holds", "guard"):
             mark = len(sb.diagnostics)
             counter = [0]
@@ -834,6 +842,190 @@ class TestLiteralParams:
                      Condition("testforuid", (text("=="), 0))):
             with pytest.raises(ApateError, match="expected string"):
                 holds(cond, make_event("getpid"), sandbox)
+
+
+# Int literals at and beside the ctx values and the int store cell of
+# test_random_guards_match_reference, and past 64 bits.
+_EDGES = (-2 ** 64, -1, 0, 1, 2, 6, 7, 8, 41, 42, 43, 99, 100, 101, 999,
+          1000, 1001, 2 ** 63, 2 ** 64)
+
+
+def _any_leaf(rng):
+    """A leaf of any condition builtin; a compare's operator is any of six."""
+    kind = rng.choice(("always_true", "testforpname", "testforselfpname",
+                       "testforparam", "testforuid", "ctxfield_cmp",
+                       "file_keyword", "store_cmp", "testforfdpath"))
+    op, value = rng.choice(tuple(_CMP)), rng.choice(_EDGES)
+    if kind == "always_true":
+        return ALWAYS_TRUE
+    if kind in ("testforpname", "testforselfpname"):
+        return Condition(kind, (rng.choice(_NAMES),))
+    if kind in ("testforparam", "testforfdpath"):
+        return Condition(kind, (rng.randint(-1, 2), rng.choice(_PATHS)))
+    if kind == "testforuid":
+        return Condition(kind, (op, value))
+    if kind == "ctxfield_cmp":
+        return Condition(kind, (rng.choice(("pid", "uid", "ssid")), op, value))
+    if kind == "file_keyword":
+        return Condition(kind, (rng.choice(("/etc/motd", "/missing")),
+                                rng.choice(("apate", "nope"))))
+    return Condition(kind, (rng.choice(("n", "s", "unset")), op, value))
+
+
+def _any_tree(rng, depth):
+    """Runs of 2-4 children under either operator, nested to depth."""
+    if depth == 0 or rng.random() < 0.3:
+        return _any_leaf(rng)
+    parts = [_any_tree(rng, depth - 1) for _ in range(rng.randint(2, 4))]
+    return _chain_block(parts, [rng.choice((OP_AND, OP_OR)) for _ in parts[1:]],
+                        rng.choice(("left", "right")))
+
+
+class TestCompareLeaves:
+    """A compare leaf is one compare: the inverse one in an AND run, the
+    compare itself in an OR run.  Every other leaf keeps ``if not``."""
+
+    @staticmethod
+    def _line(cond, op_code):
+        guard, _ = engine.compiled_guard(ConditionBlock(cond, ALWAYS_TRUE,
+                                                        op_code))
+        return guard.lines[1]
+
+    @pytest.mark.parametrize("op, inverse", [
+        ("==", "!="), ("!=", "=="), ("<", ">="), (">=", "<"), (">", "<="),
+        ("<=", ">")])
+    def test_each_operator(self, op, inverse):
+        for cond, subject in ((Condition("testforuid", (op, 5)), "ctx_uid"),
+                              (Condition("ctxfield_cmp", ("pid", op, 5)),
+                               "ctx_pid")):
+            assert self._line(cond, OP_AND) == f"if {subject} {inverse} 0x5: g0 = 0"
+            assert self._line(cond, OP_OR) == f"if {subject} {op} 0x5: g0 = 1"
+
+    @pytest.mark.parametrize("cond, subject, literal", [
+        (Condition("testforpname", ("ssh*",)), "ctx_parent_pname_p3", "'ssh'"),
+        (Condition("testforselfpname", ("bash",)), "ctx_pname", "'bash'"),
+        (Condition("testforparam", (1, "/etc/*")), "a1_p5", "'/etc/'"),
+        (Condition("testforfdpath", (0, "/x")), "f0", "'/x'"),
+        (Condition("store_cmp", ("k", "==", 3)), "store_get('k')", "0x3"),
+    ])
+    def test_wildcards_and_store_equality(self, cond, subject, literal):
+        assert self._line(cond, OP_AND) == f"if {subject} != {literal}: g0 = 0"
+        assert self._line(cond, OP_OR) == f"if {subject} == {literal}: g0 = 1"
+        if cond.builtin_name == "store_cmp":
+            cond = Condition("store_cmp", ("k", "!=", 3))
+            assert self._line(cond, OP_AND) == f"if {subject} == {literal}: g0 = 0"
+
+    @pytest.mark.parametrize("cond", [
+        ALWAYS_TRUE, Condition("file_keyword", ("/f", "k")),
+        Condition("store_cmp", ("k", "<", 3)),
+        Condition("testforparam", (-1, "/x"))])
+    def test_other_leaves_keep_if_not(self, cond):
+        line = self._line(cond, OP_AND)
+        assert line.startswith("if not ") and line.endswith(": g0 = 0")
+        line = self._line(cond, OP_OR)
+        assert line.startswith("if ") and not line.startswith("if not ")
+        assert line.endswith(": g0 = 1")
+
+    @pytest.mark.parametrize("op_code", [OP_AND, OP_OR])
+    def test_inline_limit_counts_each_compare_as_before(self, op_code):
+        """A compare's text was ``(ctx_uid == 0x1)``: 16 characters with a
+        one-digit literal, 17 with two.  500 characters still run inline,
+        501 in a called body."""
+        assert apate_builtins.INLINE_CHARS == 500
+        for n_two_digit, inline in ((4, True), (5, False)):
+            values = [1] * (31 - n_two_digit) + [16] * n_two_digit
+            block = _chain_block([Condition("testforuid", ("==", v))
+                                  for v in values], [op_code] * 30, "left")
+            assert (engine.compiled_guard(block)[0].body is None) is inline
+
+    @pytest.mark.parametrize("op", list(_CMP))
+    def test_compares_at_their_boundaries(self, op):
+        """Each compare leaf decides its guard, beside always_true in an
+        AND run or a false leaf in an OR run, one below, at and one above
+        its subject, inline and in a called body."""
+        sb = SandboxState()
+        sb.store.set("n", 7)
+        sb.store.set("s", "text")
+        ev = make_event("getpid", ctx=make_ctx(uid=1000, pid=42, ssid=7))
+        conds = [Condition("testforuid", (op, v)) for v in (999, 1000, 1001)]
+        conds += [Condition("ctxfield_cmp", (field, op, v))
+                  for field, at in (("pid", 42), ("ssid", 7))
+                  for v in (at - 1, at, at + 1)]
+        conds += [Condition("store_cmp", (key, op, v))
+                  for key in ("n", "s", "unset") for v in (-1, 0, 6, 7, 8)]
+        for cond in conds:
+            for other, op_code in ((ALWAYS_TRUE, OP_AND), (FALSE_LEAF, OP_OR)):
+                block = ConditionBlock(cond, other, op_code)
+                TestLiteralParams._check(block, ev, sb, inline=True)
+                TestLiteralParams._check(_chain_block(
+                    [block, *_PAD], [OP_AND] * 40, "left"), ev, sb,
+                    inline=False)
+
+    def test_random_guards_match_reference(self):
+        """Inline and as a called body, every leaf runs in order: result,
+        count and diagnostics agree with _ref_block."""
+        rng = random.Random(29)
+        sb = SandboxState()
+        sb.vfs.put_file("/etc/motd", b"welcome to apate")
+        held = sb.fds.alloc("/etc/motd", "r", sb.vfs.files["/etc/motd"])
+        sb.store.set("n", 7)
+        sb.store.set("s", "text")
+        ctxs = [make_ctx(uid=u, pid=p, ssid=s, pname=n, parent_pname=pn)
+                for u, p, s, n, pn in ((1000, 100, 1, "bash", "sshd"),
+                                       (0, 1, 0, "mysqld", "mysql"),
+                                       (1001, 42, 7, "sh", "ssh-agent"),
+                                       (2 ** 63, 99, 8, "dæmon", "bash"))]
+        events = [("open", "/etc/motd", "r"), ("open", "/étc/ñ", "w"),
+                  ("read", held, 4096), ("read", 99, 10),   # 99: no path
+                  ("write", "/etc/motd", 3), ("close", held), ("getpid",),
+                  ("execve", "/bin/sh", "sh -c id"), ("getdents", "/etc")]
+        inline = 0
+        for _ in range(150):
+            block = _any_tree(rng, 3)
+            if isinstance(block, Condition):
+                block = ConditionBlock(block, _any_leaf(rng), OP_OR)
+            padded = _chain_block([block, *_PAD], [OP_AND] * 40, "left")
+            inline += engine.compiled_guard(block)[0].body is None
+            for syscall, *args in events:
+                ev = make_event(syscall, *args, ctx=rng.choice(ctxs))
+                TestLiteralParams._check(block, ev, sb)
+                TestLiteralParams._check(padded, ev, sb, inline=False)
+        assert 50 < inline < 150
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("workload",
+                             ["guard-heavy", "honeypot-mix", "bulk-copy"])
+    def test_workload_guards_get_the_same_bodies(self, workload, seed,
+                                                 tmp_path, monkeypatch):
+        """The guards that get a called body are those that got one with
+        every leaf written as ``if not (…)``: each of guard-heavy's 50
+        and none of the others' (cloaked, as the workload runs)."""
+        from apate.cloak import apply_cloak, cloak_ruleset
+        from apate.dsl import compile_source
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        import gen
+        inputs = gen.generate(workload, seed, str(tmp_path))
+        prog = compile_source(Path(inputs.source).read_text("utf-8"))[0]
+        if "--cloak" in inputs.run_flags:
+            prog = apply_cloak(prog, cloak_ruleset("/var/log/apate.log"))
+        rules = {r.name: r for c in prog.chains.values() for r in c.rules}
+        bodies = {name for name, r in rules.items()
+                  if engine.compiled_guard(r.guard)[0].body is not None}
+        assert bodies == (set(rules) if workload == "guard-heavy" else set())
+        assert len(rules) == {"guard-heavy": 50, "honeypot-mix": 5,
+                              "bulk-copy": 1}[workload]
+
+    def test_mysql_example_guards_stay_inline(self):
+        from apate.cloak import apply_cloak, cloak_ruleset
+        from apate.dsl import compile_source
+        from conftest import MYSQL_EXAMPLE
+
+        plain = compile_source(MYSQL_EXAMPLE)[0]
+        for prog in (plain, apply_cloak(plain,
+                                        cloak_ruleset("/var/log/apate.log"))):
+            for chain in prog.chains.values():
+                for rule in chain.rules:
+                    assert engine.compiled_guard(rule.guard)[0].body is None
 
 
 def _chain_block(leaves, ops, nest):
@@ -971,6 +1163,14 @@ class TestArgLeaves:
                 got = guard(ev, sb)
                 assert type(got) is int and got == 0
             assert sb.diagnostics == want
+
+    def test_absent_ne_notes_one_miss_and_is_true(self, sandbox):
+        absent = apate_builtins.Absent(sandbox, "testforparam", 3, "getpid")
+        assert (absent != "x") is True
+        assert (absent == "x") is False
+        assert sandbox.diagnostics == 2 * [{
+            "kind": "ArgIndexOutOfRange",
+            "detail": "testforparam index 3 on getpid"}]
 
     def test_in_range_argument_that_names_no_fd_notes_nothing(self, sandbox):
         ev = make_event("close", 99)
