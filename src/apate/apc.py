@@ -47,29 +47,37 @@ def _params_load(text):
     return tuple(params)
 
 
+def _field(what: str, text: str, banned: str = "\t\n\r") -> str:
+    """text as one field of a record; ValueError, naming what, if it holds
+    a character of banned, which would end the field or its line."""
+    for c in banned:
+        if c in text:
+            raise ValueError(f"{what} {text!r} holds {c!r}")
+    return text
+
+
 def serialize(prog: RuleProgram) -> bytes:
     """The program's .apc bytes.  Like the compiler, the format binds a
     syscall at most once: a program built in code that binds one twice
-    (a cloaked program) raises ValueError."""
+    (a cloaked program) raises ValueError, as does a name or span that
+    would not load back as itself."""
     bind_lines = {}
     for sc, cn in prog.bindings:
         if sc in bind_lines:
             raise ValueError(f"syscall {sc!r} bound to more than one rulechain")
         bind_lines[sc] = f"BIND\tsys_{sc}\t{cn}"
-    conds = {}    # (builtin, params) -> cid
-    cond_lines = []
-    acts = {}
-    act_lines = []
+    records = {"COND": {}, "ACTION": {}}   # tag -> {(builtin, params): id}
     rule_lines = []
     rule_seen = {}
 
-    def cond_id(c: Condition) -> str:
-        key = (c.builtin_name, c.params)
-        if key not in conds:
-            cid = f"c{len(conds)}"
-            conds[key] = cid
-            cond_lines.append(f"COND\t{cid}\t{c.builtin_name}\t{args_json(c.params)}")
-        return conds[key]
+    def record_id(tag: str, item) -> str:
+        """The id of item's COND (c<n>) or ACTION (a<n>) record, numbered
+        in first-use order."""
+        table = records[tag]
+        key = (item.builtin_name, item.params)
+        if key not in table:
+            table[key] = f"{tag[0].lower()}{len(table)}"
+        return table[key]
 
     def guard_expr(node) -> str:
         # Iterative, so any depth serializes; leaves get ids left to right.
@@ -83,37 +91,36 @@ def serialize(prog: RuleProgram) -> bytes:
                 push(node.right)
                 push(" ")
                 node = node.left
-            emit(node if type(node) is str else cond_id(node))
+            emit(node if type(node) is str else record_id("COND", node))
         return "".join(parts)
-
-    def action_id(a: Action) -> str:
-        key = (a.builtin_name, a.params)
-        if key not in acts:
-            aid = f"a{len(acts)}"
-            acts[key] = aid
-            act_lines.append(f"ACTION\t{aid}\t{a.builtin_name}\t{args_json(a.params)}")
-        return acts[key]
 
     def emit_rule(rule: Rule) -> None:
         body = (guard_expr(rule.guard),
-                ",".join(action_id(a) for a in rule.actions.actions),
+                ",".join(record_id("ACTION", a) for a in rule.actions.actions),
                 rule.span)
         if rule.name in rule_seen:
             if rule_seen[rule.name] != body:
                 raise ValueError(f"rule name {rule.name!r} used with different bodies")
             return
+        _field("rule name", rule.name, "\t\n\r,")   # ',' ends a member
+        if rule.name.startswith(":"):                  # an exit mark
+            raise ValueError(f"rule name {rule.name!r} starts with ':'")
         rule_seen[rule.name] = body
-        rule_lines.append(f"RULE\t{rule.name}\t{body[0]}\t{body[1]}\t{body[2]}")
+        rule_lines.append(f"RULE\t{rule.name}\t{body[0]}\t{body[1]}\t"
+                          f"{_field('span', rule.span)}")
 
     chain_lines = []
     for name, chain in prog.chains.items():
         for rule in chain.rules:
             emit_rule(rule)
         members = ",".join((":" if r.exit_flag else "") + r.name for r in chain.rules)
-        chain_lines.append(f"CHAIN\t{name}\t{members}")
+        chain_lines.append(f"CHAIN\t{_field('chain name', name)}\t{members}")
 
     lines = [f"{MAGIC} {VERSION}"]
-    lines += cond_lines + act_lines + rule_lines + chain_lines
+    lines += [f"{tag}\t{rid}\t{builtin}\t{args_json(params)}"
+              for tag, table in records.items()
+              for (builtin, params), rid in table.items()]
+    lines += rule_lines + chain_lines
     lines += bind_lines.values()
     return ("\n".join(lines) + "\n").encode("utf-8")
 

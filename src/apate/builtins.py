@@ -23,25 +23,12 @@ CTX_FIELDS = ("pid", "uid", "ssid")
 INLINE_CHARS = 500   # a guard with at most this much leaf text runs inline
 
 
-class WildcardPattern:
-    """Literal string with an optional single trailing '*'.
-
-    ``P*`` matches any string starting with P; a pattern without '*'
-    matches only exact equality.  '*' alone matches everything.
-    """
-
-    __slots__ = ("prefix", "has_tail_star")
-
-    def __init__(self, text: str):
-        if err := star_error(text):
-            raise ValueError(err)
-        self.has_tail_star = text.endswith("*")
-        self.prefix = text[:-1] if self.has_tail_star else text
-
-    def matches(self, s: str) -> bool:
-        if self.has_tail_star:
-            return s.startswith(self.prefix)
-        return s == self.prefix
+def wildcard(text: str) -> "tuple[str, bool]":
+    """A pattern's literal prefix and whether a final '*' follows it:
+    ``P*`` matches a string that starts with P, P alone only P itself,
+    and '*' alone everything.  check_params has refused a '*' anywhere
+    but last (star_error)."""
+    return (text[:-1], True) if text.endswith("*") else (text, False)
 
 
 def star_error(text: str) -> "str | None":
@@ -49,12 +36,6 @@ def star_error(text: str) -> "str | None":
     if -1 < text.find("*") < len(text) - 1:
         return f"'*' allowed only once, in final position: {text!r}"
     return None
-
-
-def _as_str(value) -> str:
-    if isinstance(value, (bytes, bytearray)):
-        return value.decode("utf-8", errors="replace")
-    return str(value)
 
 
 # --- condition definitions ---------------------------------------------
@@ -71,34 +52,23 @@ def _as_str(value) -> str:
 # COMPARISONS, context field names only from CTX_FIELDS, and an argument
 # index or a wildcard prefix's length only as an int check_params or
 # len() gave, written with :d.  An argument leaf is one compare, subject
-# on the left: out of range, its read is an Absent, which notes the miss
-# when compared.
+# on the left: out of range (a negative index or one past the arity), its
+# read is an Absent, which notes the miss when compared.
 
 def _wildcard(src, pattern, subject):
     """Compare leaf: subject matches pattern; a None subject never does.
 
     ``P*`` compares a hoisted ``subject[:len(P)]`` with P, which for a
     str is the test ``subject.startswith(P)`` makes, without a call.
-    checked has refused a '*' anywhere but last.
     """
-    if pattern.endswith("*"):
-        pattern = pattern[:-1]
-        subject = src.prefix(subject, len(pattern))
-    return subject, "==", src.const(pattern)
+    prefix, star = wildcard(pattern)
+    if star:
+        subject = src.prefix(subject, len(prefix))
+    return subject, "==", src.const(prefix)
 
 
 def _compare(src, lhs, op, value):
     return lhs, op, src.const(value)
-
-
-def _arg_leaf(src, name, index, pattern):
-    """Leaf: src.arg(name, index) matches pattern.  Out of range it is 0
-    with one ArgIndexOutOfRange: a negative index statically, else the
-    compare against the read's Absent notes it."""
-    if index < 0:
-        return (f"_miss(sb, {src.const('ArgIndexOutOfRange')}, "
-                f"{src.const(f'{name} index {index} on ')} + ev.syscall)")
-    return _wildcard(src, pattern, src.arg(name, index))
 
 
 def _e_always_true(src, params):
@@ -114,7 +84,8 @@ def _e_testforselfpname(src, params):
 
 
 def _e_testforparam(src, params):
-    return _arg_leaf(src, "testforparam", *params)
+    index, pattern = params
+    return _wildcard(src, pattern, src.arg("testforparam", index))
 
 
 def _e_testforuid(src, params):
@@ -152,7 +123,8 @@ def _e_store_cmp(src, params):
 
 
 def _e_testforfdpath(src, params):
-    return _arg_leaf(src, "testforfdpath", *params)
+    index, pattern = params
+    return _wildcard(src, pattern, src.arg("testforfdpath", index))
 
 
 def _miss(sandbox, kind, detail):
@@ -161,9 +133,10 @@ def _miss(sandbox, kind, detail):
 
 
 class Absent:
-    """An argument read past the event's arity.  Each ``==`` or ``!=``
-    against it notes one ArgIndexOutOfRange and is False or True; a slice
-    of it is itself, so a wildcard's prefix read stays absent."""
+    """An argument read out of range: at a negative index or past the
+    event's arity.  Each ``==`` or ``!=`` against it notes one
+    ArgIndexOutOfRange and is False or True; a slice of it is itself, so
+    a wildcard's prefix read stays absent."""
 
     __slots__ = ("sb", "detail")
 
@@ -182,7 +155,7 @@ class Absent:
         return self
 
 
-GUARD_NS = {"_as_str": _as_str, "Absent": Absent, "_miss": _miss}  # guard text's names
+GUARD_NS = {"Absent": Absent, "_miss": _miss}  # guard text's names
 _LITERALS = {str: repr, bytes: repr, int: hex}   # the param types check_params admits
 
 
@@ -191,8 +164,9 @@ class GuardSource:
 
     Each per-event value its leaves need is read once and named by what
     it reads: ``ctx_uid`` is ``ev.ctx.uid``, ``nargs`` ``len(ev.args)``,
-    ``a0`` ``_as_str(ev.args[0])``, ``f0`` ``sb.fds.path_of(ev.args[0])``
-    (each an Absent out of range), ``a0_p8`` ``a0[:8]`` and
+    ``a0`` ``str(ev.args[0])``, ``f0`` ``sb.fds.path_of(ev.args[0])``
+    (each an Absent past the arity; ``am1`` and ``fm1``, at index -1,
+    always one), ``a0_p8`` ``a0[:8]`` and
     ``store_get`` ``sb.store.get``.  No read needs a constant, so guards
     that read one value share its name, and a scan reads it once.
     ``nargs`` only feeds other reads' text, so no leaf names it.
@@ -205,7 +179,7 @@ class GuardSource:
     ``guard(ev, sb)``, it runs ``function``, compiled on the first call.
     """
 
-    _ARG_READS = {"testforparam": ("a", "_as_str"),
+    _ARG_READS = {"testforparam": ("a", "str"),
                   "testforfdpath": ("f", "sb.fds.path_of")}
     _INVERSE = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=",
                 "<=": ">"}
@@ -240,12 +214,18 @@ class GuardSource:
         """Local holding args[index] for builtin: as a string for
         testforparam (a<i>), or as the path of the descriptor it names for
         testforfdpath (f<i>, None if none).  Out of range it is an Absent
-        that notes builtin when compared."""
+        that notes builtin when compared: past the arity by a test of
+        nargs, at a negative index (m<-i>) always."""
         read, fn = self._ARG_READS[builtin]
-        if self._new(name := f"{read}{index:d}"):
-            self.reads.setdefault("nargs", "len(ev.args)")
-            self.reads[name] = (f"{fn}(ev.args[{index:d}]) if nargs > {index:d} "
-                                f"else Absent(sb, '{builtin}', {index:d}, ev.syscall)")
+        if self._new(name := f"{read}{index:d}" if index >= 0
+                     else f"{read}m{-index:d}"):
+            absent = f"Absent(sb, '{builtin}', {index:d}, ev.syscall)"
+            if index < 0:
+                self.reads[name] = absent
+            else:
+                self.reads.setdefault("nargs", "len(ev.args)")
+                self.reads[name] = (f"{fn}(ev.args[{index:d}]) "
+                                    f"if nargs > {index:d} else {absent}")
         return name
 
     def prefix(self, subject, n: int) -> str:
@@ -333,21 +313,17 @@ def specialize(name: str, params):
 # ctx is the event's Disposition, which the engine evaluates into.
 
 def _a_manipulateparam(ev, sandbox, ctx, params):
-    index, pattern_text, replacement = params
+    index, pattern, replacement = params
     if index < 0 or index >= len(ev.args):
         return 1  # chain disruption
-    pattern = WildcardPattern(pattern_text)
-    value = _as_str(ev.args[index])
-    if not pattern.matches(value):
+    prefix, star = wildcard(pattern)
+    value = str(ev.args[index])
+    if not (value.startswith(prefix) if star else value == prefix):
         return 0
-    if pattern.has_tail_star:
-        rest = value[len(pattern.prefix):]
-        if replacement.endswith("/") and rest.startswith("/"):
-            rest = rest.lstrip("/")
-        new = replacement + rest
-    else:
-        new = replacement
-    ev.args[index] = new
+    rest = value[len(prefix):]   # "" for an exact match
+    if replacement.endswith("/") and rest.startswith("/"):
+        rest = rest.lstrip("/")
+    ev.args[index] = replacement + rest
     return 0
 
 
@@ -398,8 +374,9 @@ def _a_store_add(ev, sandbox, ctx, params):
 
 
 def _a_filter_dirents(ev, sandbox, ctx, params):
-    pattern = WildcardPattern(params[0])
-    kept = [n for n in sandbox.last_getdents if not pattern.matches(n)]
+    prefix, star = wildcard(params[0])
+    kept = [n for n in sandbox.last_getdents
+            if not (n.startswith(prefix) if star else n == prefix)]
     removed = len(sandbox.last_getdents) - len(kept)
     sandbox.last_getdents = kept
     if removed and ctx.result >= 0:
@@ -490,5 +467,6 @@ def check_params(name: str, params) -> "str | None":
 
 def rewrite_loop_hazard(params) -> bool:
     """True when a manipulateparam replacement re-matches its own pattern."""
-    _, pattern_text, replacement = params
-    return WildcardPattern(pattern_text).matches(replacement)
+    _, pattern, replacement = params
+    prefix, star = wildcard(pattern)
+    return replacement.startswith(prefix) if star else replacement == prefix

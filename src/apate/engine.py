@@ -140,14 +140,14 @@ def run_action_chain(actions, ev: SyscallEvent, sandbox: SandboxState,
 
     The first nonzero status disrupts the chain: the error routine runs
     once, recording the failure and setting the syscall's errno.
-    Returns (status, result), status the failing status or 0.
+    Returns the failing status, or 0.
     """
     for fn, params, failure in actions:
         status = fn(ev, sandbox, disp, params)
         if status != 0:
             _chain_error(ev, sandbox, disp, f"{failure} status={status}")
-            return status, disp.result
-    return 0, disp.result
+            return status
+    return 0
 
 
 def _chain_error(ev, sandbox, disp, detail):
@@ -190,7 +190,7 @@ def dispatch(prog: RuleProgram, ev: SyscallEvent,
             steps += j + 1 - i
             disp.matched_rules.append(j)
             actions, i, jump = rules[j]
-            if run_action_chain(actions, ev, sandbox, disp)[0]:
+            if run_action_chain(actions, ev, sandbox, disp):
                 break  # disruption stops traversal; exit semantics subsumed
             if i < 0:
                 _chain_error(ev, sandbox, disp,

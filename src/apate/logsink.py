@@ -7,8 +7,9 @@ A record renders as one pipe-delimited line:
 ``<ts>`` is the sandbox's ``timestamp()``: UTC ISO-8601 with
 microseconds and a ``+00:00`` offset (``2024-05-01T12:00:00.000000+00:00``),
 unless ``SandboxState.clock`` supplies another string.  ``<args-json>``
-is the argument list as compact JSON with non-ASCII text kept as is;
-bytes-like arguments appear as ``{"len": n}``.
+is the argument list as compact JSON with non-ASCII text kept as is.
+An argument is a value a trace's JSON can carry; a bytes-like one,
+which only code can put in an event, raises TypeError.
 
 Lines are capped at 60,000 bytes so a record always fits a UDP
 datagram; oversized args are truncated with a trailing ellipsis marker.
@@ -33,14 +34,9 @@ _encode = json.encoder.c_make_encoder(
 
 
 def args_json(args) -> str:
-    """``json.dumps(list(args), separators=(",", ":"), ensure_ascii=False)``
-    with each top-level bytes-like item replaced by ``{"len": n}``: the
-    compact JSON list of log records and of .apc params."""
-    try:
-        return "".join(_encode(args, 0))
-    except TypeError:  # a bytes-like item; one nested in a value raises again
-        return "".join(_encode([{"len": len(a)} if isinstance(a, (bytes, bytearray))
-                                else a for a in args], 0))
+    """``json.dumps(list(args), separators=(",", ":"), ensure_ascii=False)``:
+    the compact JSON list of log records and of .apc params."""
+    return "".join(_encode(args, 0))
 
 
 def format_record(ts, seq, pid, uid, syscall, args, result) -> str:

@@ -83,11 +83,11 @@ class TaskContext:
 class SyscallEvent:
     """One intercepted syscall invocation.
 
-    ``args`` holds one value per slot of the syscall in SYSCALL_TABLE; a
-    path or mode slot holds a str (or, built in code, bytes), never a
-    JSON number, list, object, bool or null.  ``args`` is mutable:
-    manipulating actions rewrite it in place and later rules, actions,
-    and the original syscall observe the rewrite.
+    ``args`` holds one value per slot of the syscall in SYSCALL_TABLE,
+    each a JSON value as a trace carries it; a path or mode slot holds a
+    str, never bytes, a bytearray, a number, list, object, bool or null.
+    ``args`` is mutable: manipulating actions rewrite it in place and
+    later rules, actions, and the original syscall observe the rewrite.
     """
 
     seq: int
@@ -104,7 +104,7 @@ class SyscallEvent:
             raise ValueError(f"{self.syscall} takes {arity} args, "
                              f"got {len(self.args)}")
         for i in strs:
-            if type(self.args[i]) is not str and type(self.args[i]) is not bytes:
+            if type(self.args[i]) is not str:
                 slot = SYSCALL_TABLE[self.syscall][0][i]
                 raise TypeError(f"{self.syscall} args[{i}] ({slot}) must be "
                                 f"a string, got {self.args[i]!r}")

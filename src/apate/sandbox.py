@@ -342,10 +342,10 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
     name, args = ev.syscall, ev.args
 
     if name in _PATH_FIRST:
-        path = normalize_path(str(args[0]))
+        path = normalize_path(args[0])
 
         if name == "open":
-            mode = str(args[1])
+            mode = args[1]
             if mode == "r":
                 if path not in vfs.files:
                     return ENOENT

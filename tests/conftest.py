@@ -98,10 +98,11 @@ def dispatch_chain(chain, ev, sb):
 
 
 def run_actions(chain, ev, sb, disp=None):
-    """Bind an ActionChain and run it into disp (a fresh one if None)."""
+    """Bind an ActionChain and run it into disp (a fresh one if None);
+    (status, disp.result)."""
     actions, _ = bind_actions(Rule("r", None, chain))
-    return run_action_chain(actions, ev, sb,
-                            disp or Disposition(ev.seq, ev.syscall))
+    disp = disp or Disposition(ev.seq, ev.syscall)
+    return run_action_chain(actions, ev, sb, disp), disp.result
 
 
 def to_dict(d: Disposition) -> dict:

@@ -6,42 +6,68 @@ import pytest
 
 from apate import apc, engine
 from apate import builtins as apate_builtins
-from apate.builtins import (WildcardPattern, check_params,
-                            rewrite_loop_hazard)
+from apate.builtins import check_params, rewrite_loop_hazard, wildcard
 from apate.dsl import compile_source
 from apate.errors import ApateError, CorruptRecord
 from apate.logsink import args_json
 from apate.model import (ALWAYS_TRUE, Action, ActionChain, Condition,
-                         ConditionBlock, OP_AND, Rule, RuleChain, RuleProgram)
+                         ConditionBlock, Disposition, OP_AND, Rule, RuleChain,
+                         RuleProgram)
 
 from conftest import holds, make_ctx, make_event, run_actions
 
 
-class TestWildcardPattern:
-    def test_exact_and_prefix(self):
-        assert WildcardPattern("mysql").matches("mysql")
-        assert not WildcardPattern("mysql").matches("mysqld")
-        assert WildcardPattern("mysql*").matches("mysqld")
-        assert WildcardPattern("*").matches("anything at all")
-        assert WildcardPattern("*").matches("")
+def _matches(pattern, s, sandbox):
+    """Whether pattern matches s, as manipulateparam and filter_dirents
+    each decide it through run_actions; they must agree."""
+    ev = make_event("open", s, "r")
+    chain = ActionChain((Action("manipulateparam", (0, pattern, "R")),))
+    assert run_actions(chain, ev, sandbox)[0] == 0
+    rewritten = ev.args[0] != s   # "R" starts no s of these alphabets
+    sandbox.last_getdents = [s]
+    disp = Disposition(ev.seq, ev.syscall)
+    disp.result = 1
+    chain = ActionChain((Action("filter_dirents", (pattern,)),))
+    assert run_actions(chain, ev, sandbox, disp) == (0, 0 if rewritten else 1)
+    assert sandbox.last_getdents == ([] if rewritten else [s])
+    return rewritten
 
-    def test_randomized_against_prefix_oracle(self):
+
+class TestWildcard:
+    def test_split(self):
+        assert wildcard("mysql") == ("mysql", False)
+        assert wildcard("mysql*") == ("mysql", True)
+        assert wildcard("*") == ("", True)
+        assert wildcard("") == ("", False)
+
+    def test_exact_and_prefix(self, sandbox):
+        assert _matches("mysql", "mysql", sandbox)
+        assert not _matches("mysql", "mysqld", sandbox)
+        assert _matches("mysql*", "mysqld", sandbox)
+        assert _matches("*", "anything at all", sandbox)
+        assert _matches("*", "", sandbox)
+
+    def test_randomized_against_prefix_oracle(self, sandbox):
         rng = random.Random(11)
         alphabet = string.ascii_lowercase + "/._"
         for _ in range(500):
             prefix = "".join(rng.choices(alphabet, k=rng.randint(0, 8)))
             s = "".join(rng.choices(alphabet, k=rng.randint(0, 12)))
-            assert WildcardPattern(prefix + "*").matches(s) == s.startswith(prefix)
-            assert WildcardPattern(prefix).matches(s) == (s == prefix) \
-                or prefix == ""  # "" pattern matches only ""
-        assert WildcardPattern("").matches("")
-        assert not WildcardPattern("").matches("x")
+            assert _matches(prefix + "*", s, sandbox) == s.startswith(prefix)
+            assert _matches(prefix, s, sandbox) == (s == prefix)
+            assert rewrite_loop_hazard((0, prefix + "*", s)) == s.startswith(prefix)
+            assert rewrite_loop_hazard((0, prefix, s)) == (s == prefix)
+        assert _matches("", "", sandbox)
+        assert not _matches("", "x", sandbox)
 
-    def test_invalid_patterns_rejected(self):
-        with pytest.raises(ValueError):
-            WildcardPattern("a*b")
-        with pytest.raises(ValueError):
-            WildcardPattern("**")
+    @pytest.mark.parametrize("pattern", ["a*b", "**"])
+    def test_invalid_patterns_rejected(self, sandbox, pattern):
+        assert "'*' allowed only once" in check_params("filter_dirents", (pattern,))
+        for action in (Action("manipulateparam", (0, pattern, "x")),
+                       Action("filter_dirents", (pattern,))):
+            with pytest.raises(ApateError, match="allowed only once"):
+                run_actions(ActionChain((action,)), make_event("open", "a", "r"),
+                            sandbox)
 
 
 class TestConditions:

@@ -533,6 +533,41 @@ class TestApcFormat:
                            match="rule name 'r' used with different bodies"):
             apc.serialize(prog)
 
+    @pytest.mark.parametrize("rule, chain, span, message", [
+        (name, "c", "x:1", f"rule name {name!r} holds {bad!r}")
+        for name, bad in (("a\tb", "\t"), ("a\nb", "\n"), ("a\rb", "\r"),
+                          ("a,b", ","))] + [
+        (":x", "c", "x:1", "rule name ':x' starts with ':'"),
+        ("::x", "c", "x:1", "rule name '::x' starts with ':'")] + [
+        ("r", name, "x:1", f"chain name {name!r} holds {bad!r}")
+        for name, bad in (("c\td", "\t"), ("c\nd", "\n"), ("c\rd", "\r"))] + [
+        ("r", "c", span, f"span {span!r} holds {bad!r}")
+        for span, bad in (("x\t:1", "\t"), ("x\n:1", "\n"), ("x\r:1", "\r"))])
+    def test_a_field_that_would_not_load_back_does_not_serialize(
+            self, rule, chain, span, message):
+        """A program built in code may name a rule, a chain or a span with
+        text that ends a field or a line, or that reads as a member's exit
+        mark; its .apc would load as another program or not at all."""
+        guard = ConditionBlock(ALWAYS_TRUE, ALWAYS_TRUE, OP_AND)
+        prog = RuleProgram({chain: RuleChain(chain, (Rule(
+            rule, guard, ActionChain((Action("log"),)), 0, span),))},
+            [("open", chain)])
+        with pytest.raises(ValueError) as exc:
+            apc.serialize(prog)
+        assert str(exc.value) == message
+
+    def test_names_and_spans_that_load_back_serialize(self):
+        """Each field keeps every other character, and a chain name or a
+        span may hold ',' and ':' anywhere."""
+        guard = ConditionBlock(ALWAYS_TRUE, ALWAYS_TRUE, OP_AND)
+        rule = Rule("a:b (1)\x0b\u2028", guard, ActionChain((Action("log"),)),
+                    1, ":x,y:1\x0c")
+        prog = RuleProgram({":c,d": RuleChain(":c,d", (rule,))},
+                           [("open", ":c,d")])
+        blob = apc.serialize(prog)
+        assert apc.deserialize(blob) == prog
+        assert apc.serialize(apc.deserialize(blob)) == blob
+
     def test_second_bind_of_a_syscall_is_corrupt(self):
         # The DSL rejects this as DuplicateBind; a loader that kept both
         # would let plain and cloaked runs pick different chains.

@@ -585,8 +585,6 @@ def _ref_leaf(cond, ev, sb):
         return 0
     value = ev.args[index]
     if name == "testforparam":
-        if isinstance(value, bytes):
-            value = value.decode("utf-8", errors="replace")
         return int(_wild(pattern, str(value)))
     assert name == "testforfdpath"
     path = sb.fds.path_of(value)
@@ -658,7 +656,7 @@ class TestGeneratedGuards:
                                        (0, 1, 0, "mysqld", "mysql"),
                                        (1001, 42, 7, "sh", "ssh-agent"),
                                        (33, 7, 2, "dæmon", "bash"))]
-        events = [("open", "/etc/motd", "r"), ("open", b"/etc/\xffx", "w"),
+        events = [("open", "/etc/motd", "r"), ("open", "/etc/\udcffx", "w"),
                   ("open", "/étc/ñ", "r"), ("read", wide, 1),
                   ("read", held, 4096), ("read", 99, 10),  # 99: no path
                   ("close", held), ("getpid",), ("write", 4, 17),
@@ -907,6 +905,8 @@ class TestCompareLeaves:
         (Condition("testforparam", (1, "/etc/*")), "a1_p5", "'/etc/'"),
         (Condition("testforfdpath", (0, "/x")), "f0", "'/x'"),
         (Condition("store_cmp", ("k", "==", 3)), "store_get('k')", "0x3"),
+        (Condition("testforparam", (-1, "/x")), "am1", "'/x'"),
+        (Condition("testforfdpath", (-2, "/x*")), "fm2_p2", "'/x'"),
     ])
     def test_wildcards_and_store_equality(self, cond, subject, literal):
         assert self._line(cond, OP_AND) == f"if {subject} != {literal}: g0 = 0"
@@ -917,8 +917,7 @@ class TestCompareLeaves:
 
     @pytest.mark.parametrize("cond", [
         ALWAYS_TRUE, Condition("file_keyword", ("/f", "k")),
-        Condition("store_cmp", ("k", "<", 3)),
-        Condition("testforparam", (-1, "/x"))])
+        Condition("store_cmp", ("k", "<", 3))])
     def test_other_leaves_keep_if_not(self, cond):
         line = self._line(cond, OP_AND)
         assert line.startswith("if not ") and line.endswith(": g0 = 0")
@@ -1128,12 +1127,16 @@ class TestStatementForm:
 ABSENT_LEAVES = [Condition("testforparam", (0, "*")),
                  Condition("testforparam", (1, "/x")),
                  Condition("testforfdpath", (0, "/x*")),
-                 Condition("testforparam", (0, "*"))]     # repeated
+                 Condition("testforparam", (0, "*")),     # repeated
+                 Condition("testforparam", (-1, "/x")),
+                 Condition("testforfdpath", (-1, "*")),
+                 Condition("testforparam", (-2, "/x*"))]
 
 
 class TestArgLeaves:
-    """An argument leaf is one compare; out of range, its read is an
-    Absent that notes one ArgIndexOutOfRange per compare."""
+    """An argument leaf is one compare; out of range (past the arity or at
+    a negative index), its read is an Absent that notes one
+    ArgIndexOutOfRange per compare."""
 
     @pytest.mark.parametrize("syscall", ["getpid", "getuid"])
     @pytest.mark.parametrize("conj", [True, False])
@@ -1182,6 +1185,12 @@ class TestArgLeaves:
         assert holds(block, ev, sandbox) == 0
         assert sandbox.diagnostics == [{"kind": "ArgIndexOutOfRange",
                                         "detail": "testforparam index 1 on close"}]
+        block = ConditionBlock(Condition("testforparam", (-1, "9*")), block, OP_OR)
+        del sandbox.diagnostics[:]
+        assert holds(block, ev, sandbox) == 0
+        assert sandbox.diagnostics == [
+            {"kind": "ArgIndexOutOfRange", "detail": f"testforparam index {i} on close"}
+            for i in (-1, 1)]
 
     def test_called_body_takes_no_nargs(self):
         """nargs feeds only the argument reads' text, which the scan makes,

@@ -29,11 +29,7 @@ def fmt(r):
 # Frozen copy of the formatter as it was when every record went through a
 # LogRecord and json.dumps: the reference for the differential tests.
 def ref_args_json(args) -> str:
-    def enc(v):
-        if isinstance(v, (bytes, bytearray)):
-            return {"len": len(v)}
-        return v
-    return json.dumps([enc(a) for a in args], separators=(",", ":"), ensure_ascii=False)
+    return json.dumps(list(args), separators=(",", ":"), ensure_ascii=False)
 
 
 def ref_format_record(rec: LogRecord) -> str:
@@ -50,23 +46,11 @@ def ref_format_record(rec: LogRecord) -> str:
             f"{rec.syscall}|{cut}{TRUNCATION_MARK}|{rec.result}")
 
 
-def outcome(format_line, r):
-    """The line, or the type of the exception formatting raised."""
-    try:
-        return format_line(r)
-    except (TypeError, ValueError) as exc:
-        return type(exc)
-
-
 class Mode(enum.IntEnum):
     RDONLY = 0
 
 
 class Path(str):
-    pass
-
-
-class Blob(bytes):
     pass
 
 
@@ -82,7 +66,7 @@ def random_text(rng, n, alphabet=ALPHABET):
 
 
 def random_value(rng, depth=0):
-    kind = rng.randrange(14 if depth < 2 else 12)
+    kind = rng.randrange(12 if depth < 2 else 10)
     if kind == 0:
         return rng.randint(-100, 10**6)
     if kind == 1:
@@ -93,23 +77,19 @@ def random_value(rng, depth=0):
         return random_text(rng, rng.randint(5_000, 30_000),
                            rng.choice([ALPHABET, WIDE]))
     if kind == 4:
-        return bytes(rng.randrange(256) for _ in range(rng.randint(0, 20)))
-    if kind == 5:
-        return bytearray(rng.randint(0, 70_000))
-    if kind == 6:
         return rng.choice([True, False, None])
-    if kind == 7:
+    if kind == 5:
         return rng.choice([0.0, -0.0, 1.5, 1e300, -2.5e-8, math.nan,
                            math.inf, -math.inf, rng.random()])
-    if kind == 8:
+    if kind == 6:
         return {"len": rng.randint(-5, 10**7)}
-    if kind == 9:
-        return rng.choice([Mode.RDONLY, Path("/p\u00e9|q"), Blob(b"abc")])
-    if kind == 10:
+    if kind == 7:
+        return rng.choice([Mode.RDONLY, Path("/p\u00e9|q")])
+    if kind == 8:
         return rng.choice(["", "r", "w", "creat", "/etc/passwd"])
-    if kind == 11:
+    if kind == 9:
         return rng.randint(3, 40)
-    if kind == 12:
+    if kind == 10:
         return [random_value(rng, depth + 1) for _ in range(rng.randint(0, 3))]
     return {random_text(rng, 3): random_value(rng, depth + 1)}
 
@@ -138,10 +118,6 @@ class TestFormat:
         r = rec(args=["/weird|path", "r"])
         assert parse_record(fmt(r)) == r
 
-    def test_bytes_args_logged_as_length(self):
-        line = fmt(rec(args=[b"\x00" * 12, 3]))
-        assert parse_record(line).args == [{"len": 12}, 3]
-
     def test_truncation_cap(self):
         r = rec(args=["x" * 100_000])
         line = fmt(r)
@@ -152,21 +128,18 @@ class TestFormat:
 
     def test_differential_against_frozen_formatter(self):
         rng = random.Random(2024)
-        truncated = failed = 0
+        truncated = 0
         for _ in range(3_000):
             r = rec(seq=rng.randint(0, 10**9), pid=rng.randint(1, 99999),
                     uid=rng.randint(0, 99999),
                     syscall=rng.choice(["open", "read", "write", "execve"]),
                     args=[random_value(rng) for _ in range(rng.randint(0, 4))],
                     result=rng.randint(-40, 10**6))
-            line = outcome(fmt, r)
-            assert line == outcome(ref_format_record, r), r
-            if isinstance(line, str):
-                assert len(line.encode("utf-8")) <= LINE_MAX
-                truncated += line.endswith(TRUNCATION_MARK + f"|{r.result}")
-            else:
-                failed += 1  # bytes inside a list or dict, as before
-        assert truncated > 50 and 0 < failed < 300
+            line = fmt(r)
+            assert line == ref_format_record(r), r
+            assert len(line.encode("utf-8")) <= LINE_MAX
+            truncated += line.endswith(TRUNCATION_MARK + f"|{r.result}")
+        assert truncated > 50
 
     def test_lines_around_the_cap_match_frozen_formatter(self):
         # Lines from 9 bytes under to 9 over the cap; in the all-emoji texts
@@ -194,8 +167,8 @@ class TestFormat:
             ts = f"2024-05-01T12:00:{rng.randint(0, 59):02d}.{rng.randrange(10**6):06d}"
             r = rec(seq=rng.randint(0, 10**9), args=args, ts=ts + "+00:00")
             assert parse_record(fmt(r)) == r
-        r = rec(args=[b"\x01" * 5, bytearray(3), "\U0001f600"])
-        assert parse_record(fmt(r)).args == [{"len": 5}, {"len": 3}, "\U0001f600"]
+        r = rec(args=[{"len": 5}, "\U0001f600"])
+        assert parse_record(fmt(r)).args == [{"len": 5}, "\U0001f600"]
 
     def test_lone_surrogate_is_formatted_not_raised(self):
         # A trace may carry "\ud800"; the line keeps it (the sinks report
@@ -254,16 +227,15 @@ class TestArgsJson:
     def test_a_tuple_is_a_list(self):
         assert args_json(("/a", 1, ("b",))) == '["/a",1,["b"]]'
 
-    def test_top_level_bytes_like_is_its_length(self):
-        assert args_json([b"abc", bytearray(5), Blob(b"xy"), "s"]) == (
-            '[{"len":3},{"len":5},{"len":2},"s"]')
-        assert args_json((b"",)) == '[{"len":0}]'
-
-    @pytest.mark.parametrize("value", [[b"x"], {"k": bytearray(2)},
-                                       [Blob(b"")], [[bytearray()]]])
-    def test_nested_bytes_like_is_refused(self, value):
+    @pytest.mark.parametrize("value", [b"", b"abc", bytearray(5), [b"x"],
+                                       {"k": bytearray(2)}, [[bytearray()]]])
+    def test_bytes_like_is_refused(self, value):
+        """No trace argument is bytes; one built in code fails the log
+        record as it fails the report."""
         with pytest.raises(TypeError):
             args_json([1, value])
+        with pytest.raises(TypeError):
+            fmt(rec(args=[value]))
 
     def test_subclasses_and_non_finite_floats(self):
         args = [Path("/p\u00e9|q"), Mode.RDONLY, math.nan, math.inf, -math.inf]

@@ -116,7 +116,7 @@ def ref_dispatch(prog, ev, sb, budget, seen):
 
 
 _PATHS = ("/etc/motd", "/etc/passwd", "/var/lib/mysql/x", "/var/log",
-          "/srv/a", "/etc", "/", "r", b"/etc/\xffx")
+          "/srv/a", "/etc", "/", "r", "/etc/\udcffx")
 _PATTERNS = ("/etc/*", "/var/*", "*", "/etc/motd", "/srv/a")
 
 

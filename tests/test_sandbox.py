@@ -1,5 +1,6 @@
 import enum
 import random
+import re
 import time
 from datetime import datetime, timezone
 
@@ -457,6 +458,21 @@ class TestSyscallTable:
                              sb.diagnostics,
                              [e[:3] for e in sb.fds.entries.values()]))
             assert seen[0] == seen[1], (kind, seen)
+
+    @pytest.mark.parametrize("kind", [bytes, bytearray])
+    @pytest.mark.parametrize("name, index", [
+        (name, i) for name, (slots, _) in SYSCALL_TABLE.items()
+        for i, slot in enumerate(slots) if slot in ("path", "mode")])
+    def test_a_bytes_path_or_mode_is_refused(self, name, index, kind):
+        """A trace cannot carry bytes, so an event holds none in a path or
+        mode slot, and the guards, the sandbox and the log read one str."""
+        slots = SYSCALL_TABLE[name][0]
+        args = [self.ARGS[s] for s in slots]
+        args[index] = kind(args[index].encode())
+        with pytest.raises(TypeError, match=re.escape(
+                f"{name} args[{index}] ({slots[index]}) must be a string, "
+                f"got {args[index]!r}")):
+            make_event(name, *args)
 
 
 class TestErrnoTable:
