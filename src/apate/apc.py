@@ -60,7 +60,7 @@ def serialize(prog: RuleProgram) -> bytes:
     """The program's .apc bytes.  Like the compiler, the format binds a
     syscall at most once: a program built in code that binds one twice
     (a cloaked program) raises ValueError, as does a name or span that
-    would not load back as itself."""
+    would not load back as itself, or a chain with no rules."""
     bind_lines = {}
     for sc, cn in prog.bindings:
         if sc in bind_lines:
@@ -111,6 +111,8 @@ def serialize(prog: RuleProgram) -> bytes:
 
     chain_lines = []
     for name, chain in prog.chains.items():
+        if not chain.rules:   # "CHAIN\tc\t" would load as rule ''
+            raise ValueError(f"chain {name!r} has no rules")
         for rule in chain.rules:
             emit_rule(rule)
         members = ",".join((":" if r.exit_flag else "") + r.name for r in chain.rules)

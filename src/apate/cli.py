@@ -7,6 +7,7 @@ import contextlib
 import json
 import os
 import sys
+from pathlib import Path
 
 from . import apc, bench
 from .cloak import apply_cloak, cloak_ruleset
@@ -90,64 +91,63 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def cmd_run(args) -> int:
-    try:
-        with open(args.program, "rb") as fh:
-            prog = apc.deserialize(fh.read())
-        if args.cloak:
-            prog = apply_cloak(prog, cloak_ruleset(args.cloak))
-        validate_program(prog)
-    except (OSError, ApateError) as exc:
-        print(f"apate: cannot load program: {exc}", file=sys.stderr)
-        return 1
-
+def open_world(program, fs=None, cloak=None, log_file=None, log_udp=None):
+    """The bound program and the sandbox of ``apate run``, in its order:
+    load the .apc ``program``, cloak it for the log path ``cloak``, bind,
+    read the manifest ``fs``, then open the sinks (``log_file``,
+    ``log_udp``, the VFS log at ``cloak``).  A failing step raises one
+    ApateError named for it (``cannot load program``, ``bad manifest``,
+    ``bad sink``) and leaves no sink open."""
+    step = "cannot load program"
     sandbox = SandboxState()
-    if args.fs:
-        try:
-            with open(args.fs, "rb") as fh:
-                sandbox.vfs = vfs_from_manifest(fh.read())
-        except (OSError, ApateError) as exc:
-            print(f"apate: bad manifest: {exc}", file=sys.stderr)
-            return 1
+    try:
+        prog = apc.deserialize(Path(program).read_bytes())
+        if cloak:
+            prog = apply_cloak(prog, cloak_ruleset(cloak))
+        validate_program(prog)
+        step = "bad manifest"
+        if fs:
+            sandbox.vfs = vfs_from_manifest(Path(fs).read_bytes())
+        step = "bad sink"
+        if log_file:
+            sandbox.sinks.append(FileSink(log_file))
+        if log_udp:
+            sandbox.sinks.append(UdpSink(*parse_udp_addr(log_udp)))
+        if cloak:
+            sandbox.sinks.append(VfsSink(sandbox.vfs, cloak))
+    except (OSError, ValueError, ApateError) as exc:
+        _close_sinks(sandbox.sinks)
+        raise ApateError(f"{step}: {exc}") from exc
+    return prog, sandbox
 
+
+def cmd_run(args) -> int:
     sinks = []
     try:
-        if args.log_file:
-            sinks.append(FileSink(args.log_file))
-        if args.log_udp:
-            host, port = parse_udp_addr(args.log_udp)
-            sinks.append(UdpSink(host, port))
-        if args.cloak:
-            sinks.append(VfsSink(sandbox.vfs, args.cloak))
-    except (OSError, ValueError) as exc:
-        _close_sinks(sinks)
-        print(f"apate: bad sink: {exc}", file=sys.stderr)
-        return 1
-    sandbox.sinks = sinks
-
-    try:
-        trace = (contextlib.nullcontext(sys.stdin.buffer) if args.trace == "-"
-                 else open(args.trace, "rb"))
-    except OSError as exc:
-        _close_sinks(sinks)
-        print(f"apate: bad trace: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        with trace as fh, _report_out(args.report) as out:
+        prog, sandbox = open_world(args.program, args.fs, args.cloak,
+                                   args.log_file, args.log_udp)
+        sinks = sandbox.sinks
+        with _open_trace(args.trace) as fh, _report_out(args.report) as out:
             stream = _ReportStream(out)
             report = replay_trace(prog, iter_trace(fh), sandbox, stream.emit)
             _close_sinks(sinks)
             stream.finish(report)
-    except TraceError as exc:
-        print(f"apate: bad trace: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"apate: {exc}", file=sys.stderr)
+    except (OSError, ApateError) as exc:
+        where = "bad trace: " if isinstance(exc, TraceError) else ""
+        print(f"apate: {where}{exc}", file=sys.stderr)
         return 1
     finally:
         _close_sinks(sinks)
     return 0
+
+
+def _open_trace(path):
+    """The trace file at ``path``, or stdin's bytes for ``-``."""
+    try:
+        return (contextlib.nullcontext(sys.stdin.buffer) if path == "-"
+                else open(path, "rb"))
+    except OSError as exc:
+        raise ApateError(f"bad trace: {exc}") from None
 
 
 def _close_sinks(sinks) -> None:

@@ -41,8 +41,8 @@ SYSCALL_TABLE = {
 }
 
 SYSCALLS = tuple(SYSCALL_TABLE)
-# Per syscall: its arity and the indexes of its path and mode slots.
-_ARG_SHAPES = {sc: (len(slots), tuple(i for i, slot in enumerate(slots)
+# Per syscall: its arity and the (index, kind) of its path and mode slots.
+_ARG_SHAPES = {sc: (len(slots), tuple((i, slot) for i, slot in enumerate(slots)
                                       if slot in ("path", "mode")))
                for sc, (slots, _) in SYSCALL_TABLE.items()}
 
@@ -85,7 +85,8 @@ class SyscallEvent:
 
     ``args`` holds one value per slot of the syscall in SYSCALL_TABLE,
     each a JSON value as a trace carries it; a path or mode slot holds a
-    str, never bytes, a bytearray, a number, list, object, bool or null.
+    str, never bytes, a bytearray, a number, list, object, bool or null,
+    and a path holds no NUL (a Linux path is a C string).
     ``args`` is mutable: manipulating actions rewrite it in place and
     later rules, actions, and the original syscall observe the rewrite.
     """
@@ -103,11 +104,14 @@ class SyscallEvent:
         if len(self.args) != arity:
             raise ValueError(f"{self.syscall} takes {arity} args, "
                              f"got {len(self.args)}")
-        for i in strs:
-            if type(self.args[i]) is not str:
-                slot = SYSCALL_TABLE[self.syscall][0][i]
+        for i, slot in strs:
+            arg = self.args[i]
+            if type(arg) is not str:
                 raise TypeError(f"{self.syscall} args[{i}] ({slot}) must be "
-                                f"a string, got {self.args[i]!r}")
+                                f"a string, got {arg!r}")
+            if "\0" in arg and slot == "path":
+                raise ValueError(f"{self.syscall} args[{i}] (path) holds a "
+                                 f"NUL character, got {arg!r}")
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from apate import apc, engine
-from apate.cli import main
+from apate import apc, cli, engine
+from apate.cli import main, open_world
 from apate.cloak import apply_cloak, cloak_ruleset
 from apate.dsl import compile_source
 from apate.engine import dispatch
+from apate.errors import ApateError
+from apate.logsink import FileSink, VfsSink
 from apate.replay import parse_trace, replay_trace
-from apate.sandbox import SandboxState, vfs_from_manifest
+from apate.sandbox import SandboxState
 
 from conftest import (MYSQL_EXAMPLE, make_ctx, make_event, parse_record,
                       to_dict)
@@ -269,6 +271,25 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"apate: [Errno 2] No such file or directory: '{report}'\n")
         assert not report.parent.exists()
+
+    def test_sinks_close_before_the_report_is_kept(self, compiled, tmp_path,
+                                                   monkeypatch, capsys):
+        """A sink that fails to close fails the run: the report is not
+        moved onto its path, as the sinks close before its tail."""
+        class Failing(FileSink):
+            def close(self):
+                super().close()
+                raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "FileSink", Failing)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "getpid", []) + "\n")
+        report = tmp_path / "report.json"
+        assert main(["run", "--program", str(compiled), "--trace", str(trace),
+                     "--log-file", str(tmp_path / "records.log"),
+                     "--report", str(report)]) == 1
+        assert capsys.readouterr().err == "apate: disk full\n"
+        assert list(tmp_path.glob("report.json*")) == []
 
     def test_deeply_nested_apc_params_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "deep.apc"
@@ -685,6 +706,13 @@ class TestRun:
         pytest.param(trace_line(2, "execve", [{"len": 3}, "x"]),
                      "execve args[0] (path) must be a string, got 3",
                      id="path-len"),
+        pytest.param(trace_line(2, "open", ["/x\u0000y", "w"]),
+                     "open args[0] (path) holds a NUL character, "
+                     "got '/x\\x00y'", id="path-nul"),
+        pytest.param(json.dumps({"ctx": TRACE_CTX, "seq": 2,
+                                 "syscall": "unlink", "args": ["/x\u0000"]}),
+                     "unlink args[0] (path) holds a NUL character, "
+                     "got '/x\\x00'", id="path-nul-ctx-first"),
     ])
     def test_bad_trace_field_is_named(self, compiled, tmp_path, capsys,
                                       line, message):
@@ -713,8 +741,7 @@ class TestReport:
         return fs, trace
 
     def expected(self, compiled, fs, trace):
-        prog = apc.deserialize(compiled.read_bytes())
-        sandbox = SandboxState(vfs=vfs_from_manifest(fs.read_bytes()))
+        prog, sandbox = open_world(compiled, fs=fs)
         dispositions = []
         report = replay_trace(prog, parse_trace(trace.read_text()), sandbox,
                               dispositions.append)
@@ -747,6 +774,91 @@ class TestReport:
         ev.args[0] = "/elsewhere"
         ev.args.append("extra")
         assert d["args"] == ["/honey/mysql/ibdata1", "r"]
+
+
+class TestOpenWorld:
+    """``cli.open_world`` builds ``apate run``'s world: program, cloak,
+    binding, manifest, then sinks, each step's failure named for it."""
+
+    LOG = "/var/log/apate.log"
+
+    @pytest.fixture
+    def fs(self, tmp_path):
+        fs = tmp_path / "fs.manifest"
+        fs.write_text(TestReport.FS)
+        return fs
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every FileSink open_world opens."""
+        sinks = []
+
+        class Recorded(FileSink):
+            def __init__(self, path):
+                super().__init__(path)
+                sinks.append(self)
+
+        monkeypatch.setattr(cli, "FileSink", Recorded)
+        return sinks
+
+    def test_a_cloaked_world_is_bound_and_logs_into_its_vfs(
+            self, compiled, fs, tmp_path, opened):
+        prog, sandbox = open_world(compiled, fs=fs, cloak=self.LOG,
+                                   log_file=tmp_path / "records.log")
+        try:
+            assert prog.scans is not None
+            assert set(prog.scans) == {sc for sc, _ in prog.bindings}
+            assert prog.bindings[0] == ("open", "cloak_path")   # cloaked
+            file_sink, vfs_sink = sandbox.sinks
+            assert opened == [file_sink] and type(vfs_sink) is VfsSink
+            assert vfs_sink.vfs is sandbox.vfs and vfs_sink.path == self.LOG
+            assert sandbox.vfs.read_file("/etc/hosts") == b"abc"
+        finally:
+            for sink in sandbox.sinks:
+                sink.close()
+
+    def test_a_plain_world_is_bound_and_opens_no_sink(self, compiled):
+        prog, sandbox = open_world(compiled)
+        assert prog.scans is not None and sandbox.sinks == []
+        assert sandbox.vfs.digest() == SandboxState().vfs.digest()
+
+    @pytest.mark.parametrize("kw, message", [
+        ({"program": "missing.apc"}, "cannot load program: [Errno 2] "
+         "No such file or directory: 'missing.apc'"),
+        ({"cloak": "/var/log/a*"}, "cannot load program: cloak log path "
+         "'/var/log/a*' contains '*', which the cloak's patterns would "
+         "read as a wildcard"),
+        ({"fs": "bad"}, "bad manifest: line 2: /a exists as a file"),
+        ({"fs": "missing"}, "bad manifest: [Errno 2] No such file or "
+         "directory: 'missing'"),
+        ({"log_udp": "127.0.0.1:70000"}, "bad sink: expected host:port, "
+         "port 0-65535, got '127.0.0.1:70000'"),
+        ({"log_file": "no/such/dir/x.log"}, "bad sink: [Errno 2] No such "
+         "file or directory: 'no/such/dir/x.log'"),
+    ])
+    def test_each_step_names_its_failure(self, compiled, tmp_path,
+                                         monkeypatch, kw, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad").write_text("F /a 1 00\nD /a/b\n")
+        kw = {"program": compiled, **kw}
+        with pytest.raises(ApateError) as exc:
+            open_world(**kw)
+        assert str(exc.value) == message
+
+    def test_the_first_failing_step_is_the_one_named(self, tmp_path):
+        bad_program = tmp_path / "bad.apc"
+        bad_program.write_bytes(b"APATE-RP 1\nWHAT\tx\n")
+        with pytest.raises(ApateError, match="^cannot load program: "):
+            open_world(bad_program, fs=tmp_path / "none",
+                       log_udp="127.0.0.1:70000")
+
+    def test_a_bad_sink_closes_the_sinks_opened_before_it(
+            self, compiled, tmp_path, opened):
+        with pytest.raises(ApateError, match="^bad sink: "):
+            open_world(compiled, log_file=tmp_path / "records.log",
+                       log_udp="127.0.0.1:70000")
+        (sink,) = opened
+        assert sink._fh.closed
 
 
 class TestBench:

@@ -617,6 +617,20 @@ class TestTraceParsing:
         assert str(exc.value) == f"line 5: {message}"
 
 
+    @pytest.mark.parametrize("ctx_first", [False, True])
+    def test_an_unknown_top_level_key_is_ignored(self, ctx_first):
+        """A line may carry keys besides seq, syscall, args and ctx; they
+        are read past, on the split read (ctx last) and on the whole read
+        (ctx first) alike."""
+        def line(obj):
+            if ctx_first:
+                obj = {"ctx": obj.pop("ctx"), **obj}
+            return json.dumps(obj)
+        plain = json.loads(self.line())
+        extra = {k: v for k, v in plain.items() if k != "ctx"}
+        extra.update(extra=1, ctx=plain["ctx"])
+        assert parse_trace_line(line(extra)) == parse_trace_line(line(plain))
+
     @pytest.mark.parametrize("number", [
         "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1E+999"])
     @pytest.mark.parametrize("spaced", [False, True])

@@ -556,6 +556,16 @@ class TestApcFormat:
             apc.serialize(prog)
         assert str(exc.value) == message
 
+    def test_a_chain_with_no_rules_does_not_serialize(self):
+        """A chain built in code may hold no rules.  It binds and runs, but
+        its record, ``CHAIN\tc\t``, would load as a chain of rule ''."""
+        prog = RuleProgram({"c": RuleChain("c", ())}, [("open", "c")])
+        disp = dispatch(prog, make_event("open", "/x", "w"), SandboxState())
+        assert disp.matched_rules == [] and disp.result == 3
+        with pytest.raises(ValueError) as exc:
+            apc.serialize(prog)
+        assert str(exc.value) == "chain 'c' has no rules"
+
     def test_names_and_spans_that_load_back_serialize(self):
         """Each field keeps every other character, and a chain name or a
         span may hold ',' and ':' anywhere."""

@@ -783,6 +783,7 @@ class TestLiteralParams:
             pattern = text + "*" if rng.random() < 0.4 else text
             keyword = _tricky(rng)
             conds = [Condition("testforparam", (0, pattern)),
+                     Condition("testforparam", (1, pattern)),
                      Condition("testforpname", (pattern,)),
                      Condition("testforselfpname", (pattern,)),
                      Condition("store_cmp", (text, rng.choice(tuple(_CMP)),
@@ -794,8 +795,10 @@ class TestLiteralParams:
             sb.store.set(text, 3)
             subjects = (text, text + other, other, text[:-1] or other)
             for subject in subjects:
-                ev = make_event("open", subject, "r", ctx=make_ctx(
-                    pname=subject, parent_pname=rng.choice(subjects)))
+                # a path holds no NUL, so the mode slot carries it whole
+                ev = make_event("open", subject.replace("\0", ""), subject,
+                                ctx=make_ctx(pname=subject,
+                                             parent_pname=rng.choice(subjects)))
                 for cond in conds:
                     self._check(ConditionBlock(cond, ALWAYS_TRUE, OP_AND),
                                 ev, sb, inline=True)

@@ -475,6 +475,20 @@ class TestSyscallTable:
             make_event(name, *args)
 
 
+    @pytest.mark.parametrize("name, index", [
+        (name, i) for name, (slots, _) in SYSCALL_TABLE.items()
+        for i, slot in enumerate(slots) if slot == "path"])
+    def test_a_path_holding_nul_is_refused(self, name, index):
+        """A Linux path is a C string, so no recorded trace holds a path
+        with NUL in it."""
+        slots = SYSCALL_TABLE[name][0]
+        args = [self.ARGS[s] for s in slots]
+        args[index] = "/d/\0x"
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} args[{index}] (path) holds a NUL character, "
+                "got '/d/\\x00x'")):
+            make_event(name, *args)
+
 class TestErrnoTable:
     def test_table_values(self):
         assert errno_default(make_event("open", "/x", "r")) == EACCES

@@ -9,12 +9,11 @@ import tracemalloc
 
 import pytest
 
-from apate import apc, cli, replay
+from apate import cli, replay
 from apate.cli import main
 from apate.errors import TraceError
 from apate.model import SYSCALLS, Disposition
 from apate.replay import Report, iter_trace, parse_trace, replay_trace
-from apate.sandbox import SandboxState, vfs_from_manifest
 
 from conftest import MYSQL_EXAMPLE, to_dict
 
@@ -65,8 +64,7 @@ def world(tmp_path):
 
 def in_memory_report(prog_path, fs, trace_text) -> bytes:
     """The report as one json.dumps of the whole dict, built in memory."""
-    prog = apc.deserialize(prog_path.read_bytes())
-    sandbox = SandboxState(vfs=vfs_from_manifest(fs.read_bytes()))
+    prog, sandbox = cli.open_world(prog_path, fs=fs)
     dispositions = []
     report = replay_trace(prog, parse_trace(trace_text), sandbox,
                           dispositions.append)
