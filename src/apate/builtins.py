@@ -53,13 +53,18 @@ def star_error(text: str) -> "str | None":
 # index or a wildcard prefix's length only as an int check_params or
 # len() gave, written with :d.  An argument leaf is one compare, subject
 # on the left: out of range (a negative index or one past the arity), its
-# read is an Absent, which notes the miss when compared.
+# read is an Absent, which notes the miss when compared.  A wildcard's
+# prefix read is a str or an Absent on every event (src.prefix), so its
+# compare stays specialized for str.
 
 def _wildcard(src, pattern, subject):
-    """Compare leaf: subject matches pattern; a None subject never does.
+    """Compare leaf: subject matches pattern.
 
     ``P*`` compares a hoisted ``subject[:len(P)]`` with P, which for a
     str is the test ``subject.startswith(P)`` makes, without a call.
+    Where subject is None (no descriptor) that read is '' (src.prefix),
+    which P never equals, and for '*' alone it is None, which '' does
+    not equal; an exact P compares subject itself.
     """
     prefix, star = wildcard(pattern)
     if star:
@@ -166,7 +171,8 @@ class GuardSource:
     it reads: ``ctx_uid`` is ``ev.ctx.uid``, ``nargs`` ``len(ev.args)``,
     ``a0`` ``str(ev.args[0])``, ``f0`` ``sb.fds.path_of(ev.args[0])``
     (each an Absent past the arity; ``am1`` and ``fm1``, at index -1,
-    always one), ``a0_p8`` ``a0[:8]`` and
+    always one; ``f0`` None where no descriptor is open), ``a0_p8``
+    ``a0[:8]`` (``f0_p8`` '' where ``f0`` is None, ``f0_p0`` None) and
     ``store_get`` ``sb.store.get``.  No read needs a constant, so guards
     that read one value share its name, and a scan reads it once.
     ``nargs`` only feeds other reads' text, so no leaf names it.
@@ -229,11 +235,15 @@ class GuardSource:
         return name
 
     def prefix(self, subject, n: int) -> str:
-        """Local holding subject[:n], or None where subject is None; the
-        leaf names the slice in place of subject."""
+        """Local holding subject[:n]; the leaf names the slice in place of
+        subject.  Where subject is None it is '' for n >= 1, which never
+        equals the n-character literal compared with it, so each compare
+        site sees one type; for n = 0 it stays None, so '*' alone matches
+        no missing descriptor."""
         self._named[subject] -= 1
         if self._new(name := f"{subject}_p{n:d}"):
-            self.reads[name] = f"{subject}[:{n:d}] if {subject} is not None else None"
+            empty = "''" if n else "None"
+            self.reads[name] = f"{subject}[:{n:d}] if {subject} is not None else {empty}"
         return name
 
     def store_get(self) -> str:
@@ -411,7 +421,7 @@ REGISTRY = dict([
     _spec("file_keyword", "condition", ("str", "str"), _e_file_keyword),
     _spec("store_cmp", "condition", ("str", "cmp", "int"), _e_store_cmp),
     _spec("testforfdpath", "condition", ("int", "pattern"), _e_testforfdpath),
-    _spec("manipulateparam", "action", ("int", "pattern", "str"), _a_manipulateparam),
+    _spec("manipulateparam", "action", ("int", "pattern", "cstr"), _a_manipulateparam),
     _spec("log", "action", (), _a_log),
     _spec("call_orig", "action", (), _a_call_orig),
     _spec("block", "action", ("int?",), _a_block),
@@ -439,6 +449,8 @@ def check_params(name: str, params) -> "str | None":
     Returns an error message or None.  Used by the compiler and at
     program load so bad programs never reach the engine.  As in .apate
     source, no string param holds a lone surrogate, which is not UTF-8.
+    A "cstr" (manipulateparam's replacement, written into a syscall
+    argument, every string slot of which is a C string) holds no NUL.
     """
     spec = REGISTRY[name]
     kinds, required = spec.kinds, spec.required
@@ -451,8 +463,11 @@ def check_params(name: str, params) -> "str | None":
             return f"{name}: expected integer, got {value!r}"
         if kind == "any" and type(value) not in (str, int):
             return f"{name}: expected string or integer, got {value!r}"
-        if kind in ("str", "pattern", "cmp", "field") and type(value) is not str:
+        if (kind in ("str", "cstr", "pattern", "cmp", "field")
+                and type(value) is not str):
             return f"{name}: expected string, got {value!r}"
+        if kind == "cstr" and "\0" in value:
+            return f"{name}: NUL character in {value!r}"
         if kind == "pattern" and (err := star_error(value)):
             return f"{name}: {err}"
         if kind == "cmp" and value not in COMPARISONS:

@@ -82,6 +82,52 @@ class TestSettings:
         names = [a.builtin_name for a in chain.rules[-1].actions.actions]
         assert names == ["call_orig", "log"]
 
+    @pytest.mark.parametrize("sid", ["m3", "m4"])
+    def test_generated_code_is_pinned(self, sid, monkeypatch):
+        """Binding m3 or m4 compiles the miss guard's body, the hit
+        guard's, four runs of 16 rules and the scan around them, exactly
+        as written out here.  A change to this text changes the code the
+        paper's gates time, so those gates are to be rerun with it."""
+        from apate import builtins
+        from apate.engine import validate_program
+
+        sources = []
+
+        def capturing(source, filename, mode):
+            sources.append((filename, source))
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(builtins, "compile", capturing, raising=False)
+        validate_program(make_setting(sid).program)
+
+        def body(last):
+            return "\n".join(["def body(ev, sb, ctx_uid):", "    g0 = 1",
+                              *["    if ctx_uid < 0x0: g0 = 0"] * 49,
+                              f"    if ctx_uid {last} 0x0: g0 = 0",
+                              "    return g0"])
+
+        def run(first, last):
+            return "\n".join(
+                ["def run(ev, sb, start, stop, ctx_uid):",
+                 *(f"    if start <= {i} < stop and b{i}(ev, sb, ctx_uid): "
+                   f"return {i}" for i in range(first, last)),
+                 "    return stop"])
+
+        scan = "\n".join([
+            "def make(runs):",
+            "    def scan(ev, sb, start, stop):",
+            "        ctx_uid = ev.ctx.uid",
+            "        for run in runs[start // 16:]:",
+            "            if (i := run(ev, sb, start, stop, ctx_uid)) < stop: "
+            "return i",
+            "        return stop",
+            "    return scan"])
+        assert sources == [
+            ("<body>", body(">=")),     # miss: 49 true leaves, then uid < 0
+            ("<body>", body("<")),      # hit: 50 true leaves (uid >= 0)
+            *(("<run>", run(k, min(k + 16, 50))) for k in range(0, 50, 16)),
+            ("<make>", scan)]
+
 
 class TestCopyWorkload:
     def test_counts_small_file(self):

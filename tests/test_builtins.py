@@ -336,6 +336,58 @@ class TestLoneSurrogate:
             engine.validate_program(prog)
 
 
+NUL_REPLACEMENTS = ["/y\x00", "\x00", "/y\x00/z/"]
+
+
+class TestNulInReplacement:
+    """manipulateparam writes its replacement into a syscall argument, and
+    every string slot of a hooked syscall is a C string: a replacement
+    holding NUL is refused at compile, at load (at its line) and at bind."""
+
+    @pytest.mark.parametrize("replacement", NUL_REPLACEMENTS)
+    def test_check_params(self, replacement):
+        assert check_params("manipulateparam", (0, "/x*", replacement)) == (
+            f"manipulateparam: NUL character in {replacement!r}")
+        assert check_params("manipulateparam",
+                            (0, "/x*", replacement.replace("\0", ""))) is None
+
+    def test_pattern_and_other_strings_may_hold_nul(self):
+        assert check_params("manipulateparam", (1, "r\x00*", "w")) is None
+        assert check_params("store_set", ("k", "a\x00b")) is None
+        assert check_params("testforparam", (1, "\x00")) is None
+
+    @pytest.mark.parametrize("replacement", NUL_REPLACEMENTS)
+    def test_compile_source_fails_at_its_line(self, replacement):
+        text = json.dumps(replacement)     # NUL as \u0000
+        source = ("define r as rule\ndefine rc as rulechain\n"
+                  f'let r be {{{{always_true()}}->manipulateparam(0;"/x*";{text})}}\n'
+                  "let rc be {r}\nbind rc to open\n")
+        with pytest.raises(ApateError,
+                           match=r"^p\.apate:3:1: manipulateparam: NUL character"):
+            compile_source(source, "p.apate")
+
+    @pytest.mark.parametrize("replacement", NUL_REPLACEMENTS)
+    def test_apc_record_is_corrupt_at_its_line(self, replacement):
+        params = json.dumps([0, "/x*", replacement])
+        blob = ("APATE-RP 1\n"
+                'COND\tc0\ttestforuid\t[">",0]\n'
+                f"ACTION\tx1\tmanipulateparam\t{params}\n")
+        with pytest.raises(CorruptRecord,
+                           match="^line 3: manipulateparam: NUL character"):
+            apc.deserialize(blob.encode())
+
+    def test_program_built_in_code_fails_at_bind(self, sandbox):
+        rule = Rule("r", ConditionBlock(ALWAYS_TRUE, ALWAYS_TRUE, OP_AND),
+                    ActionChain((Action("manipulateparam",
+                                        (0, "/x*", "/y\x00")),
+                                 Action("call_orig"))))
+        prog = RuleProgram({"rc": RuleChain("rc", (rule,))}, [("open", "rc")])
+        with pytest.raises(ApateError, match="NUL character"):
+            engine.dispatch(prog, make_event("open", "/xa", "w"), sandbox)
+        assert prog.scans is None
+        assert sandbox.vfs.read_file("/y\x00a") is None
+
+
 BAD_CONDITIONS = [
     ("testforuid", (">= 0 or 1 or 0 <", 5)),
     ("testforuid", ("is not", 5)),

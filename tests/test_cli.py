@@ -50,6 +50,18 @@ class TestCompile:
         err = capsys.readouterr().err
         assert err.startswith(f"{src}:2:")
 
+    def test_nul_in_a_rewrite_is_refused_at_its_line(self, tmp_path, capsys):
+        src = tmp_path / "bad.apate"
+        src.write_text('define r as rule\ndefine rc as rulechain\n'
+                       'let r be {{always_true()}->'
+                       'manipulateparam(0;"/x*";"/y\\u0000")}\n'
+                       'let rc be {r}\nbind rc to open\n')
+        out = tmp_path / "x.apc"
+        assert main(["compile", str(src), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"{src}:3:1: manipulateparam: NUL character in '/y\\x00'\n")
+        assert not out.exists()
+
     def test_syntax_error_location(self, tmp_path, capsys):
         src = tmp_path / "bad.apate"
         src.write_text("let x be\n")

@@ -1261,6 +1261,82 @@ class TestArgLeaves:
         assert reads == 5     # a0..a2 and f0, f1, in the one scan
 
 
+FDPATH_LEAVES = [Condition("testforfdpath", (0, "/x*")),
+                 Condition("testforfdpath", (0, "*")),
+                 Condition("testforfdpath", (0, "/x")),
+                 Condition("testforfdpath", (1, "/x*")),
+                 Condition("testforfdpath", (-1, "/x*"))]
+
+
+def _fdpath_events(sb):
+    """A path syscall, an open fd, a closed fd, an int that names no fd, a
+    bool and getpid, over a sandbox holding /x/held (open) and /x/gone."""
+    sb.vfs.put_file("/x/held", b"held")
+    sb.vfs.put_file("/x/gone", b"gone")
+    held = sb.fds.alloc("/x/held", "r", sb.vfs.files["/x/held"])
+    gone = sb.fds.alloc("/x/gone", "r", sb.vfs.files["/x/gone"])
+    sb.fds.close(gone)
+    return [make_event("open", "/x/held", "r"), make_event("read", held, 4),
+            make_event("read", gone, 4), make_event("read", 99, held),
+            make_event("read", True, 4), make_event("getpid")]
+
+
+def _reads(guard, ev, sb):
+    """Each of a guard's reads (GuardSource.reads), made in order."""
+    ns = {**apate_builtins.GUARD_NS, "ev": ev, "sb": sb}
+    for name, expr in guard.reads.items():
+        ns[name] = eval(expr, ns)
+    return {name: ns[name] for name in guard.reads}
+
+
+class TestPrefixReads:
+    """A wildcard's prefix read of n >= 1 characters is a str (or an
+    Absent) on every event, so each compare site sees one type: where a
+    descriptor is missing it is '', which no n-character literal equals.
+    The n = 0 read of '*' alone stays None there, so '*' matches no
+    missing descriptor."""
+
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("cond", FDPATH_LEAVES,
+                             ids=lambda c: f"{c.params[0]}:{c.params[1]}")
+    def test_leaf_matches_reference_on_every_event(self, cond, padded):
+        sb = SandboxState()
+        for ev in _fdpath_events(sb):
+            for other, op_code in ((ALWAYS_TRUE, OP_AND), (FALSE_LEAF, OP_OR)):
+                block = ConditionBlock(cond, other, op_code)
+                if padded:
+                    block = _chain_block([block, *_PAD], [OP_AND] * 40, "left")
+                TestLiteralParams._check(block, ev, sb, inline=not padded)
+
+    def test_prefix_reads_are_never_none(self):
+        block = _chain_block([*FDPATH_LEAVES, *_PAD],
+                             [OP_AND] * (len(FDPATH_LEAVES) + 39), "left")
+        guard, _ = engine.compiled_guard(block)
+        assert {"f0_p2", "f0_p0", "f1_p2", "fm1_p2"} <= set(guard.reads)
+        sb = SandboxState()
+        events = _fdpath_events(sb)
+        for ev in events:
+            reads = _reads(guard, ev, sb)
+            for name, value in reads.items():
+                if "_p" in name and name.rsplit("_p", 1)[1] != "0":
+                    assert type(value) in (str, apate_builtins.Absent), \
+                        (name, ev)
+        for ev in (events[0], *events[2:5]):    # no descriptor in slot 0
+            reads = _reads(guard, ev, sb)
+            assert reads["f0"] is None
+            assert reads["f0_p0"] is None and reads["f0_p2"] == ""
+        assert sb.diagnostics == []     # making reads compares nothing
+
+    def test_star_alone_never_matches_a_path_syscall(self, sandbox):
+        ev = _fdpath_events(sandbox)[0]
+        star = ConditionBlock(FDPATH_LEAVES[1], ALWAYS_TRUE, OP_AND)
+        for block in (star, _chain_block([star, *_PAD], [OP_AND] * 40, "left")):
+            guard, _ = engine.compiled_guard(block)
+            assert guard(ev, sandbox) == 0
+            assert holds(block, ev, sandbox) == 0
+        assert sandbox.diagnostics == []
+
+
 class TestCompiledOnce:
     """Binding compiles each piece of generated code once, where it runs."""
 
