@@ -21,7 +21,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .engine import dispatch
+from .engine import dispatch, validate_program
 from .errors import TooFewSamples
 from .logsink import DiscardSink
 from .model import (Action, ActionChain, ALWAYS_TRUE, Condition,
@@ -120,8 +120,9 @@ _BENCH_CTX = TaskContext(pid=100, uid=1000, ssid=1, pname="cp",
 
 def run_copy(size: int, setting: BenchSetting, buffer: int = DEFAULT_BUFFER,
              source: "bytes | None" = None):
-    """One copy repetition: src is generated outside the timed region,
-    then open/open, read/write loop, close/close, unlink dst are timed.
+    """One copy repetition: src is generated and an unbound program is
+    bound outside the timed region, then open/open, read/write loop,
+    close/close, unlink dst are timed.
 
     Returns (runtime_sec, syscall_count, condition_count).
     """
@@ -133,6 +134,8 @@ def run_copy(size: int, setting: BenchSetting, buffer: int = DEFAULT_BUFFER,
     events = EventSource(_BENCH_CTX)
     prog = setting.program
     intercept = setting.intercept
+    if intercept and prog.scans is None:
+        validate_program(prog)
     syscalls = 0
     conditions = 0
 

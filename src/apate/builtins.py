@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .errors import ApateError, UnknownBuiltin
 from .logsink import format_record
-from .sandbox import exec_syscall, errno_default
+from .sandbox import errno_default, exec_syscall, normalize_path
 
 COMPARISONS = ("==", "!=", ">", "<", ">=", "<=")
 
@@ -106,7 +106,8 @@ def _e_ctxfield_cmp(src, params):
 def _e_file_keyword(src, params):
     path, keyword = params
     return (f"(({src.const(keyword.encode('utf-8'))} in content) "
-            f"if (content := sb.vfs.read_file({src.const(path)})) is not None "
+            f"if (content := sb.vfs.read_file("
+            f"{src.const(normalize_path(path))})) is not None "
             f"else _miss(sb, {src.const('MissingFile')}, "
             f"{src.const(f'file_keyword: {path}')}))")
 

@@ -28,6 +28,17 @@ _encode_args = json.encoder.c_make_encoder(
     None, ": ", ", ", False, False, True)
 
 
+def _int_in(low: int, high: "int | None" = None):
+    """An argparse type: an int in low..high (no bound if None)."""
+    def parse(text: str) -> int:
+        if (value := int(text)) < low or high is not None and value > high:
+            bound = f"in {low}..{high:,}" if high else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"must be {bound}")
+        return value
+    parse.__name__ = "int"   # argparse's "invalid int value" names it
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="apate",
                                      description="honeypot rule system: "
@@ -57,10 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the m1-m4 copy benchmark")
     p_bench.add_argument("--setting", default="all",
                          choices=list(bench.SETTING_IDS) + ["all"])
-    p_bench.add_argument("--max-size", type=int, default=2_000_000)
-    p_bench.add_argument("--reps", type=int, default=30)
-    p_bench.add_argument("--buffer", type=int, default=bench.DEFAULT_BUFFER)
-    p_bench.add_argument("--sizes", type=int, default=40,
+    # --max-size: the sizes gen_sizes takes; --reps: stats needs two samples
+    p_bench.add_argument("--max-size", type=_int_in(1, 1_000_000_000),
+                         default=2_000_000)
+    p_bench.add_argument("--reps", type=_int_in(2), default=30)
+    p_bench.add_argument("--buffer", type=_int_in(1),
+                         default=bench.DEFAULT_BUFFER)
+    p_bench.add_argument("--sizes", type=_int_in(1), default=40,
                          help="number of geometrically subsampled sizes")
     p_bench.add_argument("--out", required=True, help="per-rep CSV path")
     p_bench.add_argument("--summary", help="per-(setting,size) stats CSV path")

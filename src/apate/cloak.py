@@ -14,7 +14,7 @@ from string import Template
 from .dsl import _arg_src, compile_source
 from .errors import ApateError
 from .model import RuleChain, RuleProgram
-from .sandbox import normalize_path, parent_of
+from .sandbox import normalize_path, split_path
 
 # $log, $dir and $name are the logfile's path, directory and basename,
 # each as a string literal; .apate has no '$'.
@@ -49,9 +49,9 @@ def cloak_ruleset(log_path: str) -> RuleProgram:
         raise ApateError(f"cloak log path {log_path!r} contains '*', which "
                          "the cloak's patterns would read as a wildcard")
     log_path = normalize_path(log_path)
+    log_dir, name = split_path(log_path)
     source = CLOAK_SOURCE.substitute(
-        log=_arg_src(log_path), dir=_arg_src(parent_of(log_path)),
-        name=_arg_src(log_path.rsplit("/", 1)[1]))
+        log=_arg_src(log_path), dir=_arg_src(log_dir), name=_arg_src(name))
     return compile_source(source, "<cloak>")[0]
 
 

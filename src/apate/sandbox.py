@@ -54,14 +54,16 @@ def normalize_path(path: str) -> str:
     return "/" + "/".join(parts)
 
 
-def parent_of(path: str) -> str:
-    if path == "/":
-        return "/"
-    return path.rsplit("/", 1)[0] or "/"
+def split_path(path: str) -> "tuple[str, str]":
+    """A canonical path's parent and last name; "/" gives ("/", "")."""
+    parent, _, name = path.rpartition("/")
+    return parent or "/", name
 
 
 class VirtualFS:
-    """In-memory tree of directories and regular files.
+    """In-memory tree of directories and regular files, keyed by
+    canonical paths: each method takes normalize_path's output, made once
+    where the path's text comes in, and does not normalize again.
 
     Invariants: "/" always exists and is a directory; no path is both a
     file and a directory; every entry's parent directory exists; and
@@ -74,33 +76,24 @@ class VirtualFS:
         self.children = {"/": set()}  # dir path -> names of its entries
         self.files = {}  # path -> bytearray, shared with open descriptors
 
-    @property
-    def dirs(self):
-        """Every directory path (a live, read-only view of the index)."""
-        return self.children.keys()
-
-    def _link(self, path: str) -> None:
-        parent, _, name = path.rpartition("/")
-        self.children[parent or "/"].add(name)
-
     def _unlink(self, path: str) -> None:
-        parent, _, name = path.rpartition("/")
-        self.children[parent or "/"].remove(name)
+        parent, name = split_path(path)
+        self.children[parent].remove(name)
 
     def mkdirs(self, path: str) -> None:
         """Create a directory and any missing parents.
 
         Raises ValueError if the path or any ancestor is a file.
         """
-        path = normalize_path(path)
         missing = []
         while path not in self.children:
             if path in self.files:
                 raise ValueError(f"{path} exists as a file")
             missing.append(path)
-            path = parent_of(path)
+            path = split_path(path)[0]
         for d in reversed(missing):
-            self._link(d)
+            parent, name = split_path(d)
+            self.children[parent].add(name)
             self.children[d] = set()
 
     def put_file(self, path: str, content: bytes) -> None:
@@ -110,39 +103,36 @@ class VirtualFS:
         A new file takes a bytearray ``content`` over as its storage
         instead of copying it.
         """
-        path = normalize_path(path)
         if path in self.children:
             raise ValueError(f"{path} exists as a directory")
         if path in self.files:
             self.files[path][:] = content
         else:
-            parent, _, name = path.rpartition("/")
-            if (parent or "/") not in self.children:
+            parent, name = split_path(path)
+            if parent not in self.children:
                 self.mkdirs(parent)   # a parent that is a file raises
-            self.children[parent or "/"].add(name)
+            self.children[parent].add(name)
             self.files[path] = (content if type(content) is bytearray
                                 else bytearray(content))
 
     def remove_file(self, path: str) -> None:
-        path = normalize_path(path)
         del self.files[path]
         self._unlink(path)
 
     def remove_dir(self, path: str) -> None:
         """Remove an empty directory other than "/"."""
-        path = normalize_path(path)
         if path == "/" or self.children[path]:
             raise ValueError(f"{path} is the root or not empty")
         del self.children[path]
         self._unlink(path)
 
     def read_file(self, path: str) -> "bytes | None":
-        content = self.files.get(normalize_path(path))
+        content = self.files.get(path)
         return None if content is None else bytes(content)
 
     def listdir(self, path: str) -> list:
         """Immediate children of a directory, sorted for determinism."""
-        return sorted(self.children.get(normalize_path(path), ()))
+        return sorted(self.children.get(path, ()))
 
     def digest(self) -> str:
         """Stable hash over the whole tree (paths, kinds, contents).
@@ -151,26 +141,13 @@ class VirtualFS:
         one) written as its three bytes: one-to-one, and any other path's
         bytes are unchanged."""
         h = hashlib.sha256()
-        for d in sorted(self.dirs):
+        for d in sorted(self.children):
             h.update(b"D\x00" + d.encode("utf-8", "surrogatepass") + b"\x00")
         for f in sorted(self.files):
             h.update(b"F\x00" + f.encode("utf-8", "surrogatepass") + b"\x00")
             h.update(self.files[f])
             h.update(b"\x00")
         return h.hexdigest()
-
-    def check_invariants(self) -> None:
-        assert "/" in self.dirs
-        for p in self.files:
-            assert p not in self.dirs, f"{p} is both file and dir"
-            assert parent_of(p) in self.dirs, f"orphan file {p}"
-        for d in self.dirs:
-            assert parent_of(d) in self.dirs, f"orphan dir {d}"
-        derived = {d: set() for d in self.dirs}
-        for p in list(self.files) + list(self.dirs):
-            if p != "/":
-                derived[parent_of(p)].add(p.rsplit("/", 1)[1])
-        assert self.children == derived, "child index differs from the tree"
 
 
 def vfs_from_manifest(manifest: bytes) -> VirtualFS:
@@ -179,7 +156,7 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
     ``manifest`` is UTF-8 bytes.  Lines are ``D <path>`` or
     ``F <path> <byte-length> <fill-hex|@text>``, the length ASCII
     decimal digits, at most MAX_FILE_BYTES, and a fill byte one or two
-    ASCII hex digits.  Missing parents are created as directories.
+    ASCII hex digits.  Paths are canonicalized, missing parents created.
     """
     vfs = VirtualFS()
     for n, raw in MalformedManifestLine.lines(manifest.splitlines()):
@@ -188,7 +165,7 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
             if len(fields) != 2:
                 raise MalformedManifestLine(n, f"bad directory line: {raw!r}")
             try:
-                vfs.mkdirs(fields[1])
+                vfs.mkdirs(normalize_path(fields[1]))
             except ValueError as exc:
                 raise MalformedManifestLine(n, str(exc)) from None
         elif fields[0] == "F":
@@ -221,7 +198,7 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
                     raise MalformedManifestLine(n, f"bad fill byte {spec!r}") from None
                 content = fill * length  # a bytearray: put_file keeps it
             try:
-                vfs.put_file(path, content)
+                vfs.put_file(normalize_path(path), content)
             except ValueError as exc:
                 raise MalformedManifestLine(n, str(exc)) from None
         else:
@@ -306,7 +283,6 @@ class SandboxState:
     sinks: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     log_count: int = 0
-    last_read: "bytes | bytearray" = b""  # a copy of the last data read
     last_getdents: list = field(default_factory=list)
     clock: "object" = None  # callable -> ISO-8601 str; defaults to UTC now
 
@@ -335,8 +311,8 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
 
     Returns a non-negative result or a negative errno; never raises for
     runtime conditions.  getdents leaves the entry list in
-    ``sandbox.last_getdents`` and read leaves data in ``sandbox.last_read``
-    (the side channels the replay harness observes).
+    ``sandbox.last_getdents``, the side channel the replay harness
+    observes.
     """
     vfs, fds = sandbox.vfs, sandbox.fds
     name, args = ev.syscall, ev.args
@@ -351,7 +327,8 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
                     return ENOENT
                 return fds.alloc(path, "r", vfs.files[path])
             if mode in ("w", "creat"):
-                if path in vfs.dirs or parent_of(path) not in vfs.dirs:
+                if (path in vfs.children
+                        or split_path(path)[0] not in vfs.children):
                     return ENOENT
                 vfs.put_file(path, b"")  # creates, or truncates in place
                 return fds.alloc(path, "w", vfs.files[path])
@@ -364,15 +341,15 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
             return ENOENT
 
         if name == "mkdir":
-            if path in vfs.dirs or path in vfs.files:
+            if path in vfs.children or path in vfs.files:
                 return EEXIST
-            if parent_of(path) not in vfs.dirs:
+            if split_path(path)[0] not in vfs.children:
                 return ENOENT
             vfs.mkdirs(path)
             return 0
 
         if name == "rmdir":
-            if path not in vfs.dirs or path == "/":
+            if path not in vfs.children or path == "/":
                 return ENOENT
             if vfs.children[path]:
                 return ENOTEMPTY
@@ -380,7 +357,7 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
             return 0
 
         if name == "getdents":
-            if path not in vfs.dirs:
+            if path not in vfs.children:
                 return ENOENT
             entries = vfs.listdir(path)
             sandbox.last_getdents = entries
@@ -404,10 +381,9 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
             return EINVAL
         _, offset, _, content = entry
         if name == "read":
-            data = content[offset:offset + count]  # a copy
-            entry[1] = offset + len(data)
-            sandbox.last_read = data
-            return len(data)
+            n = max(0, min(count, len(content) - offset))
+            entry[1] = offset + n
+            return n
         if offset + count > MAX_FILE_BYTES:
             return EFBIG
         entry[1] = offset + count

@@ -10,7 +10,7 @@ from apate.model import (Action, ActionChain, ALWAYS_TRUE, Condition,
                          RuleProgram, SYSCALLS, SyscallEvent, TaskContext)
 from apate.logsink import TRUNCATION_MARK
 from apate.replay import EventSource
-from apate.sandbox import SandboxState
+from apate.sandbox import SandboxState, VirtualFS, split_path
 
 # The worked mysql-redirect example program, verbatim (including line
 # continuations and comments) so the lexer handles the real layout.
@@ -162,6 +162,28 @@ class MemorySink:
         pass
 
 
+def check_invariants(vfs: VirtualFS) -> None:
+    """VirtualFS's invariants: "/" is a directory, no path is both a file
+    and a directory, every entry's parent is a directory, and
+    ``children`` indexes exactly the entries in each directory."""
+    dirs = vfs.children
+    assert "/" in dirs and not dirs.keys() & vfs.files.keys(), (
+        "no root, or a path that is both file and dir")
+    derived = {d: set() for d in dirs}
+    for p in [*vfs.files, *dirs]:
+        parent, name = split_path(p)
+        assert parent in dirs, f"orphan {p}"
+        if p != "/":
+            derived[parent].add(name)
+    assert dirs == derived, "child index differs from the tree"
+
+
+def bytes_read(sandbox: SandboxState, fd: int, n: int) -> bytes:
+    """The n bytes a read on fd just returned: the n before its offset."""
+    _, offset, _, content = sandbox.fds.get(fd)
+    return bytes(content[offset - n:offset])
+
+
 def scan_for_substring(prog: RuleProgram, sandbox: SandboxState,
                        needle: bytes, ctx: TaskContext,
                        root: str = "/") -> dict:
@@ -203,7 +225,7 @@ def scan_for_substring(prog: RuleProgram, sandbox: SandboxState,
                 syscalls += 1
                 if r.result <= 0:
                     break
-                content += sandbox.last_read
+                content += bytes_read(sandbox, fd, r.result)
             dispatch(prog, src.event("close", fd), sandbox)
             syscalls += 1
             if needle in content:

@@ -2,7 +2,7 @@ import pytest
 
 from apate.bench import (DEFAULT_BUFFER, SETTING_IDS, gen_sizes, make_setting,
                          run_copy, run_suite, stats, subsample_geometric)
-from apate.engine import compiled_guard
+from apate.engine import compiled_guard, dispatch
 from apate.errors import TooFewSamples
 
 
@@ -148,6 +148,22 @@ class TestCopyWorkload:
         _, syscalls, conditions = run_copy(100_000, make_setting("m2"))
         assert syscalls == 10
         assert conditions == 10 * 2
+
+    @pytest.mark.parametrize("sid", ["m2", "m3", "m4"])
+    def test_no_timed_dispatch_binds(self, sid, monkeypatch):
+        """A fresh setting's program is bound before the clock starts, so
+        the first copy's runtime holds no binding: every dispatch in the
+        timed region finds the program bound."""
+        from apate import bench
+        bound = []
+
+        def recording(prog, ev, sandbox):
+            bound.append(prog.scans is not None)
+            return dispatch(prog, ev, sandbox)
+
+        monkeypatch.setattr(bench, "dispatch", recording)
+        run_copy(1, make_setting(sid))
+        assert bound == [True] * 8
 
     def test_all_settings_copy_faithfully(self):
         for sid in SETTING_IDS:

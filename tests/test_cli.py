@@ -882,3 +882,23 @@ class TestBench:
                      "--summary", str(summary)]) == 0
         assert out.exists() and summary.exists()
         assert "wrote" in capsys.readouterr().out
+
+    # Parsed only, never run: a --max-size past 1e9 would be allocated.
+    @pytest.mark.parametrize("flag,value,why", [
+        ("--reps", "1", "must be at least 2"),
+        ("--max-size", "0", "must be in 1..1,000,000,000"),
+        ("--max-size", "1000000001", "must be in 1..1,000,000,000"),
+        ("--sizes", "0", "must be at least 1"),
+        ("--buffer", "0", "must be at least 1"),
+        ("--buffer", "-1", "must be at least 1"),
+        ("--reps", "x", "invalid int value: 'x'"),
+    ])
+    def test_bad_bench_argument_is_a_usage_error(self, capsys, flag, value,
+                                                 why):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["bench", "--out", "rows.csv",
+                                           flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: apate bench")
+        assert err.endswith(f"apate bench: error: argument {flag}: {why}\n")

@@ -17,7 +17,7 @@ from apate.model import (ALWAYS_TRUE, OP_AND, OP_OR, SYSCALLS, Action,
                          RuleProgram, SyscallEvent, TaskContext)
 from apate.replay import (EventSource, iter_trace, parse_trace,
                           parse_trace_line, replay_trace)
-from apate.sandbox import ENOENT, SandboxState, normalize_path, parent_of
+from apate.sandbox import ENOENT, SandboxState, normalize_path, split_path
 
 from conftest import MYSQL_EXAMPLE, make_ctx, make_event, scan_for_substring
 
@@ -134,8 +134,7 @@ class TestCloak:
 # it was written in .apate: the reference for the differential test.
 def _frozen_cloak_ruleset(log_path: str) -> RuleProgram:
     log_path = normalize_path(log_path)
-    log_dir = parent_of(log_path)
-    basename = log_path.rsplit("/", 1)[1]
+    log_dir, basename = split_path(log_path)
     block = Action("block", (ENOENT,))
 
     def rule(name, cond, actions):
@@ -192,7 +191,7 @@ CLOAK_PATHS = ["/", "/apate.log", "/var/log/apate/today.log",
 
 
 def _cloak_trace(rng, log_path, n=300):
-    log_dir = parent_of(normalize_path(log_path))
+    log_dir = split_path(normalize_path(log_path))[0]
     paths = [log_path, log_dir, "/", "/var", "/var/log", "/var/log/syslog",
              "/srv/a", log_dir.rstrip("/") + "/other", "/var/lib/mysql/x"]
     ctxs = [make_ctx(uid=uid, pname=pname, parent_pname=parent)
@@ -216,8 +215,9 @@ def _cloak_trace(rng, log_path, n=300):
 
 def _replay(prog, log_path, events):
     sb = SandboxState(clock=lambda: "2024-05-01T12:00:00.000000+00:00")
+    log_dir = split_path(normalize_path(log_path))[0]
     for path in ("/var/log/syslog", "/srv/a", "/var/lib/mysql/x",
-                 parent_of(normalize_path(log_path)).rstrip("/") + "/other"):
+                 log_dir.rstrip("/") + "/other"):
         sb.vfs.put_file(path, b"data")
     log = normalize_path(log_path)
     if log != "/":   # fd 3: the log, opened around the hooked layer
@@ -258,9 +258,9 @@ def test_cloak_matches_frozen_model_built_cloak(user_src, log_path,
 @pytest.mark.parametrize("log_path", CLOAK_PATHS)
 def test_cloak_source_compiles_cleanly_and_round_trips(log_path):
     path = normalize_path(log_path)
-    source = CLOAK_SOURCE.substitute(
-        log=_arg_src(path), dir=_arg_src(parent_of(path)),
-        name=_arg_src(path.rsplit("/", 1)[1]))
+    log_dir, name = split_path(path)
+    source = CLOAK_SOURCE.substitute(log=_arg_src(path), dir=_arg_src(log_dir),
+                                     name=_arg_src(name))
     prog, warnings = compile_source(source, "<cloak>")
     assert warnings == []
     blob = apc.serialize(prog)

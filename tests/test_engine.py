@@ -16,7 +16,7 @@ from apate.errors import ApateError, UnknownBuiltin
 from apate.model import (Action, ActionChain, ALWAYS_TRUE, Condition,
                          ConditionBlock, Disposition, EMPTY_PROGRAM, OP_AND,
                          OP_OR, Rule, RuleChain, RuleProgram, SYSCALLS)
-from apate.sandbox import EACCES, SandboxState, errno_default
+from apate.sandbox import EACCES, SandboxState, errno_default, normalize_path
 
 from conftest import (FALSE_LEAF, TRUE_LEAF, dispatch_chain, holds, make_ctx,
                       make_event, run_actions)
@@ -574,7 +574,7 @@ def _ref_leaf(cond, ev, sb):
             return 0
         return int(_CMP[p[1]](cell, p[2]))
     if name == "file_keyword":
-        content = sb.vfs.read_file(p[0])
+        content = sb.vfs.read_file(normalize_path(p[0]))
         if content is None:
             sb.diag("MissingFile", f"file_keyword: {p[0]}")
             return 0

@@ -26,9 +26,9 @@ from apate.errors import (ApateError, BadMagic, CorruptRecord, LineError,
                           MalformedManifestLine, TraceError)
 from apate.logsink import VfsSink
 from apate.replay import iter_trace, replay_trace
-from apate.sandbox import SandboxState, parent_of, vfs_from_manifest
+from apate.sandbox import SandboxState, split_path, vfs_from_manifest
 
-from conftest import MYSQL_EXAMPLE
+from conftest import MYSQL_EXAMPLE, check_invariants
 from test_acceptance import random_program_source
 
 LS, PS, NEL = "\N{LINE SEPARATOR}", "\N{PARAGRAPH SEPARATOR}", "\x85"
@@ -155,7 +155,7 @@ def _load_manifest(data: bytes):
     except ApateError as exc:
         _assert_at_its_line(vfs_from_manifest, data, exc)
         return None
-    vfs.check_invariants()
+    check_invariants(vfs)
     return vfs
 
 
@@ -243,7 +243,7 @@ def honeypot_mix(tmp_path_factory):
     validate_program(prog)
     by_dir = {}
     for line in Path(inputs.manifest).read_bytes().splitlines():
-        parent = parent_of(line.split()[1].decode()).encode()
+        parent = split_path(line.split()[1].decode())[0].encode()
         by_dir[parent] = by_dir.get(parent, b"") + line + b"\n"
     return (source, prog, gen.LOG_PATH, by_dir,
             Path(inputs.trace).read_bytes().splitlines())
@@ -259,7 +259,7 @@ def _replay(prog, log_path, world: bytes, data: bytes):
     disps = []
 
     def emit(disp):
-        sb.vfs.check_invariants()
+        check_invariants(sb.vfs)
         disps.append(disp)
 
     try:

@@ -12,7 +12,8 @@ from apate.logsink import (LINE_MAX, FileSink, TRUNCATION_MARK, UdpSink,
                            VfsSink, args_json, format_record, parse_udp_addr)
 from apate.sandbox import SandboxState, VirtualFS, exec_syscall
 
-from conftest import LogRecord, MemorySink, make_event, parse_record
+from conftest import (LogRecord, MemorySink, bytes_read, check_invariants,
+                      make_event, parse_record)
 
 
 def rec(**kw):
@@ -271,7 +272,7 @@ class TestSinks:
         sink.emit("one")
         sink.emit("two")
         assert vfs.read_file("/var/log/apate.log") == b"one\ntwo\n"
-        vfs.check_invariants()
+        check_invariants(vfs)
 
     def test_vfs_sink_drops_a_lone_surrogate(self):
         vfs = VirtualFS()
@@ -289,7 +290,7 @@ class TestSinks:
         fd = exec_syscall(sb, make_event("open", "/var/log/apate.log", "r"))
         assert exec_syscall(sb, make_event("read", fd, 100)) == 4
         sink.emit("two")
-        assert before == b"one\n" and sb.last_read == b"one\n"
+        assert before == b"one\n" and bytes_read(sb, fd, 4) == b"one\n"
         assert sb.vfs.read_file("/var/log/apate.log") == b"one\ntwo\n"
 
     def test_vfs_sink_counts_blocked_appends_as_dropped(self):
@@ -298,8 +299,8 @@ class TestSinks:
         sink = VfsSink(vfs, "/var/log/apate.log")
         sink.emit("one")
         assert sink.dropped == 1
-        assert "/var/log/apate.log" in vfs.dirs
-        vfs.check_invariants()
+        assert "/var/log/apate.log" in vfs.children
+        check_invariants(vfs)
 
     @staticmethod
     def emit_seconds(records, repeats=5):

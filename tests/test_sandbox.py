@@ -6,15 +6,17 @@ from datetime import datetime, timezone
 
 import pytest
 
+from apate import builtins as builtins_mod
 from apate import sandbox as sandbox_mod
 from apate.errors import MalformedManifestLine
-from apate.model import SYSCALL_TABLE, SYSCALLS
+from apate.model import SYSCALL_TABLE, SYSCALLS, Condition
 from apate.sandbox import (EACCES, EBADF, EEXIST, EFBIG, EINVAL, ENOENT,
                            ENOTEMPTY, MAX_FILE_BYTES, SandboxState, VirtualFS,
                            append_to_vfs_file, errno_default, exec_syscall,
                            normalize_path, vfs_from_manifest)
 
-from conftest import make_ctx, make_event
+from conftest import (bytes_read, check_invariants, holds, make_ctx,
+                      make_event)
 
 
 class TestPaths:
@@ -43,12 +45,84 @@ class TestPaths:
             assert normalize_path(path) == walk(path), path
 
 
+class TestCanonicalPaths:
+    """Path text is canonicalized once, where it comes in; the VFS holds
+    and is handed canonical paths only."""
+
+    @staticmethod
+    def count_normalizations(monkeypatch):
+        calls = []
+        real = sandbox_mod.normalize_path
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(sandbox_mod, "normalize_path", counting)
+        monkeypatch.setattr(builtins_mod, "normalize_path", counting)
+        return calls
+
+    @pytest.mark.parametrize("syscall,args", [
+        ("open", ("/d//f", "r")), ("open", ("/d/./g", "w")),
+        ("unlink", ("/d/f/",)), ("mkdir", ("//d/n",)), ("rmdir", ("/d/e/",)),
+        ("getdents", ("/d/.",)), ("execve", ("d/f", "sh"))])
+    def test_one_normalization_per_event(self, monkeypatch, syscall, args):
+        sb = SandboxState(vfs=vfs_from_manifest(b"D /d/e\nF /d/f 1 00\n"))
+        calls = self.count_normalizations(monkeypatch)
+        assert exec_syscall(sb, make_event(syscall, *args)) >= 0
+        assert calls == [args[0]]
+
+    def test_file_keyword_normalizes_once_at_bind(self, monkeypatch, sandbox):
+        sandbox.vfs.put_file("/ctl/mode", b"trap")
+        calls = self.count_normalizations(monkeypatch)
+        found = Condition("file_keyword", ("/ctl//./mode", "trap"))
+        missing = Condition("file_keyword", ("/ctl/../other/", "trap"))
+        assert holds(found, make_event("getpid"), sandbox) == 1   # binds
+        assert holds(missing, make_event("getpid"), sandbox) == 0  # binds
+        assert calls == ["/ctl//./mode", "/ctl/../other/"]
+        for ev in (make_event("getpid"), make_event("getuid"),
+                   make_event("close", 3)):
+            assert holds(found, ev, sandbox) == 1
+        assert calls == ["/ctl//./mode", "/ctl/../other/"]
+        assert sandbox.diagnostics[-1] == {   # the path as written
+            "kind": "MissingFile", "detail": "file_keyword: /ctl/../other/"}
+
+    def test_aliased_manifest_builds_the_canonical_world(self):
+        aliased = vfs_from_manifest(b"D /a//b/\nF /a/./b/../f 3 @abc\n"
+                                    b"F a/g 1 00\n")
+        canonical = vfs_from_manifest(b"D /a/b\nF /a/f 3 @abc\nF /a/g 1 00\n")
+        assert aliased.digest() == canonical.digest() == (
+            "2e7f49da83961594d4ce4e05320d05581cad975488d2ff65d5077cf7a128f21f")
+        assert sorted(aliased.files) == ["/a/f", "/a/g"]
+        assert sorted(aliased.children) == ["/", "/a", "/a/b"]
+        check_invariants(aliased)
+
+    def test_aliased_trace_acts_as_its_canonical_spelling(self):
+        def replay(a, f, g, x):
+            sb = SandboxState()
+            steps = [("mkdir", "//a"), ("mkdir", "/a/./b/"), ("open", x, "w"),
+                     ("write", 3, 5), ("open", f, "w"), ("open", g, "w"),
+                     ("getdents", a), ("getdents", "//a/b"), ("open", x, "r"),
+                     ("read", 6, 9), ("unlink", f), ("getdents", "a"),
+                     ("rmdir", "/a/b/"), ("unlink", x), ("rmdir", "/a//b"),
+                     ("execve", g, "sh"), ("open", f, "r"), ("mkdir", g)]
+            seen = []
+            for syscall, *args in steps:
+                result = exec_syscall(sb, make_event(syscall, *args))
+                seen.append((result, sb.last_getdents))
+            check_invariants(sb.vfs)
+            return seen, sb.vfs.digest()
+
+        assert (replay("/a/", "/a/./f/", "a/g", "//a/b/x")
+                == replay("/a", "/a/f", "/a/g", "/a/b/x"))
+
+
 class TestVirtualFS:
     def test_mkdirs_creates_parents(self):
         vfs = VirtualFS()
         vfs.mkdirs("/a/b/c")
-        assert {"/a", "/a/b", "/a/b/c"} <= vfs.dirs
-        vfs.check_invariants()
+        assert {"/a", "/a/b", "/a/b/c"} <= vfs.children.keys()
+        check_invariants(vfs)
 
     def test_file_dir_conflicts(self):
         vfs = VirtualFS()
@@ -65,15 +139,15 @@ class TestVirtualFS:
             vfs.mkdirs("/a/b/c")
         with pytest.raises(ValueError, match="/a exists as a file"):
             vfs.put_file("/a/b", b"y")
-        assert "/a/b" not in vfs.dirs and vfs.listdir("/") == ["a"]
-        vfs.check_invariants()
+        assert "/a/b" not in vfs.children and vfs.listdir("/") == ["a"]
+        check_invariants(vfs)
 
     def test_check_invariants_catches_stale_index(self):
         vfs = VirtualFS()
         vfs.put_file("/d/f", b"")
         vfs.files["/d/g"] = b""  # bypasses the index
         with pytest.raises(AssertionError, match="child index"):
-            vfs.check_invariants()
+            check_invariants(vfs)
 
     def test_put_file_keeps_a_new_bytearray_and_overwrites_in_place(self):
         vfs = VirtualFS()
@@ -95,7 +169,7 @@ class TestVirtualFS:
         vfs.remove_dir("/a/b")
         vfs.remove_dir("/a")
         assert vfs.listdir("/") == []
-        vfs.check_invariants()
+        check_invariants(vfs)
 
     def test_listdir_immediate_children_sorted(self):
         vfs = VirtualFS()
@@ -121,15 +195,15 @@ class TestManifest:
         vfs = vfs_from_manifest(b"D /var/lib\n"
                                 b"F /var/lib/data 5 00\n"
                                 b"F /etc/hostname 4 @mini\n")
-        assert "/var/lib" in vfs.dirs
+        assert "/var/lib" in vfs.children
         assert vfs.read_file("/var/lib/data") == b"\x00" * 5
         assert vfs.read_file("/etc/hostname") == b"mini"
-        assert "/etc" in vfs.dirs  # parent auto-created
-        vfs.check_invariants()
+        assert "/etc" in vfs.children  # parent auto-created
+        check_invariants(vfs)
 
     def test_blank_lines_skipped(self):
         vfs = vfs_from_manifest(b"\nD /a\n\n")
-        assert "/a" in vfs.dirs
+        assert "/a" in vfs.children
 
     @pytest.mark.parametrize("line,fragment", [
         (b"X /a", "unknown record"),
@@ -170,7 +244,7 @@ class TestManifest:
         vfs = vfs_from_manifest(
             b"D /a\nF /a/f 1 00\nF /a/g 1 00\nF /b/c/h 2 ff\nF /b/c/i 1 00\n"
             b"F /b/j 1 00\nF /k 1 00\nD /b/c/d\nF /b/c/d/e 1 00\nF /a/f 3 01\n")
-        vfs.check_invariants()
+        check_invariants(vfs)
         assert sorted(vfs.files) == ["/a/f", "/a/g", "/b/c/d/e", "/b/c/h",
                                      "/b/c/i", "/b/j", "/k"]
         assert vfs.listdir("/b/c") == ["d", "h", "i"]
@@ -261,8 +335,9 @@ class TestSyscalls:
         assert exec_syscall(sandbox, make_event("unlink", "/d/f")) == 0
         assert exec_syscall(sandbox, make_event("rmdir", "/d")) == 0
         assert exec_syscall(sandbox, make_event("write", fd, 7)) == 7
-        assert "/d/f" not in sandbox.vfs.files and "/d" not in sandbox.vfs.dirs
-        sandbox.vfs.check_invariants()
+        assert "/d/f" not in sandbox.vfs.files
+        assert "/d" not in sandbox.vfs.children
+        check_invariants(sandbox.vfs)
 
     def test_descriptor_keeps_its_file_when_path_is_recreated(self, sandbox):
         old = exec_syscall(sandbox, make_event("open", "/f", "w"))
@@ -273,7 +348,7 @@ class TestSyscalls:
         assert sandbox.vfs.read_file("/f") == b""
         assert exec_syscall(sandbox, make_event("write", new, 4)) == 4
         assert sandbox.vfs.read_file("/f") == b"\x00" * 4
-        sandbox.vfs.check_invariants()
+        check_invariants(sandbox.vfs)
 
     def test_read_after_unlink_returns_the_open_file(self, sandbox):
         sandbox.vfs.put_file("/g", b"secret")
@@ -281,7 +356,7 @@ class TestSyscalls:
         assert exec_syscall(sandbox, make_event("unlink", "/g")) == 0
         sandbox.vfs.put_file("/g", b"other file")
         assert exec_syscall(sandbox, make_event("read", fd, 100)) == 6
-        assert sandbox.last_read == b"secret"
+        assert bytes_read(sandbox, fd, 6) == b"secret"
 
     def test_truncation_is_seen_by_open_descriptors(self, sandbox):
         sandbox.vfs.put_file("/h", b"abcdef")
@@ -291,7 +366,7 @@ class TestSyscalls:
         assert exec_syscall(sandbox, make_event("read", rfd, 10)) == 0
         assert exec_syscall(sandbox, make_event("write", wfd, 3)) == 3
         assert exec_syscall(sandbox, make_event("read", rfd, 10)) == 1
-        assert sandbox.last_read == b"\x00"
+        assert bytes_read(sandbox, rfd, 1) == b"\x00"
 
     def test_bad_read_count_is_einval_and_keeps_the_offset(self, sandbox):
         sandbox.vfs.put_file("/f", b"0123456789")
@@ -301,7 +376,7 @@ class TestSyscalls:
             assert sandbox.fds.get(fd)[1] == 0
         assert exec_syscall(sandbox, make_event("read", fd, "4")) == 4
         assert exec_syscall(sandbox, make_event("read", fd, 4096)) == 6
-        assert sandbox.last_read == b"456789"
+        assert bytes_read(sandbox, fd, 6) == b"456789"
 
     def test_bad_write_length_is_einval_and_keeps_the_offset(self, sandbox):
         fd = exec_syscall(sandbox, make_event("open", "/f", "w"))
@@ -401,7 +476,10 @@ class TestCountTable:
         want = EINVAL if n < 0 else min(n, 8)  # bounded by EOF
         assert exec_syscall(sandbox, make_event("read", fd, count)) == want
         assert sandbox.fds.get(fd)[1] == 2 + max(want, 0)
-        assert sandbox.last_read == (b"23456789"[:want] if want >= 0 else b"01")
+        if want >= 0:
+            assert bytes_read(sandbox, fd, want) == b"23456789"[:want]
+        else:   # the offset stays past the first read's two bytes
+            assert bytes_read(sandbox, fd, 2) == b"01"
 
     @pytest.mark.parametrize("count", COUNTS, ids=range(len(COUNTS)))
     def test_write(self, sandbox, count):
@@ -534,7 +612,7 @@ def scan_listdir(vfs, path):
     """Children of ``path`` found by scanning every path in the tree."""
     prefix = path if path.endswith("/") else path + "/"
     names = set()
-    for p in list(vfs.dirs) + list(vfs.files):
+    for p in list(vfs.children) + list(vfs.files):
         if p != path and p.startswith(prefix):
             names.add(p[len(prefix):].split("/", 1)[0])
     return sorted(names)
@@ -545,7 +623,7 @@ class TestChildIndex:
 
     def random_path(self, rng, vfs):
         if rng.random() < 0.5:  # an existing path, so removals succeed
-            return rng.choice(sorted(set(vfs.dirs) | set(vfs.files)))
+            return rng.choice(sorted(set(vfs.children) | set(vfs.files)))
         parts = [rng.choice(self.NAMES) for _ in range(rng.randrange(1, 5))]
         return "/" + "/".join(parts)
 
@@ -567,13 +645,13 @@ class TestChildIndex:
         op = rng.randrange(11)
         if op == 0:
             try:
-                vfs.mkdirs(path)
+                vfs.mkdirs(norm)
             except ValueError:
                 pass
         elif op == 1:
             content = bytes([rng.randrange(256) for _ in range(rng.randrange(4))])
             try:
-                vfs.put_file(path, content)
+                vfs.put_file(norm, content)
             except ValueError:
                 return False
             if norm in model:
@@ -611,7 +689,8 @@ class TestChildIndex:
                     assert result == EBADF
                     return False
                 data = f[offset:offset + count]
-                assert result == len(data) and sb.last_read == data
+                assert result == len(data)
+                assert bytes_read(sb, fd, result) == data
                 entry[1] = offset + len(data)
             return not any(model.get(p) is f for p in model)
         elif op == 4:
@@ -621,14 +700,14 @@ class TestChildIndex:
         elif op == 5:
             exec_syscall(sb, make_event("mkdir", path))
         elif op == 6:
-            if norm not in vfs.dirs or norm == "/":
+            if norm not in vfs.children or norm == "/":
                 expect = ENOENT
             else:
                 expect = ENOTEMPTY if scan_listdir(vfs, norm) else 0
             assert exec_syscall(sb, make_event("rmdir", path)) == expect
         elif op == 7:
             result = exec_syscall(sb, make_event("getdents", path))
-            if norm in vfs.dirs:
+            if norm in vfs.children:
                 assert sb.last_getdents == scan_listdir(vfs, norm)
                 assert result == len(sb.last_getdents)
             else:
@@ -649,8 +728,8 @@ class TestChildIndex:
             fds, model = {}, {}
             for _ in range(rng.randrange(10, 40)):
                 orphan_io += self.step(rng, sb, fds, model)
-                sb.vfs.check_invariants()
-                for d in list(sb.vfs.dirs) + list(sb.vfs.files) + ["/none"]:
+                check_invariants(sb.vfs)
+                for d in [*sb.vfs.children, *sb.vfs.files, "/none"]:
                     assert sb.vfs.listdir(d) == scan_listdir(sb.vfs, d)
                 assert sb.vfs.files == model
         assert orphan_io >= 20, orphan_io  # the sequences reach that case
