@@ -106,7 +106,7 @@ def _e_ctxfield_cmp(src, params):
 def _e_file_keyword(src, params):
     path, keyword = params
     return (f"(({src.const(keyword.encode('utf-8'))} in content) "
-            f"if (content := sb.vfs.read_file("
+            f"if (content := sb.vfs.files.get("
             f"{src.const(normalize_path(path))})) is not None "
             f"else _miss(sb, {src.const('MissingFile')}, "
             f"{src.const(f'file_keyword: {path}')}))")
@@ -385,13 +385,17 @@ def _a_store_add(ev, sandbox, ctx, params):
 
 
 def _a_filter_dirents(ev, sandbox, ctx, params):
+    """Drop matching names from this event's own listing: a getdents
+    whose original call ran and succeeded.  Otherwise ``last_getdents``
+    is another event's (or none), and this does nothing."""
+    if (ev.syscall != "getdents" or not ctx.invoked or ctx.blocked
+            or ctx.result < 0):
+        return 0
     prefix, star = wildcard(params[0])
     kept = [n for n in sandbox.last_getdents
             if not (n.startswith(prefix) if star else n == prefix)]
-    removed = len(sandbox.last_getdents) - len(kept)
+    ctx.result -= len(sandbox.last_getdents) - len(kept)
     sandbox.last_getdents = kept
-    if removed and ctx.result >= 0:
-        ctx.result = max(ctx.result - removed, 0)
     return 0
 
 

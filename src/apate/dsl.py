@@ -441,7 +441,6 @@ def parse(tokens, filename="<input>") -> Ast:
 
 @dataclass
 class TypedProgram:
-    filename: str
     # var -> what its let assigned: a condition or action alias gives
     # (builtin, frozen params | None), a conditionblock its guard, a rule
     # its Rule (exit flag 0), a rulechain [(exit, rule var)], a syscall
@@ -458,7 +457,7 @@ class Analyzer:
         self.declared = {}   # name -> typekw
         self.used = set()
         self.later = []      # (var, line, rule var | None): may be let later
-        self.out = TypedProgram(ast.filename)
+        self.out = TypedProgram()
         # a rule's span is one .apc field: UTF-8, with no tab or line end
         self.span_file = (ast.filename.encode("utf-8", "backslashreplace")
                           .decode().replace("\t", "\\t")

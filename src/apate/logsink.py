@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import socket
 
-from .sandbox import append_to_vfs_file, normalize_path
+from .sandbox import normalize_path
 
 LINE_MAX = 60_000
 TRUNCATION_MARK = "…"
@@ -74,7 +74,6 @@ class FileSink:
     """Appends one line per record to a real file."""
 
     def __init__(self, path):
-        self.path = path
         self.dropped = 0
         self._fh = open(path, "a", encoding="utf-8")
 
@@ -125,8 +124,15 @@ class VfsSink:
         self.dropped = 0
 
     def emit(self, line: str) -> None:
+        """Append the line, creating the file and its parents when missing;
+        the file's bytearray grows in place."""
         try:
-            append_to_vfs_file(self.vfs, self.path, line.encode("utf-8") + b"\n")
+            data = line.encode("utf-8") + b"\n"
+            content = self.vfs.files.get(self.path)
+            if content is None:
+                self.vfs.put_file(self.path, data)
+            else:
+                content += data
         except ValueError:  # a directory or file in the way, or a lone surrogate
             self.dropped += 1
 

@@ -295,17 +295,6 @@ class SandboxState:
         self.diagnostics.append({"kind": kind, "detail": detail})
 
 
-def _byte_count(value) -> int:
-    """``int(value)``, or -1 for a bool, a float, a str that is not ASCII
-    digits (the rule a manifest length follows), or what int() rejects."""
-    if isinstance(value, str) and not (value.isascii() and value.isdigit()):
-        return -1
-    try:
-        return -1 if isinstance(value, (bool, float)) else int(value)
-    except (TypeError, ValueError, OverflowError):
-        return -1
-
-
 def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
     """Execute the original (unhooked) syscall against the sandbox.
 
@@ -375,9 +364,7 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
         if entry is None or entry[2] != name[0]:  # open for "r" or "w"
             return EBADF
         count = args[1]
-        if type(count) is not int:
-            count = _byte_count(count)
-        if count < 0:
+        if type(count) is not int or count < 0:  # exact, as an fd is
             return EINVAL
         _, offset, _, content = entry
         if name == "read":
@@ -400,17 +387,3 @@ def exec_syscall(sandbox: SandboxState, ev: SyscallEvent) -> int:
         return ev.ctx.uid
 
     raise AssertionError(f"unreachable syscall {name}")
-
-
-def append_to_vfs_file(vfs: VirtualFS, path: str, data: bytes) -> None:
-    """Direct append used by the VFS log sink (bypasses the hook layer).
-
-    ``path`` must be normalized.  The file and its parents are created
-    when missing (ValueError if a directory or a file is in the way);
-    otherwise the file's bytearray grows in place.
-    """
-    content = vfs.files.get(path)
-    if content is None:
-        vfs.put_file(path, b"")
-        content = vfs.files[path]
-    content += data

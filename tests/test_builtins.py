@@ -8,11 +8,13 @@ from apate import apc, engine
 from apate import builtins as apate_builtins
 from apate.builtins import check_params, rewrite_loop_hazard, wildcard
 from apate.dsl import compile_source
+from apate.engine import dispatch
 from apate.errors import ApateError, CorruptRecord
 from apate.logsink import args_json
 from apate.model import (ALWAYS_TRUE, Action, ActionChain, Condition,
                          ConditionBlock, Disposition, OP_AND, Rule, RuleChain,
                          RuleProgram)
+from apate.sandbox import ENOENT, VirtualFS, exec_syscall
 
 from conftest import holds, make_ctx, make_event, run_actions
 
@@ -24,9 +26,11 @@ def _matches(pattern, s, sandbox):
     chain = ActionChain((Action("manipulateparam", (0, pattern, "R")),))
     assert run_actions(chain, ev, sandbox)[0] == 0
     rewritten = ev.args[0] != s   # "R" starts no s of these alphabets
+    # what call_orig leaves after a getdents that listed s alone (s may
+    # hold "/" or be empty, so no directory entry can carry it)
+    ev = make_event("getdents", "/d")
     sandbox.last_getdents = [s]
-    disp = Disposition(ev.seq, ev.syscall)
-    disp.result = 1
+    disp = Disposition(ev.seq, ev.syscall, result=1, invoked=True)
     chain = ActionChain((Action("filter_dirents", (pattern,)),))
     assert run_actions(chain, ev, sandbox, disp) == (0, 0 if rewritten else 1)
     assert sandbox.last_getdents == ([] if rewritten else [s])
@@ -129,6 +133,21 @@ class TestConditions:
         assert holds(missing, ev, sandbox) == 0
         assert holds(empty, ev, sandbox) == 1
 
+    def test_file_keyword_reads_the_file_in_place(self, monkeypatch, sandbox):
+        def no_copy(self, path):
+            raise AssertionError("file_keyword copied the file")
+
+        sandbox.vfs.put_file("/ctl/mode", b"enable trap now")
+        found = Condition("file_keyword", ("/ctl/mode", "trap"))
+        missing = Condition("file_keyword", ("/ctl/other", "trap"))
+        monkeypatch.setattr(VirtualFS, "read_file", no_copy)
+        for cond, want, notes in ((found, 1, []), (missing, 0, [
+                {"kind": "MissingFile", "detail": "file_keyword: /ctl/other"}])):
+            disp = Disposition(0, "getpid")
+            assert holds(cond, make_event("getpid"), sandbox, disp) == want
+            assert disp.conditions_evaluated == 1
+            assert sandbox.diagnostics == notes
+
     def test_store_cmp_unset_is_zero(self, sandbox):
         c = Condition("store_cmp", ("unset", "==", 0))
         assert holds(c, make_event("getpid"), sandbox) == 1
@@ -229,6 +248,37 @@ class TestManipulateParam:
     def test_rewrite_loop_hazard_flag(self):
         assert rewrite_loop_hazard((0, "/honey/*", "/honey/deeper/"))
         assert not rewrite_loop_hazard((0, "/var/lib/mysql/*", "/honey/mysql/"))
+
+
+class TestFilterDirents:
+    """filter_dirents edits only its own event's listing: a getdents
+    whose call_orig ran in the chain and succeeded.  On any other event
+    it changes neither the result, the offset nor last_getdents."""
+
+    SOURCE = ("define r as rule\ndefine rc as rulechain\n"
+              "let r be {{testforuid(\">=\";0)}->%s}\n"
+              "let rc be {r}\nbind rc to sys_%s\n")
+
+    @pytest.mark.parametrize("actions, syscall, args, want", [
+        ('call_orig(),filter_dirents("apate.log")', "open", ("/f", "r"), 4),
+        ('call_orig(),filter_dirents("*")', "read", (3, 4), 4),
+        ('filter_dirents("apate*"),block(7)', "getdents", ("/var/log",), 7),
+        ('call_orig(),filter_dirents("apate*")', "getdents", ("/var/none",),
+         ENOENT),
+        ('block(5),filter_dirents("*")', "getdents", ("/var/log",), 5),
+    ], ids=["open", "read", "before-call-orig", "enoent", "blocked"])
+    def test_another_events_listing_is_left_alone(self, sandbox, actions,
+                                                 syscall, args, want):
+        sandbox.vfs.put_file("/var/log/apate.log", b"")
+        sandbox.vfs.put_file("/var/log/syslog", b"")
+        sandbox.vfs.put_file("/f", b"0123456789")
+        assert exec_syscall(sandbox, make_event("getdents", "/var/log")) == 2
+        assert exec_syscall(sandbox, make_event("open", "/f", "r")) == 3
+        prog, _ = compile_source(self.SOURCE % (actions, syscall))
+        assert dispatch(prog, make_event(syscall, *args), sandbox).result == want
+        assert sandbox.fds.get(3)[1] == (4 if syscall == "read" else 0)
+        assert sandbox.last_getdents == ["apate.log", "syslog"]
+        assert sandbox.diagnostics == []
 
 
 class TestLogTransparency:

@@ -430,7 +430,7 @@ class TestRun:
         assert self.run_read(tmp_path, source, "x") == [3, -22, 4]
         assert self.run_read(tmp_path, source, 4.7) == [3, -22, 4]
         assert self.run_read(tmp_path, source, True) == [3, -22, 4]
-        assert self.run_read(tmp_path, source, "4096") == [3, 10, 0]
+        assert self.run_read(tmp_path, source, "4096") == [3, -22, 4]
 
     def test_read_count_that_is_not_ascii_digits_is_einval(self, tmp_path):
         # int() would read the Arabic-Indic digit three as 3.

@@ -9,11 +9,12 @@ import pytest
 from apate import builtins as builtins_mod
 from apate import sandbox as sandbox_mod
 from apate.errors import MalformedManifestLine
+from apate.logsink import VfsSink
 from apate.model import SYSCALL_TABLE, SYSCALLS, Condition
 from apate.sandbox import (EACCES, EBADF, EEXIST, EFBIG, EINVAL, ENOENT,
                            ENOTEMPTY, MAX_FILE_BYTES, SandboxState, VirtualFS,
-                           append_to_vfs_file, errno_default, exec_syscall,
-                           normalize_path, vfs_from_manifest)
+                           errno_default, exec_syscall, normalize_path,
+                           vfs_from_manifest)
 
 from conftest import (bytes_read, check_invariants, holds, make_ctx,
                       make_event)
@@ -371,27 +372,28 @@ class TestSyscalls:
     def test_bad_read_count_is_einval_and_keeps_the_offset(self, sandbox):
         sandbox.vfs.put_file("/f", b"0123456789")
         fd = exec_syscall(sandbox, make_event("open", "/f", "r"))
-        for count in (-4, "x", "lots4", None, float("inf"), [4], 4.7, 4.0, True):
+        for count in (-4, "x", "lots4", None, float("inf"), [4], 4.7, 4.0, True,
+                      "4"):
             assert exec_syscall(sandbox, make_event("read", fd, count)) == EINVAL
             assert sandbox.fds.get(fd)[1] == 0
-        assert exec_syscall(sandbox, make_event("read", fd, "4")) == 4
+        assert exec_syscall(sandbox, make_event("read", fd, 4)) == 4
         assert exec_syscall(sandbox, make_event("read", fd, 4096)) == 6
         assert bytes_read(sandbox, fd, 6) == b"456789"
 
     def test_bad_write_length_is_einval_and_keeps_the_offset(self, sandbox):
         fd = exec_syscall(sandbox, make_event("open", "/f", "w"))
         assert exec_syscall(sandbox, make_event("write", fd, 10)) == 10
-        for length in (-5, "x", None, 4.7, True, False):
+        for length in (-5, "x", None, 4.7, True, False, "3"):
             assert exec_syscall(sandbox, make_event("write", fd, length)) == EINVAL
             assert sandbox.fds.get(fd)[1] == 10
-        assert exec_syscall(sandbox, make_event("write", fd, "3")) == 3
+        assert exec_syscall(sandbox, make_event("write", fd, 3)) == 3
         assert sandbox.vfs.read_file("/f") == b"\x00" * 13
 
     def test_bad_count_on_a_bad_descriptor_is_ebadf(self, sandbox):
         assert exec_syscall(sandbox, make_event("read", 99, -4)) == EBADF
         assert exec_syscall(sandbox, make_event("write", 99, "x")) == EBADF
 
-    # int() reads each of these as a count; none is ASCII digits.  The
+    # int() reads each of these as a number; no str is a count.  The
     # count table below holds the other str cases.
     @pytest.mark.parametrize("count", ["\u0663", "1_0", " 4", "4 ", "+4", "\uff10"])
     @pytest.mark.parametrize("name", ["read", "write"])
@@ -444,15 +446,10 @@ class TestSyscalls:
         assert exec_syscall(sandbox, make_event("getuid", ctx=ctx)) == 77
 
 
-# _byte_count as it was before an exact int skipped it, with a str counting
-# only as ASCII digits: the reference for the count table.
+# The count rule the count table checks: an exact int is the count, and
+# anything else (a bool, a float, a str, an IntEnum) is no count.
 def ref_byte_count(value) -> int:
-    if isinstance(value, str) and not (value.isascii() and value.isdigit()):
-        return -1
-    try:
-        return -1 if isinstance(value, (bool, float)) else int(value)
-    except (TypeError, ValueError, OverflowError):
-        return -1
+    return value if type(value) is int else -1
 
 
 class Count(enum.IntEnum):
@@ -466,6 +463,19 @@ COUNTS = [0, 4, 2**70, -4, -(2**70), True, False, 4.0, 4.7, float("nan"),
 
 class TestCountTable:
     """read and write against the reference count, result and offset."""
+
+    # A count, like a descriptor, is an exact int: a string of digits or
+    # an int subclass is no count, as "3" or 3.0 names no descriptor.
+    @pytest.mark.parametrize("count", ["4", "007", "4096", "0", Count.FOUR],
+                             ids=["4", "007", "4096", "0", "IntEnum"])
+    @pytest.mark.parametrize("name", ["read", "write"])
+    def test_a_count_is_an_exact_int(self, sandbox, name, count):
+        sandbox.vfs.put_file("/f", b"0123456789")
+        fd = exec_syscall(sandbox, make_event("open", "/f", name[0]))
+        assert exec_syscall(sandbox, make_event(name, fd, 2)) == 2
+        assert exec_syscall(sandbox, make_event(name, fd, count)) == EINVAL
+        assert sandbox.fds.get(fd)[1] == 2
+        assert len(sandbox.vfs.files["/f"]) == (10 if name == "read" else 2)
 
     @pytest.mark.parametrize("count", COUNTS, ids=range(len(COUNTS)))
     def test_read(self, sandbox, count):
@@ -713,9 +723,9 @@ class TestChildIndex:
             else:
                 assert result == ENOENT
         elif op == 8:
-            try:
-                append_to_vfs_file(vfs, norm, b"rec\n")
-            except ValueError:
+            sink = VfsSink(vfs, norm)
+            sink.emit("rec")
+            if sink.dropped:   # a directory or a file in the way
                 return False
             model.setdefault(norm, bytearray()).extend(b"rec\n")
         return False
