@@ -4,7 +4,9 @@ m1 issues raw sandbox syscalls (no interception, the reference).  m2
 adds one always-true rule whose actions call the original syscall and
 log it.  m3 runs 50 rules of 50 AND-combined conditions each (2,500
 condition evaluations per hooked syscall; only rule 50 fires) and calls
-the original syscall.  m4 is m3 plus logging.
+the original syscall.  m4 is m3 plus logging.  m2-m4 are .apate text
+(``_source``) compiled by ``dsl.compile_source`` as ``apate run``'s
+programs are, so each rule's span is ``<mN>:line``.
 
 The full-scale sweep (sizes up to 1 GB, 100 reps) is hours long; the
 desk-scale defaults subsample the schedule geometrically and cap the
@@ -21,12 +23,11 @@ import statistics
 import time
 from dataclasses import dataclass
 
+from .dsl import compile_source
 from .engine import dispatch, validate_program
 from .errors import TooFewSamples
 from .logsink import DiscardSink
-from .model import (Action, ActionChain, ALWAYS_TRUE, Condition,
-                    ConditionBlock, EMPTY_PROGRAM, OP_AND, Rule, RuleChain,
-                    RuleProgram, SYSCALLS, TaskContext)
+from .model import EMPTY_PROGRAM, RuleProgram, SYSCALLS, TaskContext
 from .replay import EventSource
 from .sandbox import SandboxState, exec_syscall
 
@@ -70,48 +71,40 @@ def subsample_geometric(max_size: int, count: int = 40) -> list:
     return sorted(picks)
 
 
-def _and_chain(leaves) -> ConditionBlock:
-    node = ConditionBlock(leaves[0], leaves[1], OP_AND)
-    for leaf in leaves[2:]:
-        node = ConditionBlock(node, leaf, OP_AND)
-    return node
+def _source(setting_id: str) -> str:
+    """m2, m3 or m4 as .apate text, its chain bound to each of SYSCALLS.
+    Rules 0-48 of m3 and m4 share the guard ``miss``, whose last leaf is
+    false; only the last rule's guard, ``hit``, holds."""
+    chain = f"{setting_id}_chain"
+    actions = "call_orig()" if setting_id == "m3" else "call_orig(),log()"
+    if setting_id == "m2":
+        lines, guards = [], ["{always_true()}"]
+    else:
+        leaf = 'testforuid(">=";0)'
+        miss = " && ".join([leaf] * (CONDITIONS_PER_RULE - 1)
+                           + ['testforuid("<";0)'])
+        hit = " && ".join([leaf] * CONDITIONS_PER_RULE)
+        lines = ["define miss,hit as conditionblock",
+                 f"let miss be {{{miss}}}", f"let hit be {{{hit}}}"]
+        guards = ["miss"] * (RULES_PER_SETTING - 1) + ["hit"]
+    names = [f"{setting_id}_r{i}" for i in range(len(guards))]
+    items = ",".join(names[:-1] + [":" + names[-1]])  # ':' marks the exit
+    lines += [f"define {','.join(names)} as rule",
+              f"define {chain} as rulechain",
+              *(f"let {name} be {{{guard}->{actions}}}"
+                for name, guard in zip(names, guards)),
+              f"let {chain} be {{{items}}}",
+              *(f"bind {chain} to {sc}" for sc in SYSCALLS)]
+    return "\n".join(lines) + "\n"
 
 
 def make_setting(setting_id: str) -> BenchSetting:
     if setting_id == "m1":
         return BenchSetting("m1", EMPTY_PROGRAM, intercept=False)
-
-    if setting_id == "m2":
-        rule = Rule("m2_r0", ConditionBlock(ALWAYS_TRUE, ALWAYS_TRUE, OP_AND),
-                    ActionChain((Action("call_orig"), Action("log"))),
-                    exit_flag=1)
-        chain = RuleChain("m2_chain", (rule,))
-        prog = RuleProgram(chains={"m2_chain": chain},
-                           bindings=[(sc, "m2_chain") for sc in SYSCALLS])
-        return BenchSetting("m2", prog, intercept=True)
-
-    if setting_id in ("m3", "m4"):
-        true_leaf = Condition("testforuid", (">=", 0))
-        false_leaf = Condition("testforuid", ("<", 0))
-        # rules 1..49: 49 true conditions, the last one false (never fire)
-        miss_guard = _and_chain([true_leaf] * (CONDITIONS_PER_RULE - 1)
-                                + [false_leaf])
-        hit_guard = _and_chain([true_leaf] * CONDITIONS_PER_RULE)
-        actions = [Action("call_orig")]
-        if setting_id == "m4":
-            actions.append(Action("log"))
-        chain_actions = ActionChain(tuple(actions))
-        rules = tuple(
-            Rule(f"{setting_id}_r{i}", miss_guard, chain_actions)
-            for i in range(RULES_PER_SETTING - 1)
-        ) + (Rule(f"{setting_id}_r{RULES_PER_SETTING - 1}", hit_guard,
-                  chain_actions, exit_flag=1),)
-        name = f"{setting_id}_chain"
-        prog = RuleProgram(chains={name: RuleChain(name, rules)},
-                           bindings=[(sc, name) for sc in SYSCALLS])
-        return BenchSetting(setting_id, prog, intercept=True)
-
-    raise ValueError(f"unknown setting {setting_id!r}")
+    if setting_id not in SETTING_IDS:
+        raise ValueError(f"unknown setting {setting_id!r}")
+    prog = compile_source(_source(setting_id), f"<{setting_id}>")[0]
+    return BenchSetting(setting_id, prog, intercept=True)
 
 
 _BENCH_CTX = TaskContext(pid=100, uid=1000, ssid=1, pname="cp",

@@ -16,7 +16,7 @@ from .errors import ApateError, SourceError, TraceError
 from .dsl import compile_source, decode_source
 from .logsink import FileSink, UdpSink, VfsSink, parse_udp_addr
 from .replay import iter_trace, replay_trace
-from .sandbox import SandboxState, vfs_from_manifest
+from .sandbox import SandboxState, normalize_path, vfs_from_manifest
 
 REPORT_BATCH = 1024  # dispositions held, then written in one out.write
 
@@ -108,7 +108,8 @@ def cmd_compile(args) -> int:
 def open_world(program, fs=None, cloak=None, log_file=None, log_udp=None):
     """The bound program and the sandbox of ``apate run``, in its order:
     load the .apc ``program``, cloak it for the log path ``cloak``, bind,
-    read the manifest ``fs``, then open the sinks (``log_file``,
+    read the manifest ``fs``, refuse a ``cloak`` path the world holds as a
+    directory or under a file, then open the sinks (``log_file``,
     ``log_udp``, the VFS log at ``cloak``).  A failing step raises one
     ApateError named for it (``cannot load program``, ``bad manifest``,
     ``bad sink``) and leaves no sink open."""
@@ -123,6 +124,15 @@ def open_world(program, fs=None, cloak=None, log_file=None, log_udp=None):
         if fs:
             sandbox.vfs = vfs_from_manifest(Path(fs).read_bytes())
         step = "bad sink"
+        if cloak:   # refuse a path where no record could land
+            log, files = normalize_path(cloak), sandbox.vfs.files
+            parts = log.split("/")
+            for above in ("/".join(parts[:i]) for i in range(2, len(parts))):
+                if above in files:
+                    raise ValueError(f"cloak log path {log} lies under the "
+                                     f"file {above}")
+            if log in sandbox.vfs.children:
+                raise ValueError(f"cloak log path {log} is a directory")
         if log_file:
             sandbox.sinks.append(FileSink(log_file))
         if log_udp:

@@ -116,10 +116,7 @@ def _parse_whole(line: str, line_no: int) -> SyscallEvent:
     """Parse one trace line as a whole, raising a TraceError that names
     what is wrong."""
     try:
-        try:
-            obj, end = _scan(line, 0)
-        except StopIteration:   # a leading blank, or no value at all
-            obj, end = _decode(line, _skip_space(line).end())
+        obj, end = _decode(line, _skip_space(line).end())
     except (ValueError, RecursionError) as exc:
         raise TraceError(line_no, f"bad JSON: {exc}") from None
     if end != len(line):

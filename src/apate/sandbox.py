@@ -126,10 +126,6 @@ class VirtualFS:
         del self.children[path]
         self._unlink(path)
 
-    def read_file(self, path: str) -> "bytes | None":
-        content = self.files.get(path)
-        return None if content is None else bytes(content)
-
     def listdir(self, path: str) -> list:
         """Immediate children of a directory, sorted for determinism."""
         return sorted(self.children.get(path, ()))

@@ -178,6 +178,12 @@ def check_invariants(vfs: VirtualFS) -> None:
     assert dirs == derived, "child index differs from the tree"
 
 
+def read_file(vfs: VirtualFS, path: str) -> "bytes | None":
+    """The bytes of the file at the canonical ``path``, or None."""
+    content = vfs.files.get(path)
+    return None if content is None else bytes(content)
+
+
 def bytes_read(sandbox: SandboxState, fd: int, n: int) -> bytes:
     """The n bytes a read on fd just returned: the n before its offset."""
     _, offset, _, content = sandbox.fds.get(fd)

@@ -26,7 +26,7 @@ from apate.sandbox import SandboxState, errno_default
 
 from conftest import (MYSQL_EXAMPLE, TRUE_LEAF, FALSE_LEAF, MemorySink,
                       dispatch_chain, holds, make_ctx, make_event,
-                      scan_for_substring)
+                      read_file, scan_for_substring)
 
 
 def announce(capsys, criterion, ok, detail=""):
@@ -104,7 +104,7 @@ def test_criterion_03_worked_example(capsys):
     ev = make_event("open", "/var/lib/mysql/ibdata1", "w", ctx=ctx)
     disp = dispatch(prog, ev, sb)
     honey_created = "/honey/mysql/ibdata1" in sb.vfs.files
-    source_intact = (sb.vfs.read_file("/var/lib/mysql/ibdata1") == b"realdata")
+    source_intact = (read_file(sb.vfs, "/var/lib/mysql/ibdata1") == b"realdata")
     logs_uid1000 = sb.log_count
 
     # identical event from uid=0: no log record, same redirect
@@ -358,7 +358,7 @@ def test_criterion_08_cloaking(capsys):
     # while appending one record per read never reaches end-of-file.)
     sb_ctl = _populated_sandbox(log_path)
     sb_ctl.sinks = [MemorySink()]
-    sb_ctl.vfs.put_file(log_path, sb.vfs.read_file(log_path))
+    sb_ctl.vfs.put_file(log_path, read_file(sb.vfs, log_path))
     control = scan_for_substring(user, sb_ctl, b"apate", ctx)
 
     ok = (found["hits"] == [] and records_before_scan >= 100

@@ -1,9 +1,50 @@
+import re
+
 import pytest
 
-from apate.bench import (DEFAULT_BUFFER, SETTING_IDS, gen_sizes, make_setting,
-                         run_copy, run_suite, stats, subsample_geometric)
-from apate.engine import compiled_guard, dispatch
+from apate import apc, builtins, engine
+from apate.bench import (DEFAULT_BUFFER, SETTING_IDS, _source, gen_sizes,
+                         make_setting, run_copy, run_suite, stats,
+                         subsample_geometric)
+from apate.engine import compiled_guard, dispatch, validate_program
 from apate.errors import TooFewSamples
+from apate.model import (Action, ActionChain, ALWAYS_TRUE, Condition,
+                         ConditionBlock, OP_AND, Rule, RuleChain, RuleProgram,
+                         SYSCALLS)
+
+from test_dsl import strip_spans
+
+
+def frozen_program(setting_id: str) -> RuleProgram:
+    """m2, m3 or m4 as they were built from model classes before they
+    were written in .apate; kept as the reference the compiled ones
+    must equal, spans aside."""
+    def and_chain(leaves):
+        node = ConditionBlock(leaves[0], leaves[1], OP_AND)
+        for leaf in leaves[2:]:
+            node = ConditionBlock(node, leaf, OP_AND)
+        return node
+
+    if setting_id == "m2":
+        rule = Rule("m2_r0", ConditionBlock(ALWAYS_TRUE, ALWAYS_TRUE, OP_AND),
+                    ActionChain((Action("call_orig"), Action("log"))),
+                    exit_flag=1)
+        return RuleProgram(chains={"m2_chain": RuleChain("m2_chain", (rule,))},
+                           bindings=[(sc, "m2_chain") for sc in SYSCALLS])
+    true_leaf = Condition("testforuid", (">=", 0))
+    false_leaf = Condition("testforuid", ("<", 0))
+    miss_guard = and_chain([true_leaf] * 49 + [false_leaf])
+    hit_guard = and_chain([true_leaf] * 50)
+    actions = [Action("call_orig")]
+    if setting_id == "m4":
+        actions.append(Action("log"))
+    chain_actions = ActionChain(tuple(actions))
+    rules = tuple(Rule(f"{setting_id}_r{i}", miss_guard, chain_actions)
+                  for i in range(49)) + (
+        Rule(f"{setting_id}_r49", hit_guard, chain_actions, exit_flag=1),)
+    name = f"{setting_id}_chain"
+    return RuleProgram(chains={name: RuleChain(name, rules)},
+                       bindings=[(sc, name) for sc in SYSCALLS])
 
 
 class TestSizeSchedule:
@@ -127,6 +168,49 @@ class TestSettings:
             ("<body>", body("<")),      # hit: 50 true leaves (uid >= 0)
             *(("<run>", run(k, min(k + 16, 50))) for k in range(0, 50, 16)),
             ("<make>", scan)]
+
+
+@pytest.mark.parametrize("sid", ["m2", "m3", "m4"])
+class TestSettingSource:
+    """m2-m4 compile from .apate text to the programs they were built as
+    by hand: the same rules, guards, chains and bindings, with spans."""
+
+    def test_equals_the_frozen_builder(self, sid):
+        prog = make_setting(sid).program
+        assert strip_spans(prog) == strip_spans(frozen_program(sid))
+        (chain,) = prog.chains.values()
+        guards = {id(r.guard) for r in chain.rules}
+        assert len(guards) == (1 if sid == "m2" else 2)   # miss is shared
+
+    def test_binding_defines_the_same_code(self, sid, monkeypatch):
+        defined = []
+
+        def recording(ns, name, lines):
+            defined.append((name, "\n".join(lines)))
+            return define(ns, name, lines)
+
+        define = builtins.define
+        monkeypatch.setattr(builtins, "define", recording)
+        monkeypatch.setattr(engine, "define", recording)
+        validate_program(make_setting(sid).program)
+        compiled, defined[:] = defined[:], []
+        validate_program(frozen_program(sid))
+        assert compiled == defined
+        assert len(compiled) == (1 if sid == "m2" else 7)
+
+    def test_round_trips_through_apc(self, sid):
+        prog = make_setting(sid).program
+        again = apc.deserialize(apc.serialize(prog))
+        assert again == prog
+        assert apc.serialize(again) == apc.serialize(prog)
+
+    def test_each_span_is_the_line_of_its_let(self, sid):
+        lines = _source(sid).splitlines()
+        (chain,) = make_setting(sid).program.chains.values()
+        for rule in chain.rules:
+            m = re.fullmatch(rf"<{sid}>:(\d+)", rule.span)
+            assert m, rule.span
+            assert lines[int(m[1]) - 1].startswith(f"let {rule.name} be ")
 
 
 class TestCopyWorkload:

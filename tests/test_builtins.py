@@ -14,9 +14,9 @@ from apate.logsink import args_json
 from apate.model import (ALWAYS_TRUE, Action, ActionChain, Condition,
                          ConditionBlock, Disposition, OP_AND, Rule, RuleChain,
                          RuleProgram)
-from apate.sandbox import ENOENT, VirtualFS, exec_syscall
+from apate.sandbox import ENOENT, exec_syscall
 
-from conftest import holds, make_ctx, make_event, run_actions
+from conftest import holds, make_ctx, make_event, read_file, run_actions
 
 
 def _matches(pattern, s, sandbox):
@@ -133,14 +133,15 @@ class TestConditions:
         assert holds(missing, ev, sandbox) == 0
         assert holds(empty, ev, sandbox) == 1
 
-    def test_file_keyword_reads_the_file_in_place(self, monkeypatch, sandbox):
-        def no_copy(self, path):
-            raise AssertionError("file_keyword copied the file")
+    def test_file_keyword_reads_the_file_in_place(self, sandbox):
+        class NoCopy(bytearray):
+            def __bytes__(self):
+                raise AssertionError("file_keyword copied the file")
 
-        sandbox.vfs.put_file("/ctl/mode", b"enable trap now")
+        sandbox.vfs.put_file("/ctl/mode", b"")
+        sandbox.vfs.files["/ctl/mode"] = NoCopy(b"enable trap now")
         found = Condition("file_keyword", ("/ctl/mode", "trap"))
         missing = Condition("file_keyword", ("/ctl/other", "trap"))
-        monkeypatch.setattr(VirtualFS, "read_file", no_copy)
         for cond, want, notes in ((found, 1, []), (missing, 0, [
                 {"kind": "MissingFile", "detail": "file_keyword: /ctl/other"}])):
             disp = Disposition(0, "getpid")
@@ -435,7 +436,7 @@ class TestNulInReplacement:
         with pytest.raises(ApateError, match="NUL character"):
             engine.dispatch(prog, make_event("open", "/xa", "w"), sandbox)
         assert prog.scans is None
-        assert sandbox.vfs.read_file("/y\x00a") is None
+        assert read_file(sandbox.vfs, "/y\x00a") is None
 
 
 BAD_CONDITIONS = [

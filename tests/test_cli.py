@@ -18,7 +18,7 @@ from apate.replay import parse_trace, replay_trace
 from apate.sandbox import SandboxState
 
 from conftest import (MYSQL_EXAMPLE, make_ctx, make_event, parse_record,
-                      to_dict)
+                      read_file, to_dict)
 
 TRACE_CTX = {"pid": 42, "uid": 1000, "ssid": 1, "pname": "bash",
              "parent_pname": "mysql"}
@@ -674,6 +674,26 @@ class TestRun:
             "wildcard\n")
         assert not report.exists()
 
+    @pytest.mark.parametrize("manifest, log_path, why", [
+        ("", "/", "/ is a directory"),
+        ("D /var/log\n", "/var/log", "/var/log is a directory"),
+        ("F /etc/passwd 3 @abc\n", "/etc/passwd/x",
+         "/etc/passwd/x lies under the file /etc/passwd")])
+    def test_a_cloak_log_path_the_world_cannot_hold_is_a_bad_sink(
+            self, compiled, tmp_path, capsys, manifest, log_path, why):
+        # each logged nothing and counted every record dropped
+        fs = tmp_path / "fs.manifest"
+        fs.write_text(manifest)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text(trace_line(1, "getpid", []) + "\n")
+        report = tmp_path / "report.json"
+        assert main(["run", "--program", str(compiled), "--trace", str(trace),
+                     "--fs", str(fs), "--cloak", log_path,
+                     "--report", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"apate: bad sink: cloak log path {why}\n")
+        assert not report.exists()
+
     def test_unhashable_ctx_value_is_named(self, compiled, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
         trace.write_text(trace_line(1, "getpid", [], pid=[1]) + "\n")
@@ -824,7 +844,7 @@ class TestOpenWorld:
             file_sink, vfs_sink = sandbox.sinks
             assert opened == [file_sink] and type(vfs_sink) is VfsSink
             assert vfs_sink.vfs is sandbox.vfs and vfs_sink.path == self.LOG
-            assert sandbox.vfs.read_file("/etc/hosts") == b"abc"
+            assert read_file(sandbox.vfs, "/etc/hosts") == b"abc"
         finally:
             for sink in sandbox.sinks:
                 sink.close()
@@ -863,6 +883,14 @@ class TestOpenWorld:
         with pytest.raises(ApateError, match="^cannot load program: "):
             open_world(bad_program, fs=tmp_path / "none",
                        log_udp="127.0.0.1:70000")
+
+    def test_a_cloak_log_path_that_is_a_directory_opens_no_sink(
+            self, compiled, fs, tmp_path, opened):
+        with pytest.raises(ApateError) as exc:
+            open_world(compiled, fs=fs, cloak="/etc",
+                       log_file=tmp_path / "records.log")
+        assert str(exc.value) == "bad sink: cloak log path /etc is a directory"
+        assert opened == []
 
     def test_a_bad_sink_closes_the_sinks_opened_before_it(
             self, compiled, tmp_path, opened):

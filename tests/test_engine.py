@@ -19,7 +19,7 @@ from apate.model import (Action, ActionChain, ALWAYS_TRUE, Condition,
 from apate.sandbox import EACCES, SandboxState, errno_default, normalize_path
 
 from conftest import (FALSE_LEAF, TRUE_LEAF, dispatch_chain, holds, make_ctx,
-                      make_event, run_actions)
+                      make_event, read_file, run_actions)
 
 
 def leaf(value):
@@ -574,7 +574,7 @@ def _ref_leaf(cond, ev, sb):
             return 0
         return int(_CMP[p[1]](cell, p[2]))
     if name == "file_keyword":
-        content = sb.vfs.read_file(normalize_path(p[0]))
+        content = read_file(sb.vfs, normalize_path(p[0]))
         if content is None:
             sb.diag("MissingFile", f"file_keyword: {p[0]}")
             return 0

@@ -28,7 +28,7 @@ from apate.logsink import VfsSink
 from apate.replay import iter_trace, replay_trace
 from apate.sandbox import SandboxState, split_path, vfs_from_manifest
 
-from conftest import MYSQL_EXAMPLE, check_invariants
+from conftest import MYSQL_EXAMPLE, check_invariants, read_file
 from test_acceptance import random_program_source
 
 LS, PS, NEL = "\N{LINE SEPARATOR}", "\N{PARAGRAPH SEPARATOR}", "\x85"
@@ -91,7 +91,7 @@ class TestThreeFormats:
     @pytest.mark.parametrize("text", ["x\x0cy", f"a{LS}{NEL}\x1c\tb"])
     def test_manifest_inline_text_keeps_what_is_not_a_line_end(self, text):
         data = f"F /c {len(text.encode())} @{text}\n".encode()
-        assert vfs_from_manifest(data).read_file("/c") == text.encode()
+        assert read_file(vfs_from_manifest(data), "/c") == text.encode()
 
 
 # --- seeded fuzz ------------------------------------------------------------

@@ -13,7 +13,7 @@ from apate.logsink import (LINE_MAX, FileSink, TRUNCATION_MARK, UdpSink,
 from apate.sandbox import SandboxState, VirtualFS, exec_syscall
 
 from conftest import (LogRecord, MemorySink, bytes_read, check_invariants,
-                      make_event, parse_record)
+                      make_event, parse_record, read_file)
 
 
 def rec(**kw):
@@ -271,7 +271,7 @@ class TestSinks:
         sink = VfsSink(vfs, "/var/log/apate.log")
         sink.emit("one")
         sink.emit("two")
-        assert vfs.read_file("/var/log/apate.log") == b"one\ntwo\n"
+        assert read_file(vfs, "/var/log/apate.log") == b"one\ntwo\n"
         check_invariants(vfs)
 
     def test_vfs_sink_drops_a_lone_surrogate(self):
@@ -280,18 +280,18 @@ class TestSinks:
         sink.emit(fmt(rec(args=["/a\ud800", "r"])))
         sink.emit("two")
         assert sink.dropped == 1
-        assert vfs.read_file("/var/log/apate.log") == b"two\n"
+        assert read_file(vfs, "/var/log/apate.log") == b"two\n"
 
     def test_vfs_sink_append_leaves_earlier_reads_alone(self):
         sb = SandboxState()
         sink = VfsSink(sb.vfs, "/var//log/./apate.log")
         sink.emit("one")
-        before = sb.vfs.read_file("/var/log/apate.log")
+        before = read_file(sb.vfs, "/var/log/apate.log")
         fd = exec_syscall(sb, make_event("open", "/var/log/apate.log", "r"))
         assert exec_syscall(sb, make_event("read", fd, 100)) == 4
         sink.emit("two")
         assert before == b"one\n" and bytes_read(sb, fd, 4) == b"one\n"
-        assert sb.vfs.read_file("/var/log/apate.log") == b"one\ntwo\n"
+        assert read_file(sb.vfs, "/var/log/apate.log") == b"one\ntwo\n"
 
     def test_vfs_sink_counts_blocked_appends_as_dropped(self):
         vfs = VirtualFS()
@@ -312,7 +312,7 @@ class TestSinks:
             for _ in range(records):
                 sink.emit(line)
             best = min(best, time.perf_counter() - t0)
-        size = len(sink.vfs.read_file("/var/log/apate.log"))
+        size = len(read_file(sink.vfs, "/var/log/apate.log"))
         assert size == records * (len(line) + 1)
         return best
 

@@ -17,7 +17,7 @@ from apate.sandbox import (EACCES, EBADF, EEXIST, EFBIG, EINVAL, ENOENT,
                            vfs_from_manifest)
 
 from conftest import (bytes_read, check_invariants, holds, make_ctx,
-                      make_event)
+                      make_event, read_file)
 
 
 class TestPaths:
@@ -197,8 +197,8 @@ class TestManifest:
                                 b"F /var/lib/data 5 00\n"
                                 b"F /etc/hostname 4 @mini\n")
         assert "/var/lib" in vfs.children
-        assert vfs.read_file("/var/lib/data") == b"\x00" * 5
-        assert vfs.read_file("/etc/hostname") == b"mini"
+        assert read_file(vfs, "/var/lib/data") == b"\x00" * 5
+        assert read_file(vfs, "/etc/hostname") == b"mini"
         assert "/etc" in vfs.children  # parent auto-created
         check_invariants(vfs)
 
@@ -254,7 +254,8 @@ class TestManifest:
     def test_length_limit(self, monkeypatch):
         assert MAX_FILE_BYTES == 1 << 30
         monkeypatch.setattr(sandbox_mod, "MAX_FILE_BYTES", 16)
-        assert vfs_from_manifest(b"F /a 16 00\n").read_file("/a") == bytes(16)
+        vfs = vfs_from_manifest(b"F /a 16 00\n")
+        assert read_file(vfs, "/a") == bytes(16)
         for length in (b"17", b"9999999999999", b"99999999999999999999"):
             with pytest.raises(MalformedManifestLine) as exc:
                 vfs_from_manifest(b"D /d\nF /a " + length + b" 00\n")
@@ -276,7 +277,7 @@ class TestSyscalls:
     def test_open_write_truncates(self, sandbox):
         sandbox.vfs.put_file("/f", b"old content")
         exec_syscall(sandbox, make_event("open", "/f", "w"))
-        assert sandbox.vfs.read_file("/f") == b""
+        assert read_file(sandbox.vfs, "/f") == b""
 
     def test_fds_increase_and_never_recycle(self, sandbox):
         sandbox.vfs.put_file("/f", b"x")
@@ -306,7 +307,7 @@ class TestSyscalls:
         fd = exec_syscall(sandbox, make_event("open", "/d/f", "w"))
         assert exec_syscall(sandbox, make_event("write", fd, 10)) == 10
         assert exec_syscall(sandbox, make_event("write", fd, 5)) == 5
-        assert len(sandbox.vfs.read_file("/d/f")) == 15
+        assert len(read_file(sandbox.vfs, "/d/f")) == 15
 
     def test_write_past_the_limit_is_efbig(self, sandbox, monkeypatch):
         fd = exec_syscall(sandbox, make_event("open", "/f", "w"))
@@ -318,7 +319,7 @@ class TestSyscalls:
         assert sandbox.fds.get(fd)[1] == 10     # the offset is unchanged
         assert exec_syscall(sandbox, make_event("write", fd, 6)) == 6
         assert exec_syscall(sandbox, huge) == EFBIG
-        assert sandbox.vfs.read_file("/f") == bytes(16)
+        assert read_file(sandbox.vfs, "/f") == bytes(16)
 
     def test_write_wrong_mode(self, sandbox):
         sandbox.vfs.put_file("/f", b"x")
@@ -346,9 +347,9 @@ class TestSyscalls:
         new = exec_syscall(sandbox, make_event("open", "/f", "w"))
         assert (old, new) == (3, 4)
         assert exec_syscall(sandbox, make_event("write", old, 10)) == 10
-        assert sandbox.vfs.read_file("/f") == b""
+        assert read_file(sandbox.vfs, "/f") == b""
         assert exec_syscall(sandbox, make_event("write", new, 4)) == 4
-        assert sandbox.vfs.read_file("/f") == b"\x00" * 4
+        assert read_file(sandbox.vfs, "/f") == b"\x00" * 4
         check_invariants(sandbox.vfs)
 
     def test_read_after_unlink_returns_the_open_file(self, sandbox):
@@ -387,7 +388,7 @@ class TestSyscalls:
             assert exec_syscall(sandbox, make_event("write", fd, length)) == EINVAL
             assert sandbox.fds.get(fd)[1] == 10
         assert exec_syscall(sandbox, make_event("write", fd, 3)) == 3
-        assert sandbox.vfs.read_file("/f") == b"\x00" * 13
+        assert read_file(sandbox.vfs, "/f") == b"\x00" * 13
 
     def test_bad_count_on_a_bad_descriptor_is_ebadf(self, sandbox):
         assert exec_syscall(sandbox, make_event("read", 99, -4)) == EBADF
@@ -402,7 +403,7 @@ class TestSyscalls:
         fd = exec_syscall(sandbox, make_event("open", "/f", name[0]))
         assert exec_syscall(sandbox, make_event(name, fd, count)) == EINVAL
         assert sandbox.fds.get(fd)[1] == 0
-        assert sandbox.vfs.read_file("/f") == (b"0123456789" if name == "read" else b"")
+        assert read_file(sandbox.vfs, "/f") == (b"0123456789" if name == "read" else b"")
 
     @pytest.mark.parametrize("fd", [3.0, True, 3.5, [3], None])
     def test_only_an_exact_int_names_a_descriptor(self, sandbox, fd):
@@ -499,7 +500,7 @@ class TestCountTable:
         want = EINVAL if n < 0 else EFBIG if 10 + n > MAX_FILE_BYTES else n
         assert exec_syscall(sandbox, make_event("write", fd, count)) == want
         assert sandbox.fds.get(fd)[1] == 10 + max(want, 0)
-        assert sandbox.vfs.read_file("/f") == bytes(10 + max(want, 0))
+        assert read_file(sandbox.vfs, "/f") == bytes(10 + max(want, 0))
 
 
 class TestSyscallTable:
