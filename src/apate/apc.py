@@ -170,13 +170,12 @@ def _define(table: dict, name: str, value, what: str, line_no: int) -> None:
 
 
 def deserialize(data: bytes) -> RuleProgram:
-    raws = data.splitlines()
-    if not raws:
+    if not data:
         raise BadMagic("empty file")
-    lines = CorruptRecord.lines(raws)
+    lines, _ = CorruptRecord.lines(data)
     line_no, head = next(lines, (0, ""))
     if line_no != 1:    # line 1 is blank: ASCII whitespace
-        head = raws[0].decode()
+        head = data.splitlines()[0].decode()
     header = head.split(" ")
     if len(header) != 2 or header[0] != MAGIC:
         raise BadMagic(f"bad header {head!r}")

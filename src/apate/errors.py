@@ -1,5 +1,9 @@
 """Exception hierarchy shared by all apate modules."""
 
+from itertools import compress, repeat
+
+_BLANK = " \t\n\r\x0b\x0c"   # ASCII whitespace, as bytes.strip strips it
+
 
 class ApateError(Exception):
     """Base class for all errors raised by this package."""
@@ -71,18 +75,41 @@ class LineError(ApateError):
         self.line_no = line_no
 
     @classmethod
-    def lines(cls, raws, first=1):
-        """Yield (n, text) of each non-blank line of ``raws``, numbered from
-        ``first``: ``bytes.splitlines`` cut them, so a line ends only at
-        ``\\n``, ``\\r\\n`` or ``\\r``.  Blank is ASCII whitespace only, and
-        a line that is not UTF-8 on its own raises ``cls`` at its number."""
-        for n, raw in enumerate(raws, first):
-            if raw.strip():
-                try:
-                    yield n, raw.decode()
-                except UnicodeDecodeError as exc:
-                    raise cls(n, f"not UTF-8: {exc.reason} at byte "
-                              f"{exc.start + 1}") from None
+    def lines(cls, data: bytes, first: int = 1):
+        """Read the UTF-8 lines of ``data``, numbered from ``first``.
+
+        Returns an iterator over (n, text) of each non-blank line, and the
+        number the line after ``data`` takes when every line decodes.
+        ``data`` is decoded in one call, then cut where ``bytes.splitlines``
+        cuts it, so a line ends only at ``\\n``, ``\\r\\n`` or ``\\r``.
+        Blank is ASCII whitespace only.  When a line is not UTF-8, the
+        iterator yields the lines before it and then raises ``cls`` at its
+        number, with the reason that decoding that line on its own gives.
+        """
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            start = max(data.rfind(b"\n", 0, exc.start),
+                        data.rfind(b"\r", 0, exc.start)) + 1
+            before, n = cls.lines(data[:start], first)
+            return cls._up_to(before, n, data[start:].splitlines()[0]), n
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        texts = text.split("\n")
+        end = first + len(texts) - (not texts[-1])   # no line after a last end
+        return compress(enumerate(texts, first),
+                        map(str.strip, texts, repeat(_BLANK))), end
+
+    @classmethod
+    def _up_to(cls, before, n, raw):
+        """Yield what ``before`` yields, then raise ``cls`` at line ``n``,
+        whose bytes ``raw`` are not UTF-8."""
+        yield from before
+        try:
+            raw.decode()
+        except UnicodeDecodeError as exc:
+            raise cls(n, f"not UTF-8: {exc.reason} at byte "
+                      f"{exc.start + 1}") from None
 
 
 class CorruptRecord(LineError):

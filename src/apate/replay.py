@@ -95,8 +95,11 @@ def parse_trace_line(line: str, line_no: int = 0,
                         ctx = contexts[text] = _task_context(raw)
                     seq, args = head["seq"], head["args"]
                     if type(seq) is int and type(args) is list:
-                        return SyscallEvent(seq, head["syscall"],
-                                            _counted(args), ctx)
+                        # Only a "{" after the head's own can open an
+                        # object argument.
+                        if line.find("{", 1, comma) > 0:
+                            args = _counted(args)
+                        return SyscallEvent(seq, head["syscall"], args, ctx)
             except (StopIteration, KeyError, TypeError, ValueError,
                     RecursionError):
                 pass
@@ -189,17 +192,16 @@ def iter_trace(fh):
     """Yield the event of each non-blank line of the trace read from the
     binary file ``fh``, as soon as that line is parsed.
 
-    Lines are read by ``LineError.lines``.  The ctx texts of one piece
-    share a map, so it holds no more than the TRACE_BLOCK-byte block
-    they came from.
+    Each piece from ``_whole_lines`` is read by ``LineError.lines``, which
+    decodes it in one call.  The ctx texts of one piece share a map, so it
+    holds no more than the TRACE_BLOCK-byte block they came from.
     """
-    line_no = 0
+    first = 1
     for piece in _whole_lines(fh):
         contexts = {}
-        raws = piece.splitlines()
-        for n, line in TraceError.lines(raws, line_no + 1):
+        lines, first = TraceError.lines(piece, first)
+        for n, line in lines:
             yield parse_trace_line(line, n, contexts)
-        line_no += len(raws)
 
 
 def parse_trace(text: str) -> list:

@@ -35,6 +35,10 @@ def errno_default(ev: SyscallEvent) -> int:
     return errno
 
 
+# The most file bytes VirtualFS.digest joins into one hash update.
+_DIGEST_BATCH = 1 << 16
+
+
 def normalize_path(path: str) -> str:
     """Collapse duplicate separators and resolve '.'/'..'; absolute only."""
     if (path.startswith("/") and "//" not in path and "/." not in path
@@ -103,17 +107,21 @@ class VirtualFS:
         A new file takes a bytearray ``content`` over as its storage
         instead of copying it.
         """
-        if path in self.children:
+        children, files = self.children, self.files
+        if path in children:
             raise ValueError(f"{path} exists as a directory")
-        if path in self.files:
-            self.files[path][:] = content
-        else:
-            parent, name = split_path(path)
-            if parent not in self.children:
-                self.mkdirs(parent)   # a parent that is a file raises
-            self.children[parent].add(name)
-            self.files[path] = (content if type(content) is bytearray
-                                else bytearray(content))
+        old = files.get(path)
+        if old is not None:
+            old[:] = content
+            return
+        parent, _, name = path.rpartition("/")   # split_path, inline
+        siblings = children.get(parent or "/")
+        if siblings is None:
+            self.mkdirs(parent)   # a parent that is a file raises
+            siblings = children[parent]
+        siblings.add(name)
+        files[path] = (content if type(content) is bytearray
+                       else bytearray(content))
 
     def remove_file(self, path: str) -> None:
         del self.files[path]
@@ -133,29 +141,57 @@ class VirtualFS:
     def digest(self) -> str:
         """Stable hash over the whole tree (paths, kinds, contents).
 
-        Paths are UTF-8, with a lone surrogate (a trace's JSON may hold
-        one) written as its three bytes: one-to-one, and any other path's
-        bytes are unchanged."""
-        h = hashlib.sha256()
-        for d in sorted(self.children):
-            h.update(b"D\x00" + d.encode("utf-8", "surrogatepass") + b"\x00")
-        for f in sorted(self.files):
-            h.update(b"F\x00" + f.encode("utf-8", "surrogatepass") + b"\x00")
-            h.update(self.files[f])
-            h.update(b"\x00")
+        The hash is over one byte stream: ``D\\0<path>\\0`` for each
+        directory in sorted order, then ``F\\0<path>\\0<content>\\0`` for
+        each file in sorted order.  Paths are UTF-8, with a lone surrogate
+        (a trace's JSON may hold one) written as its three bytes:
+        one-to-one, and any other path's bytes are unchanged.  The
+        directories are hashed in one update; the files in batches of at
+        most _DIGEST_BATCH content bytes, and a larger file in place, so a
+        batch copies little."""
+        h = hashlib.sha256("".join(
+            f"D\0{d}\0" for d in sorted(self.children)
+        ).encode("utf-8", "surrogatepass"))
+        files, batch, size = self.files, [], 0
+        for f in sorted(files):
+            content = files[f]
+            if size + len(content) > _DIGEST_BATCH:
+                batch.append(b"")   # the "\0" after the last content
+                h.update(b"\0".join(batch))
+                batch, size = [], 0
+                if len(content) > _DIGEST_BATCH:   # hashed in place
+                    h.update(b"F\0" + f.encode("utf-8", "surrogatepass")
+                             + b"\0")
+                    h.update(content)
+                    h.update(b"\0")
+                    continue
+            batch += (b"F", f.encode("utf-8", "surrogatepass"), content)
+            size += len(content)
+        batch.append(b"")
+        h.update(b"\0".join(batch))
         return h.hexdigest()
+
+
+# A manifest fill spec, one or two ASCII hex digits in either case (no
+# sign, "0x" or "_"), to its byte.
+_HEX = "0123456789abcdefABCDEF"
+_FILLS = {spec: bytearray([int(spec, 16)])
+          for spec in [*_HEX, *(a + b for a in _HEX for b in _HEX)]}
 
 
 def vfs_from_manifest(manifest: bytes) -> VirtualFS:
     """Build a VFS from a line-based manifest.
 
-    ``manifest`` is UTF-8 bytes.  Lines are ``D <path>`` or
+    ``manifest`` is UTF-8 bytes, read by ``LineError.lines`` in one
+    decode.  Lines are ``D <path>`` or
     ``F <path> <byte-length> <fill-hex|@text>``, the length ASCII
     decimal digits, at most MAX_FILE_BYTES, and a fill byte one or two
-    ASCII hex digits.  Paths are canonicalized, missing parents created.
+    ASCII hex digits, looked up in ``_FILLS``.  Paths are canonicalized,
+    missing parents created.
     """
     vfs = VirtualFS()
-    for n, raw in MalformedManifestLine.lines(manifest.splitlines()):
+    lines, _ = MalformedManifestLine.lines(manifest)
+    for n, raw in lines:
         fields = raw.strip().split(maxsplit=3) or [raw]   # U+3000 only, say
         if fields[0] == "D":
             if len(fields) != 2:
@@ -180,19 +216,16 @@ def vfs_from_manifest(manifest: bytes) -> VirtualFS:
             if length > MAX_FILE_BYTES:
                 raise MalformedManifestLine(n, f"length {length} is over "
                                             f"the {MAX_FILE_BYTES}-byte limit")
-            if spec.startswith("@"):
+            fill = _FILLS.get(spec)
+            if fill is not None:
+                content = fill * length  # a new bytearray: put_file keeps it
+            elif spec.startswith("@"):
                 content = spec[1:].encode("utf-8")
                 if len(content) != length:
                     raise MalformedManifestLine(
                         n, f"inline content is {len(content)} bytes, declared {length}")
             else:
-                try:   # no sign, "0x" or "_", and no non-ASCII digit
-                    if len(spec) > 2 or not (spec.isascii() and spec.isalnum()):
-                        raise ValueError
-                    fill = bytearray([int(spec, 16)])
-                except ValueError:
-                    raise MalformedManifestLine(n, f"bad fill byte {spec!r}") from None
-                content = fill * length  # a bytearray: put_file keeps it
+                raise MalformedManifestLine(n, f"bad fill byte {spec!r}")
             try:
                 vfs.put_file(normalize_path(path), content)
             except ValueError as exc:

@@ -285,10 +285,11 @@ def test_criterion_07c_rule_vs_logging_overhead(capsys, bench_medians):
     The criterion requires (m3 - m1) < (m2 - m1): 2,500 interpreted
     condition evaluations per syscall would have to cost less than one
     log-record format-and-emit.  A condition here is one leaf expression
-    in a generated Python guard function (~55 ns), so m3's per-syscall
-    overhead is ~130-150 us while m2's logging overhead is ~8-9 us
-    (m2 - m1 and m3 - m1 per syscall, copying a 2 MB file; medians of
-    30 copies on a 2-core x86_64 Xeon).  The inequality reflects the
+    in a generated Python guard function (about 10-11 ns), so m3's
+    per-syscall overhead is about 26-27 us while m2's logging overhead
+    is about 3.7-4.0 us (m2 - m1 and m3 - m1 per syscall, copying a 2 MB
+    file; medians of this fixture's 100 reps, over 10 runs on a 2-vCPU
+    VM, in BENCH_paper_gates.json).  The inequality reflects the
     original in-kernel implementation, where a condition is a handful of
     machine instructions; it is not attainable in this medium.  Measured
     numbers are printed for the ledger.

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from apate import apc
+from apate import apc, replay
 from apate.cloak import apply_cloak, cloak_ruleset
 from apate.dsl import compile_source
 from apate.engine import validate_program
@@ -46,19 +46,156 @@ class TestReader:
         data = (b"a\r\n\r \t\x0b\x0c\nb\x0bc\x1c\rd" + NEL.encode() + b"e"
                 + LS.encode() + PS.encode() + b"\n\n"
                 + IDEOGRAPHIC_SPACE.encode())
-        assert list(LineError.lines(data.splitlines(), first=3)) == [
+        lines, end = LineError.lines(data, first=3)
+        assert list(lines) == [
             (3, "a"), (6, "b\x0bc\x1c"), (7, f"d{NEL}e{LS}{PS}"),
             (9, IDEOGRAPHIC_SPACE)]
+        assert end == 10
 
     @pytest.mark.parametrize("cls", [CorruptRecord, MalformedManifestLine,
                                      TraceError])
     def test_a_line_that_is_not_utf8_raises_the_callers_class(self, cls):
-        lines = cls.lines([b"ok", b" ", b"ab\xffc"], first=5)
+        lines, _ = cls.lines(b"ok\n \nab\xffc", first=5)
         assert next(lines) == (5, "ok")
         with pytest.raises(cls) as exc:
             next(lines)
         assert str(exc.value) == ("line 7: not UTF-8: invalid start byte "
                                   "at byte 3")
+
+
+# --- the one reader against the rule written out -------------------------
+
+def _reference(cls, data: bytes, first: int = 1):
+    """The lines of data by the rule as stated: bytes.splitlines cuts
+    them, a line of ASCII whitespace (bytes.strip's set) is blank, and
+    each other line is decoded strictly on its own.  The (n, text) pairs
+    up to the first line that is not UTF-8, and the (class, line, message)
+    of the error there, or None."""
+    pairs = []
+    for n, raw in enumerate(data.splitlines(), first):
+        if raw.strip():
+            try:
+                pairs.append((n, raw.decode("utf-8", "strict")))
+            except UnicodeDecodeError as exc:
+                return pairs, (cls, n, f"line {n}: not UTF-8: {exc.reason} "
+                                       f"at byte {exc.start + 1}")
+    return pairs, None
+
+
+def _drain(lines):
+    """The pairs an iterator of lines gives, and the (class, line,
+    message) of the LineError that ended it, or None."""
+    pairs = []
+    try:
+        for pair in lines:
+            pairs.append(pair)
+    except LineError as exc:
+        return pairs, (type(exc), exc.line_no, str(exc))
+    return pairs, None
+
+
+# What a parity input is made of: the line ends, lines blank by the ASCII
+# rule and a line that is not (U+3000), separators that stay inside a
+# line, and bytes that are not UTF-8 on their own: a bad start byte, a
+# lone continuation byte, an encoded surrogate, and a sequence cut short
+# (at a line end when a line end follows it).
+PARITY_PARTS = (b"\n", b"\r", b"\r\n", b"\x0b", b"\x0c", b" \t", b"\x0b\n",
+                b"\x0c\r", IDEOGRAPHIC_SPACE.encode() + b"\n", NEL.encode(),
+                LS.encode(), PS.encode(), "x\u00e9".encode(), b"ab", b"{}",
+                b"\x1c")
+BAD_BYTES = (b"\xff", b"\x80", b"\xed\xa0\x80", b"\xe2\x82", b"\xc3")
+
+
+def _parity_input(rng, bad: bool) -> bytes:
+    out = b"".join(rng.choice(PARITY_PARTS) for _ in range(rng.randint(0, 12)))
+    if bad:
+        i = rng.randrange(len(out) + 1)
+        out = out[:i] + rng.choice(BAD_BYTES) + out[i:]
+    return out
+
+
+def _piecewise(data: bytes):
+    """What iter_trace reads from data: each non-blank line's (n, text),
+    through _whole_lines and the reader, and the error that ended it."""
+    def as_pair(line, n, contexts):
+        return n, line
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(replay, "parse_trace_line", as_pair)
+        return _drain(iter_trace(io.BytesIO(data)))
+
+
+class TestReaderParity:
+    """LineError.lines decodes an input once; it must read every input as
+    the rule written out in ``_reference`` does."""
+
+    def _check(self, cls, data: bytes, first: int = 1):
+        lines, end = cls.lines(data, first)
+        got = _drain(lines)
+        assert got == _reference(cls, data, first), data
+        if got[1] is None:
+            assert end == first + len(data.splitlines())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_inputs(self, seed):
+        rng = random.Random(3600 + seed)
+        for i in range(400):
+            cls = (CorruptRecord, MalformedManifestLine, TraceError)[i % 3]
+            self._check(cls, _parity_input(rng, bad=i % 2 == 1),
+                        rng.choice((1, 7)))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_the_three_formats_mutated(self, seed, honeypot_mix):
+        rng = random.Random(3700 + seed)
+        trace = b"\n".join(honeypot_mix[4][:30]) + b"\n"
+        for _ in range(60):
+            self._check(CorruptRecord, _mutate(rng, rng.choice(APC_INPUTS)))
+            self._check(MalformedManifestLine,
+                        _mutate(rng, _manifest_input(rng)))
+            self._check(TraceError, _mutate(rng, trace))
+
+    @pytest.mark.parametrize("data, message", [
+        (b"ok\nab\xe2\x82\ncd\n", "line 2: not UTF-8: unexpected end of "
+                                    "data at byte 3"),
+        (b"ok\nab\xe2\x82\r\ncd\n", "line 2: not UTF-8: unexpected end of "
+                                      "data at byte 3"),
+        (b"ok\nab\xe2\x82", "line 2: not UTF-8: unexpected end of data at "
+                            "byte 3"),
+        (b"ok\nab\xe2\x82cd", "line 2: not UTF-8: invalid continuation byte "
+                              "at byte 3"),
+        (b"\xff\nok", "line 1: not UTF-8: invalid start byte at byte 1"),
+        (b" \n\x0b\r\x0c\r\ne\xed\xa0\x80", "line 4: not UTF-8: invalid "
+                                          "continuation byte at byte 2"),
+    ])
+    def test_the_bad_line_is_named_as_if_decoded_alone(self, data, message):
+        lines, _ = TraceError.lines(data)
+        pairs, error = _drain(lines)
+        assert error == (TraceError, int(message.split()[1][:-1]), message)
+        assert (pairs, error) == _reference(TraceError, data)
+
+    def test_a_bad_byte_at_every_place_in_a_piece(self, monkeypatch):
+        """With 64-byte blocks, a bad byte at the start, the middle and the
+        end of the input and of every piece is named at the line the whole
+        input read at once names, after the same lines."""
+        monkeypatch.setattr(replay, "TRACE_BLOCK", 64)
+        rng = random.Random(3800)
+        lines = [("{%s}" % ("x" * rng.randrange(40))).encode()
+                 + rng.choice(PARITY_PARTS[:3] + (b"\n \x0b\n", b"\r\x0c\n"))
+                 for _ in range(40)]
+        data = b"".join(lines)
+        assert _piecewise(data) == _reference(TraceError, data)
+        places = {0, len(data) // 2, len(data) - 1}
+        at = 0
+        for piece in replay._whole_lines(io.BytesIO(data)):
+            places |= {at, at + len(piece) // 2, at + len(piece) - 1}
+            at += len(piece)
+        assert at == len(data) and len(places) > 12
+        for i in sorted(places):
+            for bad in (b"\xff", b"\xe2\x82"):
+                for mutated in (data[:i] + bad + data[i:],
+                                data[:i] + bad + data[i + 1:]):
+                    got = _piecewise(mutated)
+                    assert got[1] is not None
+                    assert got == _reference(TraceError, mutated), i
 
 
 class TestThreeFormats:

@@ -1,4 +1,5 @@
 import enum
+import hashlib
 import random
 import re
 import time
@@ -191,7 +192,63 @@ class TestVirtualFS:
         assert build(b"one") != build(b"two")
 
 
+    def test_digest_is_one_hash_over_the_documented_stream(self):
+        """digest() hashes sorted "D\\0path\\0", then sorted
+        "F\\0path\\0content\\0", whatever batches it hashes them in: an
+        empty file, a file over one batch, small files that fill several,
+        and a path holding a lone surrogate."""
+        rng = random.Random(36)
+        vfs = VirtualFS()
+        vfs.mkdirs("/d/e")
+        vfs.mkdirs("/s\udc80")
+        vfs.put_file("/d/empty", b"")
+        vfs.put_file("/d/big", rng.randbytes(sandbox_mod._DIGEST_BATCH + 7))
+        for i in range(40):
+            vfs.put_file(f"/d/e/f{i:02d}", rng.randbytes(rng.randrange(9000)))
+        vfs.put_file("/s\udc80/x\udcff", b"\x00")
+        vfs.put_file("/z", bytes(sandbox_mod._DIGEST_BATCH))
+        assert sum(map(len, vfs.files.values())) > 3 * sandbox_mod._DIGEST_BATCH
+
+        def enc(path):
+            return path.encode("utf-8", "surrogatepass")
+        stream = b"".join(b"D\x00" + enc(d) + b"\x00"
+                          for d in sorted(vfs.children))
+        for f in sorted(vfs.files):
+            stream += b"F\x00" + enc(f) + b"\x00" + bytes(vfs.files[f]) + b"\x00"
+        assert vfs.digest() == hashlib.sha256(stream).hexdigest()
+
+
 class TestManifest:
+    @pytest.mark.parametrize("length", [0, 3])
+    def test_fill_specs_follow_the_readme_rule(self, length):
+        """Every fill spec of one or two printable-ASCII characters, and
+        digits and letters that are not ASCII, is taken exactly when it is
+        one or two ASCII hex digits, in either case, and gives that byte."""
+        specs = [chr(c) for c in range(0x21, 0x7f)]
+        specs += [a + b for a in specs for b in specs]
+        specs += ["\u0663", "\u00b2", "\uff41", "\uff41a", "a\u0663"]
+        taken = 0
+        for spec in specs:
+            if spec.startswith("@"):
+                continue   # inline text, not a fill byte
+            line = f"F /f {length} {spec}\n".encode()
+            if re.fullmatch(r"[0-9a-fA-F]{1,2}", spec, re.ASCII):
+                vfs = vfs_from_manifest(line)
+                assert vfs.files["/f"] == bytes([int(spec, 16)]) * length
+                assert type(vfs.files["/f"]) is bytearray
+                taken += 1
+            else:
+                with pytest.raises(MalformedManifestLine) as exc:
+                    vfs_from_manifest(line)
+                assert str(exc.value) == f"line 1: bad fill byte {spec!r}"
+        assert taken == 22 + 22 * 22
+
+    def test_one_fill_spec_makes_files_that_share_no_storage(self):
+        vfs = vfs_from_manifest(b"F /a 2 7f\nF /b 2 7f\n")
+        vfs.files["/a"][0] = 0
+        assert vfs.files["/b"] == b"\x7f\x7f"
+        assert vfs_from_manifest(b"F /c 1 7f\n").files["/c"] == b"\x7f"
+
     def test_basic_manifest(self):
         vfs = vfs_from_manifest(b"D /var/lib\n"
                                 b"F /var/lib/data 5 00\n"
@@ -220,6 +277,7 @@ class TestManifest:
         (b"D /a/b\nF /a 1 00", "/a exists as a directory"),
         (b"F /a 1 00\nD /a/b", "/a exists as a file"),
         (b"F /a 1 00\nF /a/b/c 1 00", "/a exists as a file"),
+        (b"F /a 1 00\nF /a/b 1 00", "line 2: /a exists as a file"),
         (b"F /a 1_0 00", "bad length '1_0'"),
         ("F /b \u0661 00".encode(), "bad length '\u0661'"),
         (b"F /b +1 00", "bad length '+1'"),
